@@ -17,14 +17,13 @@ violation profile; each check records its maximum deviation in
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO
 
 import numpy as np
 
-from .modular_data import ModularData
+from .modular_data import ModularData, _conjugation, _write_json, twists
 from .numerics import DEFAULT_POLICY, TolerancePolicy
 
 __all__ = ["Diagnostic", "AxiomReport", "validate", "detect_convention"]
@@ -81,11 +80,7 @@ class AxiomReport:
         }
 
     def dump(self, target: str | Path | IO[str]) -> None:
-        text = json.dumps(self.to_json_dict(), indent=2) + "\n"
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            Path(target).write_text(text, encoding="utf-8")
+        _write_json(self.to_json_dict(), target)
 
 
 def make_report(diagnostics: list[Diagnostic], convention_note: str | None = None,
@@ -97,18 +92,6 @@ def make_report(diagnostics: list[Diagnostic], convention_note: str | None = Non
         convention_note=convention_note,
         measurements=dict(measurements or {}),
     )
-
-
-def _extract_conjugation(md: ModularData, pol: TolerancePolicy):
-    """Best-effort permutation from S^2; (perm or None, max deviation)."""
-    C = md.S @ md.S
-    n = md.rank
-    perm = np.array([int(np.argmax(np.abs(C[i]))) for i in range(n)])
-    unit = np.zeros_like(C)
-    unit[np.arange(n), perm] = 1.0
-    dev = float(np.max(np.abs(C - unit)))
-    ok = dev <= pol.eq_tol and perm[0] == 0 and np.array_equal(perm[perm], np.arange(n))
-    return (perm if ok else None), dev, perm
 
 
 def validate(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> AxiomReport:
@@ -145,17 +128,16 @@ def validate(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> AxiomRep
              f"|T_{i}| = {abs(T[i]):.12g} is not 1")
 
     # d. S^2 is a conjugation
-    conj, dev_c, raw_perm = _extract_conjugation(md, pol)
-    meas["charge_conjugation"] = dev_c
-    if conj is None:
-        fail("charge_conjugation", [tuple(int(x) for x in raw_perm)], dev_c,
+    perm, row_dev, ok = _conjugation(md.S2, pol)
+    conj = perm if ok else None
+    meas["charge_conjugation"] = float(np.max(row_dev))
+    if not ok:
+        fail("charge_conjugation", [tuple(int(x) for x in perm)], meas["charge_conjugation"],
              "S^2 is not a vacuum-fixing involutive permutation")
 
     # e. (S T)^3 = C, compared against S^2 itself so it stays meaningful
     #    even when (d) failed
-    ST = S * T[None, :]
-    M = ST @ ST @ ST
-    dev_e = np.abs(M - S @ S)
+    dev_e = np.abs(md.ST_cubed - md.S2)
     meas["st_cubed"] = float(np.max(dev_e))
     if meas["st_cubed"] > pol.eq_tol:
         i, j = np.unravel_index(int(np.argmax(dev_e)), dev_e.shape)
@@ -164,7 +146,7 @@ def validate(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> AxiomRep
 
     # f. Verlinde integrality + vacuum fusion row
     if np.min(np.abs(S[0, :])) > pol.eq_tol:
-        raw = np.einsum("ir,jr,kr->ijk", S, S, np.conj(S) / S[0, :][None, :])
+        raw = md.verlinde_raw
         rounded = np.rint(raw.real).astype(int)
         dev_v = np.abs(raw - rounded)
         neg = rounded < 0
@@ -209,7 +191,7 @@ def validate(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> AxiomRep
 
     # h. conjugate symmetry of twists and dims
     if conj is not None:
-        w = T / T[0]
+        w = twists(md)
         dev_w = float(np.max(np.abs(w[conj] - w)))
         d_row = np.abs(S[0, :])
         dev_d = float(np.max(np.abs(d_row[conj] - d_row)))
@@ -231,10 +213,8 @@ def detect_convention(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) ->
     The two presentations differ by complex-conjugating S.  The data is
     never mutated; the caller decides what to do with the note.
     """
-    S, T = md.S, md.T
-    ST = S * T[None, :]
-    M = ST @ ST @ ST
-    if np.max(np.abs(M - S @ S)) <= pol.eq_tol:
+    M = md.ST_cubed
+    if np.max(np.abs(M - md.S2)) <= pol.eq_tol:
         return None
     if np.max(np.abs(M - np.eye(md.rank))) <= pol.eq_tol:
         return (

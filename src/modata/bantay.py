@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .axioms import AxiomReport, Diagnostic, make_report, validate
-from .modular_data import DerivedData, InvalidModularData, ModularData, derive
+from .modular_data import DerivedData, InvalidModularData, ModularData, _readonly, derive
 from .numerics import DEFAULT_POLICY, TolerancePolicy, principal_sqrt
 
 __all__ = [
@@ -59,11 +59,6 @@ class RealizabilityError(ValueError):
         self.diagnostics = tuple(diagnostics)
         msg = "; ".join(d.message for d in self.diagnostics[:3])
         super().__init__(f"{len(self.diagnostics)} violation(s): {msg}")
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,10 @@ from .bantay import (
 )
 from .modular_data import (
     InvalidModularData,
-    ModularData,
     derive,
     load_modular_data,
     save_modular_data,
+    twists,
 )
 from .numerics import DEFAULT_POLICY, TolerancePolicy, turns_fraction
 from .oracle import brute_trace, catalog, catalog_names, get_model
@@ -84,16 +84,12 @@ def _emit_json(doc) -> None:
     print(json.dumps(doc, indent=2, sort_keys=False))
 
 
-def _load_md(path: str) -> ModularData:
-    return load_modular_data(path)
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args, pol) -> int:
-    md = _load_md(args.file)
+    md = load_modular_data(args.file)
     report = validate(md, pol)
     if args.json:
         _emit_json(report.to_json_dict())
@@ -103,7 +99,7 @@ def cmd_validate(args, pol) -> int:
 
 
 def cmd_check(args, pol) -> int:
-    md = _load_md(args.file)
+    md = load_modular_data(args.file)
     report = realizability_report(md, pol)
     if args.json:
         _emit_json(report.to_json_dict())
@@ -113,7 +109,7 @@ def cmd_check(args, pol) -> int:
 
 
 def cmd_bantay(args, pol) -> int:
-    md = _load_md(args.file)
+    md = load_modular_data(args.file)
     report = validate(md, pol)
     if not report.passed:
         if args.json:
@@ -156,7 +152,7 @@ def cmd_bantay(args, pol) -> int:
 
 
 def cmd_rmatrix(args, pol) -> int:
-    md = _load_md(args.file)
+    md = load_modular_data(args.file)
     report = realizability_report(md, pol)
     if not report.passed:
         if args.json:
@@ -287,7 +283,7 @@ def cmd_search(args, pol) -> int:
               f"modular relation; {stats['t_candidates']} T candidates filtered)")
         if not args.quiet:
             for res, f in zip(results, files):
-                w = res.md.T / res.md.T[0]
+                w = twists(res.md)
                 tw = ", ".join(fmt_complex(z, pol) for z in w[1:])
                 print(f"  {res.provenance}  twists ({tw})  -> {f}")
     return EXIT_PASS
@@ -368,10 +364,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     try:
         return args.func(args, pol)
-    except (InvalidModularData, FusionRingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (InvalidModularData, FusionRingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

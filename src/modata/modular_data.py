@@ -1,5 +1,10 @@
 """Modular data {rank, labels, S, T} and everything derived from it.
 
+This module is the single home of every quantity derived from S and T.
+S^2, (S T)^3 and the raw Verlinde tensor are computed once per ModularData,
+on first use, and cached read-only; the conjugation permutation and the
+cube-root lift of T each have one private helper here.
+
 Conventions fixed here and used everywhere else:
   * index 0 is the vacuum; files whose vacuum sits elsewhere are rejected
     by validation, never silently permuted;
@@ -22,12 +27,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Any, IO
 
 import numpy as np
 
-from .numerics import DEFAULT_POLICY, TolerancePolicy, phase_from_turns, turns_fraction
+from .numerics import (DEFAULT_POLICY, TolerancePolicy, phase_from_turns, principal_root,
+                       turns_fraction)
 
 __all__ = [
     "InvalidModularData",
@@ -94,6 +101,23 @@ class ModularData:
             labels = tuple(str(i) for i in range(rank))
         return cls(rank=rank, labels=tuple(labels), S=np.asarray(S, dtype=complex), T=T)
 
+    @cached_property
+    def S2(self) -> np.ndarray:
+        """S @ S, which a modular S makes the charge-conjugation matrix."""
+        return _readonly(self.S @ self.S)
+
+    @cached_property
+    def ST_cubed(self) -> np.ndarray:
+        """(S diag(T))^3, which the modular relation sets equal to S^2."""
+        ST = self.S * self.T[None, :]
+        return _readonly(ST @ ST @ ST)
+
+    @cached_property
+    def verlinde_raw(self) -> np.ndarray:
+        """Unrounded Verlinde sum [i, j, k]; callers first check no S_{0,r} vanishes."""
+        S = self.S
+        return _readonly(np.einsum("ir,jr,kr->ijk", S, S, np.conj(S) / S[0, :][None, :]))
+
     def approx_eq(self, other: "ModularData", pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
         """Entrywise equality of S and T within eq_tol (labels ignored)."""
         if self.rank != other.rank:
@@ -158,27 +182,35 @@ def twists(md: ModularData) -> np.ndarray:
     return w
 
 
+def _conjugation(S2: np.ndarray, pol: TolerancePolicy):
+    """(perm, deviation of each row of S^2 from the unit row at perm, ok).
+
+    ok: every row is within eq_tol and perm is an involution fixing 0.
+    """
+    n = len(S2)
+    perm = np.argmax(np.abs(S2), axis=1)
+    unit = np.zeros_like(S2)
+    unit[np.arange(n), perm] = 1.0
+    dev = np.max(np.abs(S2 - unit), axis=1)
+    ok = bool(np.max(dev) <= pol.eq_tol and perm[0] == 0
+              and np.array_equal(perm[perm], np.arange(n)))
+    return perm, dev, ok
+
+
 def charge_conjugation(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """The permutation C = S^2 pairing each sector with its dual.
 
     Each row of S^2 must be a 0/1 unit row within eq_tol; C must be an
     involution fixing the vacuum.
     """
-    C = md.S @ md.S
-    n = md.rank
-    perm = np.full(n, -1, dtype=int)
-    for i in range(n):
-        row = C[i]
-        j = int(np.argmax(np.abs(row)))
-        unit = np.zeros(n, dtype=complex)
-        unit[j] = 1.0
-        if np.max(np.abs(row - unit)) > pol.eq_tol:
-            raise InvalidModularData(
-                f"not modular: S^2 is not a conjugation (row {i} deviates by "
-                f"{np.max(np.abs(row - unit)):.3e})"
-            )
-        perm[i] = j
-    if perm[0] != 0 or not np.array_equal(perm[perm], np.arange(n)):
+    perm, dev, ok = _conjugation(md.S2, pol)
+    bad = np.flatnonzero(dev > pol.eq_tol)
+    if len(bad):
+        raise InvalidModularData(
+            f"not modular: S^2 is not a conjugation (row {bad[0]} deviates by "
+            f"{dev[bad[0]]:.3e})"
+        )
+    if not ok:
         raise InvalidModularData("not modular: S^2 is not an involution fixing 0")
     return perm
 
@@ -188,10 +220,9 @@ def verlinde_fusion(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> n
 
     Every entry must round to a nonnegative integer within int_tol.
     """
-    S = md.S
-    if np.any(np.abs(S[0, :]) <= pol.eq_tol):
+    if np.any(np.abs(md.S[0, :]) <= pol.eq_tol):
         raise InvalidModularData("Verlinde integrality violation: vanishing S_{0,r}")
-    raw = np.einsum("ir,jr,kr->ijk", S, S, np.conj(S) / S[0, :][None, :])
+    raw = md.verlinde_raw
     rounded = np.rint(raw.real).astype(int)
     dev = np.abs(raw - rounded)
     if np.max(dev) > pol.int_tol or np.any(rounded < 0):
@@ -202,6 +233,16 @@ def verlinde_fusion(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> n
             f"(max deviation {np.max(dev):.3e})"
         )
     return rounded
+
+
+def _lift_t0(S: np.ndarray, S2: np.ndarray, w: np.ndarray, pol: TolerancePolicy):
+    """T_0 with (S T_0 diag(w))^3 = S^2, the principal cube root; None if none exists."""
+    M = S * w[None, :]
+    M3 = M @ M @ M
+    lam = M3[0, 0] / S2[0, 0]
+    if np.max(np.abs(M3 - lam * S2)) > pol.eq_tol:
+        return None
+    return 1.0 / principal_root(lam, 3)
 
 
 def derive(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> DerivedData:
@@ -220,21 +261,28 @@ def derive(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> DerivedDat
 # file format
 # ---------------------------------------------------------------------------
 
+def _is_number(x) -> bool:
+    # JSON true/false arrive as bool, a subclass of int; they are not numbers
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def parse_complex(obj) -> complex:
     """Parse one complex value: [re, im] or {"abs": a, "arg_turns": "p/q"}."""
-    if isinstance(obj, (int, float)):
+    if _is_number(obj):
         # tolerated on input for hand-written files; never emitted
         return complex(float(obj), 0.0)
     if isinstance(obj, list):
-        if len(obj) != 2 or not all(isinstance(x, (int, float)) for x in obj):
+        if len(obj) != 2 or not all(_is_number(x) for x in obj):
             raise InvalidModularData(f"complex value must be [re, im], got {obj!r}")
         return complex(float(obj[0]), float(obj[1]))
     if isinstance(obj, dict):
         try:
-            mag = float(obj["abs"])
+            mag = obj["abs"]
             turns_str = obj["arg_turns"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
             raise InvalidModularData(f"bad exact-phase form {obj!r}") from exc
+        if not _is_number(mag):
+            raise InvalidModularData(f"bad exact-phase form {obj!r}")
         parts = str(turns_str).split("/")
         if len(parts) != 2:
             raise InvalidModularData(f'arg_turns must be "p/q", got {turns_str!r}')
@@ -244,7 +292,7 @@ def parse_complex(obj) -> complex:
             raise InvalidModularData(f'arg_turns must be "p/q", got {turns_str!r}') from exc
         if q <= 0:
             raise InvalidModularData(f"arg_turns denominator must be > 0, got {q}")
-        return mag * phase_from_turns(Fraction(p, q))
+        return float(mag) * phase_from_turns(Fraction(p, q))
     raise InvalidModularData(f"cannot parse complex value {obj!r}")
 
 
@@ -267,7 +315,8 @@ def _md_from_dict(doc: dict) -> ModularData:
         T_row = doc["T"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidModularData(f"missing or malformed field: {exc}") from exc
-    if not isinstance(S_rows, list) or not isinstance(T_row, list):
+    if (not isinstance(S_rows, list) or not all(isinstance(row, list) for row in S_rows)
+            or not isinstance(T_row, list)):
         raise InvalidModularData('"S" must be a matrix and "T" a list')
     S = np.array([[parse_complex(z) for z in row] for row in S_rows], dtype=complex)
     T = np.array([parse_complex(z) for z in T_row], dtype=complex)
@@ -279,22 +328,32 @@ def _md_from_dict(doc: dict) -> ModularData:
     return ModularData(rank=rank, labels=tuple(labels), S=S, T=T)
 
 
-def load_modular_data(source: str | Path | IO[str]) -> ModularData:
-    """Read a modular-data file; raises InvalidModularData on any defect."""
+def _read_json(source, error_cls: type[Exception]):
+    """Decode the JSON document in a path, a resource or an open text stream."""
     if hasattr(source, "read"):
         text = source.read()
+    elif hasattr(source, "read_text"):
+        text = source.read_text(encoding="utf-8")
     else:
         text = Path(source).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InvalidModularData(f"malformed JSON: {exc}") from exc
-    return _md_from_dict(doc)
+        raise error_cls(f"malformed JSON: {exc}") from exc
 
 
-def save_modular_data(md: ModularData, target: str | Path | IO[str], exact_t: bool = False) -> None:
-    text = json.dumps(md.to_json_dict(exact_t=exact_t), indent=2) + "\n"
+def _write_json(doc, target) -> None:
+    text = json.dumps(doc, indent=2) + "\n"
     if hasattr(target, "write"):
         target.write(text)
     else:
         Path(target).write_text(text, encoding="utf-8")
+
+
+def load_modular_data(source: str | Path | IO[str]) -> ModularData:
+    """Read a modular-data file; raises InvalidModularData on any defect."""
+    return _md_from_dict(_read_json(source, InvalidModularData))
+
+
+def save_modular_data(md: ModularData, target: str | Path | IO[str], exact_t: bool = False) -> None:
+    _write_json(md.to_json_dict(exact_t=exact_t), target)

@@ -19,7 +19,6 @@ it is copied from anywhere.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,11 +31,17 @@ import numpy as np
 from .modular_data import (
     InvalidModularData,
     ModularData,
+    _lift_t0,
+    _md_from_dict,
+    _read_json,
+    _readonly,
     complex_to_json,
+    dims,
     parse_complex,
+    twists,
     verlinde_fusion,
 )
-from .numerics import DEFAULT_POLICY, TolerancePolicy, phase_from_turns, principal_root
+from .numerics import DEFAULT_POLICY, TolerancePolicy, phase_from_turns
 
 __all__ = [
     "ExplicitModel",
@@ -62,12 +67,8 @@ class ExplicitModel:
     modular_data: ModularData
 
     def __post_init__(self):
-        fusion = np.asarray(self.fusion, dtype=int)
-        twists = np.asarray(self.twists, dtype=complex)
-        fusion.setflags(write=False)
-        twists.setflags(write=False)
-        object.__setattr__(self, "fusion", fusion)
-        object.__setattr__(self, "twists", twists)
+        object.__setattr__(self, "fusion", _readonly(np.asarray(self.fusion, dtype=int)))
+        object.__setattr__(self, "twists", _readonly(np.asarray(self.twists, dtype=complex)))
         object.__setattr__(self, "r_scalars", dict(self.r_scalars))
         _check_model(self)
 
@@ -119,13 +120,13 @@ def _check_model(model: ExplicitModel, pol: TolerancePolicy = DEFAULT_POLICY) ->
     md = model.modular_data
     if md.rank != n:
         raise ValueError(f"model {model.name}: modular data rank mismatch")
-    if np.max(np.abs(md.T / md.T[0] - w)) > pol.eq_tol:
+    if np.max(np.abs(twists(md) - w)) > pol.eq_tol:
         raise ValueError(f"model {model.name}: T diagonal does not reproduce the twists")
     if not np.array_equal(verlinde_fusion(md, pol), fusion):
         raise ValueError(f"model {model.name}: Verlinde fusion does not match the r table support")
     # ribbon identity sum_k d_k r(i,i,k) = d_i w_i; the double-braiding
     # check alone cannot see a sign flip of a self-braiding scalar
-    d = (md.S[0, :] / md.S[0, 0]).real
+    d = dims(md, pol)
     for i in range(n):
         lhs = sum(d[k] * model.r_scalars.get((i, i, k), 0.0) for k in range(n))
         if abs(lhs - d[i] * w[i]) > pol.eq_tol:
@@ -165,7 +166,7 @@ def build_pointed_model(n: int, p: int) -> ExplicitModel:
     c = p if n % 2 == 0 else 2 * p
     if n > 1 and math.gcd(c, n) != 1:
         raise ValueError(f"not modular for ({n},{p}): the quadratic form is degenerate")
-    twists = np.array([phase_from_turns(Fraction(c * a * a, 2 * n)) for a in range(n)])
+    w = np.array([phase_from_turns(Fraction(c * a * a, 2 * n)) for a in range(n)])
     S = np.array(
         [[phase_from_turns(Fraction(-c * a * b, n)) for b in range(n)] for a in range(n)]
     ) / math.sqrt(n)
@@ -175,23 +176,12 @@ def build_pointed_model(n: int, p: int) -> ExplicitModel:
     for a in range(n):
         for b in range(n):
             fusion[a, b, (a + b) % n] = 1
-    T = _t_diagonal(S, twists)
-    md = ModularData.from_matrices(S, T, labels=[str(a) for a in range(n)])
-    return ExplicitModel(name=f"pointed_z{n}_p{p}", labels=md.labels, fusion=fusion,
-                         twists=twists, r_scalars=r, modular_data=md)
-
-
-def _t_diagonal(S: np.ndarray, twists: np.ndarray,
-                pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """T = T_0 * twists with (S T)^3 = S^2, T_0 the principal cube root."""
-    M = S * twists[None, :]
-    M3 = M @ M @ M
-    C = S @ S
-    lam = M3[0, 0] / C[0, 0]
-    if np.max(np.abs(M3 - lam * C)) > pol.eq_tol:
+    t0 = _lift_t0(S, S @ S, w, DEFAULT_POLICY)
+    if t0 is None:
         raise InvalidModularData("no global phase makes (S T)^3 = S^2 hold")
-    t0 = 1.0 / principal_root(lam, 3)
-    return t0 * twists
+    md = ModularData.from_matrices(S, t0 * w, labels=[str(a) for a in range(n)])
+    return ExplicitModel(name=f"pointed_z{n}_p{p}", labels=md.labels, fusion=fusion,
+                         twists=w, r_scalars=r, modular_data=md)
 
 
 # ---------------------------------------------------------------------------
@@ -204,27 +194,12 @@ def _data_dir():
 
 def load_model(source: str | Path) -> ExplicitModel:
     """Read a model file: modular-data format plus the "r" scalar block."""
-    if hasattr(source, "read_text"):
-        text = source.read_text(encoding="utf-8")
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidModularData(f"malformed JSON: {exc}") from exc
-    name = doc.get("name", "unnamed")
-    S = np.array([[parse_complex(z) for z in row] for row in doc["S"]], dtype=complex)
-    T = np.array([parse_complex(z) for z in doc["T"]], dtype=complex)
-    md = ModularData.from_matrices(S, T, labels=doc.get("labels"))
-    r = {}
-    for entry in doc.get("r", []):
-        ch, val = entry
-        r[tuple(int(x) for x in ch)] = parse_complex(val)
-    fusion = verlinde_fusion(md)
-    twists = T / T[0]
-    twists[0] = 1.0
-    return ExplicitModel(name=name, labels=md.labels, fusion=fusion,
-                         twists=twists, r_scalars=r, modular_data=md)
+    doc = _read_json(source, InvalidModularData)
+    md = _md_from_dict(doc)
+    r = {tuple(int(x) for x in ch): parse_complex(val) for ch, val in doc.get("r", [])}
+    return ExplicitModel(name=doc.get("name", "unnamed"), labels=md.labels,
+                         fusion=verlinde_fusion(md), twists=twists(md), r_scalars=r,
+                         modular_data=md)
 
 
 _CATALOG_ORDER = [

@@ -22,7 +22,6 @@ of the same data are equivalent categories is out of its scope.
 """
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,8 +34,15 @@ import numpy as np
 
 from .axioms import AxiomReport
 from .bantay import realizability_report
-from .modular_data import ModularData, verlinde_fusion
-from .numerics import DEFAULT_POLICY, TolerancePolicy, phase_from_turns, principal_root
+from .modular_data import (
+    ModularData,
+    _conjugation,
+    _lift_t0,
+    _read_json,
+    _write_json,
+    verlinde_fusion,
+)
+from .numerics import DEFAULT_POLICY, TolerancePolicy, phase_from_turns
 
 __all__ = [
     "FusionRingError",
@@ -194,16 +200,15 @@ def _roots_of_unity(max_order: int) -> list[Fraction]:
                    for p in range(q) if math.gcd(p, q) == 1})
 
 
-def _twist_orbits(S: np.ndarray, pol: TolerancePolicy) -> list[list[int]]:
+def _twist_orbits(S2: np.ndarray, pol: TolerancePolicy) -> list[list[int]]:
     """Orbits {i, ibar} of the duality read off S^2, vacuum excluded."""
-    n = S.shape[0]
-    C = S @ S
-    perm = [int(np.argmax(np.abs(C[i]))) for i in range(n)]
+    n = S2.shape[0]
+    perm, _, _ = _conjugation(S2, pol)
     orbits, seen = [], {0}
     for i in range(1, n):
         if i in seen:
             continue
-        orb = sorted({i, perm[i]})
+        orb = sorted({i, int(perm[i])})
         seen.update(orb)
         orbits.append(orb)
     return orbits
@@ -220,8 +225,8 @@ def enumerate_t(S: np.ndarray, max_order: int,
     """
     S = np.asarray(S, dtype=complex)
     n = S.shape[0]
-    C = S @ S
-    orbits = _twist_orbits(S, pol)
+    S2 = S @ S
+    orbits = _twist_orbits(S2, pol)
     roots = _roots_of_unity(max_order)
     cube_roots = [phase_from_turns(Fraction(j, 3)) for j in range(3)]
     diagonals: list[np.ndarray] = []
@@ -233,13 +238,11 @@ def enumerate_t(S: np.ndarray, max_order: int,
             val = phase_from_turns(roots[ri])
             for i in orb:
                 w[i] = val
-        M = S * w[None, :]
-        M3 = M @ M @ M
-        lam = M3[0, 0] / C[0, 0]
-        if np.max(np.abs(M3 - lam * C)) > pol.eq_tol:
+        t0 = _lift_t0(S, S2, w, pol)
+        if t0 is None:
             skipped += 1
             continue
-        base = (1.0 / principal_root(lam, 3)) * w
+        base = t0 * w
         for zeta in cube_roots:
             t_diag = zeta * base
             if not any(np.max(np.abs(t_diag - seen)) <= pol.eq_tol for seen in diagonals):
@@ -313,27 +316,18 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
 
 def load_fusion_ring(source: str | Path | IO[str]) -> FusionRing:
     """Read {"rank": int, "N": [[[int...]...]...]} with N[i][j][k] = N^k_{i,j}."""
-    if hasattr(source, "read"):
-        text = source.read()
-    elif hasattr(source, "read_text"):
-        text = source.read_text(encoding="utf-8")
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FusionRingError(f"malformed JSON: {exc}") from exc
+    doc = _read_json(source, FusionRingError)
     try:
         rank = int(doc["rank"])
-        N = np.array(doc["N"], dtype=int)
+        N = np.array(doc["N"], dtype=object)
     except (KeyError, TypeError, ValueError) as exc:
         raise FusionRingError(f"missing or malformed field: {exc}") from exc
-    return FusionRing(rank=rank, N=N)
+    for x in N.flat:
+        # JSON true/false pass isinstance(x, int); floats would be truncated
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise FusionRingError(f"fusion multiplicities must be integers, got {x!r}")
+    return FusionRing(rank=rank, N=N.astype(int))
 
 
 def save_fusion_ring(fr: FusionRing, target: str | Path | IO[str]) -> None:
-    text = json.dumps(fr.to_json_dict(), indent=2) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        Path(target).write_text(text, encoding="utf-8")
+    _write_json(fr.to_json_dict(), target)

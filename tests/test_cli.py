@@ -55,6 +55,11 @@ class TestValidateCommand:
         code, _, err = run(capsys, "validate", "/nonexistent/file.json")
         assert code == 2
 
+    def test_directory_exit_two(self, capsys, tmp_path):
+        code, _, err = run(capsys, "validate", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ")
+
     def test_json_output_parses(self, capsys, ising_file):
         code, out, _ = run(capsys, "--json", "validate", str(ising_file))
         assert code == 0
@@ -188,6 +193,14 @@ class TestSearchCommand:
         for f in sorted(out_dir.glob("*.json")):
             code, _, _ = run(capsys, "validate", str(f))
             assert code == 0, f
+
+    def test_non_integer_multiplicity_exit_two(self, capsys, tmp_path):
+        ring = tmp_path / "ring.json"
+        ring.write_text('{"rank": 2, "N": [[[1, 0], [0, 1]], [[0, 1], [1, 1.7]]]}')
+        code, out, err = run(capsys, "search", str(ring), "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert out == ""
+        assert "must be integers" in err
 
     def test_json_reports_counts(self, capsys, tmp_path, rings_dir):
         code, out, _ = run(capsys, "--json", "search",

@@ -13,11 +13,13 @@ from modata import (
     dims,
     get_model,
     load_modular_data,
+    realizability_report,
     save_modular_data,
     twists,
     validate,
     verlinde_fusion,
 )
+from modata.numerics import TolerancePolicy
 
 TRIVIAL = ModularData.from_matrices([[1.0]], [1.0])
 
@@ -203,6 +205,10 @@ class TestFileFormat:
         '{"rank": 1, "S": [[{"abs": 1.0, "arg_turns": "1/0"}]], "T": [[1,0]]}',
         '{"rank": 1, "S": [[{"abs": 1.0, "arg_turns": "0.5"}]], "T": [[1,0]]}',
         "not json",
+        '{"rank": 1, "S": [[true]], "T": [[1,0]]}',                # bool is not a number
+        '{"rank": 1, "S": [[[1.0, false]]], "T": [[1,0]]}',
+        '{"rank": 1, "S": [[{"abs": true, "arg_turns": "0/1"}]], "T": [[1,0]]}',
+        '{"rank": 1, "S": [1.0], "T": [[1,0]]}',                   # S row not a list
     ])
     def test_malformed_documents_rejected(self, doc):
         with pytest.raises(InvalidModularData):
@@ -218,3 +224,42 @@ class TestFileFormat:
         shifted = ModularData.from_matrices(S, T)
         report = validate(shifted)
         assert not report.passed
+
+
+class TestDerivedCache:
+    """S^2, (S T)^3 and the Verlinde tensor are cached on the instance; the
+    cache must hold nothing that depends on the tolerance it was filled under."""
+
+    CACHED = ("S2", "ST_cubed", "verlinde_raw")
+
+    @staticmethod
+    def instances(entries, bad_file):
+        by_name = {e.name: e.md for e in entries}
+        mds = list(by_name.values())
+        for a, b in [("ising", "fibonacci"), ("z3", "toric_code"), ("semion", "su2_2")]:
+            A, B = by_name[a], by_name[b]
+            mds.append(ModularData.from_matrices(np.kron(A.S, B.S), np.kron(A.T, B.T)))
+        mds.append(load_modular_data(bad_file))
+        return mds
+
+    def test_reports_do_not_depend_on_earlier_policy(self, entries, bad_ising_file):
+        for md in self.instances(entries, bad_ising_file):
+            # the strict policy fails most instances, the loose one passes some
+            # bad ones: either would leave its verdicts behind in a bad cache
+            for pol in (TolerancePolicy(eq_tol=1e-16, int_tol=1e-16),
+                        TolerancePolicy(eq_tol=0.3, int_tol=0.3)):
+                validate(md, pol)
+                realizability_report(md, pol)
+            fresh = ModularData.from_matrices(md.S, md.T, md.labels)
+            for check in (validate, realizability_report):
+                got = json.dumps(check(md).to_json_dict())
+                assert got == json.dumps(check(fresh).to_json_dict()), (md.labels, check)
+
+    def test_cached_arrays_are_read_only_and_computed_once(self, entries, bad_ising_file):
+        for md in self.instances(entries, bad_ising_file):
+            for name in self.CACHED:
+                arr = getattr(md, name)
+                assert getattr(md, name) is arr
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr.flat[0] = 0.0

@@ -201,6 +201,18 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="support mismatch"):
             load_model(bad)
 
+    def test_missing_s_is_invalid_data(self, tmp_path):
+        import json
+
+        from modata import InvalidModularData
+
+        doc = get_model("ising").to_json_dict()
+        del doc["S"]
+        bad = tmp_path / "ising_no_s.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(InvalidModularData, match="missing or malformed field"):
+            load_model(bad)
+
     def test_roundtrip_through_json(self, tmp_path):
         import json
 

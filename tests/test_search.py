@@ -76,6 +76,13 @@ class TestFusionRing:
         with pytest.raises(FusionRingError):
             load_fusion_ring(io.StringIO('{"rank": "x"}'))
 
+    @pytest.mark.parametrize("entry", ["1.7", "1.0", "true", '"1"'])
+    def test_non_integer_multiplicity_rejected(self, entry):
+        # Fibonacci ring with N^1_{1,1} replaced; int() would truncate 1.7 to 1
+        text = ('{"rank": 2, "N": [[[1, 0], [0, 1]], [[0, 1], [1, %s]]]}' % entry)
+        with pytest.raises(FusionRingError, match="must be integers"):
+            load_fusion_ring(io.StringIO(text))
+
     def test_shipped_ring_files(self, rings_dir):
         fib = load_fusion_ring(rings_dir / "fibonacci_ring.json")
         assert np.array_equal(fib.N, ring_of("fibonacci").N)
