@@ -15,6 +15,7 @@ from pathlib import Path
 from . import __version__
 from .axioms import AxiomReport, validate
 from .bantay import (
+    RealizabilityError,
     eigen_multiplicities,
     fs_indicators,
     realizability_report,
@@ -108,21 +109,32 @@ def cmd_check(args, pol) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
+def _print_failure(report: AxiomReport, why: str, args) -> int:
+    if args.json:
+        _emit_json(report.to_json_dict())
+    else:
+        print(why, file=sys.stderr)
+        _print_report(report, args.quiet)
+    return EXIT_FAIL
+
+
 def cmd_bantay(args, pol) -> int:
     md = load_modular_data(args.file)
     report = validate(md, pol)
     if not report.passed:
-        if args.json:
-            _emit_json(report.to_json_dict())
-        else:
-            print("data fails the modularity axioms; not computing traces",
-                  file=sys.stderr)
-            _print_report(report, args.quiet)
-        return EXIT_FAIL
+        return _print_failure(
+            report, "data fails the modularity axioms; not computing traces", args)
     dd = derive(md, pol)
-    tt = trace_table(md, dd, pol)
-    nu = fs_indicators(md, dd, tt, pol)
-    mt = eigen_multiplicities(md, dd, tt, pol)
+    try:
+        tt = trace_table(md, dd, pol)
+        nu = fs_indicators(md, dd, tt, pol)
+        mt = eigen_multiplicities(md, dd, tt, pol)
+    except RealizabilityError:
+        # the full report lists every trace constraint the data fails, with
+        # its measured deviation
+        return _print_failure(
+            realizability_report(md, pol), "data fails a trace constraint; not realizable",
+            args)
     if args.json:
         doc = {**tt.to_json_dict(), **nu.to_json_dict(), **mt.to_json_dict()}
         _emit_json(doc)
@@ -155,12 +167,7 @@ def cmd_rmatrix(args, pol) -> int:
     md = load_modular_data(args.file)
     report = realizability_report(md, pol)
     if not report.passed:
-        if args.json:
-            _emit_json(report.to_json_dict())
-        else:
-            print("not realizable; no canonical R-matrices", file=sys.stderr)
-            _print_report(report, args.quiet)
-        return EXIT_FAIL
+        return _print_failure(report, "not realizable; no canonical R-matrices", args)
     dd = derive(md, pol)
     tt = trace_table(md, dd, pol)
     mt = eigen_multiplicities(md, dd, tt, pol)
@@ -252,10 +259,13 @@ def cmd_oracle(args, pol) -> int:
 
 
 def cmd_search(args, pol) -> int:
+    if args.max_order < 1:
+        print(f"error: --max-order must be at least 1, got {args.max_order}",
+              file=sys.stderr)
+        return EXIT_PARSE
     fr = load_fusion_ring(args.file)
     stats: dict = {}
-    results = search_pipeline(fr, max_order=args.max_order, pol=pol, jobs=args.jobs,
-                              stats_out=stats)
+    results = search_pipeline(fr, max_order=args.max_order, pol=pol, stats_out=stats)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
@@ -340,11 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("search", "search a fusion ring for admissible data", cmd_search)
     p.add_argument("--max-order", type=int, default=16, metavar="Q",
-                   help="largest twist denominator (default 16)")
+                   help="largest twist denominator, at least 1 (default 16)")
     p.add_argument("--out", default="search-results", metavar="DIR",
                    help="directory for result files (default ./search-results)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="parallel evaluation workers (default 1)")
     return parser
 
 

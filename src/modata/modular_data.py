@@ -242,7 +242,7 @@ def _lift_t0(S: np.ndarray, S2: np.ndarray, w: np.ndarray, pol: TolerancePolicy)
     lam = M3[0, 0] / S2[0, 0]
     if np.max(np.abs(M3 - lam * S2)) > pol.eq_tol:
         return None
-    return 1.0 / principal_root(lam, 3)
+    return 1.0 / principal_root(lam, 3, pol)
 
 
 def derive(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> DerivedData:

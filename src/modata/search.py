@@ -14,8 +14,10 @@ Pipeline:
      (S T)^3 = S^2 exactly.  The three lifts differ by the central charge
      mod 8 and are genuinely distinct data.
   3. ``search_pipeline`` runs the axiom battery and the trace-realizability
-     report on every candidate and keeps the passes, deterministically
-     ordered by provenance.
+     report on every candidate, one at a time, and keeps the passes in
+     provenance order.  A pass equal to an already kept result in both S
+     and T within eq_tol is dropped; that (S, T) check is the search's only
+     dedup.
 
 The pipeline enumerates admissible modular data; whether two realizations
 of the same data are equivalent categories is out of its scope.
@@ -23,7 +25,6 @@ of the same data are equivalent categories is out of its scope.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
@@ -167,7 +168,9 @@ def candidate_s(fr: FusionRing, pol: TolerancePolicy = DEFAULT_POLICY) -> list[n
 
     Columns are phase-fixed so the first entry is real positive; orderings
     are kept when the matrix is symmetric and the vacuum column (position
-    0) is entrywise positive.  Duplicate matrices within eq_tol collapse.
+    0) is entrywise positive.  Two orderings of orthonormal columns differ
+    by at least sqrt(2/rank) >= 0.577 in some entry, more than any eq_tol,
+    so the kept matrices are distinct without a dedup.
     """
     if fr.rank > MAX_SEARCH_RANK:
         raise FusionRingError(f"rank {fr.rank} exceeds the search bound {MAX_SEARCH_RANK}")
@@ -186,8 +189,7 @@ def candidate_s(fr: FusionRing, pol: TolerancePolicy = DEFAULT_POLICY) -> list[n
         c0 = S[:, 0]
         if np.max(np.abs(c0.imag)) > pol.eq_tol or np.any(c0.real <= pol.eq_tol):
             continue
-        if not any(np.max(np.abs(S - seen)) <= pol.eq_tol for seen in out):
-            out.append(S)
+        out.append(S)
     return out
 
 
@@ -221,7 +223,9 @@ def enumerate_t(S: np.ndarray, max_order: int,
     For each conjugation-respecting twist assignment the cube
     M = (S diag(w))^3 either matches a single scalar lambda times S^2, in
     which case the three diagonals lambda^{-1/3} zeta diag(w), zeta^3 = 1,
-    are emitted, or the assignment is counted as skipped.
+    are emitted one after another, or the assignment is counted as skipped.
+    Nothing is deduplicated here: ``search_pipeline`` compares the data
+    that pass its filter.
     """
     S = np.asarray(S, dtype=complex)
     n = S.shape[0]
@@ -243,11 +247,8 @@ def enumerate_t(S: np.ndarray, max_order: int,
             skipped += 1
             continue
         base = t0 * w
-        for zeta in cube_roots:
-            t_diag = zeta * base
-            if not any(np.max(np.abs(t_diag - seen)) <= pol.eq_tol for seen in diagonals):
-                diagonals.append(t_diag)
-                assignment_ids.append(a_idx)
+        diagonals.extend(zeta * base for zeta in cube_roots)
+        assignment_ids.extend([a_idx] * len(cube_roots))
     return TEnumeration(diagonals=diagonals, assignments=assignment_ids, skipped=skipped)
 
 
@@ -255,54 +256,35 @@ def enumerate_t(S: np.ndarray, max_order: int,
 # the pipeline
 # ---------------------------------------------------------------------------
 
-def _evaluate_candidate(args):
-    s_idx, a_idx, root_idx, S, t_diag, pol = args
-    md = ModularData.from_matrices(S, t_diag)
-    rep = realizability_report(md, pol)  # runs the axiom battery first
-    if not rep.passed:
-        return None
-    return SearchResult(md=md, report=rep, provenance=(s_idx, a_idx, root_idx))
-
-
 def search_pipeline(fr: FusionRing, max_order: int = 16,
                     pol: TolerancePolicy = DEFAULT_POLICY,
-                    jobs: int = 1,
                     stats_out: dict | None = None) -> list[SearchResult]:
-    """Admissible modular data for a fusion ring, deterministically ordered.
+    """Admissible modular data for a fusion ring, ordered by provenance.
 
-    Results are ordered lexicographically by provenance (S candidate, twist
-    assignment, cube root) and deduplicated on (S, T) equality within
-    eq_tol, so parallel and serial runs return identical lists.  Pass a
-    dict as ``stats_out`` to receive the candidate/skip counters.
+    One serial loop over the S candidates and their T diagonals: each
+    datum is filtered by ``realizability_report`` and a pass is kept unless
+    it equals an already kept result in both S and T within eq_tol, the
+    search's only dedup.  Results therefore come out ordered by provenance
+    (S candidate, twist assignment, cube root).  Pass a dict as
+    ``stats_out`` to receive the candidate/skip counters.
     """
-    tasks = []
-    n_candidates = 0
-    n_skipped = 0
+    results: list[SearchResult] = []
+    n_candidates = n_skipped = n_diagonals = 0
     for s_idx, S in enumerate(candidate_s(fr, pol)):
         n_candidates += 1
         enum = enumerate_t(S, max_order, pol)
         n_skipped += enum.skipped
-        root_seen: dict[int, int] = {}
-        for t_diag, a_idx in zip(enum.diagonals, enum.assignments):
-            root_idx = root_seen.get(a_idx, 0)
-            root_seen[a_idx] = root_idx + 1
-            tasks.append((s_idx, a_idx, root_idx, S, t_diag, pol))
+        n_diagonals += len(enum.diagonals)
+        # the three cube-root lifts of an assignment are emitted consecutively
+        for d_idx, (t_diag, a_idx) in enumerate(zip(enum.diagonals, enum.assignments)):
+            md = ModularData.from_matrices(S, t_diag)
+            rep = realizability_report(md, pol)  # runs the axiom battery first
+            if rep.passed and not any(md.approx_eq(kept.md, pol) for kept in results):
+                results.append(SearchResult(md=md, report=rep,
+                                            provenance=(s_idx, a_idx, d_idx % 3)))
     if stats_out is not None:
         stats_out.update(s_candidates=n_candidates, skipped_assignments=n_skipped,
-                         t_candidates=len(tasks))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            evaluated = list(pool.map(_evaluate_candidate, tasks))
-    else:
-        evaluated = [_evaluate_candidate(t) for t in tasks]
-    results: list[SearchResult] = []
-    for res in evaluated:
-        if res is None:
-            continue
-        if any(res.md.approx_eq(kept.md, pol) for kept in results):
-            continue
-        results.append(res)
-    results.sort(key=lambda r: r.provenance)
+                         t_candidates=n_diagonals)
     # every winner must reproduce the ring it came from
     for res in results:
         if not np.array_equal(verlinde_fusion(res.md, pol), fr.N):

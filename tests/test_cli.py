@@ -3,8 +3,16 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from modata import (
+    ModularData,
+    enumerate_t,
+    get_model,
+    load_modular_data,
+    save_modular_data,
+)
 from modata.cli import fmt_complex, main
 
 
@@ -12,6 +20,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture()
+def fs_fail_file(tmp_path):
+    """Ising S with twists (1, 1, -1): modular, but nu_sigma = sqrt 2 fails fs_value."""
+    S = get_model("ising").modular_data.S
+    t = next(t for t in enumerate_t(S, 4).diagonals if np.allclose(t / t[0], [1, 1, -1]))
+    path = tmp_path / "ising_fs_fail.json"
+    save_modular_data(ModularData.from_matrices(S, t), path)
+    return path
 
 
 class TestFormatting:
@@ -105,6 +123,19 @@ class TestBantayCommand:
     def test_refuses_invalid_data(self, capsys, bad_ising_file):
         code, _, err = run(capsys, "bantay", str(bad_ising_file))
         assert code == 1
+
+    def test_trace_failure_exit_one(self, capsys, fs_fail_file):
+        code, out, err = run(capsys, "bantay", str(fs_fail_file))
+        assert code == 1
+        assert "trace constraint" in err
+        assert "verdict: fail" in out and "fs_value" in out
+
+    def test_trace_failure_json_report(self, capsys, fs_fail_file):
+        code, out, _ = run(capsys, "--json", "bantay", str(fs_fail_file))
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["verdict"] == "fail"
+        assert "fs_value" in {d["check_id"] for d in doc["diagnostics"]}
 
 
 class TestCheckCommand:
@@ -210,16 +241,21 @@ class TestSearchCommand:
         assert doc["result_count"] == 24
         assert doc["family_count"] == 8
 
-    def test_parallel_output_byte_identical(self, capsys, tmp_path, rings_dir):
-        ring = str(rings_dir / "ising_ring.json")
-        code1, out1, _ = run(capsys, "--json", "search", ring, "--max-order", "16",
-                             "--out", str(tmp_path / "a"), "--jobs", "1")
-        code2, out2, _ = run(capsys, "--json", "search", ring, "--max-order", "16",
-                             "--out", str(tmp_path / "b"), "--jobs", "4")
-        assert code1 == code2 == 0
-        out1 = out1.replace(str(tmp_path / "a"), "DIR")
-        out2 = out2.replace(str(tmp_path / "b"), "DIR")
-        assert out1 == out2
-        files_a = sorted((tmp_path / "a").glob("*.json"))
-        files_b = sorted((tmp_path / "b").glob("*.json"))
-        assert [f.read_bytes() for f in files_a] == [f.read_bytes() for f in files_b]
+    def test_loose_tolerance_high_order_fibonacci(self, capsys, tmp_path, rings_dir):
+        # the cube-root lift must take its phase test from --tol, not the default
+        code, out, err = run(capsys, "--json", "--tol", "0.01", "search",
+                             str(rings_dir / "fibonacci_ring.json"), "--max-order", "40",
+                             "--out", str(tmp_path / "r"))
+        assert code == 0, err
+        fib = get_model("fibonacci").modular_data
+        assert any(load_modular_data(r["file"]).approx_eq(fib)
+                   for r in json.loads(out)["results"])
+
+    @pytest.mark.parametrize("q", ["0", "-3"])
+    def test_max_order_below_one_exit_two(self, capsys, tmp_path, rings_dir, q):
+        code, out, err = run(capsys, "search", str(rings_dir / "fibonacci_ring.json"),
+                             "--max-order", q, "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert out == ""
+        assert "--max-order" in err
+        assert not (tmp_path / "r").exists()

@@ -17,7 +17,7 @@ from modata import (
     search_pipeline,
     verlinde_fusion,
 )
-from modata.numerics import phase_from_turns
+from modata.numerics import TolerancePolicy, phase_from_turns
 
 
 def turn(p, q):
@@ -233,15 +233,14 @@ class TestSearchPipeline:
         for t in ts:
             assert any(np.max(np.abs(np.conj(t) - u)) < 1e-9 for u in ts)
 
-    def test_parallel_matches_serial(self):
-        fr = ring_of("ising")
-        serial = search_pipeline(fr, max_order=16, jobs=1)
-        parallel = search_pipeline(fr, max_order=16, jobs=4)
-        assert len(serial) == len(parallel)
-        for a, b in zip(serial, parallel):
-            assert a.provenance == b.provenance
-            assert np.array_equal(a.md.S, b.md.S)
-            assert np.array_equal(a.md.T, b.md.T)
+    def test_loose_tolerance_keeps_every_ising_datum(self):
+        # at eq_tol = 0.05 twists of order 15 and 16 lie within tolerance of
+        # each other; a T diagonal must not be dropped as the near-twin of an
+        # earlier diagonal that then fails the filter
+        loose = TolerancePolicy(eq_tol=0.05, int_tol=0.05)
+        res = search_pipeline(ring_of("ising"), max_order=16, pol=loose)
+        assert len(res) == 24
+        assert any(r.md.approx_eq(get_model("su2_2").modular_data) for r in res)
 
     def test_deterministic_ordering(self):
         fr = ring_of("fibonacci")
