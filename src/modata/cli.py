@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Commands: validate, bantay, rmatrix, check, catalog, oracle, search.
-Exit codes: 0 success/pass, 1 mathematical failure, 2 I/O or parse failure.
+Exit codes: 0 success/pass, 1 mathematical failure, 2 I/O or parse failure,
+141 (128 + SIGPIPE) when the reader of stdout goes away early, as in
+``modata catalog | head -3``; nothing is printed to stderr then.
 Human tables print phases both as decimals and, when they are roots of
 unity, as turn fractions p/q (q <= 240).
 """
@@ -9,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -36,6 +39,7 @@ from .search import FusionRingError, load_fusion_ring, search_pipeline
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
+EXIT_PIPE = 128 + 13  # SIGPIPE, as a shell reports a writer killed by it
 
 
 def fmt_complex(z: complex, pol: TolerancePolicy = DEFAULT_POLICY) -> str:
@@ -371,7 +375,15 @@ def main(argv=None) -> int:
         print(f"bad tolerance: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        return args.func(args, pol)
+        code = args.func(args, pol)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # point fd 1 at devnull so the flush at shutdown cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except (InvalidModularData, FusionRingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -12,7 +12,11 @@ Pipeline:
      (S diag(w))^3 is a scalar multiple of S^2, and emits all three cube
      roots of that scalar as T_0 candidates; each emitted T satisfies
      (S T)^3 = S^2 exactly.  The three lifts differ by the central charge
-     mod 8 and are genuinely distinct data.
+     mod 8 and are genuinely distinct data.  The relation is screened one
+     row at a time: for each choice of roots on all orbits but the last,
+     one stacked matmul cubes all R choices for the last orbit (R roots of
+     order <= max_order).  The few rows that pass the screen are confirmed
+     and lifted by the same per-assignment test, so the kept set is exact.
   3. ``search_pipeline`` runs the axiom battery and the trace-realizability
      report on every candidate, one at a time, and keeps the passes in
      provenance order.  A pass equal to an already kept result in both S
@@ -224,31 +228,51 @@ def enumerate_t(S: np.ndarray, max_order: int,
     M = (S diag(w))^3 either matches a single scalar lambda times S^2, in
     which case the three diagonals lambda^{-1/3} zeta diag(w), zeta^3 = 1,
     are emitted one after another, or the assignment is counted as skipped.
-    Nothing is deduplicated here: ``search_pipeline`` compares the data
-    that pass its filter.
+
+    Assignments are taken a row at a time: for each prefix of roots on all
+    orbits but the last, the R assignments that put each of the R roots on
+    the last orbit are cubed in one stacked matmul.  That screen only passes
+    rows through, with a bound of 2 eq_tol + 1e-12 on the deviation from
+    lambda S^2, so float noise of the batched product cannot lose a row.
+    Each survivor is decided, and lifted, by ``_lift_t0`` on its own, so
+    the kept assignments, every emitted bit and ``skipped`` are those of the
+    plain per-assignment loop.  Assignment indices follow
+    ``itertools.product`` order over the orbits.  Nothing is deduplicated
+    here: ``search_pipeline`` compares the data that pass its filter.
     """
+    if max_order < 1:
+        raise ValueError(f"max_order must be at least 1, got {max_order}")
     S = np.asarray(S, dtype=complex)
     n = S.shape[0]
     S2 = S @ S
     orbits = _twist_orbits(S2, pol)
-    roots = _roots_of_unity(max_order)
+    phases = np.array([phase_from_turns(r) for r in _roots_of_unity(max_order)],
+                      dtype=complex)
     cube_roots = [phase_from_turns(Fraction(j, 3)) for j in range(3)]
+    head, last = orbits[:-1], (orbits[-1] if orbits else [])
+    width = len(phases) if orbits else 1  # rank 1: one all-ones row
+    screen_tol = 2 * pol.eq_tol + 1e-12
     diagonals: list[np.ndarray] = []
     assignment_ids: list[int] = []
-    skipped = 0
-    for a_idx, assign in enumerate(product(range(len(roots)), repeat=len(orbits))):
-        w = np.ones(n, dtype=complex)
-        for orb, ri in zip(orbits, assign):
-            val = phase_from_turns(roots[ri])
-            for i in orb:
-                w[i] = val
-        t0 = _lift_t0(S, S2, w, pol)
-        if t0 is None:
-            skipped += 1
-            continue
-        base = t0 * w
-        diagonals.extend(zeta * base for zeta in cube_roots)
-        assignment_ids.extend([a_idx] * len(cube_roots))
+    for p_idx, prefix in enumerate(product(range(len(phases)), repeat=len(head))):
+        W = np.ones((width, n), dtype=complex)
+        for orb, ri in zip(head, prefix):
+            W[:, orb] = phases[ri]
+        if last:
+            W[:, last] = phases[:, None]
+        M = S[None] * W[:, None, :]
+        M3 = M @ M @ M
+        lam = M3[:, 0, 0] / S2[0, 0]
+        dev = np.max(np.abs(M3 - lam[:, None, None] * S2), axis=(1, 2))
+        for r in np.flatnonzero(dev <= screen_tol):
+            t0 = _lift_t0(S, S2, W[r], pol)
+            if t0 is None:
+                continue
+            base = t0 * W[r]
+            diagonals.extend(zeta * base for zeta in cube_roots)
+            assignment_ids.extend([p_idx * width + int(r)] * len(cube_roots))
+    tried = width * len(phases) ** len(head)
+    skipped = tried - len(diagonals) // len(cube_roots)
     return TEnumeration(diagonals=diagonals, assignments=assignment_ids, skipped=skipped)
 
 
@@ -266,8 +290,11 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
     it equals an already kept result in both S and T within eq_tol, the
     search's only dedup.  Results therefore come out ordered by provenance
     (S candidate, twist assignment, cube root).  Pass a dict as
-    ``stats_out`` to receive the candidate/skip counters.
+    ``stats_out`` to receive the candidate/skip counters.  ``max_order``
+    must be at least 1.
     """
+    if max_order < 1:
+        raise ValueError(f"max_order must be at least 1, got {max_order}")
     results: list[SearchResult] = []
     n_candidates = n_skipped = n_diagonals = 0
     for s_idx, S in enumerate(candidate_s(fr, pol)):

@@ -1,11 +1,15 @@
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modata
 from modata import (
     ModularData,
     enumerate_t,
@@ -189,6 +193,21 @@ class TestCatalogCommand:
         path.write_text(out)
         code, out2, _ = run(capsys, "validate", str(path))
         assert code == 0
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_pipe_exits_141_silently(self, tmp_path, unbuffered):
+        # a real pipe whose reader is gone before the first write, as when
+        # `modata catalog | head -3` outlives head; either stdout buffering
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+               "PYTHONPATH": str(Path(modata.__file__).resolve().parents[1])}
+        err_path = tmp_path / "stderr.txt"
+        with open(err_path, "wb") as err:
+            proc = subprocess.Popen([sys.executable, "-m", "modata.cli", "catalog"],
+                                    stdout=subprocess.PIPE, stderr=err, env=env)
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+        assert err_path.read_bytes() == b""
+        assert code == 141
 
 
 class TestOracleCommand:

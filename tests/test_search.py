@@ -1,6 +1,7 @@
 import io
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from modata import (
     search_pipeline,
     verlinde_fusion,
 )
-from modata.numerics import TolerancePolicy, phase_from_turns
+from modata.modular_data import ModularData, _lift_t0
+from modata.numerics import DEFAULT_POLICY, TolerancePolicy, phase_from_turns
+from modata.search import TEnumeration, _roots_of_unity, _twist_orbits
 
 
 def turn(p, q):
@@ -30,7 +33,37 @@ def ring_of(name):
     return FusionRing(rank=md.rank, N=N)
 
 
+def pointed_ring(n):
+    N = np.zeros((n, n, n), dtype=int)
+    for a in range(n):
+        for b in range(n):
+            N[a, b, (a + b) % n] = 1
+    return FusionRing(rank=n, N=N)
+
+
 TRIVIAL_RING = FusionRing(rank=1, N=np.ones((1, 1, 1), dtype=int))
+LOOSE = TolerancePolicy(eq_tol=0.05, int_tol=0.05)
+
+
+def reference_enumerate_t(S, max_order, pol=DEFAULT_POLICY):
+    """The plain per-assignment loop over ``product`` that ``enumerate_t`` must match."""
+    S = np.asarray(S, dtype=complex)
+    S2 = S @ S
+    orbits = _twist_orbits(S2, pol)
+    roots = _roots_of_unity(max_order)
+    cube_roots = [phase_from_turns(Fraction(j, 3)) for j in range(3)]
+    diagonals, assignment_ids, skipped = [], [], 0
+    for a_idx, assign in enumerate(product(range(len(roots)), repeat=len(orbits))):
+        w = np.ones(S.shape[0], dtype=complex)
+        for orb, ri in zip(orbits, assign):
+            w[orb] = phase_from_turns(roots[ri])
+        t0 = _lift_t0(S, S2, w, pol)
+        if t0 is None:
+            skipped += 1
+            continue
+        diagonals.extend(zeta * (t0 * w) for zeta in cube_roots)
+        assignment_ids.extend([a_idx] * 3)
+    return TEnumeration(diagonals=diagonals, assignments=assignment_ids, skipped=skipped)
 
 
 class TestFusionRing:
@@ -184,6 +217,38 @@ class TestEnumerateT:
             assert abs(t[1] - t[2]) < 1e-12  # w_1 = w_2 enforced
 
 
+    @pytest.mark.parametrize("ring, max_order, pol", [
+        (TRIVIAL_RING, 4, DEFAULT_POLICY),
+        ("fibonacci", 10, DEFAULT_POLICY),
+        ("ising", 32, DEFAULT_POLICY),
+        ("ising", 32, LOOSE),
+        ("z3", 6, DEFAULT_POLICY),
+        ("toric_code", 8, DEFAULT_POLICY),
+        (4, 16, DEFAULT_POLICY),
+        (5, 16, DEFAULT_POLICY),
+    ], ids=["trivial", "fibonacci", "ising", "ising-loose", "z3", "toric", "z4", "z5"])
+    def test_matches_per_assignment_loop(self, ring, max_order, pol):
+        if isinstance(ring, str):
+            ring = ring_of(ring)
+        elif isinstance(ring, int):
+            ring = pointed_ring(ring)
+        cands = candidate_s(ring, pol)
+        assert cands
+        for S in cands:
+            got = enumerate_t(S, max_order, pol)
+            want = reference_enumerate_t(S, max_order, pol)
+            assert got.assignments == want.assignments
+            assert got.skipped == want.skipped
+            assert len(got.diagonals) == len(want.diagonals)
+            for a, b in zip(got.diagonals, want.diagonals):
+                assert np.array_equal(a, b)  # bit for bit
+
+    @pytest.mark.parametrize("q", [0, -5])
+    def test_max_order_below_one_rejected(self, q):
+        with pytest.raises(ValueError, match="max_order"):
+            enumerate_t(np.array([[1.0 + 0j]]), q)
+
+
 class TestSearchPipeline:
     def test_trivial_ring_three_central_charges(self):
         res = search_pipeline(TRIVIAL_RING, max_order=4)
@@ -241,6 +306,27 @@ class TestSearchPipeline:
         res = search_pipeline(ring_of("ising"), max_order=16, pol=loose)
         assert len(res) == 24
         assert any(r.md.approx_eq(get_model("su2_2").modular_data) for r in res)
+
+    @pytest.mark.parametrize("q", [0, -5])
+    def test_max_order_below_one_rejected(self, q):
+        # the rank-1 ring has no twist orbit, so nothing else would stop it
+        with pytest.raises(ValueError, match="max_order"):
+            search_pipeline(TRIVIAL_RING, max_order=q)
+
+    def test_rank6_fibonacci_z3_regression(self):
+        # Fibonacci x Z_3 at q=15: 3 twist orbits, 72^3 assignments for each
+        # of the 2 S candidates; frozen by an exhaustive run
+        fib, z3 = ring_of("fibonacci"), ring_of("z3")
+        N = np.einsum("ace,bdf->abcdef", fib.N, z3.N).reshape(6, 6, 6)
+        stats = {}
+        res = search_pipeline(FusionRing(rank=6, N=N), max_order=15, stats_out=stats)
+        assert len(res) == 12
+        assert len({r.provenance[:2] for r in res}) == 4
+        assert stats == {"s_candidates": 2, "skipped_assignments": 746492,
+                         "t_candidates": 12}
+        a, b = get_model("fibonacci").modular_data, get_model("z3").modular_data
+        deligne = ModularData.from_matrices(np.kron(a.S, b.S), np.kron(a.T, b.T))
+        assert any(r.md.approx_eq(deligne) for r in res)
 
     def test_deterministic_ordering(self):
         fr = ring_of("fibonacci")
