@@ -23,6 +23,10 @@ verdict.
 
 The trace sums are evaluated literally, one O(rank^2) sum per entry; at the
 ranks this package targets there is nothing to gain from factoring them.
+
+``realizability_report`` builds the three tables once, in the same pass
+the CLI takes its verdicts and tables from; ``trace_table``,
+``fs_indicators`` and ``eigen_multiplicities`` build one table each.
 """
 from __future__ import annotations
 
@@ -226,7 +230,8 @@ def _multiplicity_diagnostics(md: ModularData, dd: DerivedData, tt: TraceTable,
                                 f"realizability violation at (k,i)=({k},{i}): {msg}"))
 
     for k in range(n):
-        sqrt_wk = sqrt_fn(w[k])
+        # the phase of w_k: validate lets |w_k| - 1 reach about 2 eq_tol
+        sqrt_wk = sqrt_fn(w[k] / abs(w[k]))
         for i in range(n):
             m = int(N[i, i, k])
             if m == 0:
@@ -273,17 +278,13 @@ def eigen_multiplicities(md: ModularData, dd: DerivedData, tt: TraceTable,
 # aggregate report
 # ---------------------------------------------------------------------------
 
-def realizability_report(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY,
-                         sqrt_fn: SqrtFn = principal_sqrt) -> AxiomReport:
-    """Axioms plus every trace-derived constraint, as one diagnostic report.
+def _realizability_pass(md: ModularData, base: AxiomReport, pol: TolerancePolicy,
+                        sqrt_fn: SqrtFn = principal_sqrt):
+    """Extend the validate() report ``base`` with every trace constraint.
 
-    Aggregates: the validate() battery; forbidden-channel trace residues;
-    FS route agreement, value set and self-duality pattern; the four
-    multiplicity conditions per channel; trace invariance under charge
-    conjugation.  The twist-trace identity sum_k d_k tau[k][i] = d_i w_i
-    is reported at warning severity only.
+    Returns ``(report, (dd, tt, nu, mt))``, the tables the verdict was
+    decided on, when the report passes and ``(report, None)`` otherwise.
     """
-    base = validate(md, pol)
     diags = list(base.diagnostics)
     meas = dict(base.measurements)
     try:
@@ -291,18 +292,18 @@ def realizability_report(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY,
     except InvalidModularData as exc:
         if not any(d.severity == "error" for d in diags):
             diags.append(Diagnostic("derivation", "error", (), 0.0, str(exc)))
-        return make_report(diags, base.convention_note, meas)
+        return make_report(diags, base.convention_note, meas), None
 
     tau, trace_diags = _trace_diagnostics(md, dd, pol)
     diags.extend(trace_diags)
     meas["trace_zero_channel"] = max((d.measured for d in trace_diags), default=0.0)
     tt = TraceTable(tau=tau)
 
-    _, fs_diags = _fs_diagnostics(md, dd, tt, pol)
+    nu, fs_diags = _fs_diagnostics(md, dd, tt, pol)
     diags.extend(fs_diags)
     meas["fs_indicator"] = max((d.measured for d in fs_diags), default=0.0)
 
-    _, mult_diags = _multiplicity_diagnostics(md, dd, tt, pol, sqrt_fn)
+    mt, mult_diags = _multiplicity_diagnostics(md, dd, tt, pol, sqrt_fn)
     diags.extend(mult_diags)
     meas["multiplicities"] = max((d.measured for d in mult_diags), default=0.0)
 
@@ -328,4 +329,20 @@ def realizability_report(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY,
             "twist_trace", "warning", tuple(bad), meas["twist_trace"],
             "sum_k d_k tau[k][i] != d_i w_i"))
 
-    return make_report(diags, base.convention_note, meas)
+    report = make_report(diags, base.convention_note, meas)
+    return report, ((dd, tt, IndicatorVector(nu=nu), mt) if report.passed else None)
+
+
+def realizability_report(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY,
+                         sqrt_fn: SqrtFn = principal_sqrt) -> AxiomReport:
+    """Axioms plus every trace-derived constraint, as one diagnostic report.
+
+    Aggregates: the validate() battery; forbidden-channel trace residues;
+    FS route agreement, value set and self-duality pattern; the four
+    multiplicity conditions per channel; trace invariance under charge
+    conjugation.  The twist-trace identity sum_k d_k tau[k][i] = d_i w_i
+    is reported at warning severity only.  FS route agreement and trace
+    conjugation follow from the rest in exact arithmetic, yet under the
+    tolerances either can be the only failure.
+    """
+    return _realizability_pass(md, validate(md, pol), pol, sqrt_fn)[0]

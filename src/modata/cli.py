@@ -1,6 +1,8 @@
 """Command-line front end.
 
 Commands: validate, bantay, rmatrix, check, catalog, oracle, search.
+``bantay`` and ``rmatrix`` print tables only for data that ``check`` passes,
+from the same pass; otherwise they print the failing report and exit 1.
 Exit codes: 0 success/pass, 1 mathematical failure, 2 I/O or parse failure,
 141 (128 + SIGPIPE) when the reader of stdout goes away early, as in
 ``modata catalog | head -3``; nothing is printed to stderr then.
@@ -17,13 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .axioms import AxiomReport, validate
-from .bantay import (
-    RealizabilityError,
-    eigen_multiplicities,
-    fs_indicators,
-    realizability_report,
-    trace_table,
-)
+from .bantay import _realizability_pass, realizability_report, trace_table
 from .modular_data import (
     InvalidModularData,
     derive,
@@ -93,33 +89,27 @@ def _emit_json(doc) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_validate(args, pol) -> int:
-    md = load_modular_data(args.file)
-    report = validate(md, pol)
+def _emit_report(report: AxiomReport, args) -> int:
     if args.json:
         _emit_json(report.to_json_dict())
     else:
         _print_report(report, args.quiet)
     return EXIT_PASS if report.passed else EXIT_FAIL
+
+
+def cmd_validate(args, pol) -> int:
+    return _emit_report(validate(load_modular_data(args.file), pol), args)
 
 
 def cmd_check(args, pol) -> int:
-    md = load_modular_data(args.file)
-    report = realizability_report(md, pol)
-    if args.json:
-        _emit_json(report.to_json_dict())
-    else:
-        _print_report(report, args.quiet)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    return _emit_report(realizability_report(load_modular_data(args.file), pol), args)
 
 
 def _print_failure(report: AxiomReport, why: str, args) -> int:
-    if args.json:
-        _emit_json(report.to_json_dict())
-    else:
+    """Print a failing report, with ``why`` on stderr in human mode; exit 1."""
+    if not args.json:
         print(why, file=sys.stderr)
-        _print_report(report, args.quiet)
-    return EXIT_FAIL
+    return _emit_report(report, args)
 
 
 def cmd_bantay(args, pol) -> int:
@@ -128,17 +118,10 @@ def cmd_bantay(args, pol) -> int:
     if not report.passed:
         return _print_failure(
             report, "data fails the modularity axioms; not computing traces", args)
-    dd = derive(md, pol)
-    try:
-        tt = trace_table(md, dd, pol)
-        nu = fs_indicators(md, dd, tt, pol)
-        mt = eigen_multiplicities(md, dd, tt, pol)
-    except RealizabilityError:
-        # the full report lists every trace constraint the data fails, with
-        # its measured deviation
-        return _print_failure(
-            realizability_report(md, pol), "data fails a trace constraint; not realizable",
-            args)
+    report, tables = _realizability_pass(md, report, pol)
+    if tables is None:
+        return _print_failure(report, "data fails a trace constraint; not realizable", args)
+    _, tt, nu, mt = tables
     if args.json:
         doc = {**tt.to_json_dict(), **nu.to_json_dict(), **mt.to_json_dict()}
         _emit_json(doc)
@@ -169,12 +152,10 @@ def cmd_bantay(args, pol) -> int:
 
 def cmd_rmatrix(args, pol) -> int:
     md = load_modular_data(args.file)
-    report = realizability_report(md, pol)
-    if not report.passed:
+    report, tables = _realizability_pass(md, validate(md, pol), pol)
+    if tables is None:
         return _print_failure(report, "not realizable; no canonical R-matrices", args)
-    dd = derive(md, pol)
-    tt = trace_table(md, dd, pol)
-    mt = eigen_multiplicities(md, dd, tt, pol)
+    dd, _, _, mt = tables
     blocks = canonical_r(md, dd, mt, pol)
     mono = monodromy_check(blocks, dd, pol)
     if args.json:

@@ -76,9 +76,6 @@ class ExplicitModel:
     def rank(self) -> int:
         return len(self.twists)
 
-    def channels(self) -> list[tuple[int, int, int]]:
-        return sorted(self.r_scalars)
-
     def to_json_dict(self) -> dict:
         d = self.modular_data.to_json_dict(exact_t=True)
         d["name"] = self.name

@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 MAX_SEARCH_RANK = 6
+_SPLIT_TOL = 1e-8  # relative eigenvalue gap that splits a joint eigenspace
 
 
 class FusionRingError(ValueError):
@@ -129,7 +130,7 @@ class TEnumeration(NamedTuple):
 # candidate S matrices
 # ---------------------------------------------------------------------------
 
-def _joint_eigenvectors(fr: FusionRing, split_tol: float = 1e-8) -> list[np.ndarray]:
+def _joint_eigenvectors(fr: FusionRing) -> list[np.ndarray]:
     """Common eigenvectors of the fusion matrices via subspace splitting.
 
     The action matrices B_i (B_i)[k, j] = N^k_{i,j} form a commuting family
@@ -156,7 +157,7 @@ def _joint_eigenvectors(fr: FusionRing, split_tol: float = 1e-8) -> list[np.ndar
             vals, vecs = np.linalg.eigh(sub)
             start = 0
             for t in range(1, len(vals) + 1):
-                if t == len(vals) or vals[t] - vals[t - 1] > split_tol * (1.0 + abs(vals[t])):
+                if t == len(vals) or vals[t] - vals[t - 1] > _SPLIT_TOL * (1.0 + abs(vals[t])):
                     refined.append(Q @ vecs[:, start:t])
                     start = t
         spaces = refined

@@ -1,9 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from modata import catalog, catalog_models, derive, get_model
+from modata import ModularData, catalog, catalog_models, derive, get_model
 from modata.numerics import DEFAULT_POLICY
 
 
@@ -52,3 +53,22 @@ def bad_ising_file(tmp_path, ising_file):
     path = tmp_path / "ising_bad.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+@pytest.fixture(scope="session")
+def single_failure_data():
+    """check_id -> catalog data perturbed at the 1e-10 level that passes the
+    axiom battery and fails realizability on that one check alone."""
+    z3 = get_model("z3").modular_data
+    E = np.array([[-0.8 - 0.4j, -1.5 + 1.3j, -0.9 - 3.4j],
+                  [-1.5 + 1.3j, -0.5 - 5.7j, 0.5 + 1.9j],
+                  [-0.9 - 3.4j, 0.5 + 1.9j, 4.9 + 2.9j]])
+    data = {"trace_conjugation": ModularData.from_matrices(
+        z3.S + 1e-10 * E, z3.T * np.exp(1e-10j * np.array([1.7, 0.2, 2.6])), z3.labels)}
+    ising = get_model("ising").modular_data
+    for check_id, (i, j), eps in (("derivation", (0, 1), 6e-10),
+                                  ("fs_route_agreement", (1, 0), 5e-10)):
+        S = ising.S.copy()
+        S[i, j] = S[j, i] + eps * 1j
+        data[check_id] = ModularData.from_matrices(S, ising.T, ising.labels)
+    return data

@@ -17,6 +17,7 @@ from modata import (
     principal_sqrt,
     realizability_report,
     trace_table,
+    validate,
 )
 from modata.bantay import TraceTable
 from modata.numerics import phase_from_turns
@@ -233,3 +234,13 @@ class TestRealizabilityReport:
             warnings = [d for d in report.diagnostics if d.severity == "warning"]
             assert all(d.check_id == "twist_trace" for d in warnings)
             assert report.verdict == "pass"
+
+    @pytest.mark.parametrize("check_id", ["trace_conjugation", "derivation",
+                                          "fs_route_agreement"])
+    def test_check_can_fail_alone(self, single_failure_data, check_id):
+        # in exact arithmetic each of these follows from checks that pass
+        # here; under the tolerances it does not, so none of them is redundant
+        md = single_failure_data[check_id]
+        assert validate(md).passed
+        report = realizability_report(md)
+        assert [d.check_id for d in report.errors()] == [check_id]

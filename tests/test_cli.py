@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import modata
 from modata import (
     ModularData,
+    catalog,
     enumerate_t,
     get_model,
     load_modular_data,
@@ -169,6 +171,70 @@ class TestRmatrixCommand:
     def test_not_realizable_exit_one(self, capsys, bad_ising_file):
         code, _, _ = run(capsys, "rmatrix", str(bad_ising_file))
         assert code == 1
+
+
+class TestRealizabilityCommandsAgree:
+    """check, bantay and rmatrix take their verdict from the same pass."""
+
+    PRODUCTS = [("fibonacci", "z3"), ("ising", "semion"), ("toric_code", "su2_2"),
+                ("conj-fibonacci", "fibonacci")]
+
+    @pytest.fixture()
+    def data_files(self, tmp_path, bad_ising_file, fs_fail_file, single_failure_data):
+        files = {"bad_ising": bad_ising_file, "fs_fail": fs_fail_file}
+        data = {e.name: e.md for e in catalog()}
+        for a, b in self.PRODUCTS:
+            A, B = data[a], data[b]
+            data[f"{a}*{b}"] = ModularData.from_matrices(np.kron(A.S, B.S), np.kron(A.T, B.T))
+        data.update(single_failure_data)
+        for name, md in data.items():
+            files[name] = tmp_path / f"{name.replace('*', '__')}.json"
+            save_modular_data(md, files[name])
+        return files
+
+    def test_same_verdict(self, capsys, data_files):
+        for name, path in data_files.items():
+            codes = {cmd: run(capsys, "--json", cmd, str(path))[0]
+                     for cmd in ("check", "bantay", "rmatrix")}
+            assert set(codes.values()) <= {0, 1}, (name, codes)
+            assert len(set(codes.values())) == 1, (name, codes)
+
+    @pytest.mark.parametrize("cmd", ["bantay", "rmatrix"])
+    def test_each_stage_runs_once(self, capsys, monkeypatch, ising_file, cmd):
+        import modata.bantay
+
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod, name in [(modata.cli, "validate"), (modata.bantay, "validate"),
+                          (modata.cli, "derive"), (modata.bantay, "derive"),
+                          (modata.bantay, "_trace_diagnostics"),
+                          (modata.bantay, "_multiplicity_diagnostics")]:
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        code, _, _ = run(capsys, cmd, str(ising_file))
+        assert code == 0
+        assert calls == {"validate": 1, "derive": 1, "_trace_diagnostics": 1,
+                         "_multiplicity_diagnostics": 1}
+
+    @pytest.mark.parametrize("flags, factors", [((), [1 - 0.9e-9, 1 + 0.9e-9]),
+                                                (("--tol", "0.01"), [1, 1.001])])
+    def test_twists_off_the_unit_circle_within_tolerance(self, capsys, tmp_path,
+                                                         flags, factors):
+        # validate passes these twists; the multiplicity pass used to reject
+        # w_1 as "not a phase" with a traceback
+        fib = get_model("fibonacci").modular_data
+        path = tmp_path / "fib_modulus.json"
+        save_modular_data(ModularData.from_matrices(fib.S, fib.T * np.array(factors),
+                                                    fib.labels), path)
+        for cmd in ("check", "bantay"):
+            code, out, err = run(capsys, *flags, "--json", cmd, str(path))
+            assert code == 0, (cmd, err)
+        assert json.loads(out)["nu"] == [1, 1]
 
 
 class TestCatalogCommand:
