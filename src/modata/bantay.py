@@ -26,7 +26,9 @@ ranks this package targets there is nothing to gain from factoring them.
 
 ``realizability_report`` builds the three tables once, in the same pass
 the CLI takes its verdicts and tables from; ``trace_table``,
-``fs_indicators`` and ``eigen_multiplicities`` build one table each.
+``fs_indicators`` and ``eigen_multiplicities`` build one table each.  The
+report also checks the Cauchy theorem: the primes dividing det K,
+K = sum_i N_i N_ibar, are those dividing the order of the twists.
 """
 from __future__ import annotations
 
@@ -36,8 +38,9 @@ from typing import Callable
 import numpy as np
 
 from .axioms import AxiomReport, Diagnostic, make_report, validate
-from .modular_data import DerivedData, InvalidModularData, ModularData, _readonly, derive
-from .numerics import DEFAULT_POLICY, TolerancePolicy, principal_sqrt
+from .modular_data import (DerivedData, InvalidModularData, ModularData, _casimir_det,
+                           _prime_support, _readonly, derive)
+from .numerics import DEFAULT_POLICY, TolerancePolicy, principal_sqrt, turns_fraction
 
 __all__ = [
     "TraceTable",
@@ -275,6 +278,44 @@ def eigen_multiplicities(md: ModularData, dd: DerivedData, tt: TraceTable,
 
 
 # ---------------------------------------------------------------------------
+# Cauchy theorem
+# ---------------------------------------------------------------------------
+
+def _cauchy_diagnostics(dd: DerivedData, pol: TolerancePolicy):
+    """(primes in the symmetric difference, diagnostics) of primes(det K) and
+    primes(ord T), with K = sum_i N_i N_ibar.
+
+    A twist that is no root of unity of order <= 240 leaves ord T unknown:
+    that is a warning, since SU(2)_k has ord T = 4(k+2) > 240 for k >= 59.
+    """
+    fracs = [turns_fraction(w, pol=pol) for w in dd.twists]
+    unknown = [(i,) for i, f in enumerate(fracs) if f is None]
+    if unknown:
+        return 0.0, [Diagnostic(
+            "cauchy", "warning", tuple(unknown), 0.0,
+            "twist order unknown: no root of unity of order <= 240; "
+            "the Cauchy theorem is not checked")]
+    det = _casimir_det(dd.fusion)
+    if det == 0:  # K >= N_0 N_0^t = 1 on a fusion ring, so det K >= 1 there
+        return 1.0, [Diagnostic("cauchy", "error", (), 1.0,
+                                "Cauchy theorem violated: det K = 0")]
+    order_primes = set().union(*(_prime_support(f.denominator) for f in fracs))
+    missing = sorted(p for p in order_primes if det % p)
+    cofactor = abs(det)
+    for p in order_primes:
+        while cofactor % p == 0:
+            cofactor //= p
+    extra = sorted(_prime_support(cofactor))
+    count = float(len(missing) + len(extra))
+    if not count:
+        return 0.0, []
+    return count, [Diagnostic(
+        "cauchy", "error", (), count,
+        f"Cauchy theorem violated: det K = {det} and ord T have different primes "
+        f"(only in ord T: {missing}, only in det K: {extra})")]
+
+
+# ---------------------------------------------------------------------------
 # aggregate report
 # ---------------------------------------------------------------------------
 
@@ -293,6 +334,9 @@ def _realizability_pass(md: ModularData, base: AxiomReport, pol: TolerancePolicy
         if not any(d.severity == "error" for d in diags):
             diags.append(Diagnostic("derivation", "error", (), 0.0, str(exc)))
         return make_report(diags, base.convention_note, meas), None
+
+    meas["cauchy"], cauchy_diags = _cauchy_diagnostics(dd, pol)
+    diags.extend(cauchy_diags)
 
     tau, trace_diags = _trace_diagnostics(md, dd, pol)
     diags.extend(trace_diags)
@@ -337,11 +381,15 @@ def realizability_report(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY,
                          sqrt_fn: SqrtFn = principal_sqrt) -> AxiomReport:
     """Axioms plus every trace-derived constraint, as one diagnostic report.
 
-    Aggregates: the validate() battery; forbidden-channel trace residues;
-    FS route agreement, value set and self-duality pattern; the four
-    multiplicity conditions per channel; trace invariance under charge
-    conjugation.  The twist-trace identity sum_k d_k tau[k][i] = d_i w_i
-    is reported at warning severity only.  FS route agreement and trace
+    Aggregates: the validate() battery; the Cauchy theorem (``cauchy``:
+    the primes of det K, K = sum_i N_i N_ibar, are those of the order of
+    the twists, and ``measurements["cauchy"]`` counts the primes on one
+    side only; a twist that is no root of unity of order <= 240 makes it a
+    warning); forbidden-channel trace residues; FS route agreement, value
+    set and self-duality pattern; the four multiplicity conditions per
+    channel; trace invariance under charge conjugation.  The twist-trace
+    identity sum_k d_k tau[k][i] = d_i w_i is reported at warning severity
+    only.  FS route agreement and trace
     conjugation follow from the rest in exact arithmetic, yet under the
     tolerances either can be the only failure.
     """

@@ -12,6 +12,7 @@ unity, as turn fractions p/q (q <= 240).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -120,7 +121,8 @@ def cmd_bantay(args, pol) -> int:
             report, "data fails the modularity axioms; not computing traces", args)
     report, tables = _realizability_pass(md, report, pol)
     if tables is None:
-        return _print_failure(report, "data fails a trace constraint; not realizable", args)
+        first = report.errors()[0].check_id
+        return _print_failure(report, f"data fails the {first} check; not realizable", args)
     _, tt, nu, mt = tables
     if args.json:
         doc = {**tt.to_json_dict(), **nu.to_json_dict(), **mt.to_json_dict()}
@@ -274,8 +276,10 @@ def cmd_search(args, pol) -> int:
         print(f"{len(results)} admissible data in {len(families)} twist families "
               f"-> {out_dir}")
         print(f"({stats['s_candidates']} S candidate(s); "
-              f"{stats['skipped_assignments']} twist assignments skipped by the "
-              f"modular relation; {stats['t_candidates']} T candidates filtered)")
+              f"{stats['skipped_assignments']} twist assignments skipped, "
+              f"{stats['pruned_assignments']} of them pruned by the Cauchy theorem and "
+              f"the rest by the modular relation; {stats['t_candidates']} T candidates "
+              f"filtered)")
         if not args.quiet:
             for res, f in zip(results, files):
                 w = twists(res.md)
@@ -304,7 +308,9 @@ def _common_flags(parser: argparse.ArgumentParser, top: bool) -> None:
                         help="suppress detail rows", **kw)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="modata",
         description="modular-data toolkit: validation, self-braiding traces, "

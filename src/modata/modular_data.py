@@ -235,6 +235,42 @@ def verlinde_fusion(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> n
     return rounded
 
 
+def _casimir_det(N: np.ndarray) -> int:
+    """Exact det K of K = sum_i N_i N_ibar, N_i[j, k] = N^k_{i,j} and N_ibar = N_i^t.
+
+    K has eigenvalues D^2/d_j^2, so by the Cauchy theorem of Bruillard, Ng,
+    Rowell and Wang the primes dividing det K are those dividing ord T.
+    Bareiss elimination on Python ints: det K outgrows int64 by rank 16.
+    """
+    K = np.tensordot(N, N, axes=([0, 2], [0, 2])).tolist()
+    n, prev = len(K), 1
+    for c in range(n - 1):
+        piv = K[c][c]  # the leading principal minor of order c + 1
+        if piv == 0:
+            return 0  # K is positive semidefinite, so det K = 0 (Fischer's inequality)
+        for r in range(c + 1, n):
+            row, f = K[r], K[r][c]
+            K[r] = [0] * (c + 1) + [(row[s] * piv - f * K[c][s]) // prev
+                                    for s in range(c + 1, n)]
+        prev = piv
+    return K[-1][-1]
+
+
+def _prime_support(n: int) -> set[int]:
+    """The primes dividing n > 0, by trial division below 2^16; a part of n
+    with no prime factor below that bound is returned as one element."""
+    primes, p = set(), 2
+    while p * p <= n and p < 1 << 16:
+        if n % p == 0:
+            primes.add(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.add(n)
+    return primes
+
+
 def _lift_t0(S: np.ndarray, S2: np.ndarray, w: np.ndarray, pol: TolerancePolicy):
     """T_0 with (S T_0 diag(w))^3 = S^2, the principal cube root; None if none exists."""
     M = S * w[None, :]

@@ -12,11 +12,14 @@ Pipeline:
      (S diag(w))^3 is a scalar multiple of S^2, and emits all three cube
      roots of that scalar as T_0 candidates; each emitted T satisfies
      (S T)^3 = S^2 exactly.  The three lifts differ by the central charge
-     mod 8 and are genuinely distinct data.  The relation is screened one
-     row at a time: for each choice of roots on all orbits but the last,
-     one stacked matmul cubes all R choices for the last orbit (R roots of
-     order <= max_order).  The few rows that pass the screen are confirmed
-     and lifted by the same per-assignment test, so the kept set is exact.
+     mod 8 and are genuinely distinct data.  Only roots whose order has
+     every prime dividing det K, K = sum_i N_i N_ibar over the ring, are
+     used: by the Cauchy theorem the primes of ord T are those of det K,
+     and the realizability report rejects any datum with another prime.
+     The relation is screened one row at a time: for each choice of roots
+     on all orbits but the last, one stacked matmul cubes all choices for
+     the last orbit.  The few rows that pass the screen are confirmed and
+     lifted by the same per-assignment test, so the kept set is exact.
   3. ``search_pipeline`` runs the axiom battery and the trace-realizability
      report on every candidate, one at a time, and keeps the passes in
      provenance order.  A pass equal to an already kept result in both S
@@ -40,9 +43,12 @@ import numpy as np
 from .axioms import AxiomReport
 from .bantay import realizability_report
 from .modular_data import (
+    InvalidModularData,
     ModularData,
+    _casimir_det,
     _conjugation,
     _lift_t0,
+    _prime_support,
     _read_json,
     _write_json,
     verlinde_fusion,
@@ -123,7 +129,8 @@ class SearchResult:
 class TEnumeration(NamedTuple):
     diagonals: list[np.ndarray]
     assignments: list[int]  # assignment index per diagonal, parallel list
-    skipped: int
+    skipped: int  # assignments in the full root product that were not kept
+    pruned: int   # of those, the ones with a root the Cauchy theorem excludes
 
 
 # ---------------------------------------------------------------------------
@@ -221,25 +228,47 @@ def _twist_orbits(S2: np.ndarray, pol: TolerancePolicy) -> list[list[int]]:
     return orbits
 
 
+def _cauchy_roots(S: np.ndarray, roots: list[Fraction], pol: TolerancePolicy) -> list[int]:
+    """Indices of the roots whose order has only primes dividing det K.
+
+    K = sum_i N_i N_ibar is formed from the rounded Verlinde tensor of S; a
+    tensor that does not round to a fusion tensor prunes nothing.
+    """
+    try:
+        N = verlinde_fusion(ModularData.from_matrices(S, np.ones(len(S))), pol)
+    except InvalidModularData:
+        return list(range(len(roots)))
+    det = _casimir_det(N)
+    return [k for k, r in enumerate(roots)
+            if all(det % p == 0 for p in _prime_support(r.denominator))]
+
+
 def enumerate_t(S: np.ndarray, max_order: int,
                 pol: TolerancePolicy = DEFAULT_POLICY) -> TEnumeration:
-    """All T diagonals with (S T)^3 = S^2 and twists of order <= max_order.
+    """All T diagonals with (S T)^3 = S^2 and admissible twists of order <= max_order.
 
-    For each conjugation-respecting twist assignment the cube
-    M = (S diag(w))^3 either matches a single scalar lambda times S^2, in
-    which case the three diagonals lambda^{-1/3} zeta diag(w), zeta^3 = 1,
-    are emitted one after another, or the assignment is counted as skipped.
+    A twist is admissible when every prime of its order divides det K,
+    K = sum_i N_i N_ibar over the Verlinde tensor of S: by the Cauchy
+    theorem (Bruillard-Ng-Rowell-Wang) those are the primes of ord T.
+    Assignments with an inadmissible root are never formed; they are
+    counted as ``pruned``.  For each other conjugation-respecting twist
+    assignment the cube M = (S diag(w))^3 either matches a single scalar
+    lambda times S^2, in which case the three diagonals
+    lambda^{-1/3} zeta diag(w), zeta^3 = 1, are emitted one after another,
+    or the assignment is not kept.  ``skipped`` counts every assignment of
+    the full root product that is not kept, the pruned ones included.
 
-    Assignments are taken a row at a time: for each prefix of roots on all
-    orbits but the last, the R assignments that put each of the R roots on
-    the last orbit are cubed in one stacked matmul.  That screen only passes
-    rows through, with a bound of 2 eq_tol + 1e-12 on the deviation from
-    lambda S^2, so float noise of the batched product cannot lose a row.
-    Each survivor is decided, and lifted, by ``_lift_t0`` on its own, so
-    the kept assignments, every emitted bit and ``skipped`` are those of the
-    plain per-assignment loop.  Assignment indices follow
-    ``itertools.product`` order over the orbits.  Nothing is deduplicated
-    here: ``search_pipeline`` compares the data that pass its filter.
+    Assignments are taken a row at a time: for each prefix of admissible
+    roots on all orbits but the last, the assignments that put each
+    admissible root on the last orbit are cubed in one stacked matmul.
+    That screen only passes rows through, with a bound of
+    2 eq_tol + 1e-12 on the deviation from lambda S^2, so float noise of
+    the batched product cannot lose a row.  Each survivor is decided, and
+    lifted, by ``_lift_t0`` on its own, so every emitted bit is that of the
+    plain per-assignment loop.  Assignment indices are positions in
+    ``itertools.product`` order over the full root list on every orbit,
+    pruned roots included.  Nothing is deduplicated here:
+    ``search_pipeline`` compares the data that pass its filter.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
@@ -247,18 +276,21 @@ def enumerate_t(S: np.ndarray, max_order: int,
     n = S.shape[0]
     S2 = S @ S
     orbits = _twist_orbits(S2, pol)
-    phases = np.array([phase_from_turns(r) for r in _roots_of_unity(max_order)],
-                      dtype=complex)
+    roots = _roots_of_unity(max_order)
+    keep = _cauchy_roots(S, roots, pol)
+    phases = np.array([phase_from_turns(roots[k]) for k in keep], dtype=complex)
     cube_roots = [phase_from_turns(Fraction(j, 3)) for j in range(3)]
     head, last = orbits[:-1], (orbits[-1] if orbits else [])
-    width = len(phases) if orbits else 1  # rank 1: one all-ones row
+    width = len(keep) if orbits else 1  # rank 1: one all-ones row
     screen_tol = 2 * pol.eq_tol + 1e-12
     diagonals: list[np.ndarray] = []
     assignment_ids: list[int] = []
-    for p_idx, prefix in enumerate(product(range(len(phases)), repeat=len(head))):
+    for prefix in product(range(len(keep)), repeat=len(head)):
         W = np.ones((width, n), dtype=complex)
+        p_idx = 0  # mixed radix over the full root list
         for orb, ri in zip(head, prefix):
             W[:, orb] = phases[ri]
+            p_idx = p_idx * len(roots) + keep[ri]
         if last:
             W[:, last] = phases[:, None]
         M = S[None] * W[:, None, :]
@@ -271,10 +303,13 @@ def enumerate_t(S: np.ndarray, max_order: int,
                 continue
             base = t0 * W[r]
             diagonals.extend(zeta * base for zeta in cube_roots)
-            assignment_ids.extend([p_idx * width + int(r)] * len(cube_roots))
-    tried = width * len(phases) ** len(head)
-    skipped = tried - len(diagonals) // len(cube_roots)
-    return TEnumeration(diagonals=diagonals, assignments=assignment_ids, skipped=skipped)
+            a_idx = p_idx * len(roots) + keep[r] if last else p_idx
+            assignment_ids.extend([a_idx] * len(cube_roots))
+    full = len(roots) ** len(orbits)
+    pruned = full - len(keep) ** len(orbits)
+    skipped = full - len(diagonals) // len(cube_roots)
+    return TEnumeration(diagonals=diagonals, assignments=assignment_ids, skipped=skipped,
+                        pruned=pruned)
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +326,18 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
     it equals an already kept result in both S and T within eq_tol, the
     search's only dedup.  Results therefore come out ordered by provenance
     (S candidate, twist assignment, cube root).  Pass a dict as
-    ``stats_out`` to receive the candidate/skip counters.  ``max_order``
+    ``stats_out`` to receive the candidate, skip and prune counters.  ``max_order``
     must be at least 1.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
     results: list[SearchResult] = []
-    n_candidates = n_skipped = n_diagonals = 0
+    n_candidates = n_skipped = n_pruned = n_diagonals = 0
     for s_idx, S in enumerate(candidate_s(fr, pol)):
         n_candidates += 1
         enum = enumerate_t(S, max_order, pol)
         n_skipped += enum.skipped
+        n_pruned += enum.pruned
         n_diagonals += len(enum.diagonals)
         # the three cube-root lifts of an assignment are emitted consecutively
         for d_idx, (t_diag, a_idx) in enumerate(zip(enum.diagonals, enum.assignments)):
@@ -312,7 +348,7 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
                                             provenance=(s_idx, a_idx, d_idx % 3)))
     if stats_out is not None:
         stats_out.update(s_candidates=n_candidates, skipped_assignments=n_skipped,
-                         t_candidates=n_diagonals)
+                         pruned_assignments=n_pruned, t_candidates=n_diagonals)
     # every winner must reproduce the ring it came from
     for res in results:
         if not np.array_equal(verlinde_fusion(res.md, pol), fr.N):

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,8 +20,9 @@ from modata import (
     trace_table,
     validate,
 )
-from modata.bantay import TraceTable
-from modata.numerics import phase_from_turns
+from modata.bantay import TraceTable, _cauchy_diagnostics
+from modata.modular_data import DerivedData
+from modata.numerics import DEFAULT_POLICY, phase_from_turns
 
 TRIVIAL = ModularData.from_matrices([[1.0]], [1.0])
 
@@ -244,3 +246,51 @@ class TestRealizabilityReport:
         assert validate(md).passed
         report = realizability_report(md)
         assert [d.check_id for d in report.errors()] == [check_id]
+
+
+class TestCauchyCheck:
+    """primes(det K) = primes(ord T), K = sum_i N_i N_ibar (Bruillard-Ng-Rowell-Wang)."""
+
+    @staticmethod
+    def cauchy(report):
+        return [(d.severity, d.measured) for d in report.diagnostics if d.check_id == "cauchy"]
+
+    def test_holds_on_catalog_and_products(self, entries):
+        data = [e.md for e in entries] + [
+            ModularData.from_matrices(np.kron(a.md.S, b.md.S), np.kron(a.md.T, b.md.T))
+            for a, b in itertools.combinations_with_replacement(entries, 2)]
+        assert len(data) == 9 + 45
+        for md in data:
+            report = realizability_report(md)
+            assert report.measurements["cauchy"] == 0.0
+            assert self.cauchy(report) == []
+
+    @pytest.mark.parametrize("name, twists, message", [
+        # det K = 32 and w_sigma of order 48: 3 divides ord T but not det K
+        ("ising", [1.0, turn(1, 48), -1.0], "only in ord T: [3], only in det K: []"),
+        # det K = 5 and trivial twists: 5 divides det K but not ord T = 1
+        ("fibonacci", [1.0, 1.0], "only in ord T: [], only in det K: [5]"),
+    ])
+    def test_prime_on_one_side_only_is_an_error(self, name, twists, message):
+        md = ModularData.from_matrices(get_model(name).modular_data.S, twists)
+        report = realizability_report(md)
+        assert self.cauchy(report) == [("error", 1.0)]
+        assert report.measurements["cauchy"] == 1.0
+        assert any(message in d.message for d in report.errors())
+
+    def test_twist_order_beyond_the_bound_warns(self):
+        # order 241 is past the 240 bound of turns_fraction, so ord T is unknown
+        ising = get_model("ising").modular_data
+        report = realizability_report(ModularData.from_matrices(
+            ising.S, [1.0, turn(1, 241), -1.0]))
+        assert self.cauchy(report) == [("warning", 0.0)]
+        assert report.measurements["cauchy"] == 0.0
+
+    def test_vanishing_casimir_is_an_error(self):
+        # every prime divides det K = 0; dividing them out must still stop
+        dd = DerivedData(dims=np.ones(2), twists=np.array([1.0, -1.0]),
+                         conj=np.arange(2), fusion=np.zeros((2, 2, 2), dtype=int),
+                         total_dim=1.0)
+        measured, diags = _cauchy_diagnostics(dd, DEFAULT_POLICY)
+        assert measured == 1.0
+        assert [(d.check_id, d.severity) for d in diags] == [("cauchy", "error")]

@@ -133,8 +133,19 @@ class TestBantayCommand:
     def test_trace_failure_exit_one(self, capsys, fs_fail_file):
         code, out, err = run(capsys, "bantay", str(fs_fail_file))
         assert code == 1
-        assert "trace constraint" in err
+        assert "data fails the fs_value check" in err
         assert "verdict: fail" in out and "fs_value" in out
+
+    def test_names_the_failing_check(self, capsys, tmp_path, single_failure_data):
+        # S passes the axioms but its dimension row does not derive: that is
+        # no trace constraint, and stderr must say which check failed
+        path = tmp_path / "ising_derivation.json"
+        save_modular_data(single_failure_data["derivation"], path)
+        code, out, err = run(capsys, "bantay", str(path))
+        assert code == 1
+        assert "data fails the derivation check" in err
+        assert "trace constraint" not in err
+        assert "derivation" in out
 
     def test_trace_failure_json_report(self, capsys, fs_fail_file):
         code, out, _ = run(capsys, "--json", "bantay", str(fs_fail_file))
@@ -237,6 +248,30 @@ class TestRealizabilityCommandsAgree:
         assert json.loads(out)["nu"] == [1, 1]
 
 
+class TestParserReuse:
+    def test_no_flag_leaks_into_the_next_call(self, capsys, tmp_path, single_failure_data):
+        # z3 perturbed at 1e-10 fails at the default tolerance and passes at
+        # --tol 1e-8, so a leaked --tol flips the verdict; a leaked --json or
+        # --quiet changes the output
+        path = tmp_path / "z3_perturbed.json"
+        save_modular_data(single_failure_data["trace_conjugation"], path)
+        f = str(path)
+        calls = [("--tol", "1e-8", "check", f), ("check", f),
+                 ("check", f, "--json"), ("check", f),
+                 ("--quiet", "check", f), ("check", f),
+                 ("bantay", f, "--tol", "1e-8", "--quiet"), ("bantay", f),
+                 ("--json", "bantay", f, "--tol", "1e-8"), ("bantay", f, "--tol", "1e-8"),
+                 ("validate", f, "--json", "--quiet"), ("validate", f)]
+        fresh = []
+        for argv in calls:
+            modata.cli.build_parser.cache_clear()
+            fresh.append(run(capsys, *argv)[:2])
+        modata.cli.build_parser.cache_clear()
+        assert [run(capsys, *argv)[:2] for argv in calls] == fresh
+        assert modata.cli.build_parser.cache_info().misses == 1
+        assert [code for code, _ in fresh] == [0, 1, 1, 1, 1, 1, 0, 1, 0, 0, 0, 0]
+
+
 class TestCatalogCommand:
     def test_lists_at_least_nine(self, capsys):
         code, out, _ = run(capsys, "catalog")
@@ -301,6 +336,10 @@ class TestSearchCommand:
         assert code == 0
         files = sorted(out_dir.glob("*.json"))
         assert len(files) == 6
+        # 32 roots of order <= 10; det K = 5 admits the 5 of order 1 or 5
+        assert ("(1 S candidate(s); 30 twist assignments skipped, 27 of them pruned "
+                "by the Cauchy theorem and the rest by the modular relation; "
+                "6 T candidates filtered)") in out
 
     def test_result_files_validate(self, capsys, tmp_path, rings_dir):
         out_dir = tmp_path / "results"

@@ -19,6 +19,7 @@ from modata import (
     validate,
     verlinde_fusion,
 )
+from modata.modular_data import _casimir_det
 from modata.numerics import TolerancePolicy
 
 TRIVIAL = ModularData.from_matrices([[1.0]], [1.0])
@@ -121,6 +122,24 @@ class TestVerlinde:
         md = ModularData.from_matrices(S, [1.0, 1.0])
         with pytest.raises(InvalidModularData, match="Verlinde integrality violation"):
             verlinde_fusion(md)
+
+
+class TestCasimirDet:
+    def test_catalog_equals_product_of_eigenvalues(self, entries):
+        # K = sum_i N_i N_ibar has eigenvalues D^2/d_j^2 = 1/S_0j^2
+        for e in entries:
+            want = round(float(np.prod(1.0 / np.abs(e.md.S[0]) ** 2)))
+            assert _casimir_det(verlinde_fusion(e.md)) == want, e.name
+
+    def test_exact_beyond_int64(self):
+        toric = get_model("toric_code").modular_data
+        md = ModularData.from_matrices(np.kron(toric.S, toric.S), np.kron(toric.T, toric.T))
+        assert _casimir_det(verlinde_fusion(md)) == 2 ** 64
+
+    def test_singular(self):
+        N = np.zeros((2, 2, 2), dtype=int)
+        N[1, 1, 1] = 1
+        assert _casimir_det(N) == 0
 
 
 class TestDerive:

@@ -36,6 +36,8 @@ def test_pointed_model_is_realizable(params):
     md = build_pointed_model(*params).modular_data
     rep = realizability_report(md)
     assert rep.passed, [d.check_id for d in rep.errors()]
+    assert rep.measurements["cauchy"] == 0.0
+    assert not [d for d in rep.diagnostics if d.check_id == "cauchy"], params
 
 
 @settings(max_examples=20, deadline=None)

@@ -14,12 +14,13 @@ from modata import (
     enumerate_t,
     get_model,
     load_fusion_ring,
+    realizability_report,
     save_fusion_ring,
     search_pipeline,
     verlinde_fusion,
 )
 from modata.modular_data import ModularData, _lift_t0
-from modata.numerics import DEFAULT_POLICY, TolerancePolicy, phase_from_turns
+from modata.numerics import DEFAULT_POLICY, TolerancePolicy, phase_from_turns, turns_fraction
 from modata.search import TEnumeration, _roots_of_unity, _twist_orbits
 
 
@@ -46,7 +47,8 @@ LOOSE = TolerancePolicy(eq_tol=0.05, int_tol=0.05)
 
 
 def reference_enumerate_t(S, max_order, pol=DEFAULT_POLICY):
-    """The plain per-assignment loop over ``product`` that ``enumerate_t`` must match."""
+    """The plain per-assignment loop over ``product``, without the Cauchy filter;
+    ``enumerate_t`` must match it on the Cauchy-admissible assignments."""
     S = np.asarray(S, dtype=complex)
     S2 = S @ S
     orbits = _twist_orbits(S2, pol)
@@ -63,7 +65,40 @@ def reference_enumerate_t(S, max_order, pol=DEFAULT_POLICY):
             continue
         diagonals.extend(zeta * (t0 * w) for zeta in cube_roots)
         assignment_ids.extend([a_idx] * 3)
-    return TEnumeration(diagonals=diagonals, assignments=assignment_ids, skipped=skipped)
+    return TEnumeration(diagonals=diagonals, assignments=assignment_ids, skipped=skipped,
+                        pruned=0)
+
+
+def primes_of(n):
+    return {p for p in range(2, n + 1) if n % p == 0 and all(p % f for f in range(2, p))}
+
+
+def cauchy_primes(S):
+    """primes(det K), with det K the product of K's eigenvalues D^2/d_j^2 = 1/S_0j^2."""
+    return primes_of(round(float(np.prod(1.0 / np.abs(S[0]) ** 2))))
+
+
+def admissible(a_idx, n_orbits, roots, P):
+    """Whether every root of the assignment (mixed radix over all roots) has
+    an order whose primes lie in P."""
+    for _ in range(n_orbits):
+        a_idx, k = divmod(a_idx, len(roots))
+        if not primes_of(roots[k].denominator) <= P:
+            return False
+    return True
+
+
+def reference_search(fr, max_order, pol=DEFAULT_POLICY):
+    """``search_pipeline``'s loop over the unfiltered reference enumeration."""
+    results = []
+    for s_idx, S in enumerate(candidate_s(fr, pol)):
+        enum = reference_enumerate_t(S, max_order, pol)
+        for d_idx, (t, a_idx) in enumerate(zip(enum.diagonals, enum.assignments)):
+            md = ModularData.from_matrices(S, t)
+            if realizability_report(md, pol).passed and not any(
+                    md.approx_eq(kept[0], pol) for kept in results):
+                results.append((md, (s_idx, a_idx, d_idx % 3)))
+    return results
 
 
 class TestFusionRing:
@@ -200,14 +235,23 @@ class TestEnumerateT:
         # 80 roots of unity of order <= 16 pass; the realizability filter is
         # what cuts this to the 8 primitive 16th roots (see pipeline test)
         S = get_model("ising").modular_data.S
-        enum = enumerate_t(S, max_order=16)
-        assert len(set(enum.assignments)) == 80
-        assert len(enum.diagonals) == 240
-        assert enum.skipped == 6400 - 80
-        for t in enum.diagonals:
+        T_cat = get_model("ising").modular_data.T
+        ref = reference_enumerate_t(S, max_order=16)
+        assert len(set(ref.assignments)) == 80
+        assert len(ref.diagonals) == 240
+        assert ref.skipped == 6400 - 80
+        for t in ref.diagonals:
             assert abs(t[2] / t[0] + 1.0) < 1e-9  # w_psi = -1 always
         # the catalog Ising assignment is among them
-        T_cat = get_model("ising").modular_data.T
+        assert any(np.max(np.abs(t - T_cat)) < 1e-9 for t in ref.diagonals)
+        # det K = 32, so the Cauchy filter keeps w_sigma of order 1, 2, 4, 8, 16
+        enum = enumerate_t(S, max_order=16)
+        assert len(set(enum.assignments)) == 16
+        assert len(enum.diagonals) == 48
+        assert enum.skipped == 6384
+        assert enum.pruned == 6400 - 16 ** 2  # 16 roots of 2-power order
+        orders = {turns_fraction(t[1] / t[0]).denominator for t in enum.diagonals}
+        assert orders == {1, 2, 4, 8, 16}
         assert any(np.max(np.abs(t - T_cat)) < 1e-9 for t in enum.diagonals)
 
     def test_conjugate_orbits_share_twist(self):
@@ -228,20 +272,33 @@ class TestEnumerateT:
         (5, 16, DEFAULT_POLICY),
     ], ids=["trivial", "fibonacci", "ising", "ising-loose", "z3", "toric", "z4", "z5"])
     def test_matches_per_assignment_loop(self, ring, max_order, pol):
+        # equal, bit for bit, to the reference on the Cauchy-admissible
+        # assignments; every reference entry dropped fails the report
         if isinstance(ring, str):
             ring = ring_of(ring)
         elif isinstance(ring, int):
             ring = pointed_ring(ring)
         cands = candidate_s(ring, pol)
         assert cands
+        roots = _roots_of_unity(max_order)
         for S in cands:
             got = enumerate_t(S, max_order, pol)
             want = reference_enumerate_t(S, max_order, pol)
-            assert got.assignments == want.assignments
-            assert got.skipped == want.skipped
-            assert len(got.diagonals) == len(want.diagonals)
-            for a, b in zip(got.diagonals, want.diagonals):
+            P = cauchy_primes(S)
+            n_orbits = len(_twist_orbits(S @ S, pol))
+            ok = [admissible(a, n_orbits, roots, P) for a in want.assignments]
+            assert got.assignments == [a for a, k in zip(want.assignments, ok) if k]
+            kept = [t for t, k in zip(want.diagonals, ok) if k]
+            assert len(got.diagonals) == len(kept)
+            for a, b in zip(got.diagonals, kept):
                 assert np.array_equal(a, b)  # bit for bit
+            dropped = len(set(want.assignments) - set(got.assignments))
+            assert got.skipped == want.skipped + dropped
+            n_admissible = sum(primes_of(r.denominator) <= P for r in roots)
+            assert got.pruned == len(roots) ** n_orbits - n_admissible ** n_orbits
+            for t, k in zip(want.diagonals, ok):
+                if not k:
+                    assert not realizability_report(ModularData.from_matrices(S, t), pol).passed
 
     @pytest.mark.parametrize("q", [0, -5])
     def test_max_order_below_one_rejected(self, q):
@@ -307,6 +364,17 @@ class TestSearchPipeline:
         assert len(res) == 24
         assert any(r.md.approx_eq(get_model("su2_2").modular_data) for r in res)
 
+    def test_loose_tolerance_high_order_ising(self):
+        # at q=32 and eq_tol = 0.05 twists of order 17, 19, ..., 31 lie within
+        # tolerance of the 16th roots and come first in provenance order; they
+        # must fail the Cauchy check instead of crowding out the real data
+        loose = TolerancePolicy(eq_tol=0.05, int_tol=0.05)
+        res = search_pipeline(ring_of("ising"), max_order=32, pol=loose)
+        assert len(res) == 24
+        assert {turns_fraction(r.md.T[1] / r.md.T[0]).denominator for r in res} == {16}
+        assert any(r.md.approx_eq(get_model("ising").modular_data) for r in res)
+        assert any(r.md.approx_eq(get_model("su2_2").modular_data) for r in res)
+
     @pytest.mark.parametrize("q", [0, -5])
     def test_max_order_below_one_rejected(self, q):
         # the rank-1 ring has no twist orbit, so nothing else would stop it
@@ -323,10 +391,38 @@ class TestSearchPipeline:
         assert len(res) == 12
         assert len({r.provenance[:2] for r in res}) == 4
         assert stats == {"s_candidates": 2, "skipped_assignments": 746492,
-                         "t_candidates": 12}
+                         "pruned_assignments": 727974, "t_candidates": 12}
         a, b = get_model("fibonacci").modular_data, get_model("z3").modular_data
         deligne = ModularData.from_matrices(np.kron(a.S, b.S), np.kron(a.T, b.T))
         assert any(r.md.approx_eq(deligne) for r in res)
+
+    @pytest.mark.parametrize("ring, max_order, pol", [
+        (TRIVIAL_RING, 4, DEFAULT_POLICY),
+        ("fibonacci", 10, DEFAULT_POLICY),
+        ("ising", 32, DEFAULT_POLICY),
+        ("ising", 32, LOOSE),
+        ("toric_code", 8, DEFAULT_POLICY),
+        ("z3", 12, DEFAULT_POLICY),
+        ("semion", 16, DEFAULT_POLICY),
+        (2, 16, DEFAULT_POLICY),
+        (3, 16, DEFAULT_POLICY),
+        (4, 16, DEFAULT_POLICY),
+        (5, 16, DEFAULT_POLICY),
+    ], ids=["trivial", "fibonacci", "ising", "ising-loose", "toric", "z3", "semion",
+            "z2", "z3-pointed", "z4", "z5"])
+    def test_matches_unfiltered_reference(self, ring, max_order, pol):
+        # three-orbit rings (Fibonacci x Z_3, Z_6) are left out: the reference
+        # loop takes tens of seconds on their ~10^6 assignments
+        if isinstance(ring, str):
+            ring = ring_of(ring)
+        elif isinstance(ring, int):
+            ring = pointed_ring(ring)
+        got = search_pipeline(ring, max_order=max_order, pol=pol)
+        want = reference_search(ring, max_order, pol)
+        assert got
+        assert [r.provenance for r in got] == [prov for _, prov in want]
+        for r, (md, _) in zip(got, want):
+            assert np.array_equal(r.md.S, md.S) and np.array_equal(r.md.T, md.T)
 
     def test_deterministic_ordering(self):
         fr = ring_of("fibonacci")
