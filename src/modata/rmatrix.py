@@ -11,7 +11,9 @@ multiplicities m+/m- of the self-braiding; only those dimensions are
 determined, so blocks store no basis data.  The opposite braiding is
 R^op = (w_i w_j / w_k) * R, and the double braiding acts on channel k by
 the scalar w_k/(w_i w_j); ``monodromy_check`` verifies both relations on
-every emitted block.
+every emitted block.  Each of these quantities is taken as the phase u/|u|
+of its ratio u, so twists that validation lets sit slightly off the unit
+circle still give unimodular blocks.
 """
 from __future__ import annotations
 
@@ -25,6 +27,13 @@ from .modular_data import DerivedData, ModularData
 from .numerics import DEFAULT_POLICY, TolerancePolicy, principal_sqrt
 
 __all__ = ["RBlock", "canonical_r", "r_op", "monodromy_check"]
+
+
+def _phase(u: complex) -> complex:
+    """u/|u|.  Validation lets |w_i| - 1 reach about 2 eq_tol, and scaling a
+    ratio of twists by a positive number never moves it across the branch
+    cut of the square root."""
+    return u / abs(u)
 
 
 @dataclass(frozen=True)
@@ -107,10 +116,10 @@ def canonical_r(md: ModularData, dd: DerivedData, mt: MultiplicityTable,
                 if mult == 0:
                     continue
                 if i != j:
-                    val = sqrt_fn(w[k] / (w[i] * w[j]))
+                    val = sqrt_fn(_phase(w[k] / (w[i] * w[j])))
                     blocks.append(RBlock((i, j, k), "scalar", val, size=mult))
                 else:
-                    val = sqrt_fn(w[k]) / w[i]
+                    val = sqrt_fn(_phase(w[k])) / _phase(w[i])
                     blocks.append(RBlock((i, j, k), "signed", val,
                                          dim_plus=int(mt.m_plus[k, i]),
                                          dim_minus=int(mt.m_minus[k, i])))
@@ -121,7 +130,7 @@ def r_op(block: RBlock, dd: DerivedData) -> RBlock:
     """The opposite-braiding block: value scaled by w_i w_j / w_k."""
     i, j, k = block.channel
     w = dd.twists
-    factor = w[i] * w[j] / w[k]
+    factor = _phase(w[i] * w[j] / w[k])
     return RBlock(block.channel, block.form, block.value * factor,
                   size=block.size, dim_plus=block.dim_plus, dim_minus=block.dim_minus)
 
@@ -151,7 +160,7 @@ def monodromy_check(blocks: list[RBlock], dd: DerivedData,
             continue
         # signed blocks: (E+ - E-)^2 = 1, so the product is a scalar either way
         prod = mirror.value * b.value
-        target = w[k] / (w[i] * w[j])
+        target = _phase(w[k] / (w[i] * w[j]))
         dev = abs(prod - target)
         meas["monodromy"] = max(meas["monodromy"], dev)
         if dev > pol.eq_tol:

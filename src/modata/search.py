@@ -16,9 +16,15 @@ Pipeline:
      every prime dividing det K, K = sum_i N_i N_ibar over the ring, are
      used: by the Cauchy theorem the primes of ord T are those of det K,
      and the realizability report rejects any datum with another prime.
-     The relation is screened one row at a time: for each choice of roots
-     on all orbits but the last, one stacked matmul cubes all choices for
-     the last orbit.  The few rows that pass the screen are confirmed and
+     The orbits but the last are bound depth first, and a prefix survives
+     only if the balancing equations w_i w_j S_ij D = sum_k N^k_{ibar j}
+     d_k w_k that it binds fully hold within a bound derived from the
+     relation's tolerance, so no admissible assignment is lost.  On
+     SU(2)_k at q = 4(k+2), k = 4, 5, the equation for (1, a) pins the
+     twist of a + 1, and of the R^(k-1) prefixes over R admissible roots
+     four reach the last orbit.
+     For each surviving prefix one stacked matmul cubes all choices for the
+     last orbit.  The few rows that pass the screen are confirmed and
      lifted by the same per-assignment test, so the kept set is exact.
   3. ``search_pipeline`` runs the axiom battery and the trace-realizability
      report on every candidate, one at a time, and keeps the passes in
@@ -34,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 from pathlib import Path
 from typing import IO, NamedTuple
 
@@ -228,19 +234,44 @@ def _twist_orbits(S2: np.ndarray, pol: TolerancePolicy) -> list[list[int]]:
     return orbits
 
 
-def _cauchy_roots(S: np.ndarray, roots: list[Fraction], pol: TolerancePolicy) -> list[int]:
+def _cauchy_roots(N: np.ndarray | None, roots: list[Fraction]) -> list[int]:
     """Indices of the roots whose order has only primes dividing det K.
 
-    K = sum_i N_i N_ibar is formed from the rounded Verlinde tensor of S; a
-    tensor that does not round to a fusion tensor prunes nothing.
+    K = sum_i N_i N_ibar is formed from the ring tensor N; without one (a
+    Verlinde sum that does not round) nothing is pruned.
     """
-    try:
-        N = verlinde_fusion(ModularData.from_matrices(S, np.ones(len(S))), pol)
-    except InvalidModularData:
+    if N is None:
         return list(range(len(roots)))
     det = _casimir_det(N)
     return [k for k, r in enumerate(roots)
             if all(det % p == 0 for p in _prime_support(r.denominator))]
+
+
+def _balancing_levels(S: np.ndarray, N: np.ndarray | None, orbits: list[list[int]],
+                      tol: float) -> list[tuple[np.ndarray, ...]]:
+    """For each orbit in binding order, the balancing equations it completes.
+
+    Equation (i, j) is R_ij = w_i w_j S_ij D - sum_k N^k_{ibar j} d_k w_k = 0;
+    it involves w_i, w_j and each w_k with N^k_{ibar j} > 0, and w_0 = 1 is
+    bound from the start.  An orbit's entry is (I, J, D S_IJ, the
+    (n, #equations) matrix of d_k N^k_{ibar j}, beta_IJ) over the equations
+    whose last unbound twist lies on it.  No tensor, no equations.
+    """
+    if N is None:
+        return [(np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 3] * len(orbits)
+    n = len(S)
+    level, conj = np.full(n, -1), np.arange(n)
+    for lv, orb in enumerate(orbits):
+        level[orb] = lv
+        conj[orb] = orb[::-1]
+    Nb = N[conj]  # Nb[i, j, k] = N^k_{ibar, j}
+    absS = np.abs(S)
+    D = 1.0 / S[0, 0]
+    beta = abs(D) * n * (1.0 + absS @ (absS / absS[0]).T) * tol
+    binds = np.maximum(np.maximum.outer(level, level),
+                       np.where(Nb > 0, level, -1).max(axis=2))
+    return [(I, J, D * S[I, J], (Nb[I, J] * (D * S[0])).T, beta[I, J])
+            for I, J in (np.nonzero(binds == lv) for lv in range(len(orbits)))]
 
 
 def enumerate_t(S: np.ndarray, max_order: int,
@@ -248,27 +279,67 @@ def enumerate_t(S: np.ndarray, max_order: int,
     """All T diagonals with (S T)^3 = S^2 and admissible twists of order <= max_order.
 
     A twist is admissible when every prime of its order divides det K,
-    K = sum_i N_i N_ibar over the Verlinde tensor of S: by the Cauchy
-    theorem (Bruillard-Ng-Rowell-Wang) those are the primes of ord T.
-    Assignments with an inadmissible root are never formed; they are
-    counted as ``pruned``.  For each other conjugation-respecting twist
-    assignment the cube M = (S diag(w))^3 either matches a single scalar
-    lambda times S^2, in which case the three diagonals
-    lambda^{-1/3} zeta diag(w), zeta^3 = 1, are emitted one after another,
-    or the assignment is not kept.  ``skipped`` counts every assignment of
-    the full root product that is not kept, the pruned ones included.
+    K = sum_i N_i N_ibar over the ring tensor N, the rounded Verlinde tensor
+    of S: by the Cauchy theorem (Bruillard-Ng-Rowell-Wang) those are the
+    primes of ord T.  Assignments with an inadmissible root are never
+    formed; they are counted as ``pruned``.  For each other
+    conjugation-respecting twist assignment the cube M = (S diag(w))^3
+    either matches a single scalar lambda times S^2, in which case the three
+    diagonals lambda^{-1/3} zeta diag(w), zeta^3 = 1, are emitted one after
+    another, or the assignment is not kept.  ``skipped`` counts every
+    assignment of the full root product that is not kept, the pruned ones
+    included.
 
-    Assignments are taken a row at a time: for each prefix of admissible
-    roots on all orbits but the last, the assignments that put each
-    admissible root on the last orbit are cubed in one stacked matmul.
-    That screen only passes rows through, with a bound of
-    2 eq_tol + 1e-12 on the deviation from lambda S^2, so float noise of
-    the batched product cannot lose a row.  Each survivor is decided, and
-    lifted, by ``_lift_t0`` on its own, so every emitted bit is that of the
-    plain per-assignment loop.  Assignment indices are positions in
-    ``itertools.product`` order over the full root list on every orbit,
-    pruned roots included.  Nothing is deduplicated here:
-    ``search_pipeline`` compares the data that pass its filter.
+    The orbits but the last are bound depth first, in their natural order:
+    a prefix is extended by every admissible root at once, one (R, n) array
+    of children, and a child is kept only if each balancing equation
+    (Bakalov-Kirillov, Lectures on tensor categories and modular functors,
+    3.1)
+
+        R_ij = w_i w_j S_ij D - sum_k N^k_{ibar j} d_k w_k = 0,
+        D = 1/S_00,  d_k = S_0k/S_00,
+
+    that this level is the first to bind fully has |R_ij| <= beta_ij,
+
+        beta_ij = D n (1 + c_ij) eps,  c_ij = sum_m |S_im| |S_jm| / |S_0m|,
+        eps = 2 eq_tol + 1e-12.
+
+    Every surviving prefix gets the last orbit as one stacked row: one
+    batched matmul cubes all admissible roots there and passes a row whose
+    maximal deviation from lambda S^2, lambda = M_00/(S^2)_00, is at most
+    eps, so float noise of the batched product cannot lose a row.  Each
+    survivor is decided, and lifted, by ``_lift_t0`` on its own, so every
+    emitted bit is that of the plain per-assignment loop.  The walk visits
+    assignments in ``itertools.product`` order, and assignment indices are
+    positions in that order over the full root list on every orbit, pruned
+    roots included.  Nothing is deduplicated here: ``search_pipeline``
+    compares the data that pass its filter.
+
+    Why the prune loses no row that ``_lift_t0`` accepts.  S is unitary
+    and symmetric, W = diag(w) has unimodular entries and commutes with
+    C = S^2 (w_ibar = w_i); float departures from this are covered by the
+    1e-12 in eps.  An accepted row has E = (S W)^3 - lambda S^2 with
+    max |E| <= eq_tol, within eps after rounding.
+
+      1. The spectral norm of an n x n matrix is at most n times its
+         largest entry, so ||E|| <= n eps.
+      2. Multiplying E by conj(S) = S^-1 on the left and by
+         conj(W) conj(S) = (S W)^-1 on the right gives
+         A = W S W - lambda S conj(W) conj(S); multiplying E by
+         conj(W) conj(S) conj(W) conj(S) on the left and by conj(S) on the
+         right gives B = S W conj(S) - lambda conj(W) conj(S) conj(W).
+         All factors are unitary, so ||A||, ||B|| <= n eps.
+      3. Expand N^k_{ibar j} = sum_m conj(S_im) S_jm conj(S_km) / S_0m
+         (Verlinde; S_ibar,m = conj(S_im)).  With S_0k > 0,
+         sum_k N^k_{ibar j} d_k w_k = D sum_m conj(S_im) S_jm
+         (S W conj(S))_0m / S_0m, and (S W conj(S))_0m =
+         lambda S_0m conj(w_m) + B_0m.  S conj(W) conj(S) is symmetric
+         because W commutes with C, so the lambda terms cancel against
+         the (i, j) entry of A: R_ij = D A_ij - D sum_m conj(S_im) S_jm
+         B_0m / S_0m, and |R_ij| <= D n eps (1 + c_ij) = beta_ij.
+
+    So an accepted row satisfies every balancing equation within its bound
+    and is never pruned.  With no ring tensor nothing is pruned.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
@@ -277,20 +348,30 @@ def enumerate_t(S: np.ndarray, max_order: int,
     S2 = S @ S
     orbits = _twist_orbits(S2, pol)
     roots = _roots_of_unity(max_order)
-    keep = _cauchy_roots(S, roots, pol)
+    try:
+        N = verlinde_fusion(ModularData.from_matrices(S, np.ones(n)), pol)
+    except InvalidModularData:
+        N = None
+    keep = _cauchy_roots(N, roots)
     phases = np.array([phase_from_turns(roots[k]) for k in keep], dtype=complex)
     cube_roots = [phase_from_turns(Fraction(j, 3)) for j in range(3)]
     head, last = orbits[:-1], (orbits[-1] if orbits else [])
     width = len(keep) if orbits else 1  # rank 1: one all-ones row
     screen_tol = 2 * pol.eq_tol + 1e-12
+    levels = _balancing_levels(S, N, orbits, screen_tol)
     diagonals: list[np.ndarray] = []
     assignment_ids: list[int] = []
-    for prefix in product(range(len(keep)), repeat=len(head)):
-        W = np.ones((width, n), dtype=complex)
-        p_idx = 0  # mixed radix over the full root list
-        for orb, ri in zip(head, prefix):
-            W[:, orb] = phases[ri]
-            p_idx = p_idx * len(roots) + keep[ri]
+
+    def walk(depth: int, row: np.ndarray, p_idx: int) -> None:
+        # p_idx: the prefix in mixed radix over the full root list
+        W = np.repeat(row[None], width, axis=0)
+        if depth < len(head):
+            W[:, head[depth]] = phases[:, None]
+            I, J, DS, coef, beta = levels[depth]
+            res = DS * W[:, I] * W[:, J] - W @ coef
+            for r in np.flatnonzero(np.all(np.abs(res) <= beta, axis=1)):
+                walk(depth + 1, W[r], p_idx * len(roots) + keep[r])
+            return
         if last:
             W[:, last] = phases[:, None]
         M = S[None] * W[:, None, :]
@@ -305,6 +386,8 @@ def enumerate_t(S: np.ndarray, max_order: int,
             diagonals.extend(zeta * base for zeta in cube_roots)
             a_idx = p_idx * len(roots) + keep[r] if last else p_idx
             assignment_ids.extend([a_idx] * len(cube_roots))
+
+    walk(0, np.ones(n, dtype=complex), 0)
     full = len(roots) ** len(orbits)
     pruned = full - len(keep) ** len(orbits)
     skipped = full - len(diagonals) // len(cube_roots)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from modata import (
     save_modular_data,
 )
 from modata.cli import fmt_complex, main
+from modata.numerics import phase_from_turns
 
 
 def run(capsys, *argv):
@@ -165,6 +167,20 @@ class TestCheckCommand:
         code, _, _ = run(capsys, "check", str(ising_file))
         assert code == 0
 
+    def test_cauchy_count_is_no_deviation(self, capsys, tmp_path):
+        # toric code with T_3 twisted by 1/12: the largest deviation is the
+        # 9.014e-01 of twist_trace; the cauchy prime count 1 stays in the JSON
+        toric = get_model("toric_code").modular_data
+        T = toric.T.copy()
+        T[3] *= phase_from_turns(Fraction(1, 12))
+        path = tmp_path / "toric_twisted.json"
+        save_modular_data(ModularData.from_matrices(toric.S, T, toric.labels), path)
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 1
+        assert "(max deviation 9.014e-01)" in out
+        code, out, _ = run(capsys, "--json", "check", str(path))
+        assert json.loads(out)["measurements"]["cauchy"] == 1.0
+
 
 class TestRmatrixCommand:
     def test_ising_blocks(self, capsys, ising_file):
@@ -236,16 +252,21 @@ class TestRealizabilityCommandsAgree:
                                                 (("--tol", "0.01"), [1, 1.001])])
     def test_twists_off_the_unit_circle_within_tolerance(self, capsys, tmp_path,
                                                          flags, factors):
-        # validate passes these twists; the multiplicity pass used to reject
-        # w_1 as "not a phase" with a traceback
+        # validate passes these twists; the multiplicity pass and rmatrix's
+        # square roots used to reject them as "not a phase" with a traceback
         fib = get_model("fibonacci").modular_data
         path = tmp_path / "fib_modulus.json"
         save_modular_data(ModularData.from_matrices(fib.S, fib.T * np.array(factors),
                                                     fib.labels), path)
-        for cmd in ("check", "bantay"):
+        outs = {}
+        for cmd in ("check", "bantay", "rmatrix"):
             code, out, err = run(capsys, *flags, "--json", cmd, str(path))
             assert code == 0, (cmd, err)
-        assert json.loads(out)["nu"] == [1, 1]
+            outs[cmd] = json.loads(out)
+        assert outs["bantay"]["nu"] == [1, 1]
+        assert outs["rmatrix"]["monodromy"]["verdict"] == "pass"
+        for block in outs["rmatrix"]["blocks"]:
+            assert abs(abs(complex(*block["value"])) - 1.0) < 1e-12
 
 
 class TestParserReuse:

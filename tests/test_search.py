@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modata import (
     FusionRing,
@@ -19,9 +21,10 @@ from modata import (
     search_pipeline,
     verlinde_fusion,
 )
-from modata.modular_data import ModularData, _lift_t0
+from modata.modular_data import InvalidModularData, ModularData, _lift_t0
 from modata.numerics import DEFAULT_POLICY, TolerancePolicy, phase_from_turns, turns_fraction
-from modata.search import TEnumeration, _roots_of_unity, _twist_orbits
+from modata.search import (TEnumeration, _balancing_levels, _cauchy_roots, _roots_of_unity,
+                           _twist_orbits)
 
 
 def turn(p, q):
@@ -42,8 +45,42 @@ def pointed_ring(n):
     return FusionRing(rank=n, N=N)
 
 
+def su2_ring(k):
+    """The truncated Clebsch-Gordan ring of SU(2)_k: N^c_{a,b} = 1 for
+    |a - b| <= c <= min(a + b, 2k - a - b) with a + b + c even."""
+    n = k + 1
+    N = np.zeros((n, n, n), dtype=int)
+    for a in range(n):
+        for b in range(n):
+            N[a, b, abs(a - b):min(a + b, 2 * k - a - b) + 1:2] = 1
+    return FusionRing(rank=n, N=N)
+
+
+def fib_z3_ring():
+    fib, z3 = ring_of("fibonacci"), ring_of("z3")
+    return FusionRing(rank=6, N=np.einsum("ace,bdf->abcdef", fib.N, z3.N).reshape(6, 6, 6))
+
+
+# rings with three twist orbits and 10^4-10^6 assignments
+THREE_ORBIT_RINGS = {"fib_z3": fib_z3_ring, "z6": lambda: pointed_ring(6),
+                     "su2_3": lambda: su2_ring(3)}
+
+
+def make_ring(ring):
+    """A ring from a test parameter: a catalog or three-orbit ring name, n for
+    pointed Z_n, or a ring."""
+    if isinstance(ring, str):
+        return THREE_ORBIT_RINGS[ring]() if ring in THREE_ORBIT_RINGS else ring_of(ring)
+    if isinstance(ring, int):
+        return pointed_ring(ring)
+    return ring
+
+
 TRIVIAL_RING = FusionRing(rank=1, N=np.ones((1, 1, 1), dtype=int))
 LOOSE = TolerancePolicy(eq_tol=0.05, int_tol=0.05)
+THREE_ORBIT_CASES = [(ring, q, pol) for ring, q in (("fib_z3", 15), ("z6", 12), ("su2_3", 20))
+                     for pol in (DEFAULT_POLICY, LOOSE)]
+THREE_ORBIT_IDS = ["fib_z3", "fib_z3-loose", "z6", "z6-loose", "su2_3", "su2_3-loose"]
 
 
 def reference_enumerate_t(S, max_order, pol=DEFAULT_POLICY):
@@ -69,6 +106,50 @@ def reference_enumerate_t(S, max_order, pol=DEFAULT_POLICY):
                         pruned=0)
 
 
+def stacked_enumerate_t(S, max_order, pol=DEFAULT_POLICY):
+    """The full prefix product with the last orbit screened as one stacked row
+    per prefix, under the Cauchy filter; affordable on three-orbit rings,
+    and ``enumerate_t`` must equal it bit for bit."""
+    S = np.asarray(S, dtype=complex)
+    n = S.shape[0]
+    S2 = S @ S
+    orbits = _twist_orbits(S2, pol)
+    roots = _roots_of_unity(max_order)
+    try:
+        N = verlinde_fusion(ModularData.from_matrices(S, np.ones(n)), pol)
+    except InvalidModularData:
+        N = None
+    keep = _cauchy_roots(N, roots)
+    phases = np.array([phase_from_turns(roots[k]) for k in keep], dtype=complex)
+    cube_roots = [phase_from_turns(Fraction(j, 3)) for j in range(3)]
+    head, last = orbits[:-1], (orbits[-1] if orbits else [])
+    width = len(keep) if orbits else 1
+    screen_tol = 2 * pol.eq_tol + 1e-12
+    diagonals, assignment_ids = [], []
+    for prefix in product(range(len(keep)), repeat=len(head)):
+        W = np.ones((width, n), dtype=complex)
+        p_idx = 0
+        for orb, ri in zip(head, prefix):
+            W[:, orb] = phases[ri]
+            p_idx = p_idx * len(roots) + keep[ri]
+        if last:
+            W[:, last] = phases[:, None]
+        M = S[None] * W[:, None, :]
+        M3 = M @ M @ M
+        lam = M3[:, 0, 0] / S2[0, 0]
+        dev = np.max(np.abs(M3 - lam[:, None, None] * S2), axis=(1, 2))
+        for r in np.flatnonzero(dev <= screen_tol):
+            t0 = _lift_t0(S, S2, W[r], pol)
+            if t0 is None:
+                continue
+            diagonals.extend(zeta * (t0 * W[r]) for zeta in cube_roots)
+            assignment_ids.extend([p_idx * len(roots) + keep[r] if last else p_idx] * 3)
+    full = len(roots) ** len(orbits)
+    return TEnumeration(diagonals=diagonals, assignments=assignment_ids,
+                        skipped=full - len(diagonals) // 3,
+                        pruned=full - len(keep) ** len(orbits))
+
+
 def primes_of(n):
     return {p for p in range(2, n + 1) if n % p == 0 and all(p % f for f in range(2, p))}
 
@@ -88,11 +169,12 @@ def admissible(a_idx, n_orbits, roots, P):
     return True
 
 
-def reference_search(fr, max_order, pol=DEFAULT_POLICY):
-    """``search_pipeline``'s loop over the unfiltered reference enumeration."""
+def reference_search(fr, max_order, pol=DEFAULT_POLICY, enumerate_fn=reference_enumerate_t):
+    """``search_pipeline``'s loop over a reference enumeration, by default the
+    unfiltered per-assignment loop."""
     results = []
     for s_idx, S in enumerate(candidate_s(fr, pol)):
-        enum = reference_enumerate_t(S, max_order, pol)
+        enum = enumerate_fn(S, max_order, pol)
         for d_idx, (t, a_idx) in enumerate(zip(enum.diagonals, enum.assignments)):
             md = ModularData.from_matrices(S, t)
             if realizability_report(md, pol).passed and not any(
@@ -270,28 +352,37 @@ class TestEnumerateT:
         ("toric_code", 8, DEFAULT_POLICY),
         (4, 16, DEFAULT_POLICY),
         (5, 16, DEFAULT_POLICY),
-    ], ids=["trivial", "fibonacci", "ising", "ising-loose", "z3", "toric", "z4", "z5"])
+        *THREE_ORBIT_CASES,
+    ], ids=["trivial", "fibonacci", "ising", "ising-loose", "z3", "toric", "z4", "z5",
+            *THREE_ORBIT_IDS])
     def test_matches_per_assignment_loop(self, ring, max_order, pol):
-        # equal, bit for bit, to the reference on the Cauchy-admissible
-        # assignments; every reference entry dropped fails the report
-        if isinstance(ring, str):
-            ring = ring_of(ring)
-        elif isinstance(ring, int):
-            ring = pointed_ring(ring)
-        cands = candidate_s(ring, pol)
+        # equal, bit for bit, to the stacked screen over the full prefix
+        # product; outside the three-orbit cases, whose ~10^5-10^6
+        # assignments make the per-assignment loop take tens of seconds, both
+        # also equal that loop on the Cauchy-admissible assignments, and every
+        # loop entry dropped fails the report
+        cands = candidate_s(make_ring(ring), pol)
         assert cands
         roots = _roots_of_unity(max_order)
         for S in cands:
             got = enumerate_t(S, max_order, pol)
+            stacked = stacked_enumerate_t(S, max_order, pol)
+            assert got.assignments == stacked.assignments
+            assert (got.skipped, got.pruned) == (stacked.skipped, stacked.pruned)
+            assert len(got.diagonals) == len(stacked.diagonals)
+            for a, b in zip(got.diagonals, stacked.diagonals):
+                assert np.array_equal(a, b)  # bit for bit
+            if isinstance(ring, str) and ring in THREE_ORBIT_RINGS:
+                continue
+            n_orbits = len(_twist_orbits(S @ S, pol))
             want = reference_enumerate_t(S, max_order, pol)
             P = cauchy_primes(S)
-            n_orbits = len(_twist_orbits(S @ S, pol))
             ok = [admissible(a, n_orbits, roots, P) for a in want.assignments]
             assert got.assignments == [a for a, k in zip(want.assignments, ok) if k]
             kept = [t for t, k in zip(want.diagonals, ok) if k]
             assert len(got.diagonals) == len(kept)
             for a, b in zip(got.diagonals, kept):
-                assert np.array_equal(a, b)  # bit for bit
+                assert np.array_equal(a, b)
             dropped = len(set(want.assignments) - set(got.assignments))
             assert got.skipped == want.skipped + dropped
             n_admissible = sum(primes_of(r.denominator) <= P for r in roots)
@@ -304,6 +395,38 @@ class TestEnumerateT:
     def test_max_order_below_one_rejected(self, q):
         with pytest.raises(ValueError, match="max_order"):
             enumerate_t(np.array([[1.0 + 0j]]), q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([e.name for e in catalog()]), st.floats(0.0, 0.2),
+       st.lists(st.floats(-1.0, 1.0), min_size=15, max_size=15))
+def test_balancing_residual_within_bound(name, eps, offsets):
+    # twists moved off a modular datum by up to eps radians per orbit: every
+    # balancing residual stays within D n (1 + c_ij) times the measured
+    # deviation of (S W)^3 from lambda S^2, plus the prune's 1e-12 for
+    # rounding, and the prune's levels evaluate the same residuals
+    md = get_model(name).modular_data
+    S, n = md.S, md.rank
+    orbits = _twist_orbits(md.S2, DEFAULT_POLICY)
+    w = md.T / md.T[0]
+    w[0] = 1.0
+    conj = np.arange(n)
+    for orb, u in zip(orbits, offsets):
+        w[orb] *= np.exp(1j * eps * u)
+        conj[orb] = orb[::-1]
+    M = S * w[None, :]
+    M3 = M @ M @ M
+    eps_m = np.max(np.abs(M3 - M3[0, 0] / md.S2[0, 0] * md.S2))
+    N = verlinde_fusion(md)
+    D, d = 1 / S[0, 0], S[0] / S[0, 0]
+    R = D * S * np.outer(w, w) - np.einsum("ijk,k->ij", N[conj], d * w)
+    c = np.abs(S) @ (np.abs(S) / np.abs(S[0])).T
+    assert np.all(np.abs(R) <= abs(D) * n * (1 + c) * (eps_m + 1e-12))
+    pairs = []
+    for I, J, DS, coef, _ in _balancing_levels(S, N, orbits, 1.0):
+        assert np.allclose(DS * w[I] * w[J] - w @ coef, R[I, J], rtol=0, atol=1e-12)
+        pairs.extend(zip(I.tolist(), J.tolist()))
+    assert sorted(pairs) == [(i, j) for i in range(n) for j in range(n) if i or j]
 
 
 class TestSearchPipeline:
@@ -384,10 +507,8 @@ class TestSearchPipeline:
     def test_rank6_fibonacci_z3_regression(self):
         # Fibonacci x Z_3 at q=15: 3 twist orbits, 72^3 assignments for each
         # of the 2 S candidates; frozen by an exhaustive run
-        fib, z3 = ring_of("fibonacci"), ring_of("z3")
-        N = np.einsum("ace,bdf->abcdef", fib.N, z3.N).reshape(6, 6, 6)
         stats = {}
-        res = search_pipeline(FusionRing(rank=6, N=N), max_order=15, stats_out=stats)
+        res = search_pipeline(fib_z3_ring(), max_order=15, stats_out=stats)
         assert len(res) == 12
         assert len({r.provenance[:2] for r in res}) == 4
         assert stats == {"s_candidates": 2, "skipped_assignments": 746492,
@@ -395,6 +516,24 @@ class TestSearchPipeline:
         a, b = get_model("fibonacci").modular_data, get_model("z3").modular_data
         deligne = ModularData.from_matrices(np.kron(a.S, b.S), np.kron(a.T, b.T))
         assert any(r.md.approx_eq(deligne) for r in res)
+
+    @pytest.mark.parametrize("k, max_order, n_data, n_families, stats", [
+        (4, 24, 24, 8, (2, 2099519992, 2092023808, 24)),
+        (5, 28, 12, 4, (1, 829997587228, 829895187232, 12)),
+    ], ids=["su2_4", "su2_5"])
+    def test_su2_ring_regression(self, k, max_order, n_data, n_families, stats):
+        # four and five self-dual twist orbits: 180^4 and 242^5 assignments
+        # per S candidate; frozen from a run of the stacked screen over the
+        # full prefix product
+        got = {}
+        res = search_pipeline(su2_ring(k), max_order=max_order, stats_out=got)
+        assert len(res) == n_data
+        assert len({r.provenance[:2] for r in res}) == n_families
+        assert got == dict(zip(("s_candidates", "skipped_assignments", "pruned_assignments",
+                                "t_candidates"), stats))
+        # the twists of SU(2)_k itself, w_a = e^{2 pi i a(a+2)/(4(k+2))}
+        w = [turn(a * (a + 2), 4 * (k + 2)) for a in range(k + 1)]
+        assert any(np.max(np.abs(r.md.T / r.md.T[0] - w)) < 1e-9 for r in res)
 
     @pytest.mark.parametrize("ring, max_order, pol", [
         (TRIVIAL_RING, 4, DEFAULT_POLICY),
@@ -408,17 +547,17 @@ class TestSearchPipeline:
         (3, 16, DEFAULT_POLICY),
         (4, 16, DEFAULT_POLICY),
         (5, 16, DEFAULT_POLICY),
+        *THREE_ORBIT_CASES,
     ], ids=["trivial", "fibonacci", "ising", "ising-loose", "toric", "z3", "semion",
-            "z2", "z3-pointed", "z4", "z5"])
+            "z2", "z3-pointed", "z4", "z5", *THREE_ORBIT_IDS])
     def test_matches_unfiltered_reference(self, ring, max_order, pol):
-        # three-orbit rings (Fibonacci x Z_3, Z_6) are left out: the reference
-        # loop takes tens of seconds on their ~10^6 assignments
-        if isinstance(ring, str):
-            ring = ring_of(ring)
-        elif isinstance(ring, int):
-            ring = pointed_ring(ring)
+        # on the three-orbit cases the stacked screen stands in for the
+        # unfiltered loop, which takes tens of seconds there
+        enumerate_fn = (stacked_enumerate_t if isinstance(ring, str) and ring in THREE_ORBIT_RINGS
+                        else reference_enumerate_t)
+        ring = make_ring(ring)
         got = search_pipeline(ring, max_order=max_order, pol=pol)
-        want = reference_search(ring, max_order, pol)
+        want = reference_search(ring, max_order, pol, enumerate_fn)
         assert got
         assert [r.provenance for r in got] == [prov for _, prov in want]
         for r, (md, _) in zip(got, want):
