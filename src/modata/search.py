@@ -75,6 +75,7 @@ __all__ = [
 
 MAX_SEARCH_RANK = 6
 _SPLIT_TOL = 1e-8  # relative eigenvalue gap that splits a joint eigenspace
+_ROUNDING = 1e-12  # float noise allowed for in the twist screen and the balancing bound
 
 
 class FusionRingError(ValueError):
@@ -255,15 +256,22 @@ def _balancing_levels(S: np.ndarray, N: np.ndarray | None, orbits: list[list[int
     it involves w_i, w_j and each w_k with N^k_{ibar j} > 0, and w_0 = 1 is
     bound from the start.  An orbit's entry is (I, J, D S_IJ, the
     (n, #equations) matrix of d_k N^k_{ibar j}, beta_IJ) over the equations
-    whose last unbound twist lies on it.  No tensor, no equations.
+    whose last unbound twist lies on it.  Without a tensor, or when S is not
+    a unitary symmetric matrix with a real vacuum row whose square is the
+    duality of the orbits, there are no equations.
     """
-    if N is None:
-        return [(np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 3] * len(orbits)
     n = len(S)
     level, conj = np.full(n, -1), np.arange(n)
     for lv, orb in enumerate(orbits):
         level[orb] = lv
         conj[orb] = orb[::-1]
+    # the premises of the bound: S unitary and symmetric with a real vacuum
+    # row, and S^2 the duality of the orbits, all up to rounding
+    off = max(np.max(np.abs(S @ S.conj().T - np.eye(n))), np.max(np.abs(S - S.T)),
+              np.max(np.abs(S[0].imag)), np.max(np.abs(S @ S - np.eye(n)[conj])))
+    if N is None or off > _ROUNDING:
+        none = np.zeros(0, dtype=int)
+        return [(none, none, np.zeros(0), np.zeros((n, 0)), np.zeros(0))] * len(orbits)
     Nb = N[conj]  # Nb[i, j, k] = N^k_{ibar, j}
     absS = np.abs(S)
     D = 1.0 / S[0, 0]
@@ -316,9 +324,11 @@ def enumerate_t(S: np.ndarray, max_order: int,
     compares the data that pass its filter.
 
     Why the prune loses no row that ``_lift_t0`` accepts.  S is unitary
-    and symmetric, W = diag(w) has unimodular entries and commutes with
-    C = S^2 (w_ibar = w_i); float departures from this are covered by the
-    1e-12 in eps.  An accepted row has E = (S W)^3 - lambda S^2 with
+    and symmetric with a real vacuum row, as ``candidate_s`` builds it, and
+    W = diag(w) has unimodular entries and commutes with C = S^2
+    (w_ibar = w_i).  An S that departs from this by more than 1e-12 is
+    not pruned, and smaller float departures are covered by the 1e-12 in
+    eps.  An accepted row has E = (S W)^3 - lambda S^2 with
     max |E| <= eq_tol, within eps after rounding.
 
       1. The spectral norm of an n x n matrix is at most n times its
@@ -330,13 +340,14 @@ def enumerate_t(S: np.ndarray, max_order: int,
          right gives B = S W conj(S) - lambda conj(W) conj(S) conj(W).
          All factors are unitary, so ||A||, ||B|| <= n eps.
       3. Expand N^k_{ibar j} = sum_m conj(S_im) S_jm conj(S_km) / S_0m
-         (Verlinde; S_ibar,m = conj(S_im)).  With S_0k > 0,
+         (Verlinde; S_ibar,m = conj(S_im)), so that
          sum_k N^k_{ibar j} d_k w_k = D sum_m conj(S_im) S_jm
-         (S W conj(S))_0m / S_0m, and (S W conj(S))_0m =
-         lambda S_0m conj(w_m) + B_0m.  S conj(W) conj(S) is symmetric
-         because W commutes with C, so the lambda terms cancel against
-         the (i, j) entry of A: R_ij = D A_ij - D sum_m conj(S_im) S_jm
-         B_0m / S_0m, and |R_ij| <= D n eps (1 + c_ij) = beta_ij.
+         (S W conj(S))_0m / S_0m, and since S_0m is real,
+         (S W conj(S))_0m = lambda S_0m conj(w_m) + B_0m.
+         S conj(W) conj(S) is symmetric because W commutes with C, so the
+         lambda terms cancel against the (i, j) entry of A:
+         R_ij = D A_ij - D sum_m conj(S_im) S_jm B_0m / S_0m, and
+         |R_ij| <= D n eps (1 + c_ij) = beta_ij.
 
     So an accepted row satisfies every balancing equation within its bound
     and is never pruned.  With no ring tensor nothing is pruned.
@@ -357,7 +368,7 @@ def enumerate_t(S: np.ndarray, max_order: int,
     cube_roots = [phase_from_turns(Fraction(j, 3)) for j in range(3)]
     head, last = orbits[:-1], (orbits[-1] if orbits else [])
     width = len(keep) if orbits else 1  # rank 1: one all-ones row
-    screen_tol = 2 * pol.eq_tol + 1e-12
+    screen_tol = 2 * pol.eq_tol + _ROUNDING
     levels = _balancing_levels(S, N, orbits, screen_tol)
     diagonals: list[np.ndarray] = []
     assignment_ids: list[int] = []

@@ -391,6 +391,35 @@ class TestEnumerateT:
                 if not k:
                     assert not realizability_report(ModularData.from_matrices(S, t), pol).passed
 
+    def test_unrounded_verlinde_prunes_nothing(self):
+        # the Ising S is the reflection taking e_0 to its vacuum column u;
+        # with u moved by 1e-3 the relation holds within 4e-3 for w_psi = -1
+        # but the Verlinde sum misses integers by 5.7e-3, so there is no ring
+        # tensor, and neither the Cauchy filter nor the balancing walk over
+        # the two orbits may drop an assignment
+        u = np.array([0.5 + 1e-3, 2 ** -0.5, 0.5 - 1e-3])
+        v = np.array([1.0, 0.0, 0.0]) - u / np.linalg.norm(u)
+        S = (np.eye(3) - 2 * np.outer(v, v) / (v @ v)).astype(complex)
+        pol = TolerancePolicy(eq_tol=4e-3, int_tol=4e-3)
+        got = enumerate_t(S, 16, pol)
+        want = reference_enumerate_t(S, 16, pol)
+        assert got.diagonals and got.pruned == 0
+        assert (got.assignments, got.skipped) == (want.assignments, want.skipped)
+        assert all(np.array_equal(a, b) for a, b in zip(got.diagonals, want.diagonals))
+
+    @pytest.mark.parametrize("change", ["unitary", "symmetric", "vacuum_row"])
+    def test_balancing_needs_its_premises(self, change):
+        # the bound is proved for a unitary symmetric S with a real vacuum
+        # row; an S off any of these by more than rounding gets no equations
+        md = get_model("ising").modular_data
+        orbits = _twist_orbits(md.S2, DEFAULT_POLICY)
+        N = verlinde_fusion(md)
+        assert any(len(lv[0]) for lv in _balancing_levels(md.S, N, orbits, 1e-9))
+        S = {"unitary": md.S * (1 + 1e-9),
+             "symmetric": md.S + 1e-9 * np.triu(np.ones((3, 3)), 1),
+             "vacuum_row": md.S * np.exp(1e-9j)}[change]
+        assert not any(len(lv[0]) for lv in _balancing_levels(S, N, orbits, 1e-9))
+
     @pytest.mark.parametrize("q", [0, -5])
     def test_max_order_below_one_rejected(self, q):
         with pytest.raises(ValueError, match="max_order"):
