@@ -252,8 +252,8 @@ class TestRealizabilityCommandsAgree:
                                                 (("--tol", "0.01"), [1, 1.001])])
     def test_twists_off_the_unit_circle_within_tolerance(self, capsys, tmp_path,
                                                          flags, factors):
-        # validate passes these twists; the multiplicity pass and rmatrix's
-        # square roots used to reject them as "not a phase" with a traceback
+        # validate passes these twists, so the multiplicity pass and rmatrix's
+        # square roots must take their phases instead of rejecting them
         fib = get_model("fibonacci").modular_data
         path = tmp_path / "fib_modulus.json"
         save_modular_data(ModularData.from_matrices(fib.S, fib.T * np.array(factors),
