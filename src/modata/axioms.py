@@ -13,17 +13,19 @@
 
 All checks run even after a failure so one report carries the complete
 violation profile; each check records its maximum deviation in
-``report.measurements`` whether it passed or not.
+``report.measurements`` whether it passed or not.  Checks a, b, d, f and g
+and the dims half of h read S alone: they run once per S and policy, and
+data that share an S cache (see :mod:`modata.modular_data`) share them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO
+from typing import IO, NamedTuple
 
 import numpy as np
 
-from .modular_data import ModularData, _conjugation, _write_json, twists
+from .modular_data import ModularData, _s_conjugation, _write_json, twists
 from .numerics import DEFAULT_POLICY, TolerancePolicy
 
 __all__ = ["Diagnostic", "AxiomReport", "validate", "detect_convention"]
@@ -96,30 +98,119 @@ def make_report(diagnostics: list[Diagnostic], convention_note: str | None = Non
     )
 
 
-def validate(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> AxiomReport:
-    """Run the full axiom battery on md; never raises on bad math."""
-    S, T, n = md.S, md.T, md.rank
-    diags: list[Diagnostic] = []
-    meas: dict[str, float] = {}
+class _SChecks(NamedTuple):
+    """Checks a, b, d, f and g and the dims half of h: S alone decides them."""
 
-    def fail(check_id, indices, dev, message):
+    ab_diags: list[Diagnostic]
+    ab_meas: dict[str, float]
+    d_diags: list[Diagnostic]
+    d_meas: float
+    fg_diags: list[Diagnostic]
+    fg_meas: dict[str, float]
+    conj: np.ndarray | None  # the conjugation, when check d passes
+    dims_dev: float          # max |d_ibar - d_i|, with d_i = |S_0i|
+    dims_bad: np.ndarray     # per sector, |d_ibar - d_i| > eq_tol
+
+
+def _s_checks(md: ModularData, pol: TolerancePolicy) -> _SChecks:
+    S, n = md.S, md.rank
+    ab_diags: list[Diagnostic] = []
+    d_diags: list[Diagnostic] = []
+    fg_diags: list[Diagnostic] = []
+    ab_meas: dict[str, float] = {}
+    fg_meas: dict[str, float] = {}
+
+    def fail(diags, check_id, indices, dev, message):
         diags.append(Diagnostic(check_id, "error", tuple(indices), float(dev), message))
 
     # a. unitarity
     dev_u = np.abs(S @ S.conj().T - np.eye(n))
-    meas["s_unitary"] = float(np.max(dev_u))
-    if meas["s_unitary"] > pol.eq_tol:
+    ab_meas["s_unitary"] = float(np.max(dev_u))
+    if ab_meas["s_unitary"] > pol.eq_tol:
         i, j = np.unravel_index(int(np.argmax(dev_u)), dev_u.shape)
-        fail("s_unitary", [(int(i), int(j))], meas["s_unitary"],
-             f"S S* deviates from identity by {meas['s_unitary']:.3e}")
+        fail(ab_diags, "s_unitary", [(int(i), int(j))], ab_meas["s_unitary"],
+             f"S S* deviates from identity by {ab_meas['s_unitary']:.3e}")
 
     # b. symmetry
     dev_s = np.abs(S - S.T)
-    meas["s_symmetric"] = float(np.max(dev_s))
-    if meas["s_symmetric"] > pol.eq_tol:
+    ab_meas["s_symmetric"] = float(np.max(dev_s))
+    if ab_meas["s_symmetric"] > pol.eq_tol:
         i, j = np.unravel_index(int(np.argmax(dev_s)), dev_s.shape)
-        fail("s_symmetric", [(int(i), int(j))], meas["s_symmetric"],
+        fail(ab_diags, "s_symmetric", [(int(i), int(j))], ab_meas["s_symmetric"],
              f"S is not symmetric: entry ({i},{j})")
+
+    # d. S^2 is a conjugation
+    perm, row_dev, ok = md._s_fact(_s_conjugation, pol)
+    conj = perm if ok else None
+    conj_dev = float(np.max(row_dev))
+    if not ok:
+        fail(d_diags, "charge_conjugation", [tuple(int(x) for x in perm)], conj_dev,
+             "S^2 is not a vacuum-fixing involutive permutation")
+
+    # f. Verlinde integrality + vacuum fusion row
+    if np.min(np.abs(S[0, :])) > pol.eq_tol:
+        raw = md.verlinde_raw
+        rounded, dev_v = md._s.verlinde_rounded
+        neg = rounded < 0
+        fg_meas["verlinde_integrality"] = float(np.max(dev_v))
+        if fg_meas["verlinde_integrality"] > pol.int_tol or np.any(neg):
+            bad = np.argwhere((dev_v > pol.int_tol) | neg)
+            fail(fg_diags, "verlinde_integrality",
+                 [tuple(int(x) for x in t) for t in bad[:8]],
+                 fg_meas["verlinde_integrality"],
+                 f"{len(bad)} fusion entries fail integrality/nonnegativity")
+        if conj is not None:
+            expected = np.zeros((n, n), dtype=int)
+            expected[np.arange(n), conj] = 1
+            dev_n0 = np.abs(raw[:, :, 0] - expected)
+            fg_meas["vacuum_fusion"] = float(np.max(dev_n0))
+            if fg_meas["vacuum_fusion"] > pol.int_tol:
+                bad = np.argwhere(dev_n0 > pol.int_tol)
+                fail(fg_diags, "vacuum_fusion", [tuple(int(x) for x in t) for t in bad[:8]],
+                     fg_meas["vacuum_fusion"],
+                     "N^0_{i,j} != delta_{j, ibar}")
+    else:
+        fg_meas["verlinde_integrality"] = float("inf")
+        fail(fg_diags, "verlinde_integrality", [], 1.0,
+             "vanishing S_{0,r}: Verlinde sum undefined")
+
+    # g. first row positive, dims >= 1
+    row0 = S[0, :]
+    dev_imag = float(np.max(np.abs(row0.imag)))
+    shortfall = float(np.max(np.maximum(0.0, -row0.real)))
+    fg_meas["dims_row"] = max(dev_imag, shortfall)
+    if dev_imag > pol.eq_tol or np.any(row0.real <= 0):
+        bad = [(int(i),) for i in np.argwhere(
+            (np.abs(row0.imag) > pol.eq_tol) | (row0.real <= 0)).ravel()]
+        fail(fg_diags, "dims_row", bad, max(fg_meas["dims_row"], pol.eq_tol),
+             "S_{0,i} must be real and > 0")
+    else:
+        d = (row0 / row0[0]).real
+        short = 1.0 - float(np.min(d))
+        fg_meas["dims_row"] = max(fg_meas["dims_row"], max(0.0, short))
+        if np.any(d < 1.0 - pol.int_tol):
+            bad = [(int(i),) for i in np.argwhere(d < 1.0 - pol.int_tol).ravel()]
+            fail(fg_diags, "dims_row", bad, fg_meas["dims_row"], "quantum dimension below 1")
+
+    # h, dims half: conjugate sectors have equal dims
+    dims_dev, dims_bad = 0.0, np.zeros(n, dtype=bool)
+    if conj is not None:
+        d_row = np.abs(S[0, :])
+        dims_gap = np.abs(d_row[conj] - d_row)
+        dims_dev, dims_bad = float(np.max(dims_gap)), dims_gap > pol.eq_tol
+    return _SChecks(ab_diags, ab_meas, d_diags, conj_dev, fg_diags, fg_meas, conj,
+                    dims_dev, dims_bad)
+
+
+def validate(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> AxiomReport:
+    """Run the full axiom battery on md; never raises on bad math."""
+    T = md.T
+    s = md._s_fact(_s_checks, pol)
+    diags: list[Diagnostic] = list(s.ab_diags)
+    meas: dict[str, float] = dict(s.ab_meas)
+
+    def fail(check_id, indices, dev, message):
+        diags.append(Diagnostic(check_id, "error", tuple(indices), float(dev), message))
 
     # c. T unimodular
     dev_t = np.abs(np.abs(T) - 1.0)
@@ -130,12 +221,8 @@ def validate(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> AxiomRep
              f"|T_{i}| = {abs(T[i]):.12g} is not 1")
 
     # d. S^2 is a conjugation
-    perm, row_dev, ok = _conjugation(md.S2, pol)
-    conj = perm if ok else None
-    meas["charge_conjugation"] = float(np.max(row_dev))
-    if not ok:
-        fail("charge_conjugation", [tuple(int(x) for x in perm)], meas["charge_conjugation"],
-             "S^2 is not a vacuum-fixing involutive permutation")
+    diags.extend(s.d_diags)
+    meas["charge_conjugation"] = s.d_meas
 
     # e. (S T)^3 = C, compared against S^2 itself so it stays meaningful
     #    even when (d) failed
@@ -146,62 +233,19 @@ def validate(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> AxiomRep
         fail("st_cubed", [(int(i), int(j))], meas["st_cubed"],
              f"(S T)^3 differs from S^2 by {meas['st_cubed']:.3e} at ({i},{j})")
 
-    # f. Verlinde integrality + vacuum fusion row
-    if np.min(np.abs(S[0, :])) > pol.eq_tol:
-        raw = md.verlinde_raw
-        rounded = np.rint(raw.real).astype(int)
-        dev_v = np.abs(raw - rounded)
-        neg = rounded < 0
-        meas["verlinde_integrality"] = float(np.max(dev_v))
-        if meas["verlinde_integrality"] > pol.int_tol or np.any(neg):
-            bad = np.argwhere((dev_v > pol.int_tol) | neg)
-            fail("verlinde_integrality",
-                 [tuple(int(x) for x in t) for t in bad[:8]],
-                 meas["verlinde_integrality"],
-                 f"{len(bad)} fusion entries fail integrality/nonnegativity")
-        if conj is not None:
-            expected = np.zeros((n, n), dtype=int)
-            expected[np.arange(n), conj] = 1
-            dev_n0 = np.abs(raw[:, :, 0] - expected)
-            meas["vacuum_fusion"] = float(np.max(dev_n0))
-            if meas["vacuum_fusion"] > pol.int_tol:
-                bad = np.argwhere(dev_n0 > pol.int_tol)
-                fail("vacuum_fusion", [tuple(int(x) for x in t) for t in bad[:8]],
-                     meas["vacuum_fusion"],
-                     "N^0_{i,j} != delta_{j, ibar}")
-    else:
-        meas["verlinde_integrality"] = float("inf")
-        fail("verlinde_integrality", [], 1.0, "vanishing S_{0,r}: Verlinde sum undefined")
-
-    # g. first row positive, dims >= 1
-    row0 = S[0, :]
-    dev_imag = float(np.max(np.abs(row0.imag)))
-    shortfall = float(np.max(np.maximum(0.0, -row0.real)))
-    meas["dims_row"] = max(dev_imag, shortfall)
-    if dev_imag > pol.eq_tol or np.any(row0.real <= 0):
-        bad = [(int(i),) for i in np.argwhere(
-            (np.abs(row0.imag) > pol.eq_tol) | (row0.real <= 0)).ravel()]
-        fail("dims_row", bad, max(meas["dims_row"], pol.eq_tol),
-             "S_{0,i} must be real and > 0")
-    else:
-        d = (row0 / row0[0]).real
-        short = 1.0 - float(np.min(d))
-        meas["dims_row"] = max(meas["dims_row"], max(0.0, short))
-        if np.any(d < 1.0 - pol.int_tol):
-            bad = [(int(i),) for i in np.argwhere(d < 1.0 - pol.int_tol).ravel()]
-            fail("dims_row", bad, meas["dims_row"], "quantum dimension below 1")
+    # f. Verlinde integrality + vacuum fusion row; g. dims row
+    diags.extend(s.fg_diags)
+    meas.update(s.fg_meas)
 
     # h. conjugate symmetry of twists and dims
+    conj = s.conj
     if conj is not None:
         w = twists(md)
         dev_w = float(np.max(np.abs(w[conj] - w)))
-        d_row = np.abs(S[0, :])
-        dev_d = float(np.max(np.abs(d_row[conj] - d_row)))
-        meas["conjugate_symmetry"] = max(dev_w, dev_d)
+        meas["conjugate_symmetry"] = max(dev_w, s.dims_dev)
         if meas["conjugate_symmetry"] > pol.eq_tol:
-            bad = [(int(i),) for i in range(n)
-                   if abs(w[conj[i]] - w[i]) > pol.eq_tol
-                   or abs(d_row[conj[i]] - d_row[i]) > pol.eq_tol]
+            bad = [(int(i),) for i in range(md.rank)
+                   if abs(w[conj[i]] - w[i]) > pol.eq_tol or s.dims_bad[i]]
             fail("conjugate_symmetry", bad, meas["conjugate_symmetry"],
                  "twists/dims differ between conjugate sectors")
 

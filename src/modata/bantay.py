@@ -38,8 +38,8 @@ from typing import Callable
 import numpy as np
 
 from .axioms import AxiomReport, Diagnostic, make_report, validate
-from .modular_data import (DerivedData, InvalidModularData, ModularData, _casimir_det,
-                           _prime_support, _readonly, derive)
+from .modular_data import (DerivedData, InvalidModularData, ModularData, _prime_support,
+                           _readonly, derive)
 from .numerics import DEFAULT_POLICY, TolerancePolicy, principal_sqrt, turns_fraction
 
 __all__ = [
@@ -281,9 +281,9 @@ def eigen_multiplicities(md: ModularData, dd: DerivedData, tt: TraceTable,
 # Cauchy theorem
 # ---------------------------------------------------------------------------
 
-def _cauchy_diagnostics(dd: DerivedData, pol: TolerancePolicy):
+def _cauchy_diagnostics(dd: DerivedData, det: int, pol: TolerancePolicy):
     """(primes in the symmetric difference, diagnostics) of primes(det K) and
-    primes(ord T), with K = sum_i N_i N_ibar.
+    primes(ord T), with K = sum_i N_i N_ibar over dd.fusion and det = det K.
 
     A twist that is no root of unity of order <= 240 leaves ord T unknown:
     that is a warning, since SU(2)_k has ord T = 4(k+2) > 240 for k >= 59.
@@ -295,7 +295,6 @@ def _cauchy_diagnostics(dd: DerivedData, pol: TolerancePolicy):
             "cauchy", "warning", tuple(unknown), 0.0,
             "twist order unknown: no root of unity of order <= 240; "
             "the Cauchy theorem is not checked")]
-    det = _casimir_det(dd.fusion)
     if det == 0:  # K >= N_0 N_0^t = 1 on a fusion ring, so det K >= 1 there
         return 1.0, [Diagnostic("cauchy", "error", (), 1.0,
                                 "Cauchy theorem violated: det K = 0")]
@@ -335,7 +334,7 @@ def _realizability_pass(md: ModularData, base: AxiomReport, pol: TolerancePolicy
             diags.append(Diagnostic("derivation", "error", (), 0.0, str(exc)))
         return make_report(diags, base.convention_note, meas), None
 
-    meas["cauchy"], cauchy_diags = _cauchy_diagnostics(dd, pol)
+    meas["cauchy"], cauchy_diags = _cauchy_diagnostics(dd, md._s.casimir_det, pol)
     diags.extend(cauchy_diags)
 
     tau, trace_diags = _trace_diagnostics(md, dd, pol)

@@ -1,9 +1,14 @@
 """Modular data {rank, labels, S, T} and everything derived from it.
 
 This module is the single home of every quantity derived from S and T.
-S^2, (S T)^3 and the raw Verlinde tensor are computed once per ModularData,
-on first use, and cached read-only; the conjugation permutation and the
-cube-root lift of T each have one private helper here.
+Each is computed on first use and cached read-only.  What S alone decides
+lives in a private cache that a datum shares with every datum made from it
+by ``_with_t``, so the T candidates of one S compute it once: S^2, the raw
+Verlinde tensor and its rounding, det K, the conjugation, and, per
+TolerancePolicy, ``derive``'s S half and the S-only axiom checks of
+:mod:`modata.axioms`.  (S T)^3 and everything else that reads T is cached
+on the datum alone.  The conjugation permutation and the cube-root lift of
+T each have one private helper here.
 
 Conventions fixed here and used everywhere else:
   * index 0 is the vacuum; files whose vacuum sits elsewhere are rejected
@@ -61,6 +66,39 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _SFacts:
+    """What S alone decides, shared by every datum made with ``_with_t``.
+
+    The cached properties hold under every policy; ``ModularData._s_fact``
+    keeps one result per (function, TolerancePolicy) in ``memo``.
+    """
+
+    def __init__(self, S: np.ndarray):
+        self.S = S
+        self.memo: dict = {}
+
+    @cached_property
+    def S2(self) -> np.ndarray:
+        return _readonly(self.S @ self.S)
+
+    @cached_property
+    def verlinde_raw(self) -> np.ndarray:
+        S = self.S
+        return _readonly(np.einsum("ir,jr,kr->ijk", S, S, np.conj(S) / S[0, :][None, :]))
+
+    @cached_property
+    def verlinde_rounded(self) -> tuple[np.ndarray, np.ndarray]:
+        """(nearest integers, distance from them) of the Verlinde sum."""
+        raw = self.verlinde_raw
+        rounded = np.rint(raw.real).astype(int)
+        return _readonly(rounded), _readonly(np.abs(raw - rounded))
+
+    @cached_property
+    def casimir_det(self) -> int:
+        """det K over the rounded Verlinde tensor; meaningful once it is a ring."""
+        return _casimir_det(self.verlinde_rounded[0])
+
+
 @dataclass(frozen=True)
 class ModularData:
     """The S and T matrices of a candidate modular category.
@@ -92,6 +130,21 @@ class ModularData:
         object.__setattr__(self, "S", _readonly(S))
         object.__setattr__(self, "T", _readonly(T))
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_s", _SFacts(S))
+
+    def _with_t(self, T) -> "ModularData":
+        """The datum (S, T) with these labels, sharing this datum's S cache."""
+        md = ModularData(rank=self.rank, labels=self.labels, S=self.S, T=T)
+        object.__setattr__(md, "_s", self._s)
+        return md
+
+    def _s_fact(self, fn, pol: TolerancePolicy):
+        """fn(self, pol), computed once per S cache, fn and pol; fn reads S only."""
+        memo = self._s.memo
+        key = (fn, pol)
+        if key not in memo:
+            memo[key] = fn(self, pol)
+        return memo[key]
 
     @classmethod
     def from_matrices(cls, S, T, labels=None) -> "ModularData":
@@ -101,10 +154,10 @@ class ModularData:
             labels = tuple(str(i) for i in range(rank))
         return cls(rank=rank, labels=tuple(labels), S=np.asarray(S, dtype=complex), T=T)
 
-    @cached_property
+    @property
     def S2(self) -> np.ndarray:
         """S @ S, which a modular S makes the charge-conjugation matrix."""
-        return _readonly(self.S @ self.S)
+        return self._s.S2
 
     @cached_property
     def ST_cubed(self) -> np.ndarray:
@@ -112,11 +165,10 @@ class ModularData:
         ST = self.S * self.T[None, :]
         return _readonly(ST @ ST @ ST)
 
-    @cached_property
+    @property
     def verlinde_raw(self) -> np.ndarray:
         """Unrounded Verlinde sum [i, j, k]; callers first check no S_{0,r} vanishes."""
-        S = self.S
-        return _readonly(np.einsum("ir,jr,kr->ijk", S, S, np.conj(S) / S[0, :][None, :]))
+        return self._s.verlinde_raw
 
     def approx_eq(self, other: "ModularData", pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
         """Entrywise equality of S and T within eq_tol (labels ignored)."""
@@ -197,13 +249,19 @@ def _conjugation(S2: np.ndarray, pol: TolerancePolicy):
     return perm, dev, ok
 
 
+def _s_conjugation(md: ModularData, pol: TolerancePolicy):
+    """``_conjugation`` of S^2, kept once per S and policy by ``_s_fact``."""
+    perm, dev, ok = _conjugation(md.S2, pol)
+    return _readonly(perm), _readonly(dev), ok
+
+
 def charge_conjugation(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """The permutation C = S^2 pairing each sector with its dual.
 
     Each row of S^2 must be a 0/1 unit row within eq_tol; C must be an
     involution fixing the vacuum.
     """
-    perm, dev, ok = _conjugation(md.S2, pol)
+    perm, dev, ok = md._s_fact(_s_conjugation, pol)
     bad = np.flatnonzero(dev > pol.eq_tol)
     if len(bad):
         raise InvalidModularData(
@@ -212,7 +270,7 @@ def charge_conjugation(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -
         )
     if not ok:
         raise InvalidModularData("not modular: S^2 is not an involution fixing 0")
-    return perm
+    return perm.copy()
 
 
 def verlinde_fusion(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -222,9 +280,7 @@ def verlinde_fusion(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> n
     """
     if np.any(np.abs(md.S[0, :]) <= pol.eq_tol):
         raise InvalidModularData("Verlinde integrality violation: vanishing S_{0,r}")
-    raw = md.verlinde_raw
-    rounded = np.rint(raw.real).astype(int)
-    dev = np.abs(raw - rounded)
+    rounded, dev = md._s.verlinde_rounded
     if np.max(dev) > pol.int_tol or np.any(rounded < 0):
         bad = np.argwhere((dev > pol.int_tol) | (rounded < 0))
         triples = [tuple(int(x) for x in t) for t in bad[:5]]
@@ -232,7 +288,7 @@ def verlinde_fusion(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> n
             f"Verlinde integrality violation at (i,j,k) in {triples} "
             f"(max deviation {np.max(dev):.3e})"
         )
-    return rounded
+    return rounded.copy()
 
 
 def _casimir_det(N: np.ndarray) -> int:
@@ -276,21 +332,36 @@ def _lift_t0(S: np.ndarray, S2: np.ndarray, w: np.ndarray, pol: TolerancePolicy)
     M = S * w[None, :]
     M3 = M @ M @ M
     lam = M3[0, 0] / S2[0, 0]
-    if np.max(np.abs(M3 - lam * S2)) > pol.eq_tol:
-        return None
+    if np.max(np.abs(M3 - lam * S2)) > pol.eq_tol or abs(abs(lam) - 1.0) > pol.eq_tol:
+        return None  # a lambda off the unit circle has no unimodular cube root
     return 1.0 / principal_root(lam, 3, pol)
+
+
+def _derive_s(md: ModularData, pol: TolerancePolicy):
+    """derive's S half: (dims, conj, fusion, total dimension, None) or, when a
+    step fails, (the dims or None if they failed, None, None, None, its message)."""
+    d = None
+    try:
+        d = dims(md, pol)
+        conj = charge_conjugation(md, pol)
+        fusion = verlinde_fusion(md, pol)
+        s00 = md.S[0, 0]
+        if abs(s00.imag) > pol.eq_tol or s00.real <= 0:
+            raise InvalidModularData(f"S_0,0 = {s00} is not real positive")
+    except InvalidModularData as exc:
+        return d, None, None, None, str(exc)
+    return d, conj, fusion, 1.0 / s00.real, None
 
 
 def derive(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> DerivedData:
     """Bundle dims, twists, conjugation, fusion and the total dimension."""
-    d = dims(md, pol)
-    w = twists(md)
-    conj = charge_conjugation(md, pol)
-    fusion = verlinde_fusion(md, pol)
-    s00 = md.S[0, 0]
-    if abs(s00.imag) > pol.eq_tol or s00.real <= 0:
-        raise InvalidModularData(f"S_0,0 = {s00} is not real positive")
-    return DerivedData(dims=d, twists=w, conj=conj, fusion=fusion, total_dim=1.0 / s00.real)
+    d, conj, fusion, total_dim, error = md._s_fact(_derive_s, pol)
+    if d is None:
+        raise InvalidModularData(error)
+    w = twists(md)  # the steps keep their order (dims, twists, the rest) and so their warnings
+    if error is not None:
+        raise InvalidModularData(error)
+    return DerivedData(dims=d, twists=w, conj=conj, fusion=fusion, total_dim=total_dim)
 
 
 # ---------------------------------------------------------------------------

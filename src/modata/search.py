@@ -28,9 +28,16 @@ Pipeline:
      lifted by the same per-assignment test, so the kept set is exact.
   3. ``search_pipeline`` runs the axiom battery and the trace-realizability
      report on every candidate, one at a time, and keeps the passes in
-     provenance order.  A pass equal to an already kept result in both S
-     and T within eq_tol is dropped; that (S, T) check is the search's only
-     dedup.
+     provenance order.  It makes one datum per S candidate and every T
+     candidate from it with ``ModularData._with_t``, so what S alone decides
+     (unitarity, symmetry, conjugation, Verlinde rounding, the dimension row,
+     det K; see :mod:`modata.modular_data`) is computed once per S, and each
+     report computes only its T half.  A pass equal to an already kept result
+     in both S and T within eq_tol is dropped; that (S, T) check is the
+     search's only dedup.  Only results of the same S can be equal, since
+     two S candidates differ by at least 0.577 in some entry
+     (``candidate_s``), more than any eq_tol, so a pass is compared with
+     those alone, in one array operation over their T.
 
 The pipeline enumerates admissible modular data; whether two realizations
 of the same data are equivalent categories is out of its scope.
@@ -39,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -216,9 +224,11 @@ def candidate_s(fr: FusionRing, pol: TolerancePolicy = DEFAULT_POLICY) -> list[n
 # candidate T diagonals
 # ---------------------------------------------------------------------------
 
-def _roots_of_unity(max_order: int) -> list[Fraction]:
-    return sorted({Fraction(p, q) for q in range(1, max_order + 1)
-                   for p in range(q) if math.gcd(p, q) == 1})
+@lru_cache(maxsize=8)
+def _roots_of_unity(max_order: int) -> tuple[Fraction, ...]:
+    """The turns p/q in [0, 1) with q <= max_order, sorted; built once per max_order."""
+    return tuple(sorted({Fraction(p, q) for q in range(1, max_order + 1)
+                         for p in range(q) if math.gcd(p, q) == 1}))
 
 
 def _twist_orbits(S2: np.ndarray, pol: TolerancePolicy) -> list[list[int]]:
@@ -235,7 +245,7 @@ def _twist_orbits(S2: np.ndarray, pol: TolerancePolicy) -> list[list[int]]:
     return orbits
 
 
-def _cauchy_roots(N: np.ndarray | None, roots: list[Fraction]) -> list[int]:
+def _cauchy_roots(N: np.ndarray | None, roots: tuple[Fraction, ...]) -> list[int]:
     """Indices of the roots whose order has only primes dividing det K.
 
     K = sum_i N_i N_ibar is formed from the ring tensor N; without one (a
@@ -418,7 +428,9 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
     One serial loop over the S candidates and their T diagonals: each
     datum is filtered by ``realizability_report`` and a pass is kept unless
     it equals an already kept result in both S and T within eq_tol, the
-    search's only dedup.  Results therefore come out ordered by provenance
+    search's only dedup.  The data of one S candidate share its S cache, and
+    a pass is compared with the kept results of its own S only (see the
+    module docstring).  Results therefore come out ordered by provenance
     (S candidate, twist assignment, cube root).  Pass a dict as
     ``stats_out`` to receive the candidate, skip and prune counters.  ``max_order``
     must be at least 1.
@@ -426,6 +438,7 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
     results: list[SearchResult] = []
+    with_results: list[ModularData] = []  # the S data that gave a result
     n_candidates = n_skipped = n_pruned = n_diagonals = 0
     for s_idx, S in enumerate(candidate_s(fr, pol)):
         n_candidates += 1
@@ -433,19 +446,25 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
         n_skipped += enum.skipped
         n_pruned += enum.pruned
         n_diagonals += len(enum.diagonals)
+        s_md = ModularData.from_matrices(S, np.ones(len(S)))
+        kept_t: list[np.ndarray] = []  # T of the results of this S
         # the three cube-root lifts of an assignment are emitted consecutively
         for d_idx, (t_diag, a_idx) in enumerate(zip(enum.diagonals, enum.assignments)):
-            md = ModularData.from_matrices(S, t_diag)
+            md = s_md._with_t(t_diag)
             rep = realizability_report(md, pol)  # runs the axiom battery first
-            if rep.passed and not any(md.approx_eq(kept.md, pol) for kept in results):
+            if rep.passed and not (kept_t and np.any(
+                    np.max(np.abs(md.T - np.array(kept_t)), axis=1) <= pol.eq_tol)):
                 results.append(SearchResult(md=md, report=rep,
                                             provenance=(s_idx, a_idx, d_idx % 3)))
+                kept_t.append(md.T)
+        if kept_t:
+            with_results.append(s_md)
     if stats_out is not None:
         stats_out.update(s_candidates=n_candidates, skipped_assignments=n_skipped,
                          pruned_assignments=n_pruned, t_candidates=n_diagonals)
-    # every winner must reproduce the ring it came from
-    for res in results:
-        if not np.array_equal(verlinde_fusion(res.md, pol), fr.N):
+    # every winner must reproduce the ring it came from; its S alone decides that
+    for s_md in with_results:
+        if not np.array_equal(verlinde_fusion(s_md, pol), fr.N):
             raise FusionRingError("internal error: result does not reproduce the fusion ring")
     return results
 

@@ -21,7 +21,7 @@ from modata import (
     validate,
 )
 from modata.bantay import TraceTable, _cauchy_diagnostics
-from modata.modular_data import DerivedData
+from modata.modular_data import DerivedData, _casimir_det
 from modata.numerics import DEFAULT_POLICY, phase_from_turns
 
 TRIVIAL = ModularData.from_matrices([[1.0]], [1.0])
@@ -291,6 +291,6 @@ class TestCauchyCheck:
         dd = DerivedData(dims=np.ones(2), twists=np.array([1.0, -1.0]),
                          conj=np.arange(2), fusion=np.zeros((2, 2, 2), dtype=int),
                          total_dim=1.0)
-        measured, diags = _cauchy_diagnostics(dd, DEFAULT_POLICY)
+        measured, diags = _cauchy_diagnostics(dd, _casimir_det(dd.fusion), DEFAULT_POLICY)
         assert measured == 1.0
         assert [(d.check_id, d.severity) for d in diags] == [("cauchy", "error")]

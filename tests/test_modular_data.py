@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from modata import (
     verlinde_fusion,
 )
 from modata.modular_data import _casimir_det
-from modata.numerics import TolerancePolicy
+from modata.numerics import DEFAULT_POLICY, TolerancePolicy, phase_from_turns
 
 TRIVIAL = ModularData.from_matrices([[1.0]], [1.0])
 
@@ -246,8 +247,9 @@ class TestFileFormat:
 
 
 class TestDerivedCache:
-    """S^2, (S T)^3 and the Verlinde tensor are cached on the instance; the
-    cache must hold nothing that depends on the tolerance it was filled under."""
+    """S^2, (S T)^3 and the Verlinde tensor are cached on the instance, the
+    first and last in the S cache that ``_with_t`` shares; what the S cache
+    holds per policy must be keyed by it, and nothing that reads T may be in it."""
 
     CACHED = ("S2", "ST_cubed", "verlinde_raw")
 
@@ -273,6 +275,40 @@ class TestDerivedCache:
             for check in (validate, realizability_report):
                 got = json.dumps(check(md).to_json_dict())
                 assert got == json.dumps(check(fresh).to_json_dict()), (md.labels, check)
+
+    @staticmethod
+    def assert_fresh_reports(md, pol=DEFAULT_POLICY):
+        fresh = ModularData.from_matrices(md.S, md.T, md.labels)
+        for check in (validate, realizability_report):
+            got = json.dumps(check(md, pol).to_json_dict())
+            assert got == json.dumps(check(fresh, pol).to_json_dict()), (md.labels, check)
+
+    def test_twisted_control_shares_no_t_quantity(self, entries):
+        # the control shares the catalog datum's S cache and must fail
+        # st_cubed, so (S T)^3 and every other T quantity is its own
+        for e in entries:
+            if e.md.rank == 1:
+                continue
+            T = e.md.T.copy()
+            T[-1] *= phase_from_turns(Fraction(1, 12))
+            realizability_report(e.md)  # fill the S cache
+            control = e.md._with_t(T)
+            assert control._s is e.md._s
+            self.assert_fresh_reports(e.md)
+            self.assert_fresh_reports(control)
+            assert "st_cubed" in {d.check_id for d in validate(control).errors()}, e.name
+
+    def test_s_checks_are_kept_per_policy(self):
+        # S moved by 1e-7 fails unitarity under the default policy and passes
+        # under the loose one; the reports on data sharing one S cache must
+        # be the fresh ones of each policy, in either order
+        ising = get_model("ising").modular_data
+        A = np.random.default_rng(0).standard_normal((3, 3))
+        md = ModularData.from_matrices(ising.S + 1e-7 * (A + A.T) / 2, ising.T)
+        loose = TolerancePolicy(eq_tol=1e-6, int_tol=1e-6)
+        assert not validate(md).passed and realizability_report(md, loose).passed
+        for pol in (DEFAULT_POLICY, loose, DEFAULT_POLICY):
+            self.assert_fresh_reports(md._with_t(ising.T), pol)
 
     def test_cached_arrays_are_read_only_and_computed_once(self, entries, bad_ising_file):
         for md in self.instances(entries, bad_ising_file):

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 from fractions import Fraction
 from itertools import product
@@ -171,15 +172,16 @@ def admissible(a_idx, n_orbits, roots, P):
 
 def reference_search(fr, max_order, pol=DEFAULT_POLICY, enumerate_fn=reference_enumerate_t):
     """``search_pipeline``'s loop over a reference enumeration, by default the
-    unfiltered per-assignment loop."""
+    unfiltered per-assignment loop, with a fresh datum per candidate and the
+    dedup against every kept result: [(md, report, provenance)]."""
     results = []
     for s_idx, S in enumerate(candidate_s(fr, pol)):
         enum = enumerate_fn(S, max_order, pol)
         for d_idx, (t, a_idx) in enumerate(zip(enum.diagonals, enum.assignments)):
             md = ModularData.from_matrices(S, t)
-            if realizability_report(md, pol).passed and not any(
-                    md.approx_eq(kept[0], pol) for kept in results):
-                results.append((md, (s_idx, a_idx, d_idx % 3)))
+            report = realizability_report(md, pol)
+            if report.passed and not any(md.approx_eq(kept[0], pol) for kept in results):
+                results.append((md, report, (s_idx, a_idx, d_idx % 3)))
     return results
 
 
@@ -425,6 +427,19 @@ class TestEnumerateT:
         with pytest.raises(ValueError, match="max_order"):
             enumerate_t(np.array([[1.0 + 0j]]), q)
 
+    def test_scalar_off_the_unit_circle_gives_no_diagonal(self):
+        # (c S W)^3 = c lambda (c S)^2 holds whenever (S W)^3 = lambda S^2,
+        # but with |c lambda| = 1.001 no unimodular T_0 lifts the relation
+        S = 1.001 * get_model("ising").modular_data.S
+        got = enumerate_t(S, 8)
+        assert got.diagonals == [] and got.assignments == []
+        assert got.skipped == len(_roots_of_unity(8)) ** 2
+
+    def test_root_list_built_once(self):
+        roots = _roots_of_unity(32)
+        assert isinstance(roots, tuple) and _roots_of_unity(32) is roots
+        assert roots == tuple(sorted({Fraction(p, q) for q in range(1, 33) for p in range(q)}))
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([e.name for e in catalog()]), st.floats(0.0, 0.2),
@@ -588,9 +603,11 @@ class TestSearchPipeline:
         got = search_pipeline(ring, max_order=max_order, pol=pol)
         want = reference_search(ring, max_order, pol, enumerate_fn)
         assert got
-        assert [r.provenance for r in got] == [prov for _, prov in want]
-        for r, (md, _) in zip(got, want):
+        assert [r.provenance for r in got] == [prov for _, _, prov in want]
+        for r, (md, report, _) in zip(got, want):
             assert np.array_equal(r.md.S, md.S) and np.array_equal(r.md.T, md.T)
+            # the report on a datum sharing its S cache equals the fresh one
+            assert json.dumps(r.report.to_json_dict()) == json.dumps(report.to_json_dict())
 
     def test_deterministic_ordering(self):
         fr = ring_of("fibonacci")
