@@ -237,15 +237,19 @@ def validate(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> AxiomRep
     diags.extend(s.fg_diags)
     meas.update(s.fg_meas)
 
-    # h. conjugate symmetry of twists and dims
+    # h. conjugate symmetry of twists and dims; with T_0 vanishing (c failed)
+    #    the twists T_i/T_0 are undefined and only the dims are compared
     conj = s.conj
     if conj is not None:
-        w = twists(md)
-        dev_w = float(np.max(np.abs(w[conj] - w)))
-        meas["conjugate_symmetry"] = max(dev_w, s.dims_dev)
+        if abs(T[0]) > pol.eq_tol:
+            w = twists(md)
+            gap_w = np.abs(w[conj] - w)
+        else:
+            gap_w = np.zeros(md.rank)
+        meas["conjugate_symmetry"] = max(float(np.max(gap_w)), s.dims_dev)
         if meas["conjugate_symmetry"] > pol.eq_tol:
             bad = [(int(i),) for i in range(md.rank)
-                   if abs(w[conj[i]] - w[i]) > pol.eq_tol or s.dims_bad[i]]
+                   if gap_w[i] > pol.eq_tol or s.dims_bad[i]]
             fail("conjugate_symmetry", bad, meas["conjugate_symmetry"],
                  "twists/dims differ between conjugate sectors")
 

@@ -163,12 +163,23 @@ def trace_table(md: ModularData, dd: DerivedData,
 # Frobenius-Schur indicators
 # ---------------------------------------------------------------------------
 
+def _fs_sums(S0: np.ndarray, N: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The direct FS sums nu_i = sum_{r,s} S[r,0] S[s,0] N^i_{r,s} w_r^2/w_s^2
+    for twists W of shape (..., n), one row of sums per row of twists.
+
+    S0 is the vacuum column S[:, 0] and N[r, s, i] = N^i_{r,s}.  Each sum
+    runs over the contiguous last n^2 axis, as np.sum over one (r, s) plane
+    does, so a stacked row equals its own one-row call bit for bit.
+    """
+    n = len(S0)
+    W2 = np.asarray(W) ** 2
+    pref = (S0 * W2)[..., :, None] * (S0 / W2)[..., None, :]  # [..., r, s]
+    terms = np.ascontiguousarray(N.transpose(2, 0, 1)) * pref[..., None, :, :]
+    return terms.reshape(*pref.shape[:-2], n, n * n).sum(axis=-1)
+
+
 def _fs_sum(md: ModularData, dd: DerivedData) -> np.ndarray:
-    S = md.S
-    w2 = dd.twists ** 2
-    N = dd.fusion
-    pref = np.outer(S[:, 0] * w2, S[:, 0] / w2)  # [r, s]
-    return np.array([np.sum(N[:, :, i] * pref) for i in range(md.rank)])
+    return _fs_sums(md.S[:, 0], dd.fusion, dd.twists)
 
 
 def _fs_diagnostics(md: ModularData, dd: DerivedData, tt: TraceTable,

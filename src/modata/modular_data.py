@@ -358,6 +358,8 @@ def derive(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> DerivedDat
     d, conj, fusion, total_dim, error = md._s_fact(_derive_s, pol)
     if d is None:
         raise InvalidModularData(error)
+    if abs(md.T[0]) <= pol.eq_tol:
+        raise InvalidModularData("invalid twists: T_0 vanishes")
     w = twists(md)  # the steps keep their order (dims, twists, the rest) and so their warnings
     if error is not None:
         raise InvalidModularData(error)

@@ -26,9 +26,14 @@ Pipeline:
      For each surviving prefix one stacked matmul cubes all choices for the
      last orbit.  The few rows that pass the screen are confirmed and
      lifted by the same per-assignment test, so the kept set is exact.
-  3. ``search_pipeline`` runs the axiom battery and the trace-realizability
-     report on every candidate, one at a time, and keeps the passes in
-     provenance order.  It makes one datum per S candidate and every T
+  3. ``search_pipeline`` first screens all T candidates of one S by
+     Bantay's FS indicator in one stacked call (``_fs_screen``): a candidate
+     whose direct FS sum nu_i = w_i tau[0][i] lies too far from +/-1 on a
+     self-dual sector, or from 0 on another, would fail the report's fs_*
+     checks, so it gets no report and is counted as ``fs_screened``.  It
+     runs the axiom battery and the trace-realizability report on every
+     other candidate, one at a time, and keeps the passes in provenance
+     order.  It makes one datum per S candidate and every T
      candidate from it with ``ModularData._with_t``, so what S alone decides
      (unitarity, symmetry, conjugation, Verlinde rounding, the dimension row,
      det K; see :mod:`modata.modular_data`) is computed once per S, and each
@@ -55,7 +60,7 @@ from typing import IO, NamedTuple
 import numpy as np
 
 from .axioms import AxiomReport
-from .bantay import realizability_report
+from .bantay import _fs_sums, realizability_report
 from .modular_data import (
     InvalidModularData,
     ModularData,
@@ -65,6 +70,7 @@ from .modular_data import (
     _prime_support,
     _read_json,
     _write_json,
+    derive,
     verlinde_fusion,
 )
 from .numerics import DEFAULT_POLICY, TolerancePolicy, phase_from_turns
@@ -83,7 +89,7 @@ __all__ = [
 
 MAX_SEARCH_RANK = 6
 _SPLIT_TOL = 1e-8  # relative eigenvalue gap that splits a joint eigenspace
-_ROUNDING = 1e-12  # float noise allowed for in the twist screen and the balancing bound
+_ROUNDING = 1e-12  # float noise allowed for in the twist and FS screens and the balancing bound
 
 
 class FusionRingError(ValueError):
@@ -208,16 +214,14 @@ def candidate_s(fr: FusionRing, pol: TolerancePolicy = DEFAULT_POLICY) -> list[n
             return []  # a character vanishing on the vacuum admits no S
         v = v * (np.conj(v[0]) / abs(v[0]))
         cols.append(v)
-    out: list[np.ndarray] = []
-    for perm in permutations(range(len(cols))):
-        S = np.column_stack([cols[p] for p in perm])
-        if np.max(np.abs(S - S.T)) > pol.eq_tol:
-            continue
-        c0 = S[:, 0]
-        if np.max(np.abs(c0.imag)) > pol.eq_tol or np.any(c0.real <= pol.eq_tol):
-            continue
-        out.append(S)
-    return out
+    # every column ordering at once: Ss[p] = C[:, perms[p]], in permutations order
+    perms = np.array(list(permutations(range(len(cols)))))
+    Ss = np.column_stack(cols)[:, perms].transpose(1, 0, 2)
+    symmetric = np.max(np.abs(Ss - Ss.transpose(0, 2, 1)), axis=(1, 2)) <= pol.eq_tol
+    c0 = Ss[:, :, 0]
+    positive = (np.max(np.abs(c0.imag), axis=1) <= pol.eq_tol) & np.all(c0.real > pol.eq_tol,
+                                                                          axis=1)
+    return [Ss[p].copy() for p in np.flatnonzero(symmetric & positive)]
 
 
 # ---------------------------------------------------------------------------
@@ -420,26 +424,64 @@ def enumerate_t(S: np.ndarray, max_order: int,
 # the pipeline
 # ---------------------------------------------------------------------------
 
+def _fs_screen(s_md: ModularData, diagonals: list[np.ndarray],
+               pol: TolerancePolicy) -> np.ndarray:
+    """Per T diagonal of the S datum ``s_md``, False where the FS sums
+    already rule out a passing ``realizability_report``.
+
+    The direct FS sums nu_i = sum_{r,s} S[r,0] S[s,0] N^i_{r,s} w_r^2/w_s^2
+    of all diagonals are one stacked ``_fs_sums`` call, over the twists
+    w = T/T_0, w_0 = 1, that the report forms.  A passing report has
+    |w_i tau[0][i] - nu_i| <= eq_tol (``fs_route_agreement``), and
+    w_i tau[0][i] within int_tol of +1 or -1 when i is self-dual
+    (``fs_value``) and within eq_tol of 0 otherwise
+    (``fs_selfdual_pattern``).  So a row is dropped only if some self-dual
+    i has min |nu_i -+ 1| > int_tol + eq_tol + 1e-12 or some other i has
+    |nu_i| > 2 eq_tol + 1e-12, the 1e-12 covering float noise; the report
+    on a dropped row would fail one of the three fs_* checks.  N and the
+    conjugation are ``derive``'s, from the S cache; when ``derive`` fails on
+    S every report fails ``derivation``, and nothing is dropped.
+    """
+    keep = np.ones(len(diagonals), dtype=bool)
+    if not diagonals:
+        return keep
+    try:
+        dd = derive(s_md, pol)
+    except InvalidModularData:
+        return keep
+    T = np.array(diagonals)
+    W = T / T[:, :1]
+    W[:, 0] = 1.0
+    nu = _fs_sums(s_md.S[:, 0], dd.fusion, W)
+    self_dual = dd.conj == np.arange(len(dd.conj))
+    dev = np.where(self_dual, np.minimum(np.abs(nu - 1.0), np.abs(nu + 1.0)), np.abs(nu))
+    bound = np.where(self_dual, pol.int_tol + pol.eq_tol, 2 * pol.eq_tol) + _ROUNDING
+    return np.all(dev <= bound, axis=1)
+
+
 def search_pipeline(fr: FusionRing, max_order: int = 16,
                     pol: TolerancePolicy = DEFAULT_POLICY,
                     stats_out: dict | None = None) -> list[SearchResult]:
     """Admissible modular data for a fusion ring, ordered by provenance.
 
-    One serial loop over the S candidates and their T diagonals: each
-    datum is filtered by ``realizability_report`` and a pass is kept unless
+    One serial loop over the S candidates and their T diagonals: the
+    diagonals of one S are screened together by their FS sums
+    (``_fs_screen``), each other datum is filtered by
+    ``realizability_report``, and a pass is kept unless
     it equals an already kept result in both S and T within eq_tol, the
     search's only dedup.  The data of one S candidate share its S cache, and
     a pass is compared with the kept results of its own S only (see the
     module docstring).  Results therefore come out ordered by provenance
     (S candidate, twist assignment, cube root).  Pass a dict as
-    ``stats_out`` to receive the candidate, skip and prune counters.  ``max_order``
+    ``stats_out`` to receive the candidate, skip and prune counters and
+    ``fs_screened``, the T candidates the FS screen dropped.  ``max_order``
     must be at least 1.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
     results: list[SearchResult] = []
     with_results: list[ModularData] = []  # the S data that gave a result
-    n_candidates = n_skipped = n_pruned = n_diagonals = 0
+    n_candidates = n_skipped = n_pruned = n_diagonals = n_screened = 0
     for s_idx, S in enumerate(candidate_s(fr, pol)):
         n_candidates += 1
         enum = enumerate_t(S, max_order, pol)
@@ -447,9 +489,13 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
         n_pruned += enum.pruned
         n_diagonals += len(enum.diagonals)
         s_md = ModularData.from_matrices(S, np.ones(len(S)))
+        fs_ok = _fs_screen(s_md, enum.diagonals, pol)
+        n_screened += int(np.count_nonzero(~fs_ok))
         kept_t: list[np.ndarray] = []  # T of the results of this S
         # the three cube-root lifts of an assignment are emitted consecutively
         for d_idx, (t_diag, a_idx) in enumerate(zip(enum.diagonals, enum.assignments)):
+            if not fs_ok[d_idx]:
+                continue
             md = s_md._with_t(t_diag)
             rep = realizability_report(md, pol)  # runs the axiom battery first
             if rep.passed and not (kept_t and np.any(
@@ -461,7 +507,8 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
             with_results.append(s_md)
     if stats_out is not None:
         stats_out.update(s_candidates=n_candidates, skipped_assignments=n_skipped,
-                         pruned_assignments=n_pruned, t_candidates=n_diagonals)
+                         pruned_assignments=n_pruned, t_candidates=n_diagonals,
+                         fs_screened=n_screened)
     # every winner must reproduce the ring it came from; its S alone decides that
     for s_md in with_results:
         if not np.array_equal(verlinde_fusion(s_md, pol), fr.N):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -134,6 +135,31 @@ class TestFsIndicators:
             direct = _fs_sum(e.md, dd)
             via_trace = dd.twists * tt.tau[0, :]
             assert np.max(np.abs(direct - via_trace)) <= 1e-9, e.name
+
+    def test_stacked_sums_match_one_row_sums(self, entries):
+        # _fs_sums over a stack of twist rows equals, bit for bit, the one-row
+        # _fs_sum of the report and the literal sum over each (r, s) plane
+        from modata.bantay import _fs_sum, _fs_sums
+
+        data = [e.md for e in entries] + [
+            ModularData.from_matrices(np.kron(a.md.S, b.md.S), np.kron(a.md.T, b.md.T))
+            for a, b in itertools.combinations_with_replacement(entries, 2)]
+        assert len(data) == 9 + 45
+        rng = np.random.default_rng(1606)
+        for md in data:
+            dd = derive(md)
+            W = np.array([dd.twists, np.conj(dd.twists)]
+                         + [dd.twists * np.exp(2j * math.pi * rng.random(md.rank))
+                            for _ in range(4)])
+            W[:, 0] = 1.0
+            stacked = _fs_sums(md.S[:, 0], dd.fusion, W)
+            assert stacked.shape == W.shape
+            for w, row in zip(W, stacked):
+                one = dataclasses.replace(dd, twists=w)
+                assert np.array_equal(_fs_sum(md, one), row)
+                pref = np.outer(md.S[:, 0] * w ** 2, md.S[:, 0] / w ** 2)
+                literal = [np.sum(dd.fusion[:, :, i] * pref) for i in range(md.rank)]
+                assert np.array_equal(literal, row)
 
     def test_vacuum_indicator_is_one(self, entries):
         for e in entries:

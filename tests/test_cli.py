@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -180,6 +181,34 @@ class TestCheckCommand:
         assert "(max deviation 9.014e-01)" in out
         code, out, _ = run(capsys, "--json", "check", str(path))
         assert json.loads(out)["measurements"]["cauchy"] == 1.0
+
+
+class TestVanishingT0:
+    """Fibonacci with T_0 = 0: the twists T_i/T_0 are undefined."""
+
+    @pytest.fixture()
+    def t0_zero_file(self, tmp_path):
+        fib = get_model("fibonacci").modular_data
+        path = tmp_path / "fib_t0_zero.json"
+        save_modular_data(ModularData.from_matrices(fib.S, [0.0, fib.T[1]], fib.labels), path)
+        return path
+
+    @pytest.mark.parametrize("cmd", ["check", "rmatrix"])
+    @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["human", "json"])
+    def test_fails_t_unimodular_without_warnings(self, capsys, t0_zero_file, cmd, flags):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would raise here
+            code, out, err = run(capsys, *flags, cmd, str(t0_zero_file))
+        assert code == 1
+        assert "Traceback" not in err
+        if flags:
+            doc = json.loads(out)
+            assert doc["verdict"] == "fail"
+            assert [d["check_id"] for d in doc["diagnostics"]] == ["t_unimodular", "st_cubed"]
+            assert all(math.isfinite(v) for v in doc["measurements"].values())
+        else:
+            assert "[error] t_unimodular at (0,): |T_0| = 0 is not 1" in out
+            assert "derivation" not in out
 
 
 class TestRmatrixCommand:

@@ -168,6 +168,16 @@ class TestDerive:
             assert np.max(np.abs(dd.dims[conj] - dd.dims)) < 1e-9, e.name
             assert np.max(np.abs(dd.twists[conj] - dd.twists)) < 1e-9, e.name
 
+    @pytest.mark.parametrize("t0", [0.0, 1e-10])
+    def test_vanishing_t0_rejected_before_dividing(self, t0):
+        fib = get_model("fibonacci").modular_data
+        md = ModularData.from_matrices(fib.S, [t0, fib.T[1]])
+        with np.errstate(all="raise"), pytest.raises(InvalidModularData, match="T_0 vanishes"):
+            derive(md)
+        report = validate(md)
+        assert [d.check_id for d in report.errors()] == ["t_unimodular", "st_cubed"]
+        assert report.measurements["conjugate_symmetry"] == 0.0
+
     def test_fusion_symmetries(self, entries):
         for e in entries:
             dd = derive(e.md)

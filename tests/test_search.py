@@ -2,7 +2,7 @@ import io
 import json
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -24,8 +24,8 @@ from modata import (
 )
 from modata.modular_data import InvalidModularData, ModularData, _lift_t0
 from modata.numerics import DEFAULT_POLICY, TolerancePolicy, phase_from_turns, turns_fraction
-from modata.search import (TEnumeration, _balancing_levels, _cauchy_roots, _roots_of_unity,
-                           _twist_orbits)
+from modata.search import (TEnumeration, _balancing_levels, _cauchy_roots, _fs_screen,
+                           _joint_eigenvectors, _roots_of_unity, _twist_orbits)
 
 
 def turn(p, q):
@@ -82,6 +82,45 @@ LOOSE = TolerancePolicy(eq_tol=0.05, int_tol=0.05)
 THREE_ORBIT_CASES = [(ring, q, pol) for ring, q in (("fib_z3", 15), ("z6", 12), ("su2_3", 20))
                      for pol in (DEFAULT_POLICY, LOOSE)]
 THREE_ORBIT_IDS = ["fib_z3", "fib_z3-loose", "z6", "z6-loose", "su2_3", "su2_3-loose"]
+
+
+# the cases on which search_pipeline must equal the unfiltered reference search
+REFERENCE_CASES = [
+    (TRIVIAL_RING, 4, DEFAULT_POLICY),
+    ("fibonacci", 10, DEFAULT_POLICY),
+    ("ising", 32, DEFAULT_POLICY),
+    ("ising", 32, LOOSE),
+    ("toric_code", 8, DEFAULT_POLICY),
+    ("z3", 12, DEFAULT_POLICY),
+    ("semion", 16, DEFAULT_POLICY),
+    (2, 16, DEFAULT_POLICY),
+    (3, 16, DEFAULT_POLICY),
+    (4, 16, DEFAULT_POLICY),
+    (5, 16, DEFAULT_POLICY),
+    *THREE_ORBIT_CASES,
+]
+REFERENCE_IDS = ["trivial", "fibonacci", "ising", "ising-loose", "toric", "z3", "semion",
+                 "z2", "z3-pointed", "z4", "z5", *THREE_ORBIT_IDS]
+
+
+def reference_candidate_s(fr, pol=DEFAULT_POLICY):
+    """``candidate_s`` as one column_stack and test per permutation."""
+    cols = []
+    for v in _joint_eigenvectors(fr):
+        v = v / np.linalg.norm(v)
+        if abs(v[0]) <= pol.eq_tol:
+            return []
+        cols.append(v * (np.conj(v[0]) / abs(v[0])))
+    out = []
+    for perm in permutations(range(len(cols))):
+        S = np.column_stack([cols[p] for p in perm])
+        if np.max(np.abs(S - S.T)) > pol.eq_tol:
+            continue
+        c0 = S[:, 0]
+        if np.max(np.abs(c0.imag)) > pol.eq_tol or np.any(c0.real <= pol.eq_tol):
+            continue
+        out.append(S)
+    return out
 
 
 def reference_enumerate_t(S, max_order, pol=DEFAULT_POLICY):
@@ -280,6 +319,16 @@ class TestCandidateS:
 
         with pytest.raises(FusionRingError, match="cannot diagonalize uniquely"):
             candidate_s(Stub())
+
+    @pytest.mark.parametrize("pol", [DEFAULT_POLICY, LOOSE], ids=["default", "loose"])
+    def test_matches_per_permutation_loop(self, entries, pol):
+        # every ring a search test runs on, catalog and generated
+        rings = ([TRIVIAL_RING, fib_z3_ring()] + [ring_of(e.name) for e in entries]
+                 + [pointed_ring(n) for n in range(2, 7)] + [su2_ring(k) for k in (3, 4, 5)])
+        for fr in rings:
+            got, want = candidate_s(fr, pol), reference_candidate_s(fr, pol)
+            assert len(got) == len(want) and got
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_rank_bound_enforced(self):
         # Z_7 pointed fusion (a genuine ring) exceeds the default bound
@@ -556,14 +605,14 @@ class TestSearchPipeline:
         assert len(res) == 12
         assert len({r.provenance[:2] for r in res}) == 4
         assert stats == {"s_candidates": 2, "skipped_assignments": 746492,
-                         "pruned_assignments": 727974, "t_candidates": 12}
+                         "pruned_assignments": 727974, "t_candidates": 12, "fs_screened": 0}
         a, b = get_model("fibonacci").modular_data, get_model("z3").modular_data
         deligne = ModularData.from_matrices(np.kron(a.S, b.S), np.kron(a.T, b.T))
         assert any(r.md.approx_eq(deligne) for r in res)
 
     @pytest.mark.parametrize("k, max_order, n_data, n_families, stats", [
-        (4, 24, 24, 8, (2, 2099519992, 2092023808, 24)),
-        (5, 28, 12, 4, (1, 829997587228, 829895187232, 12)),
+        (4, 24, 24, 8, (2, 2099519992, 2092023808, 24, 0)),
+        (5, 28, 12, 4, (1, 829997587228, 829895187232, 12, 0)),
     ], ids=["su2_4", "su2_5"])
     def test_su2_ring_regression(self, k, max_order, n_data, n_families, stats):
         # four and five self-dual twist orbits: 180^4 and 242^5 assignments
@@ -574,26 +623,12 @@ class TestSearchPipeline:
         assert len(res) == n_data
         assert len({r.provenance[:2] for r in res}) == n_families
         assert got == dict(zip(("s_candidates", "skipped_assignments", "pruned_assignments",
-                                "t_candidates"), stats))
+                                "t_candidates", "fs_screened"), stats))
         # the twists of SU(2)_k itself, w_a = e^{2 pi i a(a+2)/(4(k+2))}
         w = [turn(a * (a + 2), 4 * (k + 2)) for a in range(k + 1)]
         assert any(np.max(np.abs(r.md.T / r.md.T[0] - w)) < 1e-9 for r in res)
 
-    @pytest.mark.parametrize("ring, max_order, pol", [
-        (TRIVIAL_RING, 4, DEFAULT_POLICY),
-        ("fibonacci", 10, DEFAULT_POLICY),
-        ("ising", 32, DEFAULT_POLICY),
-        ("ising", 32, LOOSE),
-        ("toric_code", 8, DEFAULT_POLICY),
-        ("z3", 12, DEFAULT_POLICY),
-        ("semion", 16, DEFAULT_POLICY),
-        (2, 16, DEFAULT_POLICY),
-        (3, 16, DEFAULT_POLICY),
-        (4, 16, DEFAULT_POLICY),
-        (5, 16, DEFAULT_POLICY),
-        *THREE_ORBIT_CASES,
-    ], ids=["trivial", "fibonacci", "ising", "ising-loose", "toric", "z3", "semion",
-            "z2", "z3-pointed", "z4", "z5", *THREE_ORBIT_IDS])
+    @pytest.mark.parametrize("ring, max_order, pol", REFERENCE_CASES, ids=REFERENCE_IDS)
     def test_matches_unfiltered_reference(self, ring, max_order, pol):
         # on the three-orbit cases the stacked screen stands in for the
         # unfiltered loop, which takes tens of seconds there
@@ -608,6 +643,31 @@ class TestSearchPipeline:
             assert np.array_equal(r.md.S, md.S) and np.array_equal(r.md.T, md.T)
             # the report on a datum sharing its S cache equals the fresh one
             assert json.dumps(r.report.to_json_dict()) == json.dumps(report.to_json_dict())
+
+    @pytest.mark.parametrize("ring, max_order, pol", REFERENCE_CASES, ids=REFERENCE_IDS)
+    def test_fs_screen_drops_only_fs_failures(self, ring, max_order, pol):
+        # a diagonal the FS screen drops gets a failing report with an fs_* error;
+        # screened here are the diagonals of the reference search, which
+        # include those of enumerate_t bit for bit
+        enumerate_fn = (stacked_enumerate_t if isinstance(ring, str) and ring in THREE_ORBIT_RINGS
+                        else reference_enumerate_t)
+        for S in candidate_s(make_ring(ring), pol):
+            s_md = ModularData.from_matrices(S, np.ones(len(S)))
+            diagonals = enumerate_fn(S, max_order, pol).diagonals
+            keep = _fs_screen(s_md, diagonals, pol)
+            assert keep.shape == (len(diagonals),)
+            for t in (t for t, k in zip(diagonals, keep) if not k):
+                report = realizability_report(ModularData.from_matrices(S, t), pol)
+                assert not report.passed
+                assert any(d.check_id.startswith("fs_") for d in report.errors())
+
+    def test_ising_fs_screen_counts(self):
+        # 32 twist assignments at q=32 reach the report, 3 lifts each; the 24
+        # with w_sigma not a primitive 16th root have nu_sigma off +/-1
+        stats = {}
+        res = search_pipeline(ring_of("ising"), max_order=32, stats_out=stats)
+        assert len(res) == 24
+        assert (stats["t_candidates"], stats["fs_screened"]) == (96, 72)
 
     def test_deterministic_ordering(self):
         fr = ring_of("fibonacci")
