@@ -662,8 +662,9 @@ class TestSearchPipeline:
                 assert any(d.check_id.startswith("fs_") for d in report.errors())
 
     def test_ising_fs_screen_counts(self):
-        # 32 twist assignments at q=32 reach the report, 3 lifts each; the 24
-        # with w_sigma not a primitive 16th root have nu_sigma off +/-1
+        # 32 admissible twist assignments at q=32 pass the modular relation, 3
+        # lifts each; the 24 with w_sigma not a primitive 16th root have
+        # nu_sigma off +/-1 and get no report
         stats = {}
         res = search_pipeline(ring_of("ising"), max_order=32, stats_out=stats)
         assert len(res) == 24
