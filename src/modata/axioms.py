@@ -242,7 +242,7 @@ def validate(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> AxiomRep
     conj = s.conj
     if conj is not None:
         if abs(T[0]) > pol.eq_tol:
-            w = twists(md)
+            w = twists(md, pol)
             gap_w = np.abs(w[conj] - w)
         else:
             gap_w = np.zeros(md.rank)

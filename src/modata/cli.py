@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from pathlib import Path
@@ -23,6 +22,7 @@ from .axioms import AxiomReport, validate
 from .bantay import _realizability_pass, realizability_report, trace_table
 from .modular_data import (
     InvalidModularData,
+    _write_json,
     derive,
     load_modular_data,
     save_modular_data,
@@ -82,17 +82,13 @@ def _print_report(report: AxiomReport, quiet: bool) -> None:
               f"(deviation {d.measured:.3e})")
 
 
-def _emit_json(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=False))
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def _emit_report(report: AxiomReport, args) -> int:
     if args.json:
-        _emit_json(report.to_json_dict())
+        _write_json(report.to_json_dict(), sys.stdout)
     else:
         _print_report(report, args.quiet)
     return EXIT_PASS if report.passed else EXIT_FAIL
@@ -126,7 +122,7 @@ def cmd_bantay(args, pol) -> int:
     _, tt, nu, mt = tables
     if args.json:
         doc = {**tt.to_json_dict(), **nu.to_json_dict(), **mt.to_json_dict()}
-        _emit_json(doc)
+        _write_json(doc, sys.stdout)
         return EXIT_PASS
     labels = list(md.labels)
     _print_matrix("self-braiding traces tau[k][i] (rows k, columns i)",
@@ -161,8 +157,8 @@ def cmd_rmatrix(args, pol) -> int:
     blocks = canonical_r(md, dd, mt, pol)
     mono = monodromy_check(blocks, dd, pol)
     if args.json:
-        _emit_json({"blocks": [b.to_json_dict() for b in blocks],
-                    "monodromy": mono.to_json_dict()})
+        _write_json({"blocks": [b.to_json_dict() for b in blocks],
+                     "monodromy": mono.to_json_dict()}, sys.stdout)
         return EXIT_PASS if mono.passed else EXIT_FAIL
     labels = list(md.labels)
     for b in blocks:
@@ -182,8 +178,8 @@ def cmd_catalog(args, pol) -> int:
     entries = catalog()
     if args.name is None:
         if args.json:
-            _emit_json([{"name": e.name, "rank": e.md.rank, "notes": e.notes}
-                        for e in entries])
+            _write_json([{"name": e.name, "rank": e.md.rank, "notes": e.notes}
+                         for e in entries], sys.stdout)
         else:
             for e in entries:
                 dd = derive(e.md, pol)
@@ -193,7 +189,7 @@ def cmd_catalog(args, pol) -> int:
     for e in entries:
         if e.name == args.name:
             if args.json:
-                _emit_json(e.md.to_json_dict(exact_t=True))
+                _write_json(e.md.to_json_dict(exact_t=True), sys.stdout)
             else:
                 dd = derive(e.md, pol)
                 print(f"{e.name}: rank {e.md.rank}, |sigma| = {dd.total_dim:.6f}")
@@ -227,13 +223,13 @@ def cmd_oracle(args, pol) -> int:
             worst = max(worst, delta)
             rows.append((i, k, b, f, delta))
     if args.json:
-        _emit_json({
+        _write_json({
             "model": model.name,
             "channels": [{"i": i, "k": k, "brute": [b.real, b.imag],
                           "formula": [f.real, f.imag], "delta": d}
                          for i, k, b, f, d in rows],
             "max_delta": worst,
-        })
+        }, sys.stdout)
     else:
         if not args.quiet:
             print(f"model {model.name}: definition vs modular-data formula")
@@ -262,7 +258,7 @@ def cmd_search(args, pol) -> int:
         files.append(str(path))
     families = sorted({res.provenance[:2] for res in results})
     if args.json:
-        _emit_json({
+        _write_json({
             "rank": fr.rank,
             "max_order": args.max_order,
             "results": [{"provenance": list(res.provenance), "file": f,
@@ -271,7 +267,7 @@ def cmd_search(args, pol) -> int:
             "result_count": len(results),
             "family_count": len(families),
             "stats": stats,
-        })
+        }, sys.stdout)
     else:
         print(f"{len(results)} admissible data in {len(families)} twist families "
               f"-> {out_dir}")
@@ -282,7 +278,7 @@ def cmd_search(args, pol) -> int:
               f"filtered)")
         if not args.quiet:
             for res, f in zip(results, files):
-                w = twists(res.md)
+                w = twists(res.md, pol)
                 tw = ", ".join(fmt_complex(z, pol) for z in w[1:])
                 print(f"  {res.provenance}  twists ({tw})  -> {f}")
     return EXIT_PASS

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 from typing import Any, IO
@@ -183,7 +182,7 @@ class ModularData:
         d: dict[str, Any] = {
             "rank": self.rank,
             "labels": list(self.labels),
-            "S": [[complex_to_json(z) for z in row] for row in self.S],
+            "S": np.stack((self.S.real, self.S.imag), -1).tolist(),  # [re, im] pairs
             "T": [complex_to_json(z, exact=exact_t) for z in self.T],
         }
         return d
@@ -227,8 +226,10 @@ def dims(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     return d.real.copy()
 
 
-def twists(md: ModularData) -> np.ndarray:
+def twists(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Twists w_i = T_i/T_0, with w_0 = 1 exactly after normalization."""
+    if abs(md.T[0]) <= pol.eq_tol:
+        raise InvalidModularData("invalid twists: T_0 vanishes")
     w = md.T / md.T[0]
     w[0] = 1.0
     return w
@@ -358,9 +359,7 @@ def derive(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> DerivedDat
     d, conj, fusion, total_dim, error = md._s_fact(_derive_s, pol)
     if d is None:
         raise InvalidModularData(error)
-    if abs(md.T[0]) <= pol.eq_tol:
-        raise InvalidModularData("invalid twists: T_0 vanishes")
-    w = twists(md)  # the steps keep their order (dims, twists, the rest) and so their warnings
+    w = twists(md, pol)  # the steps keep their order (dims, twists, the rest) and so their errors
     if error is not None:
         raise InvalidModularData(error)
     return DerivedData(dims=d, twists=w, conj=conj, fusion=fusion, total_dim=total_dim)
@@ -377,6 +376,8 @@ def _is_number(x) -> bool:
 
 def parse_complex(obj) -> complex:
     """Parse one complex value: [re, im] or {"abs": a, "arg_turns": "p/q"}."""
+    if type(obj) is list and len(obj) == 2 and type(obj[0]) is float and type(obj[1]) is float:
+        return complex(obj[0], obj[1])  # the form every writer emits
     if _is_number(obj):
         # tolerated on input for hand-written files; never emitted
         return complex(float(obj), 0.0)
@@ -401,7 +402,8 @@ def parse_complex(obj) -> complex:
             raise InvalidModularData(f'arg_turns must be "p/q", got {turns_str!r}') from exc
         if q <= 0:
             raise InvalidModularData(f"arg_turns denominator must be > 0, got {q}")
-        return float(mag) * phase_from_turns(Fraction(p, q))
+        # float((p % q) / q) is correctly rounded, as float(Fraction(p, q) % 1) is
+        return float(mag) * phase_from_turns((p % q) / q)
     raise InvalidModularData(f"cannot parse complex value {obj!r}")
 
 
@@ -452,7 +454,13 @@ def _read_json(source, error_cls: type[Exception]):
 
 
 def _write_json(doc, target) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    """Write ``doc`` as one line of JSON to a path or an open text stream.
+
+    The one writer of every document modata emits: ``--json`` output, data
+    files, fusion rings, reports and search results.  Without ``indent``,
+    ``json.dumps`` runs CPython's C encoder; ``python -m json.tool`` pretty-prints.
+    """
+    text = json.dumps(doc) + "\n"
     if hasattr(target, "write"):
         target.write(text)
     else:

@@ -106,6 +106,31 @@ def phase_from_turns(turns: Fraction | float) -> complex:
     return cmath.exp(2j * math.pi * float(turns))
 
 
+def _near_convergent(t: float, max_denominator: int) -> Fraction | None:
+    """The fraction p/q, q <= max_denominator, within 1/(3 max_denominator^2)
+    of t, reduced mod 1; None when the float continued fraction of t finds none.
+
+    Any fraction that close is a convergent of t (Legendre: |t - p/q| <
+    1/(2 q^2) makes p/q a convergent), so walking the convergents in order of
+    their denominators finds it.  Rounding in the walk can only miss it,
+    never accept another: acceptance is the final distance test alone.
+    """
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    x = t
+    while True:
+        a = math.floor(x)
+        h0, h1 = h1, a * h1 + h0
+        k0, k1 = k1, a * k1 + k0
+        if k1 > max_denominator:
+            return None
+        if 3.0 * max_denominator * max_denominator * abs(t - h1 / k1) <= 1.0:
+            return Fraction(h1 % k1, k1)
+        x -= a
+        if x == 0.0:
+            return None
+        x = 1.0 / x
+
+
 def turns_fraction(
     z: complex,
     max_denominator: int = 240,
@@ -115,12 +140,24 @@ def turns_fraction(
 
     Returns the reduced fraction in [0, 1) when z is unimodular and within
     int_tol of e^{2 pi i p/q}; otherwise None.
+
+    The candidate p/q is ``Fraction(t).limit_denominator(max_denominator)``
+    for t = arg(z)/(2 pi), the nearest fraction to t with q <= D =
+    max_denominator.  A fraction within 1/(3 D^2) of t is found first from
+    the convergents of t (``_near_convergent``), and it is that same nearest
+    fraction: two distinct fractions with denominators <= D differ by at least
+    1/D^2, so every other one lies at least 2/(3 D^2) from t.  Only when no
+    fraction is that close, as under a loose int_tol, does ``limit_denominator``
+    run.  The same int_tol test decides either way.
     """
     z = complex(z)
     if abs(abs(z) - 1.0) > pol.int_tol:
         return None
     turns = _principal_arg(z) / (2.0 * math.pi)
-    frac = Fraction(turns).limit_denominator(max_denominator) % 1
-    if abs(z - phase_from_turns(frac)) > pol.int_tol:
+    frac = _near_convergent(turns, max_denominator)
+    if frac is None:
+        frac = Fraction(turns).limit_denominator(max_denominator) % 1
+    # float(p/q) is correctly rounded, as float(Fraction(p, q)) is
+    if abs(z - phase_from_turns(frac.numerator / frac.denominator)) > pol.int_tol:
         return None
     return frac

@@ -117,7 +117,7 @@ def _check_model(model: ExplicitModel, pol: TolerancePolicy = DEFAULT_POLICY) ->
     md = model.modular_data
     if md.rank != n:
         raise ValueError(f"model {model.name}: modular data rank mismatch")
-    if np.max(np.abs(twists(md) - w)) > pol.eq_tol:
+    if np.max(np.abs(twists(md, pol) - w)) > pol.eq_tol:
         raise ValueError(f"model {model.name}: T diagonal does not reproduce the twists")
     if not np.array_equal(verlinde_fusion(md, pol), fusion):
         raise ValueError(f"model {model.name}: Verlinde fusion does not match the r table support")

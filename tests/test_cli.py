@@ -378,6 +378,52 @@ class TestOracleCommand:
         assert doc["max_delta"] <= 1e-9
 
 
+def plain(doc):
+    """doc with its tuples as lists, as json.loads returns it."""
+    if isinstance(doc, dict):
+        return {k: plain(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [plain(v) for v in doc]
+    return doc
+
+
+class TestJsonOutput:
+    """Every --json document is one line of JSON: the document the command built."""
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "{ising}"),
+        ("check", "{bad}"),
+        ("bantay", "{ising}"),
+        ("rmatrix", "{ising}"),
+        ("catalog",),
+        ("catalog", "fibonacci"),
+        ("search", "{ring}", "--max-order", "16", "--out", "{out}"),
+    ])
+    def test_one_line_equal_to_the_built_document(self, capsys, monkeypatch, tmp_path,
+                                                  rings_dir, ising_file, bad_ising_file,
+                                                  argv):
+        built = []
+
+        def spy(doc, target, write=modata.cli._write_json):
+            built.append(doc)
+            write(doc, target)
+
+        monkeypatch.setattr(modata.cli, "_write_json", spy)
+        paths = {"ising": ising_file, "bad": bad_ising_file,
+                 "ring": rings_dir / "ising_ring.json", "out": tmp_path / "r"}
+        code, out, err = run(capsys, "--json", *(a.format(**paths) for a in argv))
+        assert code == (1 if "{bad}" in argv else 0), err
+        assert out.count("\n") == 1 and out.endswith("\n")
+        assert len(built) == 1
+        doc = json.loads(out)
+        assert doc == plain(built[0])
+        if argv[0] == "search":
+            assert doc["result_count"] == 24
+            for res in doc["results"]:
+                text = Path(res["file"]).read_text()
+                assert text.count("\n") == 1 and json.loads(text) == res["data"]
+
+
 class TestSearchCommand:
     def test_fibonacci_ring_files(self, capsys, tmp_path, rings_dir):
         out_dir = tmp_path / "results"

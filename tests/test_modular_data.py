@@ -1,6 +1,8 @@
 import io
+import itertools
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,14 +15,16 @@ from modata import (
     derive,
     dims,
     get_model,
+    load_fusion_ring,
     load_modular_data,
     realizability_report,
     save_modular_data,
+    search_pipeline,
     twists,
     validate,
     verlinde_fusion,
 )
-from modata.modular_data import _casimir_det
+from modata.modular_data import _casimir_det, parse_complex
 from modata.numerics import DEFAULT_POLICY, TolerancePolicy, phase_from_turns
 
 TRIVIAL = ModularData.from_matrices([[1.0]], [1.0])
@@ -87,6 +91,21 @@ class TestTwists:
     def test_vacuum_exactly_one(self):
         w = twists(get_model("fibonacci").modular_data)
         assert w[0] == 1.0
+
+    @pytest.mark.parametrize("t0", [0.0, 1e-10])
+    def test_vanishing_t0_rejected(self, t0):
+        fib = get_model("fibonacci").modular_data
+        md = ModularData.from_matrices(fib.S, [t0, fib.T[1]])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidModularData, match="invalid twists: T_0 vanishes"):
+                twists(md)
+
+    def test_vanishing_is_judged_by_the_policy(self):
+        fib = get_model("fibonacci").modular_data
+        md = ModularData.from_matrices(fib.S, [1e-10, fib.T[1]])
+        w = twists(md, TolerancePolicy(eq_tol=1e-12, int_tol=1e-6))
+        assert w[0] == 1.0 and abs(w[1]) == pytest.approx(1e10)
 
 
 class TestChargeConjugation:
@@ -223,6 +242,39 @@ class TestFileFormat:
         })
         md = load_modular_data(io.StringIO(text))
         assert abs(md.T[0] + 1j) < 1e-15
+
+    @pytest.mark.parametrize("obj", [[True, 0.0], [1.0], [1.0, 2.0, 3.0], ["1", 0]])
+    def test_parse_complex_rejects(self, obj):
+        with pytest.raises(InvalidModularData, match=r"must be \[re, im\]"):
+            parse_complex(obj)
+
+    def test_parse_complex_accepts_ints(self):
+        z = parse_complex([1, 0])
+        assert z == 1.0 and type(z) is complex
+
+    def test_roundtrip_is_bit_exact(self, entries, rings_dir):
+        data = [e.md for e in entries]
+        data += [ModularData.from_matrices(np.kron(a.md.S, b.md.S), np.kron(a.md.T, b.md.T))
+                 for a, b in itertools.combinations_with_replacement(entries, 2)]
+        data.append(search_pipeline(load_fusion_ring(rings_dir / "ising_ring.json"), 16)[0].md)
+        assert len(data) == 9 + 45 + 1
+        for n, md in enumerate(data):
+            for exact_t in (False, True):
+                out = io.StringIO()
+                save_modular_data(md, out, exact_t=exact_t)
+                text = out.getvalue()
+                assert text.count("\n") == 1 and text.endswith("\n")
+                back = load_modular_data(io.StringIO(text))
+                assert np.array_equal(back.S, md.S), (n, exact_t)
+                if not exact_t or n < len(entries):
+                    assert np.array_equal(back.T, md.T), (n, exact_t)
+                    continue
+                # abs * e^{2 pi i p/q} re-rounds a T built from a float product;
+                # its reading must equal the one through Fraction bit for bit
+                want = [z["abs"] * phase_from_turns(Fraction(z["arg_turns"]))
+                        for z in json.loads(text)["T"]]
+                assert np.array_equal(back.T, want), n
+                assert np.max(np.abs(back.T - md.T)) < 1e-14, n
 
     def test_bare_number_tolerated(self):
         md = load_modular_data(io.StringIO('{"rank": 1, "S": [[1.0]], "T": [1.0]}'))

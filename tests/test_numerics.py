@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 from modata.numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
+    _near_convergent,
+    _principal_arg,
     approx_eq,
     as_integer,
     phase_from_turns,
@@ -114,3 +116,49 @@ class TestTurns:
 
     def test_irrational_phase_is_none(self):
         assert turns_fraction(cmath.exp(1j)) is None
+
+
+LOOSE = TolerancePolicy(eq_tol=1e-3, int_tol=1e-2)
+
+
+def reference_turns_fraction(z, max_denominator=240, pol=DEFAULT_POLICY):
+    """turns_fraction as ``Fraction.limit_denominator`` alone decides it."""
+    z = complex(z)
+    if abs(abs(z) - 1.0) > pol.int_tol:
+        return None
+    frac = Fraction(_principal_arg(z) / (2.0 * math.pi)).limit_denominator(max_denominator) % 1
+    if abs(z - phase_from_turns(frac)) > pol.int_tol:
+        return None
+    return frac
+
+
+class TestTurnsFractionFastPath:
+    """The convergent walk returns what limit_denominator returns."""
+
+    def test_every_fraction_up_to_240(self):
+        fallback_hits = 0
+        for q in range(1, 241):
+            for p in range(q):
+                if math.gcd(p, q) != 1:
+                    continue
+                sign = 1 if p % 2 else -1
+                for eps in (0.0, 1e-9, 3e-7, 1e-4):
+                    turns = p / q + sign * eps
+                    z = cmath.exp(2j * math.pi * turns)
+                    for pol in (DEFAULT_POLICY, LOOSE):
+                        got = turns_fraction(z, pol=pol)
+                        assert got == reference_turns_fraction(z, pol=pol), (p, q, eps, pol)
+                    if eps == 0.0:
+                        assert got == Fraction(p, q)
+                    t = _principal_arg(z) / (2.0 * math.pi)
+                    if got is not None and _near_convergent(t, 240) is None:
+                        fallback_hits += 1  # accepted under LOOSE by limit_denominator
+        assert fallback_hits > 10_000
+
+    @given(st.floats(min_value=-0.5, max_value=0.5),
+           st.sampled_from([1, 2, 7, 60, 240, 1000]),
+           st.sampled_from([DEFAULT_POLICY, LOOSE]))
+    def test_random_phases(self, turns, max_denominator, pol):
+        z = cmath.exp(2j * math.pi * turns)
+        assert (turns_fraction(z, max_denominator, pol)
+                == reference_turns_fraction(z, max_denominator, pol))
