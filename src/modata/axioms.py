@@ -20,12 +20,11 @@ data that share an S cache (see :mod:`modata.modular_data`) share them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import IO, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .modular_data import ModularData, _s_conjugation, _write_json, twists
+from .modular_data import ModularData, _s_conjugation, twists
 from .numerics import DEFAULT_POLICY, TolerancePolicy
 
 __all__ = ["Diagnostic", "AxiomReport", "validate", "detect_convention"]
@@ -82,9 +81,6 @@ class AxiomReport:
             "convention_note": self.convention_note,
             "measurements": self.measurements,
         }
-
-    def dump(self, target: str | Path | IO[str]) -> None:
-        _write_json(self.to_json_dict(), target)
 
 
 def make_report(diagnostics: list[Diagnostic], convention_note: str | None = None,

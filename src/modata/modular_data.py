@@ -374,6 +374,11 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_json_int(x) -> bool:
+    # int() would coerce "2", 2.5 and true; a JSON integer arrives as int alone
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_complex(obj) -> complex:
     """Parse one complex value: [re, im] or {"abs": a, "arg_turns": "p/q"}."""
     if type(obj) is list and len(obj) == 2 and type(obj[0]) is float and type(obj[1]) is float:
@@ -408,12 +413,18 @@ def parse_complex(obj) -> complex:
 
 
 def complex_to_json(z: complex, exact: bool = False, max_denominator: int = 240):
-    """Serialize a complex value; exact=True tries the arg_turns form."""
+    """Serialize a complex value; exact=True tries the arg_turns form.
+
+    An ``abs`` within 4 ulps of 1 is written as 1.0, so that reading and
+    writing again gives back the same document.
+    """
     z = complex(z)
     if exact:
-        frac = turns_fraction(z / abs(z), max_denominator) if abs(z) > 0 else None
+        mag = abs(z)
+        frac = turns_fraction(z / mag, max_denominator) if mag > 0 else None
         if frac is not None:
-            return {"abs": abs(z), "arg_turns": f"{frac.numerator}/{frac.denominator}"}
+            return {"abs": 1.0 if abs(mag - 1.0) <= 4 * 2.0 ** -52 else mag,
+                    "arg_turns": f"{frac.numerator}/{frac.denominator}"}
     return [z.real, z.imag]
 
 
@@ -421,19 +432,23 @@ def _md_from_dict(doc: dict) -> ModularData:
     if not isinstance(doc, dict):
         raise InvalidModularData("top-level JSON value must be an object")
     try:
-        rank = int(doc["rank"])
+        rank = doc["rank"]
         S_rows = doc["S"]
         T_row = doc["T"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise InvalidModularData(f"missing or malformed field: {exc}") from exc
+    if not _is_json_int(rank):
+        raise InvalidModularData(f'"rank" must be an integer, got {rank!r}')
     if (not isinstance(S_rows, list) or not all(isinstance(row, list) for row in S_rows)
             or not isinstance(T_row, list)):
         raise InvalidModularData('"S" must be a matrix and "T" a list')
     S = np.array([[parse_complex(z) for z in row] for row in S_rows], dtype=complex)
     T = np.array([parse_complex(z) for z in T_row], dtype=complex)
-    labels = doc.get("labels")
-    if labels is None:
-        labels = [str(i) for i in range(rank)]
+    # default labels per T entry, not per rank: a rank that T disagrees with
+    # fails the constructor's shape checks first, and a huge one allocates nothing
+    labels = doc["labels"] if "labels" in doc else [str(i) for i in range(len(T))]
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise InvalidModularData(f'"labels" must be a list of strings, got {labels!r}')
     if S.ndim != 2:
         raise InvalidModularData("S rows have inconsistent lengths")
     return ModularData(rank=rank, labels=tuple(labels), S=S, T=T)
@@ -457,7 +472,7 @@ def _write_json(doc, target) -> None:
     """Write ``doc`` as one line of JSON to a path or an open text stream.
 
     The one writer of every document modata emits: ``--json`` output, data
-    files, fusion rings, reports and search results.  Without ``indent``,
+    files, fusion rings and search results.  Without ``indent``,
     ``json.dumps`` runs CPython's C encoder; ``python -m json.tool`` pretty-prints.
     """
     text = json.dumps(doc) + "\n"

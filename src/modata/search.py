@@ -26,6 +26,8 @@ Pipeline:
      For each surviving prefix one stacked matmul cubes all choices for the
      last orbit.  The few rows that pass the screen are confirmed and
      lifted by the same per-assignment test, so the kept set is exact.
+     S^2, the conjugation, the Verlinde tensor and det K come from the
+     cache of the S datum, a ``ModularData`` whose T is never read.
   3. ``search_pipeline`` first screens all T candidates of one S by
      Bantay's FS indicator in one stacked call (``_fs_screen``): a candidate
      whose direct FS sum nu_i = w_i tau[0][i] lies too far from +/-1 on a
@@ -33,10 +35,10 @@ Pipeline:
      checks, so it gets no report and is counted as ``fs_screened``.  It
      runs the axiom battery and the trace-realizability report on every
      other candidate, one at a time, and keeps the passes in provenance
-     order.  It makes one datum per S candidate and every T
-     candidate from it with ``ModularData._with_t``, so what S alone decides
-     (unitarity, symmetry, conjugation, Verlinde rounding, the dimension row,
-     det K; see :mod:`modata.modular_data`) is computed once per S, and each
+     order.  Every T candidate's datum is made from the S datum of step 2
+     with ``ModularData._with_t``, so what S alone decides (unitarity,
+     symmetry, conjugation, Verlinde rounding, the dimension row, det K;
+     see :mod:`modata.modular_data`) is computed once per S, and each
      report computes only its T half.  A pass equal to an already kept result
      in both S and T within eq_tol is dropped; that (S, T) check is the
      search's only dedup.  Only results of the same S can be equal, since
@@ -59,16 +61,16 @@ from typing import IO, NamedTuple
 
 import numpy as np
 
-from .axioms import AxiomReport
+from .axioms import AxiomReport, _s_checks
 from .bantay import _fs_sums, realizability_report
 from .modular_data import (
     InvalidModularData,
     ModularData,
-    _casimir_det,
-    _conjugation,
+    _is_json_int,
     _lift_t0,
     _prime_support,
     _read_json,
+    _s_conjugation,
     _write_json,
     derive,
     verlinde_fusion,
@@ -235,12 +237,11 @@ def _roots_of_unity(max_order: int) -> tuple[Fraction, ...]:
                          for p in range(q) if math.gcd(p, q) == 1}))
 
 
-def _twist_orbits(S2: np.ndarray, pol: TolerancePolicy) -> list[list[int]]:
+def _twist_orbits(md: ModularData, pol: TolerancePolicy) -> list[list[int]]:
     """Orbits {i, ibar} of the duality read off S^2, vacuum excluded."""
-    n = S2.shape[0]
-    perm, _, _ = _conjugation(S2, pol)
+    perm, _, _ = md._s_fact(_s_conjugation, pol)
     orbits, seen = [], {0}
-    for i in range(1, n):
+    for i in range(1, md.rank):
         if i in seen:
             continue
         orb = sorted({i, int(perm[i])})
@@ -249,21 +250,20 @@ def _twist_orbits(S2: np.ndarray, pol: TolerancePolicy) -> list[list[int]]:
     return orbits
 
 
-def _cauchy_roots(N: np.ndarray | None, roots: tuple[Fraction, ...]) -> list[int]:
+def _cauchy_roots(det: int | None, roots: tuple[Fraction, ...]) -> list[int]:
     """Indices of the roots whose order has only primes dividing det K.
 
-    K = sum_i N_i N_ibar is formed from the ring tensor N; without one (a
-    Verlinde sum that does not round) nothing is pruned.
+    K = sum_i N_i N_ibar over the ring tensor; without one (``det`` None,
+    a Verlinde sum that does not round) nothing is pruned.
     """
-    if N is None:
+    if det is None:
         return list(range(len(roots)))
-    det = _casimir_det(N)
     return [k for k, r in enumerate(roots)
             if all(det % p == 0 for p in _prime_support(r.denominator))]
 
 
-def _balancing_levels(S: np.ndarray, N: np.ndarray | None, orbits: list[list[int]],
-                      tol: float) -> list[tuple[np.ndarray, ...]]:
+def _balancing_levels(md: ModularData, N: np.ndarray | None, orbits: list[list[int]],
+                      tol: float, pol: TolerancePolicy) -> list[tuple[np.ndarray, ...]]:
     """For each orbit in binding order, the balancing equations it completes.
 
     Equation (i, j) is R_ij = w_i w_j S_ij D - sum_k N^k_{ibar j} d_k w_k = 0;
@@ -271,19 +271,19 @@ def _balancing_levels(S: np.ndarray, N: np.ndarray | None, orbits: list[list[int
     bound from the start.  An orbit's entry is (I, J, D S_IJ, the
     (n, #equations) matrix of d_k N^k_{ibar j}, beta_IJ) over the equations
     whose last unbound twist lies on it.  Without a tensor, or when S is not
-    a unitary symmetric matrix with a real vacuum row whose square is the
-    duality of the orbits, there are no equations.
+    a unitary symmetric matrix with a real vacuum row whose square is a
+    conjugation (the duality of the orbits), there are no equations.
     """
-    n = len(S)
-    level, conj = np.full(n, -1), np.arange(n)
+    S, n = md.S, md.rank
+    conj, row_dev, conj_ok = md._s_fact(_s_conjugation, pol)
+    level = np.full(n, -1)
     for lv, orb in enumerate(orbits):
         level[orb] = lv
-        conj[orb] = orb[::-1]
     # the premises of the bound: S unitary and symmetric with a real vacuum
-    # row, and S^2 the duality of the orbits, all up to rounding
-    off = max(np.max(np.abs(S @ S.conj().T - np.eye(n))), np.max(np.abs(S - S.T)),
-              np.max(np.abs(S[0].imag)), np.max(np.abs(S @ S - np.eye(n)[conj])))
-    if N is None or off > _ROUNDING:
+    # row, and S^2 a conjugation, all up to rounding
+    ab = _s_checks(md, pol).ab_meas
+    off = max(ab["s_unitary"], ab["s_symmetric"], np.max(np.abs(S[0].imag)), np.max(row_dev))
+    if N is None or not conj_ok or off > _ROUNDING:
         none = np.zeros(0, dtype=int)
         return [(none, none, np.zeros(0), np.zeros((n, 0)), np.zeros(0))] * len(orbits)
     Nb = N[conj]  # Nb[i, j, k] = N^k_{ibar, j}
@@ -296,10 +296,12 @@ def _balancing_levels(S: np.ndarray, N: np.ndarray | None, orbits: list[list[int
             for I, J in (np.nonzero(binds == lv) for lv in range(len(orbits)))]
 
 
-def enumerate_t(S: np.ndarray, max_order: int,
+def enumerate_t(md: ModularData, max_order: int,
                 pol: TolerancePolicy = DEFAULT_POLICY) -> TEnumeration:
     """All T diagonals with (S T)^3 = S^2 and admissible twists of order <= max_order.
 
+    ``md`` is the S datum, whose T is never read; every S-only quantity
+    below comes from its S cache, which ``md._with_t`` shares.
     A twist is admissible when every prime of its order divides det K,
     K = sum_i N_i N_ibar over the ring tensor N, the rounded Verlinde tensor
     of S: by the Cauchy theorem (Bruillard-Ng-Rowell-Wang) those are the
@@ -368,22 +370,20 @@ def enumerate_t(S: np.ndarray, max_order: int,
     """
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
-    S = np.asarray(S, dtype=complex)
-    n = S.shape[0]
-    S2 = S @ S
-    orbits = _twist_orbits(S2, pol)
+    S, S2, n = md.S, md.S2, md.rank
+    orbits = _twist_orbits(md, pol)
     roots = _roots_of_unity(max_order)
     try:
-        N = verlinde_fusion(ModularData.from_matrices(S, np.ones(n)), pol)
+        N = verlinde_fusion(md, pol)
     except InvalidModularData:
         N = None
-    keep = _cauchy_roots(N, roots)
+    keep = _cauchy_roots(None if N is None else md._s.casimir_det, roots)
     phases = np.array([phase_from_turns(roots[k]) for k in keep], dtype=complex)
     cube_roots = [phase_from_turns(Fraction(j, 3)) for j in range(3)]
     head, last = orbits[:-1], (orbits[-1] if orbits else [])
     width = len(keep) if orbits else 1  # rank 1: one all-ones row
     screen_tol = 2 * pol.eq_tol + _ROUNDING
-    levels = _balancing_levels(S, N, orbits, screen_tol)
+    levels = _balancing_levels(md, N, orbits, screen_tol, pol)
     diagonals: list[np.ndarray] = []
     assignment_ids: list[int] = []
 
@@ -484,11 +484,11 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
     n_candidates = n_skipped = n_pruned = n_diagonals = n_screened = 0
     for s_idx, S in enumerate(candidate_s(fr, pol)):
         n_candidates += 1
-        enum = enumerate_t(S, max_order, pol)
+        s_md = ModularData.from_matrices(S, np.ones(len(S)))
+        enum = enumerate_t(s_md, max_order, pol)
         n_skipped += enum.skipped
         n_pruned += enum.pruned
         n_diagonals += len(enum.diagonals)
-        s_md = ModularData.from_matrices(S, np.ones(len(S)))
         fs_ok = _fs_screen(s_md, enum.diagonals, pol)
         n_screened += int(np.count_nonzero(~fs_ok))
         kept_t: list[np.ndarray] = []  # T of the results of this S
@@ -524,13 +524,14 @@ def load_fusion_ring(source: str | Path | IO[str]) -> FusionRing:
     """Read {"rank": int, "N": [[[int...]...]...]} with N[i][j][k] = N^k_{i,j}."""
     doc = _read_json(source, FusionRingError)
     try:
-        rank = int(doc["rank"])
+        rank = doc["rank"]
         N = np.array(doc["N"], dtype=object)
     except (KeyError, TypeError, ValueError) as exc:
         raise FusionRingError(f"missing or malformed field: {exc}") from exc
+    if not _is_json_int(rank):
+        raise FusionRingError(f'"rank" must be an integer, got {rank!r}')
     for x in N.flat:
-        # JSON true/false pass isinstance(x, int); floats would be truncated
-        if not isinstance(x, int) or isinstance(x, bool):
+        if not _is_json_int(x):
             raise FusionRingError(f"fusion multiplicities must be integers, got {x!r}")
     return FusionRing(rank=rank, N=N.astype(int))
 

@@ -34,10 +34,10 @@ def run(capsys, *argv):
 @pytest.fixture()
 def fs_fail_file(tmp_path):
     """Ising S with twists (1, 1, -1): modular, but nu_sigma = sqrt 2 fails fs_value."""
-    S = get_model("ising").modular_data.S
-    t = next(t for t in enumerate_t(S, 4).diagonals if np.allclose(t / t[0], [1, 1, -1]))
+    ising = get_model("ising").modular_data  # the S datum; enumerate_t never reads its T
+    t = next(t for t in enumerate_t(ising, 4).diagonals if np.allclose(t / t[0], [1, 1, -1]))
     path = tmp_path / "ising_fs_fail.json"
-    save_modular_data(ModularData.from_matrices(S, t), path)
+    save_modular_data(ModularData.from_matrices(ising.S, t), path)
     return path
 
 
@@ -444,6 +444,19 @@ class TestSearchCommand:
         for f in sorted(out_dir.glob("*.json")):
             code, _, _ = run(capsys, "validate", str(f))
             assert code == 0, f
+
+    @pytest.mark.parametrize("cmd, text", [
+        ("search", '{"rank": "2", "N": [[[1, 0], [0, 1]], [[0, 1], [1, 1]]]}'),
+        ("validate", '{"rank": 2, "labels": "ab", "S": [[1, 0], [0, 1]], "T": [1, 1]}'),
+    ])
+    def test_malformed_rank_or_labels_exit_two(self, capsys, tmp_path, cmd, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        args = ("--out", str(tmp_path / "r")) if cmd == "search" else ()
+        code, out, err = run(capsys, cmd, str(path), *args)
+        assert code == 2
+        assert out == ""
+        assert "must be" in err
 
     def test_non_integer_multiplicity_exit_two(self, capsys, tmp_path):
         ring = tmp_path / "ring.json"

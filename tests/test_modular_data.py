@@ -275,6 +275,11 @@ class TestFileFormat:
                         for z in json.loads(text)["T"]]
                 assert np.array_equal(back.T, want), n
                 assert np.max(np.abs(back.T - md.T)) < 1e-14, n
+                # the second save/load cycle is a fixed point: a unit abs is written as 1.0
+                again = io.StringIO()
+                save_modular_data(back, again, exact_t=True)
+                assert np.array_equal(load_modular_data(io.StringIO(again.getvalue())).T,
+                                      back.T), n
 
     def test_bare_number_tolerated(self):
         md = load_modular_data(io.StringIO('{"rank": 1, "S": [[1.0]], "T": [1.0]}'))
@@ -291,6 +296,14 @@ class TestFileFormat:
         '{"rank": 1, "S": [[[1.0, false]]], "T": [[1,0]]}',
         '{"rank": 1, "S": [[{"abs": true, "arg_turns": "0/1"}]], "T": [[1,0]]}',
         '{"rank": 1, "S": [1.0], "T": [[1,0]]}',                   # S row not a list
+        '{"rank": true, "S": [[1.0]], "T": [1.0]}',                # rank must be an integer
+        '{"rank": "1", "S": [[1.0]], "T": [1.0]}',
+        '{"rank": 1.0, "S": [[1.0]], "T": [1.0]}',
+        '{"rank": 1.9, "S": [[1.0]], "T": [1.0]}',
+        '{"rank": 1, "labels": "a", "S": [[1.0]], "T": [1.0]}',   # labels must be a list
+        '{"rank": 2, "labels": {"a": 1, "b": 2}, "S": [[1.0, 0.0], [0.0, 1.0]], "T": [1.0, 1.0]}',
+        '{"rank": 1, "labels": [1], "S": [[1.0]], "T": [1.0]}',   # of strings
+        '{"rank": 1, "labels": null, "S": [[1.0]], "T": [1.0]}',
     ])
     def test_malformed_documents_rejected(self, doc):
         with pytest.raises(InvalidModularData):

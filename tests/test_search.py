@@ -1,7 +1,9 @@
 import io
 import json
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations, product
 
 import numpy as np
@@ -22,7 +24,8 @@ from modata import (
     search_pipeline,
     verlinde_fusion,
 )
-from modata.modular_data import InvalidModularData, ModularData, _lift_t0
+from modata import modular_data
+from modata.modular_data import InvalidModularData, ModularData, _SFacts, _casimir_det, _lift_t0
 from modata.numerics import DEFAULT_POLICY, TolerancePolicy, phase_from_turns, turns_fraction
 from modata.search import (TEnumeration, _balancing_levels, _cauchy_roots, _fs_screen,
                            _joint_eigenvectors, _roots_of_unity, _twist_orbits)
@@ -30,6 +33,11 @@ from modata.search import (TEnumeration, _balancing_levels, _cauchy_roots, _fs_s
 
 def turn(p, q):
     return phase_from_turns(Fraction(p, q))
+
+
+def s_datum(S):
+    """The S datum of a bare S: ``enumerate_t`` and its helpers never read its T."""
+    return ModularData.from_matrices(S, np.ones(len(S)))
 
 
 def ring_of(name):
@@ -128,7 +136,7 @@ def reference_enumerate_t(S, max_order, pol=DEFAULT_POLICY):
     ``enumerate_t`` must match it on the Cauchy-admissible assignments."""
     S = np.asarray(S, dtype=complex)
     S2 = S @ S
-    orbits = _twist_orbits(S2, pol)
+    orbits = _twist_orbits(s_datum(S), pol)
     roots = _roots_of_unity(max_order)
     cube_roots = [phase_from_turns(Fraction(j, 3)) for j in range(3)]
     diagonals, assignment_ids, skipped = [], [], 0
@@ -153,13 +161,13 @@ def stacked_enumerate_t(S, max_order, pol=DEFAULT_POLICY):
     S = np.asarray(S, dtype=complex)
     n = S.shape[0]
     S2 = S @ S
-    orbits = _twist_orbits(S2, pol)
+    orbits = _twist_orbits(s_datum(S), pol)
     roots = _roots_of_unity(max_order)
     try:
         N = verlinde_fusion(ModularData.from_matrices(S, np.ones(n)), pol)
     except InvalidModularData:
         N = None
-    keep = _cauchy_roots(N, roots)
+    keep = _cauchy_roots(None if N is None else _casimir_det(N), roots)
     phases = np.array([phase_from_turns(roots[k]) for k in keep], dtype=complex)
     cube_roots = [phase_from_turns(Fraction(j, 3)) for j in range(3)]
     head, last = orbits[:-1], (orbits[-1] if orbits else [])
@@ -264,8 +272,13 @@ class TestFusionRing:
         assert np.array_equal(back.N, fr.N)
 
     def test_malformed_file(self):
-        with pytest.raises(FusionRingError):
-            load_fusion_ring(io.StringIO('{"rank": "x"}'))
+        fib = '[[[1, 0], [0, 1]], [[0, 1], [1, 1]]]'
+        # a rank that is no JSON integer, which int() would have coerced
+        for doc in ('{"rank": "x"}', '{"rank": "2", "N": %s}' % fib,
+                    '{"rank": 2.0, "N": %s}' % fib, '{"rank": 2.5, "N": %s}' % fib,
+                    '{"rank": true, "N": [[[1]]]}'):
+            with pytest.raises(FusionRingError):
+                load_fusion_ring(io.StringIO(doc))
 
     @pytest.mark.parametrize("entry", ["1.7", "1.0", "true", '"1"'])
     def test_non_integer_multiplicity_rejected(self, entry):
@@ -343,21 +356,21 @@ class TestCandidateS:
 
 class TestEnumerateT:
     def test_trivial_three_lifts(self):
-        enum = enumerate_t(np.array([[1.0 + 0j]]), max_order=10)
+        enum = enumerate_t(s_datum(np.array([[1.0 + 0j]])), max_order=10)
         assert len(enum.diagonals) == 3
         got = {min((0, 1, 2), key=lambda j: abs(t[0] - turn(j, 3))) for t in enum.diagonals}
         assert got == {0, 1, 2}
 
     def test_emitted_t_satisfies_relation_exactly(self):
         S = get_model("fibonacci").modular_data.S
-        enum = enumerate_t(S, max_order=10)
+        enum = enumerate_t(s_datum(S), max_order=10)
         for t in enum.diagonals:
             ST = S * t[None, :]
             assert np.max(np.abs(ST @ ST @ ST - S @ S)) < 1e-9
 
     def test_fibonacci_assignments(self):
         S = get_model("fibonacci").modular_data.S
-        enum = enumerate_t(S, max_order=10)
+        enum = enumerate_t(s_datum(S), max_order=10)
         # both Galois twists survive the scalar test; 3 lifts each
         assert len(enum.diagonals) == 6
         tws = {complex(np.round(t[1] / t[0], 9)) for t in enum.diagonals}
@@ -378,7 +391,7 @@ class TestEnumerateT:
         # the catalog Ising assignment is among them
         assert any(np.max(np.abs(t - T_cat)) < 1e-9 for t in ref.diagonals)
         # det K = 32, so the Cauchy filter keeps w_sigma of order 1, 2, 4, 8, 16
-        enum = enumerate_t(S, max_order=16)
+        enum = enumerate_t(s_datum(S), max_order=16)
         assert len(set(enum.assignments)) == 16
         assert len(enum.diagonals) == 48
         assert enum.skipped == 6384
@@ -389,7 +402,7 @@ class TestEnumerateT:
 
     def test_conjugate_orbits_share_twist(self):
         S = get_model("z3").modular_data.S
-        enum = enumerate_t(S, max_order=6)
+        enum = enumerate_t(s_datum(S), max_order=6)
         for t in enum.diagonals:
             assert abs(t[1] - t[2]) < 1e-12  # w_1 = w_2 enforced
 
@@ -416,7 +429,7 @@ class TestEnumerateT:
         assert cands
         roots = _roots_of_unity(max_order)
         for S in cands:
-            got = enumerate_t(S, max_order, pol)
+            got = enumerate_t(s_datum(S), max_order, pol)
             stacked = stacked_enumerate_t(S, max_order, pol)
             assert got.assignments == stacked.assignments
             assert (got.skipped, got.pruned) == (stacked.skipped, stacked.pruned)
@@ -425,7 +438,7 @@ class TestEnumerateT:
                 assert np.array_equal(a, b)  # bit for bit
             if isinstance(ring, str) and ring in THREE_ORBIT_RINGS:
                 continue
-            n_orbits = len(_twist_orbits(S @ S, pol))
+            n_orbits = len(_twist_orbits(s_datum(S), pol))
             want = reference_enumerate_t(S, max_order, pol)
             P = cauchy_primes(S)
             ok = [admissible(a, n_orbits, roots, P) for a in want.assignments]
@@ -452,7 +465,7 @@ class TestEnumerateT:
         v = np.array([1.0, 0.0, 0.0]) - u / np.linalg.norm(u)
         S = (np.eye(3) - 2 * np.outer(v, v) / (v @ v)).astype(complex)
         pol = TolerancePolicy(eq_tol=4e-3, int_tol=4e-3)
-        got = enumerate_t(S, 16, pol)
+        got = enumerate_t(s_datum(S), 16, pol)
         want = reference_enumerate_t(S, 16, pol)
         assert got.diagonals and got.pruned == 0
         assert (got.assignments, got.skipped) == (want.assignments, want.skipped)
@@ -463,24 +476,26 @@ class TestEnumerateT:
         # the bound is proved for a unitary symmetric S with a real vacuum
         # row; an S off any of these by more than rounding gets no equations
         md = get_model("ising").modular_data
-        orbits = _twist_orbits(md.S2, DEFAULT_POLICY)
+        orbits = _twist_orbits(s_datum(md.S), DEFAULT_POLICY)
         N = verlinde_fusion(md)
-        assert any(len(lv[0]) for lv in _balancing_levels(md.S, N, orbits, 1e-9))
+        assert any(len(lv[0]) for lv in _balancing_levels(s_datum(md.S), N, orbits, 1e-9,
+                                                          DEFAULT_POLICY))
         S = {"unitary": md.S * (1 + 1e-9),
              "symmetric": md.S + 1e-9 * np.triu(np.ones((3, 3)), 1),
              "vacuum_row": md.S * np.exp(1e-9j)}[change]
-        assert not any(len(lv[0]) for lv in _balancing_levels(S, N, orbits, 1e-9))
+        assert not any(len(lv[0]) for lv in _balancing_levels(s_datum(S), N, orbits, 1e-9,
+                                                              DEFAULT_POLICY))
 
     @pytest.mark.parametrize("q", [0, -5])
     def test_max_order_below_one_rejected(self, q):
         with pytest.raises(ValueError, match="max_order"):
-            enumerate_t(np.array([[1.0 + 0j]]), q)
+            enumerate_t(s_datum(np.array([[1.0 + 0j]])), q)
 
     def test_scalar_off_the_unit_circle_gives_no_diagonal(self):
         # (c S W)^3 = c lambda (c S)^2 holds whenever (S W)^3 = lambda S^2,
         # but with |c lambda| = 1.001 no unimodular T_0 lifts the relation
         S = 1.001 * get_model("ising").modular_data.S
-        got = enumerate_t(S, 8)
+        got = enumerate_t(s_datum(S), 8)
         assert got.diagonals == [] and got.assignments == []
         assert got.skipped == len(_roots_of_unity(8)) ** 2
 
@@ -500,7 +515,7 @@ def test_balancing_residual_within_bound(name, eps, offsets):
     # rounding, and the prune's levels evaluate the same residuals
     md = get_model(name).modular_data
     S, n = md.S, md.rank
-    orbits = _twist_orbits(md.S2, DEFAULT_POLICY)
+    orbits = _twist_orbits(s_datum(S), DEFAULT_POLICY)
     w = md.T / md.T[0]
     w[0] = 1.0
     conj = np.arange(n)
@@ -516,13 +531,38 @@ def test_balancing_residual_within_bound(name, eps, offsets):
     c = np.abs(S) @ (np.abs(S) / np.abs(S[0])).T
     assert np.all(np.abs(R) <= abs(D) * n * (1 + c) * (eps_m + 1e-12))
     pairs = []
-    for I, J, DS, coef, _ in _balancing_levels(S, N, orbits, 1.0):
+    for I, J, DS, coef, _ in _balancing_levels(s_datum(S), N, orbits, 1.0, DEFAULT_POLICY):
         assert np.allclose(DS * w[I] * w[J] - w @ coef, R[I, J], rtol=0, atol=1e-12)
         pairs.extend(zip(I.tolist(), J.tolist()))
     assert sorted(pairs) == [(i, j) for i in range(n) for j in range(n) if i or j]
 
 
 class TestSearchPipeline:
+    @pytest.mark.parametrize("ring, max_order, n_s", [("toric_code", 8, 4), ("fib_z3", 15, 2)])
+    def test_s_quantities_formed_once_per_s_candidate(self, monkeypatch, ring, max_order, n_s):
+        # the enumeration, the FS screen, every report and the ring re-check
+        # of one S candidate share one S datum: its Verlinde tensor and det K
+        # are each formed once
+        counts = Counter()
+        raw, det = _SFacts.verlinde_raw.func, modular_data._casimir_det
+
+        def counted_raw(facts):
+            counts["verlinde_raw"] += 1
+            return raw(facts)
+
+        def counted_det(N):
+            counts["casimir_det"] += 1
+            return det(N)
+
+        prop = cached_property(counted_raw)
+        prop.__set_name__(_SFacts, "verlinde_raw")
+        monkeypatch.setattr(_SFacts, "verlinde_raw", prop)
+        monkeypatch.setattr(modular_data, "_casimir_det", counted_det)
+        stats = {}
+        assert search_pipeline(make_ring(ring), max_order, stats_out=stats)
+        assert stats["s_candidates"] == n_s
+        assert counts == {"verlinde_raw": n_s, "casimir_det": n_s}
+
     def test_trivial_ring_three_central_charges(self):
         res = search_pipeline(TRIVIAL_RING, max_order=4)
         assert len(res) == 3
