@@ -35,8 +35,6 @@ from .modular_data import (
 from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
-    approx_eq,
-    as_integer,
     phase_from_turns,
     principal_sqrt,
     turns_fraction,
@@ -72,8 +70,8 @@ __all__ = [
     "DerivedData", "InvalidModularData", "ModularData", "charge_conjugation",
     "derive", "dims", "load_modular_data", "save_modular_data", "twists",
     "verlinde_fusion",
-    "DEFAULT_POLICY", "TolerancePolicy", "approx_eq", "as_integer",
-    "phase_from_turns", "principal_sqrt", "turns_fraction",
+    "DEFAULT_POLICY", "TolerancePolicy", "phase_from_turns", "principal_sqrt",
+    "turns_fraction",
     "CatalogEntry", "ExplicitModel", "brute_trace", "build_pointed_model",
     "catalog", "catalog_models", "catalog_names", "get_model", "load_model",
     "RBlock", "canonical_r", "monodromy_check", "r_op",

@@ -18,8 +18,9 @@ The three computations, all functions of modular data alone:
 t_{k,i} must be a real integer of the same parity as N^k_{i,i} inside
 [-N^k_{i,i}, N^k_{i,i}]; candidate data violating any of this is not the
 modular data of any unitary theory.  The +/- labels depend on the square
-root branch; swapping the branch swaps m+ and m- and never changes a
-verdict.
+root branch: w_k^{1/2} is ``numerics.principal_sqrt`` here and in
+:mod:`modata.rmatrix`, so the R-blocks carry the same labels.  The other
+branch would swap m+ and m- and never change a verdict.
 
 The trace sums are evaluated literally, one O(rank^2) sum per entry; at the
 ranks this package targets there is nothing to gain from factoring them.
@@ -33,7 +34,6 @@ K = sum_i N_i N_ibar, are those dividing the order of the twists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -52,8 +52,6 @@ __all__ = [
     "eigen_multiplicities",
     "realizability_report",
 ]
-
-SqrtFn = Callable[[complex], complex]
 
 
 class RealizabilityError(ValueError):
@@ -230,8 +228,7 @@ def fs_indicators(md: ModularData, dd: DerivedData, tt: TraceTable,
 # ---------------------------------------------------------------------------
 
 def _multiplicity_diagnostics(md: ModularData, dd: DerivedData, tt: TraceTable,
-                              pol: TolerancePolicy,
-                              sqrt_fn: SqrtFn):
+                              pol: TolerancePolicy):
     w = dd.twists
     N = dd.fusion
     n = md.rank
@@ -245,7 +242,7 @@ def _multiplicity_diagnostics(md: ModularData, dd: DerivedData, tt: TraceTable,
 
     for k in range(n):
         # the phase of w_k: validate lets |w_k| - 1 reach about 2 eq_tol
-        sqrt_wk = sqrt_fn(w[k] / abs(w[k]))
+        sqrt_wk = principal_sqrt(w[k] / abs(w[k]))
         for i in range(n):
             m = int(N[i, i, k])
             if m == 0:
@@ -274,15 +271,13 @@ def _multiplicity_diagnostics(md: ModularData, dd: DerivedData, tt: TraceTable,
 
 
 def eigen_multiplicities(md: ModularData, dd: DerivedData, tt: TraceTable,
-                         pol: TolerancePolicy = DEFAULT_POLICY,
-                         sqrt_fn: SqrtFn = principal_sqrt) -> MultiplicityTable:
+                         pol: TolerancePolicy = DEFAULT_POLICY) -> MultiplicityTable:
     """Split each N^k_{i,i} into the two eigenvalue multiplicities.
 
-    ``sqrt_fn`` selects the square-root branch used for w_k^{1/2}; the
-    default is the principal branch.  Raises RealizabilityError when any
-    channel fails the reality/integrality/range/parity conditions.
+    w_k^{1/2} is the principal square root.  Raises RealizabilityError when
+    any channel fails the reality/integrality/range/parity conditions.
     """
-    table, diags = _multiplicity_diagnostics(md, dd, tt, pol, sqrt_fn)
+    table, diags = _multiplicity_diagnostics(md, dd, tt, pol)
     if diags:
         raise RealizabilityError(diags)
     return table
@@ -329,8 +324,7 @@ def _cauchy_diagnostics(dd: DerivedData, det: int, pol: TolerancePolicy):
 # aggregate report
 # ---------------------------------------------------------------------------
 
-def _realizability_pass(md: ModularData, base: AxiomReport, pol: TolerancePolicy,
-                        sqrt_fn: SqrtFn = principal_sqrt):
+def _realizability_pass(md: ModularData, base: AxiomReport, pol: TolerancePolicy):
     """Extend the validate() report ``base`` with every trace constraint.
 
     Returns ``(report, (dd, tt, nu, mt))``, the tables the verdict was
@@ -357,7 +351,7 @@ def _realizability_pass(md: ModularData, base: AxiomReport, pol: TolerancePolicy
     diags.extend(fs_diags)
     meas["fs_indicator"] = max((d.measured for d in fs_diags), default=0.0)
 
-    mt, mult_diags = _multiplicity_diagnostics(md, dd, tt, pol, sqrt_fn)
+    mt, mult_diags = _multiplicity_diagnostics(md, dd, tt, pol)
     diags.extend(mult_diags)
     meas["multiplicities"] = max((d.measured for d in mult_diags), default=0.0)
 
@@ -387,8 +381,7 @@ def _realizability_pass(md: ModularData, base: AxiomReport, pol: TolerancePolicy
     return report, ((dd, tt, IndicatorVector(nu=nu), mt) if report.passed else None)
 
 
-def realizability_report(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY,
-                         sqrt_fn: SqrtFn = principal_sqrt) -> AxiomReport:
+def realizability_report(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> AxiomReport:
     """Axioms plus every trace-derived constraint, as one diagnostic report.
 
     Aggregates: the validate() battery; the Cauchy theorem (``cauchy``:
@@ -403,4 +396,4 @@ def realizability_report(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY,
     conjugation follow from the rest in exact arithmetic, yet under the
     tolerances either can be the only failure.
     """
-    return _realizability_pass(md, validate(md, pol), pol, sqrt_fn)[0]
+    return _realizability_pass(md, validate(md, pol), pol)[0]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -154,7 +155,7 @@ def cmd_rmatrix(args, pol) -> int:
     if tables is None:
         return _print_failure(report, "not realizable; no canonical R-matrices", args)
     dd, _, _, mt = tables
-    blocks = canonical_r(md, dd, mt, pol)
+    blocks = canonical_r(md, dd, mt)
     mono = monodromy_check(blocks, dd, pol)
     if args.json:
         _write_json({"blocks": [b.to_json_dict() for b in blocks],
@@ -256,6 +257,10 @@ def cmd_search(args, pol) -> int:
         path = out_dir / f"result_{idx:03d}.json"
         save_modular_data(res.md, path)
         files.append(str(path))
+    # the results of an earlier search into the same directory go
+    for path in out_dir.glob("result_*.json"):
+        if re.fullmatch(r"result_\d{3,}\.json", path.name) and str(path) not in files:
+            path.unlink()
     families = sorted({res.provenance[:2] for res in results})
     if args.json:
         _write_json({
@@ -339,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=int, default=16, metavar="Q",
                    help="largest twist denominator, at least 1 (default 16)")
     p.add_argument("--out", default="search-results", metavar="DIR",
-                   help="directory for result files (default ./search-results)")
+                   help="directory for result files; result_NNN.json files of an "
+                        "earlier search there are deleted (default ./search-results)")
     return parser
 
 

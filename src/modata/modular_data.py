@@ -412,8 +412,8 @@ def parse_complex(obj) -> complex:
     raise InvalidModularData(f"cannot parse complex value {obj!r}")
 
 
-def complex_to_json(z: complex, exact: bool = False, max_denominator: int = 240):
-    """Serialize a complex value; exact=True tries the arg_turns form.
+def complex_to_json(z: complex, exact: bool = False):
+    """Serialize a complex value; exact=True tries the arg_turns form, q <= 240.
 
     An ``abs`` within 4 ulps of 1 is written as 1.0, so that reading and
     writing again gives back the same document.
@@ -421,7 +421,7 @@ def complex_to_json(z: complex, exact: bool = False, max_denominator: int = 240)
     z = complex(z)
     if exact:
         mag = abs(z)
-        frac = turns_fraction(z / mag, max_denominator) if mag > 0 else None
+        frac = turns_fraction(z / mag) if mag > 0 else None
         if frac is not None:
             return {"abs": 1.0 if abs(mag - 1.0) <= 4 * 2.0 ** -52 else mag,
                     "arg_turns": f"{frac.numerator}/{frac.denominator}"}
@@ -442,6 +442,8 @@ def _md_from_dict(doc: dict) -> ModularData:
     if (not isinstance(S_rows, list) or not all(isinstance(row, list) for row in S_rows)
             or not isinstance(T_row, list)):
         raise InvalidModularData('"S" must be a matrix and "T" a list')
+    if len({len(row) for row in S_rows}) != 1:  # ragged rows would make np.array raise
+        raise InvalidModularData("S rows have inconsistent lengths")
     S = np.array([[parse_complex(z) for z in row] for row in S_rows], dtype=complex)
     T = np.array([parse_complex(z) for z in T_row], dtype=complex)
     # default labels per T entry, not per rank: a rank that T disagrees with
@@ -449,8 +451,6 @@ def _md_from_dict(doc: dict) -> ModularData:
     labels = doc["labels"] if "labels" in doc else [str(i) for i in range(len(T))]
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise InvalidModularData(f'"labels" must be a list of strings, got {labels!r}')
-    if S.ndim != 2:
-        raise InvalidModularData("S rows have inconsistent lengths")
     return ModularData(rank=rank, labels=tuple(labels), S=S, T=T)
 
 

@@ -1,9 +1,9 @@
 """Tolerance policy and complex-scalar utilities.
 
-Everything downstream funnels its float comparisons through this module:
-complex equality, integer detection, root-of-unity detection and the
-principal square root whose branch choice labels the +/- eigenvalue
-multiplicities.
+The TolerancePolicy every check reads its eq_tol and int_tol from; phases
+from turn fractions and root-of-unity detection back to them; and the
+principal square and n-th roots.  ``principal_sqrt`` is the one square-root
+branch: it labels the +/- eigenvalue multiplicities and the R-blocks.
 """
 from __future__ import annotations
 
@@ -15,8 +15,6 @@ from fractions import Fraction
 __all__ = [
     "TolerancePolicy",
     "DEFAULT_POLICY",
-    "approx_eq",
-    "as_integer",
     "principal_sqrt",
     "principal_root",
     "phase_from_turns",
@@ -46,26 +44,6 @@ class TolerancePolicy:
 DEFAULT_POLICY = TolerancePolicy()
 
 
-def approx_eq(x: complex, y: complex, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """True iff |x - y| <= eq_tol."""
-    return abs(complex(x) - complex(y)) <= pol.eq_tol
-
-
-def as_integer(x: complex, pol: TolerancePolicy = DEFAULT_POLICY) -> int | None:
-    """Round x to an integer, or None if it is not one within int_tol.
-
-    Both the imaginary part and the distance of the real part from the
-    nearest integer must stay below int_tol.
-    """
-    z = complex(x)
-    if abs(z.imag) > pol.int_tol:
-        return None
-    n = round(z.real)
-    if abs(z.real - n) > pol.int_tol:
-        return None
-    return int(n)
-
-
 def _principal_arg(w: complex) -> float:
     """arg(w) normalized to (-pi, pi]; cmath.phase returns -pi for -1-0j."""
     phi = cmath.phase(w)
@@ -78,8 +56,7 @@ def principal_sqrt(w: complex, pol: TolerancePolicy = DEFAULT_POLICY) -> complex
     """Square root e^{i arg(w)/2} of a phase, arg taken in (-pi, pi].
 
     Raises ValueError for non-unimodular input.  The other square root is
-    the negation; callers that care about branch covariance pass
-    ``lambda w: -principal_sqrt(w)``.
+    the negation.
     """
     z = complex(w)
     if abs(abs(z) - 1.0) > pol.eq_tol:

@@ -31,6 +31,7 @@ import numpy as np
 from .modular_data import (
     InvalidModularData,
     ModularData,
+    _is_json_int,
     _lift_t0,
     _md_from_dict,
     _read_json,
@@ -189,11 +190,24 @@ def _data_dir():
     return resources.files("modata") / "data" / "models"
 
 
+def _r_from_json(block) -> dict[tuple[int, int, int], complex]:
+    """The "r" block: a list of [[i, j, k], c] pairs with JSON-integer indices."""
+    if not isinstance(block, list):
+        raise InvalidModularData(f'"r" must be a list of [[i, j, k], c] pairs, got {block!r}')
+    r = {}
+    for entry in block:
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], list)
+                and len(entry[0]) == 3 and all(_is_json_int(x) for x in entry[0])):
+            raise InvalidModularData(f'"r" entry must be [[i, j, k], c], got {entry!r}')
+        r[tuple(entry[0])] = parse_complex(entry[1])
+    return r
+
+
 def load_model(source: str | Path) -> ExplicitModel:
     """Read a model file: modular-data format plus the "r" scalar block."""
     doc = _read_json(source, InvalidModularData)
     md = _md_from_dict(doc)
-    r = {tuple(int(x) for x in ch): parse_complex(val) for ch, val in doc.get("r", [])}
+    r = _r_from_json(doc.get("r", []))
     return ExplicitModel(name=doc.get("name", "unnamed"), labels=md.labels,
                          fusion=verlinde_fusion(md), twists=twists(md), r_scalars=r,
                          modular_data=md)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .axioms import AxiomReport, Diagnostic, make_report
-from .bantay import MultiplicityTable, SqrtFn
+from .bantay import MultiplicityTable
 from .modular_data import DerivedData, ModularData
 from .numerics import DEFAULT_POLICY, TolerancePolicy, principal_sqrt
 
@@ -94,13 +94,13 @@ class RBlock:
         return d
 
 
-def canonical_r(md: ModularData, dd: DerivedData, mt: MultiplicityTable,
-                pol: TolerancePolicy = DEFAULT_POLICY,
-                sqrt_fn: SqrtFn = principal_sqrt) -> list[RBlock]:
+def canonical_r(md: ModularData, dd: DerivedData, mt: MultiplicityTable) -> list[RBlock]:
     """One RBlock per ordered triple (i, j, k) with N^k_{i,j} > 0.
 
     ``mt`` must come from ``eigen_multiplicities`` on the same data; data
-    that failed realizability has no canonical R-matrices.
+    that failed realizability has no canonical R-matrices.  Square roots are
+    principal, the branch that labels ``mt``, so each signed block's trace is
+    tau[k][i].
     """
     n = md.rank
     w = dd.twists
@@ -116,10 +116,10 @@ def canonical_r(md: ModularData, dd: DerivedData, mt: MultiplicityTable,
                 if mult == 0:
                     continue
                 if i != j:
-                    val = sqrt_fn(_phase(w[k] / (w[i] * w[j])))
+                    val = principal_sqrt(_phase(w[k] / (w[i] * w[j])))
                     blocks.append(RBlock((i, j, k), "scalar", val, size=mult))
                 else:
-                    val = sqrt_fn(_phase(w[k])) / _phase(w[i])
+                    val = principal_sqrt(_phase(w[k])) / _phase(w[i])
                     blocks.append(RBlock((i, j, k), "signed", val,
                                          dim_plus=int(mt.m_plus[k, i]),
                                          dim_minus=int(mt.m_minus[k, i])))

@@ -281,7 +281,7 @@ def _balancing_levels(md: ModularData, N: np.ndarray | None, orbits: list[list[i
         level[orb] = lv
     # the premises of the bound: S unitary and symmetric with a real vacuum
     # row, and S^2 a conjugation, all up to rounding
-    ab = _s_checks(md, pol).ab_meas
+    ab = md._s_fact(_s_checks, pol).ab_meas
     off = max(ab["s_unitary"], ab["s_symmetric"], np.max(np.abs(S[0].imag)), np.max(row_dev))
     if N is None or not conj_ok or off > _ROUNDING:
         none = np.zeros(0, dtype=int)

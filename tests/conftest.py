@@ -1,16 +1,34 @@
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from modata import ModularData, catalog, catalog_models, derive, get_model
-from modata.numerics import DEFAULT_POLICY
+from modata import ModularData, bantay, catalog, catalog_models, derive, get_model, rmatrix
+from modata.numerics import DEFAULT_POLICY, principal_sqrt
 
 
 @pytest.fixture(scope="session")
 def pol():
     return DEFAULT_POLICY
+
+
+@pytest.fixture(scope="session")
+def other_branch():
+    """A context in which multiplicities and R-blocks take the other square
+    root, the negated principal one."""
+    def negated(w, pol=DEFAULT_POLICY):
+        return -principal_sqrt(w, pol)
+
+    @contextmanager
+    def context():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bantay, "principal_sqrt", negated)
+            mp.setattr(rmatrix, "principal_sqrt", negated)
+            yield
+
+    return context
 
 
 @pytest.fixture(scope="session")

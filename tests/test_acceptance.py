@@ -136,8 +136,7 @@ def test_criterion_05_trace_conjugation_symmetry():
     note(5, f"tau[k][i] = tau[kbar][ibar] on all entries, max deviation {worst:.2e}")
 
 
-def test_criterion_06_realizability_constraints_and_branch_invariance():
-    flipped = lambda w: -principal_sqrt(w)
+def test_criterion_06_realizability_constraints_and_branch_invariance(other_branch):
     for e in catalog():
         dd = derive(e.md)
         tt = trace_table(e.md, dd)
@@ -159,8 +158,9 @@ def test_criterion_06_realizability_constraints_and_branch_invariance():
         assert np.array_equal(mt.m_plus + mt.m_minus, diag_n)
         # verdict invariant under the square-root branch swap
         assert realizability_report(e.md).verdict == "pass"
-        assert realizability_report(e.md, sqrt_fn=flipped).verdict == "pass"
-        mt_f = eigen_multiplicities(e.md, dd, tt, sqrt_fn=flipped)
+        with other_branch():
+            assert realizability_report(e.md).verdict == "pass"
+            mt_f = eigen_multiplicities(e.md, dd, tt)
         assert np.array_equal(mt.m_plus, mt_f.m_minus)
     note(6, "t real-integral with range and parity, m+/m- >= 0 summing to "
             "N^k_ii, verdict branch-invariant on all entries")

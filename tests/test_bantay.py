@@ -16,7 +16,6 @@ from modata import (
     fs_indicators,
     get_model,
     load_modular_data,
-    principal_sqrt,
     realizability_report,
     trace_table,
     validate,
@@ -202,13 +201,13 @@ class TestEigenMultiplicities:
                              for k in range(e.md.rank)])
             assert np.all((mt.m_plus + mt.m_minus) == mask), e.name
 
-    def test_branch_swap_swaps_tables(self, entries):
-        flipped = lambda w: -principal_sqrt(w)
+    def test_branch_swap_swaps_tables(self, entries, other_branch):
         for e in entries:
             dd = derive(e.md)
             tt = trace_table(e.md, dd)
             a = eigen_multiplicities(e.md, dd, tt)
-            b = eigen_multiplicities(e.md, dd, tt, sqrt_fn=flipped)
+            with other_branch():
+                b = eigen_multiplicities(e.md, dd, tt)
             assert np.array_equal(a.m_plus, b.m_minus), e.name
             assert np.array_equal(a.m_minus, b.m_plus), e.name
 
@@ -239,12 +238,12 @@ class TestRealizabilityReport:
         assert "st_cubed" in ids
         assert "mult_integer" in ids  # fails even with the axiom checks ignored
 
-    def test_branch_swap_keeps_verdicts(self, entries, bad_ising_file):
-        flipped = lambda w: -principal_sqrt(w)
-        for e in entries:
-            assert realizability_report(e.md, sqrt_fn=flipped).verdict == "pass", e.name
+    def test_branch_swap_keeps_verdicts(self, entries, bad_ising_file, other_branch):
         bad = load_modular_data(bad_ising_file)
-        assert realizability_report(bad, sqrt_fn=flipped).verdict == "fail"
+        with other_branch():
+            for e in entries:
+                assert realizability_report(e.md).verdict == "pass", e.name
+            assert realizability_report(bad).verdict == "fail"
 
     def test_twist_trace_identity_on_oracle_models(self, models):
         # ribbon identity: sum_k d_k tau[k][i] = d_i w_i; confirmed on the

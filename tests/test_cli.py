@@ -78,6 +78,14 @@ class TestValidateCommand:
         assert code == 2
         assert "malformed JSON" in err
 
+    def test_ragged_s_exit_two(self, capsys, tmp_path):
+        bad = tmp_path / "ragged.json"
+        bad.write_text('{"rank": 2, "S": [[1.0], [1.0, 0.0]], "T": [1.0, 1.0]}')
+        code, out, err = run(capsys, "validate", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "S rows have inconsistent lengths" in err
+
     def test_missing_file_exit_two(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/file.json")
         assert code == 2
@@ -436,6 +444,23 @@ class TestSearchCommand:
         assert ("(1 S candidate(s); 30 twist assignments skipped, 27 of them pruned "
                 "by the Cauchy theorem and the rest by the modular relation; "
                 "6 T candidates filtered)") in out
+
+    def test_earlier_results_are_deleted(self, capsys, tmp_path, rings_dir):
+        out_dir = tmp_path / "results"
+        run(capsys, "search", str(rings_dir / "ising_ring.json"),
+            "--max-order", "16", "--out", str(out_dir))
+        assert len(list(out_dir.glob("result_*.json"))) == 24
+        (out_dir / "notes.txt").write_text("kept")
+        (out_dir / "result_7.json").write_text("kept")  # not a name search writes
+        code, out, _ = run(capsys, "search", str(rings_dir / "fibonacci_ring.json"),
+                           "--max-order", "10", "--out", str(out_dir))
+        assert code == 0
+        assert out.startswith("6 admissible data")
+        assert sorted(p.name for p in out_dir.glob("result_*.json")) == (
+            [f"result_{i:03d}.json" for i in range(6)] + ["result_7.json"])
+        assert all(load_modular_data(out_dir / f"result_{i:03d}.json").rank == 2
+                   for i in range(6))
+        assert (out_dir / "notes.txt").read_text() == "kept"
 
     def test_result_files_validate(self, capsys, tmp_path, rings_dir):
         out_dir = tmp_path / "results"

@@ -296,6 +296,8 @@ class TestFileFormat:
         '{"rank": 1, "S": [[[1.0, false]]], "T": [[1,0]]}',
         '{"rank": 1, "S": [[{"abs": true, "arg_turns": "0/1"}]], "T": [[1,0]]}',
         '{"rank": 1, "S": [1.0], "T": [[1,0]]}',                   # S row not a list
+        '{"rank": 2, "S": [[1.0], [1.0, 0.0]], "T": [1.0, 1.0]}',  # ragged S
+        '{"rank": 2, "S": [[1.0, 0.0], [0.0]], "T": [1.0, 1.0]}',
         '{"rank": true, "S": [[1.0]], "T": [1.0]}',                # rank must be an integer
         '{"rank": "1", "S": [[1.0]], "T": [1.0]}',
         '{"rank": 1.0, "S": [[1.0]], "T": [1.0]}',

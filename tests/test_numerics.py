@@ -10,8 +10,6 @@ from modata.numerics import (
     TolerancePolicy,
     _near_convergent,
     _principal_arg,
-    approx_eq,
-    as_integer,
     phase_from_turns,
     principal_root,
     principal_sqrt,
@@ -28,35 +26,6 @@ class TestPolicy:
     def test_rejects_bad_ordering(self, eq, it):
         with pytest.raises(ValueError):
             TolerancePolicy(eq_tol=eq, int_tol=it)
-
-
-class TestApproxEq:
-    def test_identity(self):
-        assert approx_eq(1 + 0j, 1 + 0j)
-
-    def test_below_tolerance(self):
-        assert approx_eq(1 + 0j, 1 + 1e-12j)
-
-    def test_distinct(self):
-        assert not approx_eq(1, -1)
-
-
-class TestAsInteger:
-    def test_near_integer(self):
-        assert as_integer(2.0000000001) == 2
-
-    def test_half_is_not(self):
-        assert as_integer(0.5) is None
-
-    def test_imaginary_part_too_large(self):
-        assert as_integer(1 + 0.01j) is None
-
-    def test_negative(self):
-        assert as_integer(-3.0 + 1e-9j) == -3
-
-    @given(st.integers(min_value=-10**6, max_value=10**6))
-    def test_idempotent_on_exact_integers(self, n):
-        assert as_integer(complex(n, 0)) == n
 
 
 class TestPrincipalSqrt:

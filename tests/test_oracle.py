@@ -213,6 +213,26 @@ class TestModelValidation:
         with pytest.raises(InvalidModularData, match="missing or malformed field"):
             load_model(bad)
 
+    @pytest.mark.parametrize("r", [
+        [[[0, 0, "0"], [1.0, 0.0]]],    # indices are JSON integers, not strings,
+        [[[0, 0, 0.0], [1.0, 0.0]]],    # floats
+        [[[0, 0, False], [1.0, 0.0]]],  # or booleans
+        [[0, 1]],                       # each entry is an [[i, j, k], c] pair
+        [[[0, 0, 0]]],
+        {"a": 1},                       # the block is a list
+    ])
+    def test_malformed_r_block_is_invalid_data(self, tmp_path, r):
+        import json
+
+        from modata import InvalidModularData
+
+        doc = get_model("trivial").to_json_dict()
+        doc["r"] = r
+        bad = tmp_path / "trivial_bad_r.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(InvalidModularData, match='"r"'):
+            load_model(bad)
+
     def test_roundtrip_through_json(self, tmp_path):
         import json
 

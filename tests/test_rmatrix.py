@@ -10,7 +10,6 @@ from modata import (
     eigen_multiplicities,
     get_model,
     monodromy_check,
-    principal_sqrt,
     r_op,
     trace_table,
 )
@@ -187,15 +186,15 @@ class TestMonodromyCheck:
         flagged = {d.indices[0] for d in report.errors()}
         assert (1, 2, 1) in flagged
 
-    def test_branch_covariant(self, entries):
+    def test_branch_covariant(self, entries, other_branch):
         # the opposite square-root branch flips block values but monodromy
         # products and signed traces are branch independent
-        flipped = lambda w: -principal_sqrt(w)
         for e in entries:
             dd = derive(e.md)
             tt = trace_table(e.md, dd)
-            mt = eigen_multiplicities(e.md, dd, tt, sqrt_fn=flipped)
-            blocks = canonical_r(e.md, dd, mt, sqrt_fn=flipped)
+            with other_branch():
+                mt = eigen_multiplicities(e.md, dd, tt)
+                blocks = canonical_r(e.md, dd, mt)
             assert monodromy_check(blocks, dd).verdict == "pass", e.name
             for b in blocks:
                 i, j, k = b.channel

@@ -24,7 +24,7 @@ from modata import (
     search_pipeline,
     verlinde_fusion,
 )
-from modata import modular_data
+from modata import axioms, modular_data, search
 from modata.modular_data import InvalidModularData, ModularData, _SFacts, _casimir_det, _lift_t0
 from modata.numerics import DEFAULT_POLICY, TolerancePolicy, phase_from_turns, turns_fraction
 from modata.search import (TEnumeration, _balancing_levels, _cauchy_roots, _fs_screen,
@@ -538,13 +538,15 @@ def test_balancing_residual_within_bound(name, eps, offsets):
 
 
 class TestSearchPipeline:
-    @pytest.mark.parametrize("ring, max_order, n_s", [("toric_code", 8, 4), ("fib_z3", 15, 2)])
+    @pytest.mark.parametrize("ring, max_order, n_s", [("toric_code", 8, 4), ("fib_z3", 15, 2),
+                                                      ("fibonacci", 10, 1)])
     def test_s_quantities_formed_once_per_s_candidate(self, monkeypatch, ring, max_order, n_s):
         # the enumeration, the FS screen, every report and the ring re-check
-        # of one S candidate share one S datum: its Verlinde tensor and det K
-        # are each formed once
+        # of one S candidate share one S datum: its Verlinde tensor, det K and
+        # S-only axiom checks are each formed once
         counts = Counter()
         raw, det = _SFacts.verlinde_raw.func, modular_data._casimir_det
+        s_checks = axioms._s_checks
 
         def counted_raw(facts):
             counts["verlinde_raw"] += 1
@@ -557,11 +559,18 @@ class TestSearchPipeline:
         prop = cached_property(counted_raw)
         prop.__set_name__(_SFacts, "verlinde_raw")
         monkeypatch.setattr(_SFacts, "verlinde_raw", prop)
+        def counted_s_checks(md, pol):
+            counts["s_checks"] += 1
+            return s_checks(md, pol)
+
         monkeypatch.setattr(modular_data, "_casimir_det", counted_det)
+        # one wrapper in both bindings, so the S cache keys it as one function
+        monkeypatch.setattr(axioms, "_s_checks", counted_s_checks)
+        monkeypatch.setattr(search, "_s_checks", counted_s_checks)
         stats = {}
         assert search_pipeline(make_ring(ring), max_order, stats_out=stats)
         assert stats["s_candidates"] == n_s
-        assert counts == {"verlinde_raw": n_s, "casimir_det": n_s}
+        assert counts == {"verlinde_raw": n_s, "casimir_det": n_s, "s_checks": n_s}
 
     def test_trivial_ring_three_central_charges(self):
         res = search_pipeline(TRIVIAL_RING, max_order=4)
