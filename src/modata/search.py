@@ -6,7 +6,9 @@ Pipeline:
      (standard character theory of a commutative fusion ring); columns are
      the common eigenvectors, phase-fixed to a positive first entry, and
      every column ordering that yields a symmetric matrix with a positive
-     vacuum column is kept.
+     vacuum column is kept.  Orderings are built label by label, and one
+     that already breaks symmetry is not extended, so the n! orderings are
+     never all formed.
   2. ``enumerate_t`` assigns roots of unity (bounded order) to the twists,
      respecting w_0 = 1 and w_ibar = w_i, keeps assignments for which
      (S diag(w))^3 is a scalar multiple of S^2, and emits all three cube
@@ -41,10 +43,12 @@ Pipeline:
      see :mod:`modata.modular_data`) is computed once per S, and each
      report computes only its T half.  A pass equal to an already kept result
      in both S and T within eq_tol is dropped; that (S, T) check is the
-     search's only dedup.  Only results of the same S can be equal, since
-     two S candidates differ by at least 0.577 in some entry
-     (``candidate_s``), more than any eq_tol, so a pass is compared with
-     those alone, in one array operation over their T.
+     search's only dedup.  Two S candidates differ by at least sqrt(2/rank)
+     in some entry (``candidate_s``), which is 0.408 at rank 12 and does not
+     exceed every eq_tol the policy admits, so once per S candidate the
+     earlier S candidates within eq_tol of it are found, and a pass is
+     compared with the kept results of those and of its own S, in one array
+     operation over their T.
 
 The pipeline enumerates admissible modular data; whether two realizations
 of the same data are equivalent categories is out of its scope.
@@ -55,7 +59,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from itertools import permutations
 from pathlib import Path
 from typing import IO, NamedTuple
 
@@ -89,7 +92,7 @@ __all__ = [
     "save_fusion_ring",
 ]
 
-MAX_SEARCH_RANK = 6
+MAX_SEARCH_RANK = 12
 _SPLIT_TOL = 1e-8  # relative eigenvalue gap that splits a joint eigenspace
 _ROUNDING = 1e-12  # float noise allowed for in the twist and FS screens and the balancing bound
 
@@ -201,11 +204,17 @@ def _joint_eigenvectors(fr: FusionRing) -> list[np.ndarray]:
 def candidate_s(fr: FusionRing, pol: TolerancePolicy = DEFAULT_POLICY) -> list[np.ndarray]:
     """Unitary symmetric S candidates assembled from the ring characters.
 
-    Columns are phase-fixed so the first entry is real positive; orderings
-    are kept when the matrix is symmetric and the vacuum column (position
-    0) is entrywise positive.  Two orderings of orthonormal columns differ
-    by at least sqrt(2/rank) >= 0.577 in some entry, more than any eq_tol,
-    so the kept matrices are distinct without a dedup.
+    Columns are phase-fixed so the first entry is real positive; an ordering
+    sigma, S = C[:, sigma], is kept when S is symmetric within eq_tol and
+    its vacuum column (position 0) is entrywise positive.  The orderings are
+    built label by label, depth first: label 0 takes only a real positive
+    column, and label j takes an unused column c only if
+    |C[i, c] - C[j, sigma(i)]| <= eq_tol for every label i < j already
+    placed.  Columns are tried in ascending order, so the kept matrices come
+    in ``itertools.permutations`` order.  Two orderings of orthonormal
+    columns differ by at least sqrt(2/rank) in some entry (0.408 at rank
+    12), so the kept matrices are distinct; ``search_pipeline`` does not
+    rely on that bound exceeding eq_tol.
     """
     if fr.rank > MAX_SEARCH_RANK:
         raise FusionRingError(f"rank {fr.rank} exceeds the search bound {MAX_SEARCH_RANK}")
@@ -216,14 +225,28 @@ def candidate_s(fr: FusionRing, pol: TolerancePolicy = DEFAULT_POLICY) -> list[n
             return []  # a character vanishing on the vacuum admits no S
         v = v * (np.conj(v[0]) / abs(v[0]))
         cols.append(v)
-    # every column ordering at once: Ss[p] = C[:, perms[p]], in permutations order
-    perms = np.array(list(permutations(range(len(cols)))))
-    Ss = np.column_stack(cols)[:, perms].transpose(1, 0, 2)
-    symmetric = np.max(np.abs(Ss - Ss.transpose(0, 2, 1)), axis=(1, 2)) <= pol.eq_tol
-    c0 = Ss[:, :, 0]
-    positive = (np.max(np.abs(c0.imag), axis=1) <= pol.eq_tol) & np.all(c0.real > pol.eq_tol,
-                                                                          axis=1)
-    return [Ss[p].copy() for p in np.flatnonzero(symmetric & positive)]
+    C = np.column_stack(cols)
+    tol, n = pol.eq_tol, len(cols)
+    positive = (np.max(np.abs(C.imag), axis=0) <= tol) & np.all(C.real > tol, axis=0)
+    rows = C.tolist()  # the per-node test on Python complex, not numpy scalars
+    sigma: list[int] = []
+    found: list[np.ndarray] = []
+
+    def place(j: int) -> None:
+        if j == n:
+            found.append(C[:, sigma].copy())
+            return
+        row_j = rows[j]
+        for c in range(n):
+            if c in sigma or (j == 0 and not positive[c]):
+                continue
+            if all(abs(rows[i][c] - row_j[s]) <= tol for i, s in enumerate(sigma)):
+                sigma.append(c)
+                place(j + 1)
+                sigma.pop()
+
+    place(0)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +493,9 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
     ``realizability_report``, and a pass is kept unless
     it equals an already kept result in both S and T within eq_tol, the
     search's only dedup.  The data of one S candidate share its S cache, and
-    a pass is compared with the kept results of its own S only (see the
-    module docstring).  Results therefore come out ordered by provenance
+    a pass is compared with the kept results of the S candidates within
+    eq_tol of its own, its own included (see the module docstring).
+    Results therefore come out ordered by provenance
     (S candidate, twist assignment, cube root).  Pass a dict as
     ``stats_out`` to receive the candidate, skip and prune counters and
     ``fs_screened``, the T candidates the FS screen dropped.  ``max_order``
@@ -480,7 +504,7 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
     results: list[SearchResult] = []
-    with_results: list[ModularData] = []  # the S data that gave a result
+    kept: list[tuple[ModularData, list[np.ndarray]]] = []  # (S datum, T of its results)
     n_candidates = n_skipped = n_pruned = n_diagonals = n_screened = 0
     for s_idx, S in enumerate(candidate_s(fr, pol)):
         n_candidates += 1
@@ -491,27 +515,31 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
         n_diagonals += len(enum.diagonals)
         fs_ok = _fs_screen(s_md, enum.diagonals, pol)
         n_screened += int(np.count_nonzero(~fs_ok))
-        kept_t: list[np.ndarray] = []  # T of the results of this S
+        # the T a pass is compared with: the results of every S candidate
+        # within eq_tol of this one, its own included
+        near_t = [t for prev, ts in kept if np.max(np.abs(S - prev.S)) <= pol.eq_tol
+                  for t in ts]
+        own_t: list[np.ndarray] = []
         # the three cube-root lifts of an assignment are emitted consecutively
         for d_idx, (t_diag, a_idx) in enumerate(zip(enum.diagonals, enum.assignments)):
             if not fs_ok[d_idx]:
                 continue
             md = s_md._with_t(t_diag)
             rep = realizability_report(md, pol)  # runs the axiom battery first
-            if rep.passed and not (kept_t and np.any(
-                    np.max(np.abs(md.T - np.array(kept_t)), axis=1) <= pol.eq_tol)):
+            if rep.passed and not (near_t and np.any(
+                    np.max(np.abs(md.T - np.array(near_t)), axis=1) <= pol.eq_tol)):
                 results.append(SearchResult(md=md, report=rep,
                                             provenance=(s_idx, a_idx, d_idx % 3)))
-                kept_t.append(md.T)
-        if kept_t:
-            with_results.append(s_md)
+                near_t.append(md.T)
+                own_t.append(md.T)
+        kept.append((s_md, own_t))
     if stats_out is not None:
         stats_out.update(s_candidates=n_candidates, skipped_assignments=n_skipped,
                          pruned_assignments=n_pruned, t_candidates=n_diagonals,
                          fs_screened=n_screened)
     # every winner must reproduce the ring it came from; its S alone decides that
-    for s_md in with_results:
-        if not np.array_equal(verlinde_fusion(s_md, pol), fr.N):
+    for s_md, own_t in kept:
+        if own_t and not np.array_equal(verlinde_fusion(s_md, pol), fr.N):
             raise FusionRingError("internal error: result does not reproduce the fusion ring")
     return results
 

@@ -483,6 +483,18 @@ class TestSearchCommand:
         assert out == ""
         assert "must be" in err
 
+    def test_rank_above_search_bound_exit_two(self, capsys, tmp_path):
+        # pointed Z_13, one rank above the search bound of 12
+        n = 13
+        ring = tmp_path / "z13.json"
+        N = [[[int((a + b) % n == c) for c in range(n)] for b in range(n)] for a in range(n)]
+        ring.write_text(json.dumps({"rank": n, "N": N}))
+        code, out, err = run(capsys, "search", str(ring), "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert out == ""
+        assert "exceeds the search bound 12" in err
+        assert not (tmp_path / "r").exists()
+
     def test_non_integer_multiplicity_exit_two(self, capsys, tmp_path):
         ring = tmp_path / "ring.json"
         ring.write_text('{"rank": 2, "N": [[[1, 0], [0, 1]], [[0, 1], [1, 1.7]]]}')

@@ -65,9 +65,14 @@ def su2_ring(k):
     return FusionRing(rank=n, N=N)
 
 
+def deligne_ring(a, b):
+    """The product ring of a and b, label (i, j) at position i * b.rank + j."""
+    n = a.rank * b.rank
+    return FusionRing(rank=n, N=np.einsum("ace,bdf->abcdef", a.N, b.N).reshape(n, n, n))
+
+
 def fib_z3_ring():
-    fib, z3 = ring_of("fibonacci"), ring_of("z3")
-    return FusionRing(rank=6, N=np.einsum("ace,bdf->abcdef", fib.N, z3.N).reshape(6, 6, 6))
+    return deligne_ring(ring_of("fibonacci"), ring_of("z3"))
 
 
 # rings with three twist orbits and 10^4-10^6 assignments
@@ -335,23 +340,21 @@ class TestCandidateS:
 
     @pytest.mark.parametrize("pol", [DEFAULT_POLICY, LOOSE], ids=["default", "loose"])
     def test_matches_per_permutation_loop(self, entries, pol):
-        # every ring a search test runs on, catalog and generated
+        # every ring a search test runs on up to rank 6, catalog and
+        # generated, and SU(2)_6 (rank 7) and Z_2^3 (rank 8, 28 orderings kept)
+        z2 = pointed_ring(2)
         rings = ([TRIVIAL_RING, fib_z3_ring()] + [ring_of(e.name) for e in entries]
-                 + [pointed_ring(n) for n in range(2, 7)] + [su2_ring(k) for k in (3, 4, 5)])
+                 + [pointed_ring(n) for n in range(2, 7)] + [su2_ring(k) for k in (3, 4, 5, 6)]
+                 + [deligne_ring(deligne_ring(z2, z2), z2)])
         for fr in rings:
             got, want = candidate_s(fr, pol), reference_candidate_s(fr, pol)
             assert len(got) == len(want) and got
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_rank_bound_enforced(self):
-        # Z_7 pointed fusion (a genuine ring) exceeds the default bound
-        N = np.zeros((7, 7, 7), dtype=int)
-        for a in range(7):
-            for b in range(7):
-                N[a, b, (a + b) % 7] = 1
-        fr = FusionRing(rank=7, N=N)
+        # Z_13 pointed fusion (a genuine ring) exceeds the default bound
         with pytest.raises(FusionRingError, match="exceeds the search bound"):
-            candidate_s(fr)
+            candidate_s(pointed_ring(13))
 
 
 class TestEnumerateT:
@@ -676,6 +679,46 @@ class TestSearchPipeline:
         # the twists of SU(2)_k itself, w_a = e^{2 pi i a(a+2)/(4(k+2))}
         w = [turn(a * (a + 2), 4 * (k + 2)) for a in range(k + 1)]
         assert any(np.max(np.abs(r.md.T / r.md.T[0] - w)) < 1e-9 for r in res)
+
+    def test_rank12_ring_accepted(self):
+        # SU(2)_11, rank 12 = the search bound, at q = 4(k+2) = 52
+        res = search_pipeline(su2_ring(11), max_order=52)
+        assert len(res) == 12
+        assert len({r.provenance[:2] for r in res}) == 4
+        w = [turn(a * (a + 2), 52) for a in range(12)]
+        assert any(np.max(np.abs(r.md.T / r.md.T[0] - w)) < 1e-9 for r in res)
+
+    def test_rank9_ising_ising_regression(self):
+        # Ising x Ising at q=16: 8 self-dual twist orbits, 80^8 assignments
+        # for each of the 6 S candidates; frozen from a run of the search
+        stats = {}
+        res = search_pipeline(deligne_ring(ring_of("ising"), ring_of("ising")), max_order=16,
+                              stats_out=stats)
+        assert len(res) == 384
+        assert len({r.provenance[:2] for r in res}) == 128
+        assert stats == {"s_candidates": 6, "skipped_assignments": 10066329599999488,
+                         "pruned_assignments": 10066303830196224, "t_candidates": 1536,
+                         "fs_screened": 1152}
+        for a, b in (("ising", "ising"), ("ising", "su2_2"), ("su2_2", "su2_2")):
+            A, B = get_model(a).modular_data, get_model(b).modular_data
+            deligne = ModularData.from_matrices(np.kron(A.S, B.S), np.kron(A.T, B.T))
+            assert any(r.md.approx_eq(deligne) for r in res), (a, b)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-12], ids=["twice", "shifted"])
+    def test_dedup_across_s_candidates_within_tolerance(self, monkeypatch, shift):
+        # two S candidates within eq_tol of each other: candidate_s never
+        # lists such a pair up to rank 12 at the default policy, but the
+        # sqrt(2/rank) gap between orderings does not exceed every eq_tol
+        # the policy admits, so the dedup must compare across S candidates
+        fr = ring_of("fibonacci")
+        want = search_pipeline(fr, max_order=10)
+        S = candidate_s(fr)[0]
+        monkeypatch.setattr(search, "candidate_s", lambda fr, pol: [S, S + shift])
+        stats = {}
+        got = search_pipeline(fr, max_order=10, stats_out=stats)
+        assert stats["s_candidates"] == 2
+        assert [r.provenance for r in got] == [r.provenance for r in want]
+        assert all(np.array_equal(a.md.T, b.md.T) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("ring, max_order, pol", REFERENCE_CASES, ids=REFERENCE_IDS)
     def test_matches_unfiltered_reference(self, ring, max_order, pol):
