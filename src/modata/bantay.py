@@ -132,19 +132,16 @@ def _trace_table_raw(md: ModularData, dd: DerivedData) -> np.ndarray:
 def _trace_diagnostics(md: ModularData, dd: DerivedData, pol: TolerancePolicy):
     """(clamped trace table, diagnostics for forbidden-channel residue)."""
     tau = _trace_table_raw(md, dd)
-    N = dd.fusion
-    n = md.rank
     diags: list[Diagnostic] = []
-    for k in range(n):
-        for i in range(n):
-            if N[i, i, k] == 0:
-                residue = abs(tau[k, i])
-                if residue > pol.eq_tol:
-                    diags.append(Diagnostic(
-                        "trace_zero_channel", "error", ((k, i),), float(residue),
-                        f"internal inconsistency: tau[{k}][{i}] = {tau[k, i]:.3e} "
-                        f"but N^{k}_{{{i},{i}}} = 0"))
-                tau[k, i] = 0.0
+    # the forbidden channels (k, i), N^k_ii = 0, in row-major order
+    for k, i in np.argwhere(dd.fusion.diagonal() == 0).tolist():
+        residue = abs(tau[k, i])
+        if residue > pol.eq_tol:
+            diags.append(Diagnostic(
+                "trace_zero_channel", "error", ((k, i),), float(residue),
+                f"internal inconsistency: tau[{k}][{i}] = {tau[k, i]:.3e} "
+                f"but N^{k}_{{{i},{i}}} = 0"))
+        tau[k, i] = 0.0
     return tau, diags
 
 
@@ -230,42 +227,40 @@ def fs_indicators(md: ModularData, dd: DerivedData, tt: TraceTable,
 def _multiplicity_diagnostics(md: ModularData, dd: DerivedData, tt: TraceTable,
                               pol: TolerancePolicy):
     w = dd.twists
-    N = dd.fusion
-    n = md.rank
-    m_plus = np.zeros((n, n), dtype=int)
-    m_minus = np.zeros((n, n), dtype=int)
+    diag = dd.fusion.diagonal()  # diag[k, i] = N^k_ii
+    m_plus = np.zeros_like(diag)
+    m_minus = np.zeros_like(diag)
     diags: list[Diagnostic] = []
 
     def bad(cond_id, k, i, dev, msg):
         diags.append(Diagnostic(cond_id, "error", ((k, i),), float(dev),
                                 f"realizability violation at (k,i)=({k},{i}): {msg}"))
 
-    for k in range(n):
-        # the phase of w_k: validate lets |w_k| - 1 reach about 2 eq_tol
-        sqrt_wk = principal_sqrt(w[k] / abs(w[k]))
-        for i in range(n):
-            m = int(N[i, i, k])
-            if m == 0:
-                continue  # trace already clamped to 0; m+/- stay 0
-            t = w[i] / sqrt_wk * tt.tau[k, i]
-            if abs(t.imag) > pol.int_tol:
-                bad("mult_real", k, i, abs(t.imag), f"t = {t:.6g} is not real")
-                continue
-            ti = round(t.real)
-            if abs(t.real - ti) > pol.int_tol:
-                bad("mult_integer", k, i, abs(t.real - ti),
-                    f"t = {t.real:.6g} is not an integer")
-                continue
-            if abs(ti) > m:
-                bad("mult_range", k, i, float(abs(ti) - m),
-                    f"|t| = {abs(ti)} exceeds N^k_ii = {m}")
-                continue
-            if (ti - m) % 2 != 0:
-                bad("mult_parity", k, i, 1.0,
-                    f"t = {ti} has parity different from N^k_ii = {m}")
-                continue
-            m_plus[k, i] = (m + ti) // 2
-            m_minus[k, i] = (m - ti) // 2
+    # the phase of w_k: validate lets |w_k| - 1 reach about 2 eq_tol
+    sqrt_w = [principal_sqrt(wk / abs(wk)) for wk in w]
+    # the channels (k, i) with N^k_ii > 0 in row-major order; the trace
+    # table is already clamped to 0 elsewhere, where m+/- stay 0
+    for k, i in np.argwhere(diag).tolist():
+        m = int(diag[k, i])
+        t = w[i] / sqrt_w[k] * tt.tau[k, i]
+        if abs(t.imag) > pol.int_tol:
+            bad("mult_real", k, i, abs(t.imag), f"t = {t:.6g} is not real")
+            continue
+        ti = round(t.real)
+        if abs(t.real - ti) > pol.int_tol:
+            bad("mult_integer", k, i, abs(t.real - ti),
+                f"t = {t.real:.6g} is not an integer")
+            continue
+        if abs(ti) > m:
+            bad("mult_range", k, i, float(abs(ti) - m),
+                f"|t| = {abs(ti)} exceeds N^k_ii = {m}")
+            continue
+        if (ti - m) % 2 != 0:
+            bad("mult_parity", k, i, 1.0,
+                f"t = {ti} has parity different from N^k_ii = {m}")
+            continue
+        m_plus[k, i] = (m + ti) // 2
+        m_minus[k, i] = (m - ti) // 2
     table = MultiplicityTable(m_plus=m_plus, m_minus=m_minus)
     return table, diags
 

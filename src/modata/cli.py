@@ -137,15 +137,12 @@ def cmd_bantay(args, pol) -> int:
         # |t| and parity let the user re-derive the labels under the other
         # square-root branch (which just swaps m+ and m-)
         print("self-braiding channels (k, i): t = m+ - m-, N = N^k_ii:")
-        for k in range(md.rank):
-            for i in range(md.rank):
-                n_ch = int(mt.m_plus[k, i] + mt.m_minus[k, i])
-                if n_ch == 0:
-                    continue
-                t = int(mt.m_plus[k, i] - mt.m_minus[k, i])
-                parity = "even" if n_ch % 2 == 0 else "odd"
-                print(f"  ({labels[k]},{labels[i]}): t = {t:+d}, |t| = {abs(t)}, "
-                      f"N = {n_ch} ({parity})")
+        n_ch = mt.m_plus + mt.m_minus
+        for k, i in zip(*n_ch.nonzero()):
+            t = int(mt.m_plus[k, i] - mt.m_minus[k, i])
+            parity = "even" if n_ch[k, i] % 2 == 0 else "odd"
+            print(f"  ({labels[k]},{labels[i]}): t = {t:+d}, |t| = {abs(t)}, "
+                  f"N = {n_ch[k, i]} ({parity})")
     return EXIT_PASS
 
 

@@ -96,8 +96,7 @@ def _check_model(model: ExplicitModel, pol: TolerancePolicy = DEFAULT_POLICY) ->
     fusion = model.fusion
     if fusion.shape != (n, n, n) or np.any((fusion != 0) & (fusion != 1)):
         raise ValueError(f"model {model.name}: fusion must be a 0/1 tensor")
-    support = {(i, j, k) for i in range(n) for j in range(n) for k in range(n)
-               if fusion[i, j, k] == 1}
+    support = set(map(tuple, np.argwhere(fusion).tolist()))
     given = set(model.r_scalars)
     if given != support:
         raise ValueError(

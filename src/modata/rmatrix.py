@@ -10,10 +10,11 @@ where E+/E- are diagonal projections whose dimensions are the eigenvalue
 multiplicities m+/m- of the self-braiding; only those dimensions are
 determined, so blocks store no basis data.  The opposite braiding is
 R^op = (w_i w_j / w_k) * R, and the double braiding acts on channel k by
-the scalar w_k/(w_i w_j); ``monodromy_check`` verifies both relations on
-every emitted block.  Each of these quantities is taken as the phase u/|u|
-of its ratio u, so twists that validation lets sit slightly off the unit
-circle still give unimodular blocks.
+the scalar w_k/(w_i w_j); ``monodromy_check`` forms R^op of each mirror
+block in place and verifies both relations on every emitted block.  Each
+of these quantities is taken as the phase u/|u| of its ratio u, so twists
+that validation lets sit slightly off the unit circle still give
+unimodular blocks.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .bantay import MultiplicityTable
 from .modular_data import DerivedData, ModularData
 from .numerics import DEFAULT_POLICY, TolerancePolicy, principal_sqrt
 
-__all__ = ["RBlock", "canonical_r", "r_op", "monodromy_check"]
+__all__ = ["RBlock", "canonical_r", "monodromy_check"]
 
 
 def _phase(u: complex) -> complex:
@@ -102,37 +103,22 @@ def canonical_r(md: ModularData, dd: DerivedData, mt: MultiplicityTable) -> list
     principal, the branch that labels ``mt``, so each signed block's trace is
     tau[k][i].
     """
-    n = md.rank
     w = dd.twists
     N = dd.fusion
-    diag_n = np.array([[int(N[i, i, k]) for i in range(n)] for k in range(n)])
-    if not np.array_equal(mt.m_plus + mt.m_minus, diag_n):
+    if not np.array_equal(mt.m_plus + mt.m_minus, N.diagonal()):
         raise ValueError("not realizable: multiplicity table does not match the fusion tensor")
     blocks: list[RBlock] = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                mult = int(N[i, j, k])
-                if mult == 0:
-                    continue
-                if i != j:
-                    val = principal_sqrt(_phase(w[k] / (w[i] * w[j])))
-                    blocks.append(RBlock((i, j, k), "scalar", val, size=mult))
-                else:
-                    val = principal_sqrt(_phase(w[k])) / _phase(w[i])
-                    blocks.append(RBlock((i, j, k), "signed", val,
-                                         dim_plus=int(mt.m_plus[k, i]),
-                                         dim_minus=int(mt.m_minus[k, i])))
+    # the fusion support in row-major order, which is the block order
+    for i, j, k in np.argwhere(N).tolist():
+        if i != j:
+            val = principal_sqrt(_phase(w[k] / (w[i] * w[j])))
+            blocks.append(RBlock((i, j, k), "scalar", val, size=int(N[i, j, k])))
+        else:
+            val = principal_sqrt(_phase(w[k])) / _phase(w[i])
+            blocks.append(RBlock((i, j, k), "signed", val,
+                                 dim_plus=int(mt.m_plus[k, i]),
+                                 dim_minus=int(mt.m_minus[k, i])))
     return blocks
-
-
-def r_op(block: RBlock, dd: DerivedData) -> RBlock:
-    """The opposite-braiding block: value scaled by w_i w_j / w_k."""
-    i, j, k = block.channel
-    w = dd.twists
-    factor = _phase(w[i] * w[j] / w[k])
-    return RBlock(block.channel, block.form, block.value * factor,
-                  size=block.size, dim_plus=block.dim_plus, dim_minus=block.dim_minus)
 
 
 def monodromy_check(blocks: list[RBlock], dd: DerivedData,
@@ -168,7 +154,8 @@ def monodromy_check(blocks: list[RBlock], dd: DerivedData,
                 "monodromy", "error", ((i, j, k),), float(dev),
                 f"double braiding on ({i},{j},{k}) gives {prod:.6g}, "
                 f"expected {target:.6g}"))
-        inv = r_op(mirror, dd).value * b.value
+        # R^op of the mirror is its value times w_j w_i / w_k
+        inv = mirror.value * _phase(w[j] * w[i] / w[k]) * b.value
         dev_inv = abs(inv - 1.0)
         meas["op_inverse"] = max(meas["op_inverse"], dev_inv)
         if dev_inv > pol.eq_tol:

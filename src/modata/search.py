@@ -133,11 +133,6 @@ class FusionRing:
         N.setflags(write=False)
         object.__setattr__(self, "N", N)
 
-    @property
-    def conj(self) -> np.ndarray:
-        """The duality involution i -> ibar read off the vacuum row N^0."""
-        return np.argmax(self.N[:, :, 0], axis=1)
-
     def to_json_dict(self) -> dict:
         return {"rank": self.rank, "N": [[[int(x) for x in row] for row in plane]
                                          for plane in self.N]}

@@ -262,6 +262,21 @@ class TestRealizabilityReport:
             assert all(d.check_id == "twist_trace" for d in warnings)
             assert report.verdict == "pass"
 
+    def test_channel_diagnostics_in_row_major_order(self):
+        # Ising with w_psi turned by 1/3 fails on three forbidden channels
+        # and three allowed ones; both lists come out in (k, i) row-major order
+        ising = get_model("ising").modular_data
+        T = ising.T * np.array([1.0, 1.0, turn(1, 3)])
+        report = realizability_report(ModularData.from_matrices(ising.S, T, ising.labels))
+
+        def channels(prefix):
+            return [d.indices[0] for d in report.errors() if d.check_id.startswith(prefix)]
+
+        assert channels("trace_zero_channel") == [(1, 1), (1, 2), (2, 2)]
+        assert channels("mult_") == [(0, 1), (0, 2), (2, 1)]
+        assert [d.check_id for d in report.errors() if d.check_id.startswith("mult_")] == [
+            "mult_integer", "mult_integer", "mult_real"]
+
     @pytest.mark.parametrize("check_id", ["trace_conjugation", "derivation",
                                           "fs_route_agreement"])
     def test_check_can_fail_alone(self, single_failure_data, check_id):

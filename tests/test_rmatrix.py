@@ -1,16 +1,17 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from modata import (
+    ExplicitModel,
     ModularData,
     canonical_r,
     derive,
     eigen_multiplicities,
     get_model,
     monodromy_check,
-    r_op,
     trace_table,
 )
 from modata.numerics import phase_from_turns
@@ -84,12 +85,13 @@ class TestCanonicalR:
         assert abs(b.trace() - turn(3, 10)) < 1e-12
 
     def test_one_block_per_nonzero_channel(self, entries):
+        # in the row-major order of N's support: the JSON block order is output
         for e in entries:
             dd, tt, mt, blocks = full_pipeline(e.md)
             n = e.md.rank
-            want = {(i, j, k) for i in range(n) for j in range(n) for k in range(n)
-                    if dd.fusion[i, j, k] > 0}
-            assert {b.channel for b in blocks} == want, e.name
+            want = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
+                    if dd.fusion[i, j, k] > 0]
+            assert [b.channel for b in blocks] == want, e.name
 
     def test_mismatched_multiplicities_rejected(self):
         md = get_model("ising").modular_data
@@ -138,27 +140,39 @@ class TestCanonicalR:
             assert ("size" in d) == (d["form"] == "scalar")
 
 
-class TestROp:
-    def test_trivial(self):
-        dd, _, _, blocks = full_pipeline(TRIVIAL)
-        assert abs(r_op(blocks[0], dd).value - 1.0) < 1e-12
+def explicit_product(a, b):
+    """The Deligne product of two explicit models: r = r_a r_b on kron indices."""
+    nb = b.rank
+    r = {(i * nb + i2, j * nb + j2, k * nb + k2): va * vb
+         for (i, j, k), va in a.r_scalars.items()
+         for (i2, j2, k2), vb in b.r_scalars.items()}
+    md = ModularData.from_matrices(np.kron(a.modular_data.S, b.modular_data.S),
+                                   np.kron(a.modular_data.T, b.modular_data.T),
+                                   [f"{x}*{y}" for x in a.labels for y in b.labels])
+    fusion = np.einsum("ace,bdf->abcdef", a.fusion, b.fusion).reshape((a.rank * nb,) * 3)
+    return ExplicitModel(name=f"{a.name}*{b.name}", labels=md.labels, fusion=fusion,
+                         twists=np.kron(a.twists, b.twists), r_scalars=r, modular_data=md)
 
-    def test_fibonacci_vacuum_channel(self):
-        md = get_model("fibonacci").modular_data
-        dd, _, _, blocks = full_pipeline(md)
-        by = {b.channel: b for b in blocks}
-        b = by[(1, 1, 0)]
-        assert abs(b.value - turn(-2, 5)) < 1e-12       # R = e^{-4 pi i/5}
-        assert abs(r_op(b, dd).value - turn(2, 5)) < 1e-12  # R^op = w_tau^2 R
 
-    def test_op_of_mirror_inverts(self, entries):
-        for e in entries:
-            dd, _, _, blocks = full_pipeline(e.md)
-            by = {b.channel: b for b in blocks}
+class TestAgainstOracle:
+    def test_blocks_match_r_scalars_at_product_ranks(self, models):
+        # not true by construction: the blocks come from S and T alone, the
+        # r scalars from the explicit models
+        products = list(models) + [explicit_product(a, b) for a, b in
+                                   itertools.combinations_with_replacement(models, 2)]
+        assert len(products) == 9 + 45
+        for m in products:
+            r = m.r_scalars
+            _, _, _, blocks = full_pipeline(m.modular_data)
+            assert len(blocks) == len(r), m.name
             for b in blocks:
                 i, j, k = b.channel
-                mirror = by[(j, i, k)]
-                assert abs(r_op(mirror, dd).value * b.value - 1.0) <= 1e-9, e.name
+                if b.form == "signed":
+                    assert b.dim == 1, m.name
+                    sign = 1 if b.dim_plus else -1
+                    assert abs(b.value * sign - r[i, i, k]) <= 1e-9, (m.name, b.channel)
+                else:
+                    assert abs(b.value ** 2 - r[i, j, k] * r[j, i, k]) <= 1e-9, (m.name, b.channel)
 
 
 class TestMonodromyCheck:

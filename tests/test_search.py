@@ -242,9 +242,6 @@ class TestFusionRing:
         for e in entries:
             FusionRing(rank=e.md.rank, N=verlinde_fusion(e.md))
 
-    def test_conj_from_vacuum_row(self):
-        assert ring_of("z3").conj.tolist() == [0, 2, 1]
-
     def test_rejects_noncommutative(self):
         N = np.zeros((2, 2, 2), dtype=int)
         N[0] = np.eye(2, dtype=int)
