@@ -166,7 +166,7 @@ def _s_checks(md: ModularData, pol: TolerancePolicy) -> _SChecks:
                      fg_meas["vacuum_fusion"],
                      "N^0_{i,j} != delta_{j, ibar}")
     else:
-        fg_meas["verlinde_integrality"] = float("inf")
+        fg_meas["verlinde_integrality"] = 1.0
         fail(fg_diags, "verlinde_integrality", [], 1.0,
              "vanishing S_{0,r}: Verlinde sum undefined")
 

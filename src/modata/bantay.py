@@ -173,16 +173,12 @@ def _fs_sums(S0: np.ndarray, N: np.ndarray, W: np.ndarray) -> np.ndarray:
     return terms.reshape(*pref.shape[:-2], n, n * n).sum(axis=-1)
 
 
-def _fs_sum(md: ModularData, dd: DerivedData) -> np.ndarray:
-    return _fs_sums(md.S[:, 0], dd.fusion, dd.twists)
-
-
 def _fs_diagnostics(md: ModularData, dd: DerivedData, tt: TraceTable,
                     pol: TolerancePolicy):
     """(indicator ints, diagnostics) checking both routes and the value set."""
     w = dd.twists
     via_trace = w * tt.tau[0, :]
-    via_sum = _fs_sum(md, dd)
+    via_sum = _fs_sums(md.S[:, 0], dd.fusion, w)
     diags: list[Diagnostic] = []
     nu = np.zeros(md.rank, dtype=int)
     for i in range(md.rank):

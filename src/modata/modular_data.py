@@ -7,8 +7,8 @@ by ``_with_t``, so the T candidates of one S compute it once: S^2, the raw
 Verlinde tensor and its rounding, det K, the conjugation, and, per
 TolerancePolicy, ``derive``'s S half and the S-only axiom checks of
 :mod:`modata.axioms`.  (S T)^3 and everything else that reads T is cached
-on the datum alone.  The conjugation permutation and the cube-root lift of
-T each have one private helper here.
+on the datum alone.  The cube (S diag(w))^3 (``_cube``), the conjugation
+and the cube-root lift of T (``_lift_t0``) each have one private helper here.
 
 Conventions fixed here and used everywhere else:
   * index 0 is the vacuum; files whose vacuum sits elsewhere are rejected
@@ -161,8 +161,7 @@ class ModularData:
     @cached_property
     def ST_cubed(self) -> np.ndarray:
         """(S diag(T))^3, which the modular relation sets equal to S^2."""
-        ST = self.S * self.T[None, :]
-        return _readonly(ST @ ST @ ST)
+        return _readonly(_cube(self.S, self.T))
 
     @property
     def verlinde_raw(self) -> np.ndarray:
@@ -235,24 +234,17 @@ def twists(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray
     return w
 
 
-def _conjugation(S2: np.ndarray, pol: TolerancePolicy):
-    """(perm, deviation of each row of S^2 from the unit row at perm, ok).
-
-    ok: every row is within eq_tol and perm is an involution fixing 0.
-    """
-    n = len(S2)
+def _s_conjugation(md: ModularData, pol: TolerancePolicy):
+    """(perm, deviation of each row of S^2 from the unit row at perm, ok), kept
+    once per S and policy by ``_s_fact``; ok: every row is within eq_tol and
+    perm is an involution fixing 0."""
+    S2, n = md.S2, md.rank
     perm = np.argmax(np.abs(S2), axis=1)
     unit = np.zeros_like(S2)
     unit[np.arange(n), perm] = 1.0
     dev = np.max(np.abs(S2 - unit), axis=1)
     ok = bool(np.max(dev) <= pol.eq_tol and perm[0] == 0
               and np.array_equal(perm[perm], np.arange(n)))
-    return perm, dev, ok
-
-
-def _s_conjugation(md: ModularData, pol: TolerancePolicy):
-    """``_conjugation`` of S^2, kept once per S and policy by ``_s_fact``."""
-    perm, dev, ok = _conjugation(md.S2, pol)
     return _readonly(perm), _readonly(dev), ok
 
 
@@ -328,14 +320,27 @@ def _prime_support(n: int) -> set[int]:
     return primes
 
 
-def _lift_t0(S: np.ndarray, S2: np.ndarray, w: np.ndarray, pol: TolerancePolicy):
-    """T_0 with (S T_0 diag(w))^3 = S^2, the principal cube root; None if none exists."""
-    M = S * w[None, :]
-    M3 = M @ M @ M
-    lam = M3[0, 0] / S2[0, 0]
-    if np.max(np.abs(M3 - lam * S2)) > pol.eq_tol or abs(abs(lam) - 1.0) > pol.eq_tol:
-        return None  # a lambda off the unit circle has no unimodular cube root
-    return 1.0 / principal_root(lam, 3, pol)
+def _cube(S: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """(S diag(w))^3 for each row w of W, shape (..., n): one stacked matmul,
+    whose every slice equals the 2-D product of its row bit for bit."""
+    M = S * W[..., None, :]
+    return M @ M @ M
+
+
+def _lift_t0(md: ModularData, W: np.ndarray, pol: TolerancePolicy) -> list:
+    """Per row w of the (R, n) block W, the principal T_0 = lambda^{-1/3} with
+    (S diag(w))^3 = lambda S^2 and ||lambda| - 1| each within eq_tol, lambda =
+    (S diag(w))^3_00 / (S^2)_00; None for a row with no such lambda.  S and
+    S^2 come from the S cache of ``md``."""
+    S2 = md.S2
+    M3 = _cube(md.S, W)
+    lam = M3[:, 0, 0] / S2[0, 0]
+    dev = np.max(np.abs(M3 - lam[:, None, None] * S2), axis=(1, 2))
+    t0 = [None] * len(W)
+    for r in np.flatnonzero(dev <= pol.eq_tol):
+        if abs(abs(lam[r]) - 1.0) <= pol.eq_tol:
+            t0[r] = 1.0 / principal_root(lam[r], 3, pol)
+    return t0
 
 
 def _derive_s(md: ModularData, pol: TolerancePolicy):
@@ -456,15 +461,18 @@ def _md_from_dict(doc: dict) -> ModularData:
 
 def _read_json(source, error_cls: type[Exception]):
     """Decode the JSON document in a path, a resource or an open text stream."""
-    if hasattr(source, "read"):
-        text = source.read()
-    elif hasattr(source, "read_text"):
-        text = source.read_text(encoding="utf-8")
-    else:
-        text = Path(source).read_text(encoding="utf-8")
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        elif hasattr(source, "read_text"):
+            text = source.read_text(encoding="utf-8")
+        else:
+            text = Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error_cls(f"not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise error_cls(f"malformed JSON: {exc}") from exc
 
 

@@ -173,10 +173,11 @@ def build_pointed_model(n: int, p: int) -> ExplicitModel:
     for a in range(n):
         for b in range(n):
             fusion[a, b, (a + b) % n] = 1
-    t0 = _lift_t0(S, S @ S, w, DEFAULT_POLICY)
+    md = ModularData.from_matrices(S, w, labels=[str(a) for a in range(n)])
+    t0, = _lift_t0(md, w[None], DEFAULT_POLICY)
     if t0 is None:
         raise InvalidModularData("no global phase makes (S T)^3 = S^2 hold")
-    md = ModularData.from_matrices(S, t0 * w, labels=[str(a) for a in range(n)])
+    md = md._with_t(t0 * w)
     return ExplicitModel(name=f"pointed_z{n}_p{p}", labels=md.labels, fusion=fusion,
                          twists=w, r_scalars=r, modular_data=md)
 

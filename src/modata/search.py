@@ -25,9 +25,9 @@ Pipeline:
      SU(2)_k at q = 4(k+2), k = 4, 5, the equation for (1, a) pins the
      twist of a + 1, and of the R^(k-1) prefixes over R admissible roots
      four reach the last orbit.
-     For each surviving prefix one stacked matmul cubes all choices for the
-     last orbit.  The few rows that pass the screen are confirmed and
-     lifted by the same per-assignment test, so the kept set is exact.
+     Each surviving prefix hands all choices for the last orbit, as one
+     block of rows, to ``_lift_t0``, which cubes them in one stacked matmul
+     and decides and lifts every row by the relation at eq_tol.
      S^2, the conjugation, the Verlinde tensor and det K come from the
      cache of the S datum, a ``ModularData`` whose T is never read.
   3. ``search_pipeline`` first screens all T candidates of one S by
@@ -94,7 +94,7 @@ __all__ = [
 
 MAX_SEARCH_RANK = 12
 _SPLIT_TOL = 1e-8  # relative eigenvalue gap that splits a joint eigenspace
-_ROUNDING = 1e-12  # float noise allowed for in the twist and FS screens and the balancing bound
+_ROUNDING = 1e-12  # float noise allowed for in the balancing bound and the FS screen
 
 
 class FusionRingError(ValueError):
@@ -282,7 +282,7 @@ def _cauchy_roots(det: int | None, roots: tuple[Fraction, ...]) -> list[int]:
 
 def _balancing_levels(md: ModularData, N: np.ndarray | None, orbits: list[list[int]],
                       tol: float, pol: TolerancePolicy) -> list[tuple[np.ndarray, ...]]:
-    """For each orbit in binding order, the balancing equations it completes.
+    """For each orbit but the last, in binding order, the balancing equations it completes.
 
     Equation (i, j) is R_ij = w_i w_j S_ij D - sum_k N^k_{ibar j} d_k w_k = 0;
     it involves w_i, w_j and each w_k with N^k_{ibar j} > 0, and w_0 = 1 is
@@ -303,7 +303,7 @@ def _balancing_levels(md: ModularData, N: np.ndarray | None, orbits: list[list[i
     off = max(ab["s_unitary"], ab["s_symmetric"], np.max(np.abs(S[0].imag)), np.max(row_dev))
     if N is None or not conj_ok or off > _ROUNDING:
         none = np.zeros(0, dtype=int)
-        return [(none, none, np.zeros(0), np.zeros((n, 0)), np.zeros(0))] * len(orbits)
+        return [(none, none, np.zeros(0), np.zeros((n, 0)), np.zeros(0))] * (len(orbits) - 1)
     Nb = N[conj]  # Nb[i, j, k] = N^k_{ibar, j}
     absS = np.abs(S)
     D = 1.0 / S[0, 0]
@@ -311,7 +311,7 @@ def _balancing_levels(md: ModularData, N: np.ndarray | None, orbits: list[list[i
     binds = np.maximum(np.maximum.outer(level, level),
                        np.where(Nb > 0, level, -1).max(axis=2))
     return [(I, J, D * S[I, J], (Nb[I, J] * (D * S[0])).T, beta[I, J])
-            for I, J in (np.nonzero(binds == lv) for lv in range(len(orbits)))]
+            for I, J in (np.nonzero(binds == lv) for lv in range(len(orbits) - 1))]
 
 
 def enumerate_t(md: ModularData, max_order: int,
@@ -346,16 +346,16 @@ def enumerate_t(md: ModularData, max_order: int,
         beta_ij = D n (1 + c_ij) eps,  c_ij = sum_m |S_im| |S_jm| / |S_0m|,
         eps = 2 eq_tol + 1e-12.
 
-    Every surviving prefix gets the last orbit as one stacked row: one
-    batched matmul cubes all admissible roots there and passes a row whose
-    maximal deviation from lambda S^2, lambda = M_00/(S^2)_00, is at most
-    eps, so float noise of the batched product cannot lose a row.  Each
-    survivor is decided, and lifted, by ``_lift_t0`` on its own, so every
-    emitted bit is that of the plain per-assignment loop.  The walk visits
-    assignments in ``itertools.product`` order, and assignment indices are
-    positions in that order over the full root list on every orbit, pruned
-    roots included.  Nothing is deduplicated here: ``search_pipeline``
-    compares the data that pass its filter.
+    Every surviving prefix hands the last orbit, all its admissible roots
+    as one (R, n) block, to ``_lift_t0``: one stacked matmul cubes the
+    rows, and each is kept, and lifted, when it meets the relation within
+    eq_tol.  A slice of the stacked product equals the 2-D product of its
+    row bit for bit, so every emitted bit is that of the plain
+    per-assignment loop.  The walk visits assignments in
+    ``itertools.product`` order, and assignment indices are positions in
+    that order over the full root list on every orbit, pruned roots
+    included.  Nothing is deduplicated here: ``search_pipeline`` compares
+    the data that pass its filter.
 
     Why the prune loses no row that ``_lift_t0`` accepts.  S is unitary
     and symmetric with a real vacuum row, as ``candidate_s`` builds it, and
@@ -388,7 +388,6 @@ def enumerate_t(md: ModularData, max_order: int,
     """
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
-    S, S2, n = md.S, md.S2, md.rank
     orbits = _twist_orbits(md, pol)
     roots = _roots_of_unity(max_order)
     try:
@@ -417,12 +416,7 @@ def enumerate_t(md: ModularData, max_order: int,
             return
         if last:
             W[:, last] = phases[:, None]
-        M = S[None] * W[:, None, :]
-        M3 = M @ M @ M
-        lam = M3[:, 0, 0] / S2[0, 0]
-        dev = np.max(np.abs(M3 - lam[:, None, None] * S2), axis=(1, 2))
-        for r in np.flatnonzero(dev <= screen_tol):
-            t0 = _lift_t0(S, S2, W[r], pol)
+        for r, t0 in enumerate(_lift_t0(md, W, pol)):
             if t0 is None:
                 continue
             base = t0 * W[r]
@@ -430,7 +424,7 @@ def enumerate_t(md: ModularData, max_order: int,
             a_idx = p_idx * len(roots) + keep[r] if last else p_idx
             assignment_ids.extend([a_idx] * len(cube_roots))
 
-    walk(0, np.ones(n, dtype=complex), 0)
+    walk(0, np.ones(md.rank, dtype=complex), 0)
     full = len(roots) ** len(orbits)
     pruned = full - len(keep) ** len(orbits)
     skipped = full - len(diagonals) // len(cube_roots)

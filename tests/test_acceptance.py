@@ -24,7 +24,7 @@ from modata import (
     trace_table,
     validate,
 )
-from modata.bantay import _fs_sum
+from modata.bantay import _fs_sums
 from modata.cli import main
 from modata.oracle import catalog_models
 from modata.search import FusionRing, search_pipeline
@@ -118,7 +118,8 @@ def test_criterion_04_fs_routes_agree_on_catalog_and_search_outputs(
     for md in data:
         dd = derive(md)
         tt = trace_table(md, dd)
-        gap = np.max(np.abs(dd.twists * tt.tau[0, :] - _fs_sum(md, dd)))
+        via_sum = _fs_sums(md.S[:, 0], dd.fusion, dd.twists)
+        gap = np.max(np.abs(dd.twists * tt.tau[0, :] - via_sum))
         worst = max(worst, float(gap))
     assert worst <= 1e-9, worst
     note(4, f"both FS routes agree on {len(data)} data sets, max gap {worst:.2e}")

@@ -190,6 +190,20 @@ class TestCheckCommand:
         code, out, _ = run(capsys, "--json", "check", str(path))
         assert json.loads(out)["measurements"]["cauchy"] == 1.0
 
+    def test_vanishing_vacuum_row_entry_is_strict_json(self, capsys, tmp_path):
+        # S = 1 has S_01 = 0, so the Verlinde sum is undefined; --json must
+        # still print RFC 8259 JSON, with no Infinity or NaN
+        path = tmp_path / "identity_s.json"
+        save_modular_data(ModularData.from_matrices(np.eye(2), [1.0, 1.0]), path)
+        code, out, _ = run(capsys, "--json", "check", str(path))
+        assert code == 1
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["measurements"]["verlinde_integrality"] == 1.0
+
 
 class TestVanishingT0:
     """Fibonacci with T_0 = 0: the twists T_i/T_0 are undefined."""
@@ -482,6 +496,22 @@ class TestSearchCommand:
         assert code == 2
         assert out == ""
         assert "must be" in err
+
+    @pytest.mark.parametrize("cmd", ["validate", "search"])
+    @pytest.mark.parametrize("data, msg", [
+        (b"\xff\xfe{}", "not UTF-8 text"),
+        (b"[" * 100_000 + b"]" * 100_000, "malformed JSON"),
+    ], ids=["not-utf8", "nested-100000-deep"])
+    def test_unreadable_bytes_exit_two(self, capsys, tmp_path, cmd, data, msg):
+        # a decode error and a RecursionError from the JSON decoder are
+        # parse failures, not tracebacks
+        path = tmp_path / "input.json"
+        path.write_bytes(data)
+        args = ("--out", str(tmp_path / "r")) if cmd == "search" else ()
+        code, out, err = run(capsys, cmd, str(path), *args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {msg}")
 
     def test_rank_above_search_bound_exit_two(self, capsys, tmp_path):
         # pointed Z_13, one rank above the search bound of 12

@@ -26,7 +26,8 @@ from modata import (
 )
 from modata import axioms, modular_data, search
 from modata.modular_data import InvalidModularData, ModularData, _SFacts, _casimir_det, _lift_t0
-from modata.numerics import DEFAULT_POLICY, TolerancePolicy, phase_from_turns, turns_fraction
+from modata.numerics import (DEFAULT_POLICY, TolerancePolicy, phase_from_turns, principal_root,
+                             turns_fraction)
 from modata.search import (TEnumeration, _balancing_levels, _cauchy_roots, _fs_screen,
                            _joint_eigenvectors, _roots_of_unity, _twist_orbits)
 
@@ -136,6 +137,18 @@ def reference_candidate_s(fr, pol=DEFAULT_POLICY):
     return out
 
 
+def reference_lift_t0(S, S2, w, pol=DEFAULT_POLICY):
+    """The per-row lift: T_0 with (S T_0 diag(w))^3 = S^2, the principal cube
+    root, from a 2-D cube of one row; None if none exists.  The stacked
+    ``_lift_t0`` must equal it row by row."""
+    M = S * w[None, :]
+    M3 = M @ M @ M
+    lam = M3[0, 0] / S2[0, 0]
+    if np.max(np.abs(M3 - lam * S2)) > pol.eq_tol or abs(abs(lam) - 1.0) > pol.eq_tol:
+        return None  # a lambda off the unit circle has no unimodular cube root
+    return 1.0 / principal_root(lam, 3, pol)
+
+
 def reference_enumerate_t(S, max_order, pol=DEFAULT_POLICY):
     """The plain per-assignment loop over ``product``, without the Cauchy filter;
     ``enumerate_t`` must match it on the Cauchy-admissible assignments."""
@@ -149,7 +162,7 @@ def reference_enumerate_t(S, max_order, pol=DEFAULT_POLICY):
         w = np.ones(S.shape[0], dtype=complex)
         for orb, ri in zip(orbits, assign):
             w[orb] = phase_from_turns(roots[ri])
-        t0 = _lift_t0(S, S2, w, pol)
+        t0 = reference_lift_t0(S, S2, w, pol)
         if t0 is None:
             skipped += 1
             continue
@@ -160,16 +173,15 @@ def reference_enumerate_t(S, max_order, pol=DEFAULT_POLICY):
 
 
 def stacked_enumerate_t(S, max_order, pol=DEFAULT_POLICY):
-    """The full prefix product with the last orbit screened as one stacked row
-    per prefix, under the Cauchy filter; affordable on three-orbit rings,
-    and ``enumerate_t`` must equal it bit for bit."""
-    S = np.asarray(S, dtype=complex)
-    n = S.shape[0]
-    S2 = S @ S
-    orbits = _twist_orbits(s_datum(S), pol)
+    """The full prefix product with the last orbit lifted as one stacked
+    block per prefix, under the Cauchy filter; affordable on three-orbit
+    rings, and ``enumerate_t`` must equal it bit for bit."""
+    md = s_datum(S)
+    n = md.rank
+    orbits = _twist_orbits(md, pol)
     roots = _roots_of_unity(max_order)
     try:
-        N = verlinde_fusion(ModularData.from_matrices(S, np.ones(n)), pol)
+        N = verlinde_fusion(md, pol)
     except InvalidModularData:
         N = None
     keep = _cauchy_roots(None if N is None else _casimir_det(N), roots)
@@ -177,7 +189,6 @@ def stacked_enumerate_t(S, max_order, pol=DEFAULT_POLICY):
     cube_roots = [phase_from_turns(Fraction(j, 3)) for j in range(3)]
     head, last = orbits[:-1], (orbits[-1] if orbits else [])
     width = len(keep) if orbits else 1
-    screen_tol = 2 * pol.eq_tol + 1e-12
     diagonals, assignment_ids = [], []
     for prefix in product(range(len(keep)), repeat=len(head)):
         W = np.ones((width, n), dtype=complex)
@@ -187,12 +198,7 @@ def stacked_enumerate_t(S, max_order, pol=DEFAULT_POLICY):
             p_idx = p_idx * len(roots) + keep[ri]
         if last:
             W[:, last] = phases[:, None]
-        M = S[None] * W[:, None, :]
-        M3 = M @ M @ M
-        lam = M3[:, 0, 0] / S2[0, 0]
-        dev = np.max(np.abs(M3 - lam[:, None, None] * S2), axis=(1, 2))
-        for r in np.flatnonzero(dev <= screen_tol):
-            t0 = _lift_t0(S, S2, W[r], pol)
+        for r, t0 in enumerate(_lift_t0(md, W, pol)):
             if t0 is None:
                 continue
             diagonals.extend(zeta * (t0 * W[r]) for zeta in cube_roots)
@@ -504,6 +510,31 @@ class TestEnumerateT:
         assert isinstance(roots, tuple) and _roots_of_unity(32) is roots
         assert roots == tuple(sorted({Fraction(p, q) for q in range(1, 33) for p in range(q)}))
 
+    def test_stacked_lift_matches_per_row_lift(self, entries):
+        # on every catalog S, on 1.001 S (lambda off the unit circle) and on a
+        # twisted S (a global phase, which moves lambda along the circle), the
+        # stacked lift of a block of root rows equals the per-row lift: the
+        # same rows get None and the others the same T_0, bit for bit
+        def bits(t):
+            return None if t is None else (t.real.hex(), t.imag.hex())
+
+        rng = np.random.default_rng(17)
+        phases = np.array([phase_from_turns(r) for r in _roots_of_unity(16)])
+        lifted = 0
+        for e in entries:
+            w_cat = e.md.T / e.md.T[0]
+            for S in (e.md.S, 1.001 * e.md.S, e.md.S * turn(1, 7)):
+                md = s_datum(S)
+                W = np.ones((64, md.rank), dtype=complex)
+                W[0] = w_cat
+                for orb in _twist_orbits(md, DEFAULT_POLICY):
+                    W[1:, orb] = rng.choice(phases, size=63)[:, None]
+                got = _lift_t0(md, W, DEFAULT_POLICY)
+                want = [reference_lift_t0(md.S, md.S2, w) for w in W]
+                assert [bits(t) for t in got] == [bits(t) for t in want]
+                lifted += sum(t is not None for t in got)
+        assert lifted > len(entries)
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([e.name for e in catalog()]), st.floats(0.0, 0.2),
@@ -534,7 +565,15 @@ def test_balancing_residual_within_bound(name, eps, offsets):
     for I, J, DS, coef, _ in _balancing_levels(s_datum(S), N, orbits, 1.0, DEFAULT_POLICY):
         assert np.allclose(DS * w[I] * w[J] - w @ coef, R[I, J], rtol=0, atol=1e-12)
         pairs.extend(zip(I.tolist(), J.tolist()))
-    assert sorted(pairs) == [(i, j) for i in range(n) for j in range(n) if i or j]
+    # the levels cover the orbits before the last: the equations whose last
+    # unbound twist, among w_i, w_j and the w_k with N^k_{ibar j} > 0, lies there
+    level = np.full(n, -1)
+    for lv, orb in enumerate(orbits):
+        level[orb] = lv
+    binds = [[max(level[i], level[j], *level[np.flatnonzero(N[conj[i], j])]) for j in range(n)]
+             for i in range(n)]
+    assert sorted(pairs) == [(i, j) for i in range(n) for j in range(n)
+                             if 0 <= binds[i][j] < len(orbits) - 1]
 
 
 class TestSearchPipeline:
