@@ -16,6 +16,9 @@ violation profile; each check records its maximum deviation in
 ``report.measurements`` whether it passed or not.  Checks a, b, d, f and g
 and the dims half of h read S alone: they run once per S and policy, and
 data that share an S cache (see :mod:`modata.modular_data`) share them.
+Checks c, e and the twist half of h read T: ``_validate_rows`` runs them on
+a whole block of T rows with one S at once, and ``validate`` is its block
+of one row.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .modular_data import ModularData, _s_conjugation, twists
+from .modular_data import ModularData, _cube, _s_conjugation, _twist_rows
 from .numerics import DEFAULT_POLICY, TolerancePolicy
 
 __all__ = ["Diagnostic", "AxiomReport", "validate", "detect_convention"]
@@ -200,57 +203,68 @@ def _s_checks(md: ModularData, pol: TolerancePolicy) -> _SChecks:
 
 def validate(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> AxiomReport:
     """Run the full axiom battery on md; never raises on bad math."""
-    T = md.T
+    T = md.T[None]
+    return _validate_rows(md, T, *_twist_rows(T, pol), pol)[0]
+
+
+def _validate_rows(md: ModularData, T: np.ndarray, W: np.ndarray, ok: np.ndarray,
+                   pol: TolerancePolicy) -> list[AxiomReport]:
+    """``validate`` on each row of the (R, n) block T of diagonals with the
+    S of ``md``, whose T is not read; W and ok are ``_twist_rows(T, pol)``.
+
+    Checks c, e and the twist half of h are stacked over the rows, and a row
+    reads the same bits as its own one-row block; the S-only checks come
+    from the S cache.
+    """
     s = md._s_fact(_s_checks, pol)
-    diags: list[Diagnostic] = list(s.ab_diags)
-    meas: dict[str, float] = dict(s.ab_meas)
-
-    def fail(check_id, indices, dev, message):
-        diags.append(Diagnostic(check_id, "error", tuple(indices), float(dev), message))
-
     # c. T unimodular
     dev_t = np.abs(np.abs(T) - 1.0)
-    meas["t_unimodular"] = float(np.max(dev_t))
-    if meas["t_unimodular"] > pol.eq_tol:
-        i = int(np.argmax(dev_t))
-        fail("t_unimodular", [(i,)], meas["t_unimodular"],
-             f"|T_{i}| = {abs(T[i]):.12g} is not 1")
-
-    # d. S^2 is a conjugation
-    diags.extend(s.d_diags)
-    meas["charge_conjugation"] = s.d_meas
-
+    c_meas, c_at = dev_t.max(axis=1), dev_t.argmax(axis=1)
     # e. (S T)^3 = C, compared against S^2 itself so it stays meaningful
     #    even when (d) failed
-    dev_e = np.abs(md.ST_cubed - md.S2)
-    meas["st_cubed"] = float(np.max(dev_e))
-    if meas["st_cubed"] > pol.eq_tol:
-        i, j = np.unravel_index(int(np.argmax(dev_e)), dev_e.shape)
-        fail("st_cubed", [(int(i), int(j))], meas["st_cubed"],
-             f"(S T)^3 differs from S^2 by {meas['st_cubed']:.3e} at ({i},{j})")
-
-    # f. Verlinde integrality + vacuum fusion row; g. dims row
-    diags.extend(s.fg_diags)
-    meas.update(s.fg_meas)
-
+    M3 = _cube(md.S, T)
+    dev_e = np.abs(M3 - md.S2).reshape(len(T), -1)
+    e_meas, e_at = dev_e.max(axis=1), dev_e.argmax(axis=1)
     # h. conjugate symmetry of twists and dims; with T_0 vanishing (c failed)
     #    the twists T_i/T_0 are undefined and only the dims are compared
     conj = s.conj
     if conj is not None:
-        if abs(T[0]) > pol.eq_tol:
-            w = twists(md, pol)
-            gap_w = np.abs(w[conj] - w)
-        else:
-            gap_w = np.zeros(md.rank)
-        meas["conjugate_symmetry"] = max(float(np.max(gap_w)), s.dims_dev)
-        if meas["conjugate_symmetry"] > pol.eq_tol:
-            bad = [(int(i),) for i in range(md.rank)
-                   if gap_w[i] > pol.eq_tol or s.dims_bad[i]]
-            fail("conjugate_symmetry", bad, meas["conjugate_symmetry"],
-                 "twists/dims differ between conjugate sectors")
+        gap_w = np.abs(W[:, conj] - W)
+        gap_max = gap_w.max(axis=1)
 
-    note = detect_convention(md, pol) if meas["st_cubed"] > pol.eq_tol else None
-    return make_report(diags, convention_note=note, measurements=meas)
+    reports = []
+    for r in range(len(T)):
+        diags: list[Diagnostic] = list(s.ab_diags)
+        meas: dict[str, float] = dict(s.ab_meas)
+        meas["t_unimodular"] = float(c_meas[r])
+        if meas["t_unimodular"] > pol.eq_tol:
+            i = int(c_at[r])
+            diags.append(Diagnostic("t_unimodular", "error", ((i,),), meas["t_unimodular"],
+                                    f"|T_{i}| = {abs(T[r, i]):.12g} is not 1"))
+        diags.extend(s.d_diags)
+        meas["charge_conjugation"] = s.d_meas
+        meas["st_cubed"] = float(e_meas[r])
+        note = None
+        if meas["st_cubed"] > pol.eq_tol:
+            i, j = divmod(int(e_at[r]), md.rank)
+            diags.append(Diagnostic("st_cubed", "error", ((i, j),), meas["st_cubed"],
+                                    f"(S T)^3 differs from S^2 by {meas['st_cubed']:.3e} "
+                                    f"at ({i},{j})"))
+            note = _convention_note(M3[r], md.S2, pol)
+        # f. Verlinde integrality + vacuum fusion row; g. dims row
+        diags.extend(s.fg_diags)
+        meas.update(s.fg_meas)
+        if conj is not None:
+            w_gap = float(gap_max[r]) if ok[r] else 0.0
+            meas["conjugate_symmetry"] = max(w_gap, s.dims_dev)
+            if meas["conjugate_symmetry"] > pol.eq_tol:
+                bad = np.flatnonzero((ok[r] & (gap_w[r] > pol.eq_tol)) | s.dims_bad)
+                diags.append(Diagnostic("conjugate_symmetry", "error",
+                                        tuple((int(i),) for i in bad),
+                                        meas["conjugate_symmetry"],
+                                        "twists/dims differ between conjugate sectors"))
+        reports.append(make_report(diags, convention_note=note, measurements=meas))
+    return reports
 
 
 def detect_convention(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> str | None:
@@ -259,10 +273,14 @@ def detect_convention(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) ->
     The two presentations differ by complex-conjugating S.  The data is
     never mutated; the caller decides what to do with the note.
     """
-    M = md.ST_cubed
-    if np.max(np.abs(M - md.S2)) <= pol.eq_tol:
+    return _convention_note(md.ST_cubed, md.S2, pol)
+
+
+def _convention_note(M: np.ndarray, S2: np.ndarray, pol: TolerancePolicy) -> str | None:
+    """detect_convention's note for the cube M = (S T)^3."""
+    if np.max(np.abs(M - S2)) <= pol.eq_tol:
         return None
-    if np.max(np.abs(M - np.eye(md.rank))) <= pol.eq_tol:
+    if np.max(np.abs(M - np.eye(len(M)))) <= pol.eq_tol:
         return (
             "data satisfies (S T)^3 = 1, the conjugate presentation; "
             "conjugate S entrywise to obtain the (S T)^3 = C convention"

@@ -22,24 +22,32 @@ root branch: w_k^{1/2} is ``numerics.principal_sqrt`` here and in
 :mod:`modata.rmatrix`, so the R-blocks carry the same labels.  The other
 branch would swap m+ and m- and never change a verdict.
 
-The trace sums are evaluated literally, one O(rank^2) sum per entry; at the
-ranks this package targets there is nothing to gain from factoring them.
-
-``realizability_report`` builds the three tables once, in the same pass
-the CLI takes its verdicts and tables from; ``trace_table``,
-``fs_indicators`` and ``eigen_multiplicities`` build one table each.  The
-report also checks the Cauchy theorem: the primes dividing det K,
-K = sum_i N_i N_ibar, are those dividing the order of the twists.
+The trace sums are evaluated as written, the sum over s and then the one
+over r for every (k, i); at the ranks this package targets there is nothing
+to gain from factoring them further.  They are stacked instead: ``_realizability_pass`` takes a block of T rows
+that share one S, forms the twists, the trace tables, the FS sums and the
+multiplicity integers t_{k,i} of every row as arrays, checks them with
+masks, and builds a diagnostic only where a mask fails.  A row reads the
+same bits as its own block of one.  ``search_pipeline`` runs it once per S
+candidate; ``realizability_report``, the CLI's ``check``, ``bantay`` and
+``rmatrix`` run it on a block of one row, and ``trace_table``,
+``fs_indicators`` and ``eigen_multiplicities`` build one table each from
+the same stacked functions.  The report also checks the Cauchy theorem: the
+primes dividing det K, K = sum_i N_i N_ibar, are those dividing the order
+of the twists.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .axioms import AxiomReport, Diagnostic, make_report, validate
-from .modular_data import (DerivedData, InvalidModularData, ModularData, _prime_support,
-                           _readonly, derive)
+from .axioms import AxiomReport, Diagnostic, _validate_rows, make_report
+from .modular_data import (DerivedData, ModularData, _derive_failure, _derive_s,
+                           _prime_support, _readonly, _twist_rows)
 from .numerics import DEFAULT_POLICY, TolerancePolicy, principal_sqrt, turns_fraction
 
 __all__ = [
@@ -110,48 +118,66 @@ class MultiplicityTable:
         }
 
 
+def _failing(mask: np.ndarray):
+    """The index tuple of every True entry of ``mask``, in row-major order;
+    the Python work of a pass is proportional to what fails."""
+    return zip(*(a.tolist() for a in mask.nonzero())) if mask.any() else ()
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| entrywise with the bits of abs() on one complex: np.hypot, not
+    np.abs, whose complex loop may round differently."""
+    return np.hypot(z.real, z.imag)
+
+
 # ---------------------------------------------------------------------------
 # trace table
 # ---------------------------------------------------------------------------
 
-def _trace_table_raw(md: ModularData, dd: DerivedData) -> np.ndarray:
-    S = md.S
-    w = dd.twists
-    N = dd.fusion
-    n = md.rank
-    w2 = w * w
-    # pref[r, s] = S[s, 0] * w_s^2 / w_r^2
-    pref = (1.0 / w2)[:, None] * (S[:, 0] * w2)[None, :]
-    tau = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        row_sums = (N[:, :, i] * pref).sum(axis=1)  # sum over s; index r remains
-        tau[:, i] = (np.conj(S).T @ row_sums) / w[i]
-    return tau
+def _trace_rows(S: np.ndarray, N: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """tau[r, k, i] for each row w of the (R, n) twists W, unclamped.
+
+    Both sums are stacked over the rows: the sum over s runs along the
+    contiguous last axis and the sum over r is one matrix-vector product per
+    row and sector, so a row reads the same bits as its own one-row block.
+    """
+    W2 = W * W
+    # pref[., r, s] = S[s, 0] * w_s^2 / w_r^2
+    pref = (1.0 / W2)[:, :, None] * (S[:, 0] * W2)[:, None, :]
+    # row_sums[., i, r] = sum_s N^i_{r,s} pref[., r, s]
+    row_sums = (np.ascontiguousarray(N.transpose(2, 0, 1)) * pref[:, None]).sum(axis=-1)
+    # one gemv per (row, i), tau[., :, i] = conj(S)^t row_sums[., i] / w_i
+    sums = (np.conj(S).T @ row_sums[..., None])[..., 0]
+    # in C order, as a one-datum table is: later products then take its BLAS path
+    return np.ascontiguousarray(sums.transpose(0, 2, 1)) / W[:, None, :]
 
 
-def _trace_diagnostics(md: ModularData, dd: DerivedData, pol: TolerancePolicy):
-    """(clamped trace table, diagnostics for forbidden-channel residue)."""
-    tau = _trace_table_raw(md, dd)
-    diags: list[Diagnostic] = []
-    # the forbidden channels (k, i), N^k_ii = 0, in row-major order
-    for k, i in np.argwhere(dd.fusion.diagonal() == 0).tolist():
-        residue = abs(tau[k, i])
-        if residue > pol.eq_tol:
-            diags.append(Diagnostic(
-                "trace_zero_channel", "error", ((k, i),), float(residue),
-                f"internal inconsistency: tau[{k}][{i}] = {tau[k, i]:.3e} "
-                f"but N^{k}_{{{i},{i}}} = 0"))
-        tau[k, i] = 0.0
-    return tau, diags
+def _trace_diagnostics(tau: np.ndarray, N: np.ndarray, pol: TolerancePolicy):
+    """Clamp the forbidden channels (k, i), N^k_ii = 0, of the (R, n, n)
+    trace tables ``tau`` to 0 in place; per row, the diagnostics of the
+    residues beyond eq_tol, in (k, i) row-major order."""
+    zero = N.diagonal() == 0  # [k, i]
+    residue = _modulus(tau[:, zero])
+    K, I = zero.nonzero()
+    diags: list[list[Diagnostic]] = [[] for _ in tau]
+    for r, c in _failing(residue > pol.eq_tol):
+        k, i = int(K[c]), int(I[c])
+        diags[r].append(Diagnostic(
+            "trace_zero_channel", "error", ((k, i),), float(residue[r, c]),
+            f"internal inconsistency: tau[{k}][{i}] = {tau[r, k, i]:.3e} "
+            f"but N^{k}_{{{i},{i}}} = 0"))
+    tau[:, zero] = 0.0
+    return diags
 
 
 def trace_table(md: ModularData, dd: DerivedData,
                 pol: TolerancePolicy = DEFAULT_POLICY) -> TraceTable:
     """Evaluate the double sum for every (k, i); md must already validate."""
-    tau, diags = _trace_diagnostics(md, dd, pol)
+    tau = _trace_rows(md.S, dd.fusion, dd.twists[None])
+    diags = _trace_diagnostics(tau, dd.fusion, pol)[0]
     if diags:
         raise RealizabilityError(diags)
-    return TraceTable(tau=tau)
+    return TraceTable(tau=tau[0])
 
 
 # ---------------------------------------------------------------------------
@@ -173,92 +199,99 @@ def _fs_sums(S0: np.ndarray, N: np.ndarray, W: np.ndarray) -> np.ndarray:
     return terms.reshape(*pref.shape[:-2], n, n * n).sum(axis=-1)
 
 
-def _fs_diagnostics(md: ModularData, dd: DerivedData, tt: TraceTable,
-                    pol: TolerancePolicy):
-    """(indicator ints, diagnostics) checking both routes and the value set."""
-    w = dd.twists
-    via_trace = w * tt.tau[0, :]
-    via_sum = _fs_sums(md.S[:, 0], dd.fusion, w)
-    diags: list[Diagnostic] = []
-    nu = np.zeros(md.rank, dtype=int)
-    for i in range(md.rank):
-        gap = abs(via_trace[i] - via_sum[i])
-        if gap > pol.eq_tol:
-            diags.append(Diagnostic(
-                "fs_route_agreement", "error", ((i,),), float(gap),
-                f"FS indicator violation: w*tau route {via_trace[i]:.6g} differs "
-                f"from the direct sum {via_sum[i]:.6g} at sector {i}"))
-        val = via_trace[i]
-        if dd.conj[i] != i:
-            if abs(val) > pol.eq_tol:
-                diags.append(Diagnostic(
-                    "fs_selfdual_pattern", "error", ((i,),), float(abs(val)),
-                    f"FS indicator violation: sector {i} is not self-conjugate "
-                    f"but nu = {val:.6g}"))
-            nu[i] = 0
+def _fs_diagnostics(S0: np.ndarray, N: np.ndarray, conj: np.ndarray, W: np.ndarray,
+                    tau: np.ndarray, pol: TolerancePolicy):
+    """(indicators, per-row diagnostics) for the (R, n) twists W and their
+    (R, n, n) trace tables: both routes must agree, and nu must be +/-1 on
+    a self-dual sector and 0 on any other.  The diagnostics of a row come in
+    sector order, the route check of a sector before its value check."""
+    via_trace = W * tau[:, 0, :]
+    via_sum = _fs_sums(S0, N, W)
+    gap = _modulus(via_trace - via_sum)
+    self_dual = conj == np.arange(len(conj))
+    # the value nu should take: the nearer of +1 and -1 on a self-dual
+    # sector, 0 on any other; dev is the distance of w_i tau[0][i] from it
+    nearest = np.where(self_dual, np.where(via_trace.real >= 0.0, 1.0, -1.0), 0.0)
+    dev = _modulus(via_trace - nearest)
+    route_bad = gap > pol.eq_tol
+    value_bad = dev > np.where(self_dual, pol.int_tol, pol.eq_tol)
+    nu = np.where(value_bad, 0.0, nearest).astype(int)
+    diags: list[list[Diagnostic]] = [[] for _ in W]
+    for r, i in _failing(route_bad | value_bad):
+        val = via_trace[r, i]
+        if route_bad[r, i]:
+            diags[r].append(Diagnostic(
+                "fs_route_agreement", "error", ((i,),), float(gap[r, i]),
+                f"FS indicator violation: w*tau route {val:.6g} differs "
+                f"from the direct sum {via_sum[r, i]:.6g} at sector {i}"))
+        if not value_bad[r, i]:
             continue
-        dev = min(abs(val - 1.0), abs(val + 1.0))
-        if dev > pol.int_tol:
-            diags.append(Diagnostic(
-                "fs_value", "error", ((i,),), float(dev),
+        if self_dual[i]:
+            diags[r].append(Diagnostic(
+                "fs_value", "error", ((i,),), float(dev[r, i]),
                 f"FS indicator violation: nu_{i} = {val:.6g} is not +/-1"))
-            continue
-        nu[i] = 1 if abs(val - 1.0) <= abs(val + 1.0) else -1
+        else:
+            diags[r].append(Diagnostic(
+                "fs_selfdual_pattern", "error", ((i,),), float(dev[r, i]),
+                f"FS indicator violation: sector {i} is not self-conjugate "
+                f"but nu = {val:.6g}"))
     return nu, diags
 
 
 def fs_indicators(md: ModularData, dd: DerivedData, tt: TraceTable,
                   pol: TolerancePolicy = DEFAULT_POLICY) -> IndicatorVector:
     """Indicators by both routes; raises RealizabilityError on any mismatch."""
-    nu, diags = _fs_diagnostics(md, dd, tt, pol)
-    if diags:
-        raise RealizabilityError(diags)
-    return IndicatorVector(nu=nu)
+    nu, diags = _fs_diagnostics(md.S[:, 0], dd.fusion, dd.conj, dd.twists[None],
+                                tt.tau[None], pol)
+    if diags[0]:
+        raise RealizabilityError(diags[0])
+    return IndicatorVector(nu=nu[0])
 
 
 # ---------------------------------------------------------------------------
 # eigenvalue multiplicities
 # ---------------------------------------------------------------------------
 
-def _multiplicity_diagnostics(md: ModularData, dd: DerivedData, tt: TraceTable,
+def _multiplicity_diagnostics(N: np.ndarray, W: np.ndarray, tau: np.ndarray,
                               pol: TolerancePolicy):
-    w = dd.twists
-    diag = dd.fusion.diagonal()  # diag[k, i] = N^k_ii
-    m_plus = np.zeros_like(diag)
-    m_minus = np.zeros_like(diag)
-    diags: list[Diagnostic] = []
+    """(m_plus, m_minus, per-row diagnostics) for the (R, n) twists W and
+    their clamped (R, n, n) trace tables.
 
-    def bad(cond_id, k, i, dev, msg):
-        diags.append(Diagnostic(cond_id, "error", ((k, i),), float(dev),
-                                f"realizability violation at (k,i)=({k},{i}): {msg}"))
-
+    Each channel (k, i) with N^k_ii > 0 gets its first failing condition, in
+    (k, i) row-major order; m+/- stay 0 on a failing channel and on the
+    forbidden ones.
+    """
+    mult = N.diagonal()  # mult[k, i] = N^k_ii
     # the phase of w_k: validate lets |w_k| - 1 reach about 2 eq_tol
-    sqrt_w = [principal_sqrt(wk / abs(wk)) for wk in w]
-    # the channels (k, i) with N^k_ii > 0 in row-major order; the trace
-    # table is already clamped to 0 elsewhere, where m+/- stay 0
-    for k, i in np.argwhere(diag).tolist():
-        m = int(diag[k, i])
-        t = w[i] / sqrt_w[k] * tt.tau[k, i]
-        if abs(t.imag) > pol.int_tol:
-            bad("mult_real", k, i, abs(t.imag), f"t = {t:.6g} is not real")
-            continue
-        ti = round(t.real)
-        if abs(t.real - ti) > pol.int_tol:
-            bad("mult_integer", k, i, abs(t.real - ti),
-                f"t = {t.real:.6g} is not an integer")
-            continue
-        if abs(ti) > m:
-            bad("mult_range", k, i, float(abs(ti) - m),
-                f"|t| = {abs(ti)} exceeds N^k_ii = {m}")
-            continue
-        if (ti - m) % 2 != 0:
-            bad("mult_parity", k, i, 1.0,
-                f"t = {ti} has parity different from N^k_ii = {m}")
-            continue
-        m_plus[k, i] = (m + ti) // 2
-        m_minus[k, i] = (m - ti) // 2
-    table = MultiplicityTable(m_plus=m_plus, m_minus=m_minus)
-    return table, diags
+    sqrt_w = principal_sqrt(W / _modulus(W))
+    # t[., k, i]; 0 on the forbidden channels, whose trace is clamped to 0
+    t = W[:, None, :] / sqrt_w[:, :, None] * tau
+    ti = np.rint(t.real)
+    # each condition holds only where the ones before it hold
+    real = np.abs(t.imag) <= pol.int_tol
+    integer = real & (np.abs(t.real - ti) <= pol.int_tol)
+    in_range = integer & (np.abs(ti) <= mult)
+    good = in_range & ((ti - mult) % 2 == 0)
+    t_good = np.where(good, ti, 0.0).astype(int)
+    m_good = np.where(good, mult, 0)
+    m_plus, m_minus = (m_good + t_good) // 2, (m_good - t_good) // 2
+    diags: list[list[Diagnostic]] = [[] for _ in W]
+    for r, k, i in _failing(~good & (mult > 0)):
+        tc, tr, mc = t[r, k, i], ti[r, k, i], int(mult[k, i])
+        if not real[r, k, i]:
+            cond_id, dev, msg = "mult_real", abs(tc.imag), f"t = {tc:.6g} is not real"
+        elif not integer[r, k, i]:
+            cond_id, dev, msg = ("mult_integer", abs(tc.real - tr),
+                                 f"t = {tc.real:.6g} is not an integer")
+        elif not in_range[r, k, i]:
+            cond_id, dev, msg = ("mult_range", abs(tr) - mc,
+                                 f"|t| = {abs(int(tr))} exceeds N^k_ii = {mc}")
+        else:
+            cond_id, dev, msg = ("mult_parity", 1.0,
+                                 f"t = {int(tr)} has parity different from N^k_ii = {mc}")
+        diags[r].append(Diagnostic(cond_id, "error", ((k, i),), float(dev),
+                                   f"realizability violation at (k,i)=({k},{i}): {msg}"))
+    return m_plus, m_minus, diags
 
 
 def eigen_multiplicities(md: ModularData, dd: DerivedData, tt: TraceTable,
@@ -268,24 +301,38 @@ def eigen_multiplicities(md: ModularData, dd: DerivedData, tt: TraceTable,
     w_k^{1/2} is the principal square root.  Raises RealizabilityError when
     any channel fails the reality/integrality/range/parity conditions.
     """
-    table, diags = _multiplicity_diagnostics(md, dd, tt, pol)
-    if diags:
-        raise RealizabilityError(diags)
-    return table
+    m_plus, m_minus, diags = _multiplicity_diagnostics(dd.fusion, dd.twists[None],
+                                                       tt.tau[None], pol)
+    if diags[0]:
+        raise RealizabilityError(diags[0])
+    return MultiplicityTable(m_plus=m_plus[0], m_minus=m_minus[0])
 
 
 # ---------------------------------------------------------------------------
 # Cauchy theorem
 # ---------------------------------------------------------------------------
 
-def _cauchy_diagnostics(dd: DerivedData, det: int, pol: TolerancePolicy):
+def _twist_fractions(W: np.ndarray, pol: TolerancePolicy) -> list[list[Fraction | None]]:
+    """``turns_fraction`` of every twist of the (R, n) block W, called once
+    per distinct value: the rows of one S candidate share most of their roots."""
+    memo: dict[complex, Fraction | None] = {}
+
+    def fraction(z: complex) -> Fraction | None:
+        if z not in memo:
+            memo[z] = turns_fraction(z, pol=pol)
+        return memo[z]
+
+    return [[fraction(z) for z in row] for row in W.tolist()]
+
+
+def _cauchy_diagnostics(fracs: list[Fraction | None], det: int):
     """(primes in the symmetric difference, diagnostics) of primes(det K) and
-    primes(ord T), with K = sum_i N_i N_ibar over dd.fusion and det = det K.
+    primes(ord T), for the twists with turn fractions ``fracs``
+    (``turns_fraction``), with K = sum_i N_i N_ibar and det = det K.
 
     A twist that is no root of unity of order <= 240 leaves ord T unknown:
     that is a warning, since SU(2)_k has ord T = 4(k+2) > 240 for k >= 59.
     """
-    fracs = [turns_fraction(w, pol=pol) for w in dd.twists]
     unknown = [(i,) for i, f in enumerate(fracs) if f is None]
     if unknown:
         return 0.0, [Diagnostic(
@@ -295,7 +342,7 @@ def _cauchy_diagnostics(dd: DerivedData, det: int, pol: TolerancePolicy):
     if det == 0:  # K >= N_0 N_0^t = 1 on a fusion ring, so det K >= 1 there
         return 1.0, [Diagnostic("cauchy", "error", (), 1.0,
                                 "Cauchy theorem violated: det K = 0")]
-    order_primes = set().union(*(_prime_support(f.denominator) for f in fracs))
+    order_primes = _prime_support(math.lcm(*(f.denominator for f in fracs)))
     missing = sorted(p for p in order_primes if det % p)
     cofactor = abs(det)
     for p in order_primes:
@@ -315,61 +362,94 @@ def _cauchy_diagnostics(dd: DerivedData, det: int, pol: TolerancePolicy):
 # aggregate report
 # ---------------------------------------------------------------------------
 
-def _realizability_pass(md: ModularData, base: AxiomReport, pol: TolerancePolicy):
-    """Extend the validate() report ``base`` with every trace constraint.
+class _Pass(NamedTuple):
+    """What one stacked realizability pass decided about each row of its block."""
 
-    Returns ``(report, (dd, tt, nu, mt))``, the tables the verdict was
-    decided on, when the report passes and ``(report, None)`` otherwise.
+    bases: list[AxiomReport]    # the validate() report
+    reports: list[AxiomReport]  # that report extended with every trace constraint
+    # row -> (dd, tt, nu, mt), the tables its passing report was decided on,
+    # or None when the report fails
+    tables: Callable[[int], tuple | None]
+
+
+def _realizability_pass(md: ModularData, T: np.ndarray, pol: TolerancePolicy) -> _Pass:
+    """``realizability_report``, with its tables, on each row of the (R, n)
+    block T of diagonals with the S of ``md``, whose T is not read.
+
+    The twists W = T/T_0, the axiom checks that read T, the trace tables,
+    the FS sums, the multiplicity integers t_{k,i} with their masks and the
+    trace identities are computed once for the whole block, and a row reads
+    the same bits as its own one-row block.  Python builds a ``Diagnostic``
+    only where a mask fails; per row it assembles the report and finds the
+    twist orders of the Cauchy check.  What S alone decides comes from the
+    S cache of ``md``.
     """
-    diags = list(base.diagnostics)
-    meas = dict(base.measurements)
-    try:
-        dd = derive(md, pol)
-    except InvalidModularData as exc:
-        if not any(d.severity == "error" for d in diags):
-            diags.append(Diagnostic("derivation", "error", (), 0.0, str(exc)))
-        return make_report(diags, base.convention_note, meas), None
+    W, ok = _twist_rows(T, pol)
+    bases = _validate_rows(md, T, W, ok, pol)
+    s_half = md._s_fact(_derive_s, pol)
+    dims, conj, N, total_dim, _ = s_half
+    live = np.flatnonzero(ok) if s_half[4] is None else np.zeros(0, dtype=int)
+    reports: list[AxiomReport] = []
+    at = dict(zip(live.tolist(), range(len(live))))
+    if len(live):
+        W = W if len(live) == len(W) else W[live]
+        tau = _trace_rows(md.S, N, W)
+        trace_diags = _trace_diagnostics(tau, N, pol)
+        nu, fs_diags = _fs_diagnostics(md.S[:, 0], N, conj, W, tau, pol)
+        m_plus, m_minus, mult_diags = _multiplicity_diagnostics(N, W, tau, pol)
+        fracs = _twist_fractions(W, pol)
+        # tau[k][i] = tau[kbar][ibar]
+        sym_dev = np.abs(tau - tau[:, conj[:, None], conj])
+        sym_max = sym_dev.max(axis=(1, 2))
+        # ribbon identity, warning only: holds on every known model but is
+        # not enforced as an axiom
+        ribbon = np.abs(dims @ tau - dims * W)
+        ribbon_max = ribbon.max(axis=1)
+        det = md._s.casimir_det
 
-    meas["cauchy"], cauchy_diags = _cauchy_diagnostics(dd, md._s.casimir_det, pol)
-    diags.extend(cauchy_diags)
+    for r, base in enumerate(bases):
+        diags = list(base.diagnostics)
+        meas = dict(base.measurements)
+        j = at.get(r)
+        if j is None:
+            if base.passed:
+                diags.append(Diagnostic("derivation", "error", (), 0.0,
+                                        _derive_failure(s_half, ok[r])))
+            reports.append(make_report(diags, base.convention_note, meas))
+            continue
+        meas["cauchy"], cauchy_diags = _cauchy_diagnostics(fracs[j], det)
+        diags.extend(cauchy_diags)
+        diags.extend(trace_diags[j])
+        meas["trace_zero_channel"] = max((d.measured for d in trace_diags[j]), default=0.0)
+        diags.extend(fs_diags[j])
+        meas["fs_indicator"] = max((d.measured for d in fs_diags[j]), default=0.0)
+        diags.extend(mult_diags[j])
+        meas["multiplicities"] = max((d.measured for d in mult_diags[j]), default=0.0)
+        meas["trace_conjugation"] = float(sym_max[j])
+        if meas["trace_conjugation"] > pol.eq_tol:
+            bad = np.argwhere(sym_dev[j] > pol.eq_tol)
+            diags.append(Diagnostic(
+                "trace_conjugation", "error",
+                tuple(tuple(int(x) for x in t) for t in bad[:8]),
+                meas["trace_conjugation"],
+                "tau[k][i] != tau[kbar][ibar]"))
+        meas["twist_trace"] = float(ribbon_max[j])
+        if meas["twist_trace"] > pol.eq_tol:
+            bad = [(int(i),) for i in np.flatnonzero(ribbon[j] > pol.eq_tol)]
+            diags.append(Diagnostic(
+                "twist_trace", "warning", tuple(bad), meas["twist_trace"],
+                "sum_k d_k tau[k][i] != d_i w_i"))
+        reports.append(make_report(diags, base.convention_note, meas))
 
-    tau, trace_diags = _trace_diagnostics(md, dd, pol)
-    diags.extend(trace_diags)
-    meas["trace_zero_channel"] = max((d.measured for d in trace_diags), default=0.0)
-    tt = TraceTable(tau=tau)
+    def tables(r: int):
+        if not reports[r].passed:
+            return None
+        j = at[r]
+        dd = DerivedData(dims=dims, twists=W[j], conj=conj, fusion=N, total_dim=total_dim)
+        return (dd, TraceTable(tau=tau[j]), IndicatorVector(nu=nu[j]),
+                MultiplicityTable(m_plus=m_plus[j], m_minus=m_minus[j]))
 
-    nu, fs_diags = _fs_diagnostics(md, dd, tt, pol)
-    diags.extend(fs_diags)
-    meas["fs_indicator"] = max((d.measured for d in fs_diags), default=0.0)
-
-    mt, mult_diags = _multiplicity_diagnostics(md, dd, tt, pol)
-    diags.extend(mult_diags)
-    meas["multiplicities"] = max((d.measured for d in mult_diags), default=0.0)
-
-    # tau[k][i] = tau[kbar][ibar]
-    conj = dd.conj
-    sym_dev = np.abs(tau - tau[np.ix_(conj, conj)])
-    meas["trace_conjugation"] = float(np.max(sym_dev))
-    if meas["trace_conjugation"] > pol.eq_tol:
-        bad = np.argwhere(sym_dev > pol.eq_tol)
-        diags.append(Diagnostic(
-            "trace_conjugation", "error",
-            tuple(tuple(int(x) for x in t) for t in bad[:8]),
-            meas["trace_conjugation"],
-            "tau[k][i] != tau[kbar][ibar]"))
-
-    # ribbon identity, warning only: holds on every known model but is not
-    # enforced as an axiom
-    ribbon = dd.dims @ tau - dd.dims * dd.twists
-    meas["twist_trace"] = float(np.max(np.abs(ribbon)))
-    if meas["twist_trace"] > pol.eq_tol:
-        bad = [(int(i),) for i in np.argwhere(np.abs(ribbon) > pol.eq_tol).ravel()]
-        diags.append(Diagnostic(
-            "twist_trace", "warning", tuple(bad), meas["twist_trace"],
-            "sum_k d_k tau[k][i] != d_i w_i"))
-
-    report = make_report(diags, base.convention_note, meas)
-    return report, ((dd, tt, IndicatorVector(nu=nu), mt) if report.passed else None)
+    return _Pass(bases, reports, tables)
 
 
 def realizability_report(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> AxiomReport:
@@ -387,4 +467,4 @@ def realizability_report(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY)
     conjugation follow from the rest in exact arithmetic, yet under the
     tolerances either can be the only failure.
     """
-    return _realizability_pass(md, validate(md, pol), pol)[0]
+    return _realizability_pass(md, md.T[None], pol).reports[0]

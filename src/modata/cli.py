@@ -112,11 +112,11 @@ def _print_failure(report: AxiomReport, why: str, args) -> int:
 
 def cmd_bantay(args, pol) -> int:
     md = load_modular_data(args.file)
-    report = validate(md, pol)
-    if not report.passed:
+    run = _realizability_pass(md, md.T[None], pol)
+    if not run.bases[0].passed:
         return _print_failure(
-            report, "data fails the modularity axioms; not computing traces", args)
-    report, tables = _realizability_pass(md, report, pol)
+            run.bases[0], "data fails the modularity axioms; not computing traces", args)
+    report, tables = run.reports[0], run.tables(0)
     if tables is None:
         first = report.errors()[0].check_id
         return _print_failure(report, f"data fails the {first} check; not realizable", args)
@@ -148,9 +148,10 @@ def cmd_bantay(args, pol) -> int:
 
 def cmd_rmatrix(args, pol) -> int:
     md = load_modular_data(args.file)
-    report, tables = _realizability_pass(md, validate(md, pol), pol)
+    run = _realizability_pass(md, md.T[None], pol)
+    tables = run.tables(0)
     if tables is None:
-        return _print_failure(report, "not realizable; no canonical R-matrices", args)
+        return _print_failure(run.reports[0], "not realizable; no canonical R-matrices", args)
     dd, _, _, mt = tables
     blocks = canonical_r(md, dd, mt)
     mono = monodromy_check(blocks, dd, pol)

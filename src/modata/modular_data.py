@@ -6,9 +6,11 @@ lives in a private cache that a datum shares with every datum made from it
 by ``_with_t``, so the T candidates of one S compute it once: S^2, the raw
 Verlinde tensor and its rounding, det K, the conjugation, and, per
 TolerancePolicy, ``derive``'s S half and the S-only axiom checks of
-:mod:`modata.axioms`.  (S T)^3 and everything else that reads T is cached
-on the datum alone.  The cube (S diag(w))^3 (``_cube``), the conjugation
-and the cube-root lift of T (``_lift_t0``) each have one private helper here.
+:mod:`modata.axioms`.  (S T)^3 is cached on the datum alone.  The cube
+(S diag(w))^3 (``_cube``), the twists T/T_0 (``_twist_rows``), the
+conjugation and the cube-root lift of T (``_lift_t0``) each have one
+private helper here; the cube, the twists and the lift take a whole block
+of T or twist rows.
 
 Conventions fixed here and used everywhere else:
   * index 0 is the vacuum; files whose vacuum sits elsewhere are rejected
@@ -225,13 +227,25 @@ def dims(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     return d.real.copy()
 
 
+def _twist_rows(T: np.ndarray, pol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
+    """(W, ok) for an (R, n) block of T rows: W = T/T_0 row by row with
+    W[:, 0] = 1 exactly, and ok where |T_0| > eq_tol.  A row that is not ok
+    has no twists: it is left undivided, and no check reads it."""
+    ok = np.abs(T[:, 0]) > pol.eq_tol
+    W = T / np.where(ok, T[:, 0], 1.0)[:, None]
+    W[:, 0] = 1.0
+    return W, ok
+
+
+_T0_VANISHES = "invalid twists: T_0 vanishes"
+
+
 def twists(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Twists w_i = T_i/T_0, with w_0 = 1 exactly after normalization."""
-    if abs(md.T[0]) <= pol.eq_tol:
-        raise InvalidModularData("invalid twists: T_0 vanishes")
-    w = md.T / md.T[0]
-    w[0] = 1.0
-    return w
+    W, ok = _twist_rows(md.T[None], pol)
+    if not ok[0]:
+        raise InvalidModularData(_T0_VANISHES)
+    return W[0]
 
 
 def _s_conjugation(md: ModularData, pol: TolerancePolicy):
@@ -359,15 +373,23 @@ def _derive_s(md: ModularData, pol: TolerancePolicy):
     return d, conj, fusion, 1.0 / s00.real, None
 
 
+def _derive_failure(s_half, ok: bool) -> str | None:
+    """derive's message on a datum with S half ``s_half`` (``_derive_s``) and
+    a T_0 that is ``ok`` (``_twist_rows``), None when it derives.  The steps
+    keep their order (dims, twists, the rest) and so their errors."""
+    d, _, _, _, error = s_half
+    return _T0_VANISHES if d is not None and not ok else error
+
+
 def derive(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> DerivedData:
     """Bundle dims, twists, conjugation, fusion and the total dimension."""
-    d, conj, fusion, total_dim, error = md._s_fact(_derive_s, pol)
-    if d is None:
-        raise InvalidModularData(error)
-    w = twists(md, pol)  # the steps keep their order (dims, twists, the rest) and so their errors
+    s_half = md._s_fact(_derive_s, pol)
+    W, ok = _twist_rows(md.T[None], pol)
+    error = _derive_failure(s_half, ok[0])
     if error is not None:
         raise InvalidModularData(error)
-    return DerivedData(dims=d, twists=w, conj=conj, fusion=fusion, total_dim=total_dim)
+    d, conj, fusion, total_dim, _ = s_half
+    return DerivedData(dims=d, twists=W[0], conj=conj, fusion=fusion, total_dim=total_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 The TolerancePolicy every check reads its eq_tol and int_tol from; phases
 from turn fractions and root-of-unity detection back to them; and the
 principal square and n-th roots.  ``principal_sqrt`` is the one square-root
-branch: it labels the +/- eigenvalue multiplicities and the R-blocks.
+branch: it labels the +/- eigenvalue multiplicities and the R-blocks, and
+takes a scalar or a whole array of phases.
 """
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 __all__ = [
     "TolerancePolicy",
@@ -52,16 +55,24 @@ def _principal_arg(w: complex) -> float:
     return phi
 
 
-def principal_sqrt(w: complex, pol: TolerancePolicy = DEFAULT_POLICY) -> complex:
+def principal_sqrt(w, pol: TolerancePolicy = DEFAULT_POLICY):
     """Square root e^{i arg(w)/2} of a phase, arg taken in (-pi, pi].
 
-    Raises ValueError for non-unimodular input.  The other square root is
-    the negation.
+    ``w`` is one phase, which gives a complex, or an array of them, which
+    gives the array of roots, each with the bits of its scalar call.  arg
+    comes from ``np.arctan2``, whose -pi on the negative real axis (as for
+    -1 - 0j, or -1 - 1e-16j, which it rounds there) becomes +pi.  Raises
+    ValueError for non-unimodular input.  The other square root is the
+    negation.
     """
-    z = complex(w)
-    if abs(abs(z) - 1.0) > pol.eq_tol:
-        raise ValueError(f"not a phase: |{z!r}| = {abs(z)!r}")
-    return cmath.exp(0.5j * _principal_arg(z))
+    z = np.asarray(w, dtype=complex)
+    off = np.abs(np.abs(z) - 1.0) > pol.eq_tol
+    if off.any():
+        bad = complex(z[off][0])
+        raise ValueError(f"not a phase: |{bad!r}| = {abs(bad)!r}")
+    phi = np.arctan2(z.imag, z.real)
+    root = np.exp(0.5j * np.where(phi == -math.pi, math.pi, phi))
+    return complex(root) if root.ndim == 0 else root
 
 
 def principal_root(w: complex, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> complex:

@@ -30,11 +30,12 @@ from .numerics import DEFAULT_POLICY, TolerancePolicy, principal_sqrt
 __all__ = ["RBlock", "canonical_r", "monodromy_check"]
 
 
-def _phase(u: complex) -> complex:
-    """u/|u|.  Validation lets |w_i| - 1 reach about 2 eq_tol, and scaling a
-    ratio of twists by a positive number never moves it across the branch
-    cut of the square root."""
-    return u / abs(u)
+def _phase(u):
+    """u/|u|, of one complex or entrywise.  Validation lets |w_i| - 1 reach
+    about 2 eq_tol, and scaling a ratio of twists by a positive number never
+    moves it across the branch cut of the square root.  On an array |u| is
+    np.hypot, which gives the bits of abs() on one complex."""
+    return u / (np.hypot(u.real, u.imag) if isinstance(u, np.ndarray) else abs(u))
 
 
 @dataclass(frozen=True)
@@ -107,14 +108,17 @@ def canonical_r(md: ModularData, dd: DerivedData, mt: MultiplicityTable) -> list
     N = dd.fusion
     if not np.array_equal(mt.m_plus + mt.m_minus, N.diagonal()):
         raise ValueError("not realizable: multiplicity table does not match the fusion tensor")
-    blocks: list[RBlock] = []
     # the fusion support in row-major order, which is the block order
-    for i, j, k in np.argwhere(N).tolist():
+    I, J, K = N.nonzero()
+    signed = I == J
+    # every block value at once: (w_k/(w_i w_j))^{1/2}, or w_k^{1/2}/w_i when i = j
+    root = principal_sqrt(_phase(np.where(signed, w[K], w[K] / (w[I] * w[J]))))
+    values = np.where(signed, root / _phase(w[I]), root)
+    blocks: list[RBlock] = []
+    for i, j, k, val in zip(I.tolist(), J.tolist(), K.tolist(), values.tolist()):
         if i != j:
-            val = principal_sqrt(_phase(w[k] / (w[i] * w[j])))
             blocks.append(RBlock((i, j, k), "scalar", val, size=int(N[i, j, k])))
         else:
-            val = principal_sqrt(_phase(w[k])) / _phase(w[i])
             blocks.append(RBlock((i, j, k), "signed", val,
                                  dim_plus=int(mt.m_plus[k, i]),
                                  dim_minus=int(mt.m_minus[k, i])))

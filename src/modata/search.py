@@ -34,21 +34,23 @@ Pipeline:
      Bantay's FS indicator in one stacked call (``_fs_screen``): a candidate
      whose direct FS sum nu_i = w_i tau[0][i] lies too far from +/-1 on a
      self-dual sector, or from 0 on another, would fail the report's fs_*
-     checks, so it gets no report and is counted as ``fs_screened``.  It
-     runs the axiom battery and the trace-realizability report on every
-     other candidate, one at a time, and keeps the passes in provenance
-     order.  Every T candidate's datum is made from the S datum of step 2
-     with ``ModularData._with_t``, so what S alone decides (unitarity,
-     symmetry, conjugation, Verlinde rounding, the dimension row, det K;
-     see :mod:`modata.modular_data`) is computed once per S, and each
-     report computes only its T half.  A pass equal to an already kept result
-     in both S and T within eq_tol is dropped; that (S, T) check is the
-     search's only dedup.  Two S candidates differ by at least sqrt(2/rank)
-     in some entry (``candidate_s``), which is 0.408 at rank 12 and does not
-     exceed every eq_tol the policy admits, so once per S candidate the
-     earlier S candidates within eq_tol of it are found, and a pass is
-     compared with the kept results of those and of its own S, in one array
-     operation over their T.
+     checks, so it gets no report and is counted as ``fs_screened``.  The
+     other candidates of that S go through one stacked realizability pass
+     (``bantay._realizability_pass``): the axiom checks that read T, the
+     trace tables, the FS sums and the multiplicity integers of all of them
+     are computed as arrays at once, and each row gets the report that
+     ``realizability_report`` gives it alone, bit for bit.  The passes are
+     kept in provenance order.  Every T candidate shares the S datum of
+     step 2, so what S alone decides (unitarity, symmetry, conjugation,
+     Verlinde rounding, the dimension row, det K; see
+     :mod:`modata.modular_data`) is computed once per S.  A pass equal to
+     an already kept result in both S and T within eq_tol is dropped; that
+     (S, T) check is the search's only dedup.  Two S candidates differ by
+     at least sqrt(2/rank) in some entry (``candidate_s``), which is 0.408
+     at rank 12 and does not exceed every eq_tol the policy admits, so once
+     per S candidate the earlier S candidates within eq_tol of it are found,
+     and a pass is compared with the kept results of those and of its own
+     S, in one array operation over their T.
 
 The pipeline enumerates admissible modular data; whether two realizations
 of the same data are equivalent categories is out of its scope.
@@ -65,7 +67,7 @@ from typing import IO, NamedTuple
 import numpy as np
 
 from .axioms import AxiomReport, _s_checks
-from .bantay import _fs_sums, realizability_report
+from .bantay import _fs_sums, _realizability_pass
 from .modular_data import (
     InvalidModularData,
     ModularData,
@@ -344,7 +346,7 @@ def enumerate_t(md: ModularData, max_order: int,
     that this level is the first to bind fully has |R_ij| <= beta_ij,
 
         beta_ij = D n (1 + c_ij) eps,  c_ij = sum_m |S_im| |S_jm| / |S_0m|,
-        eps = 2 eq_tol + 1e-12.
+        eps = eq_tol + 1e-12.
 
     Every surviving prefix hands the last orbit, all its admissible roots
     as one (R, n) block, to ``_lift_t0``: one stacked matmul cubes the
@@ -362,8 +364,8 @@ def enumerate_t(md: ModularData, max_order: int,
     W = diag(w) has unimodular entries and commutes with C = S^2
     (w_ibar = w_i).  An S that departs from this by more than 1e-12 is
     not pruned, and smaller float departures are covered by the 1e-12 in
-    eps.  An accepted row has E = (S W)^3 - lambda S^2 with
-    max |E| <= eq_tol, within eps after rounding.
+    eps.  ``_lift_t0`` accepts a row when E = (S W)^3 - lambda S^2 has
+    max |E| <= eq_tol, so max |E| <= eps with 1e-12 to spare for rounding.
 
       1. The spectral norm of an n x n matrix is at most n times its
          largest entry, so ||E|| <= n eps.
@@ -399,8 +401,8 @@ def enumerate_t(md: ModularData, max_order: int,
     cube_roots = [phase_from_turns(Fraction(j, 3)) for j in range(3)]
     head, last = orbits[:-1], (orbits[-1] if orbits else [])
     width = len(keep) if orbits else 1  # rank 1: one all-ones row
-    screen_tol = 2 * pol.eq_tol + _ROUNDING
-    levels = _balancing_levels(md, N, orbits, screen_tol, pol)
+    eps = pol.eq_tol + _ROUNDING
+    levels = _balancing_levels(md, N, orbits, eps, pol)
     diagonals: list[np.ndarray] = []
     assignment_ids: list[int] = []
 
@@ -476,15 +478,15 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
                     stats_out: dict | None = None) -> list[SearchResult]:
     """Admissible modular data for a fusion ring, ordered by provenance.
 
-    One serial loop over the S candidates and their T diagonals: the
-    diagonals of one S are screened together by their FS sums
-    (``_fs_screen``), each other datum is filtered by
-    ``realizability_report``, and a pass is kept unless
-    it equals an already kept result in both S and T within eq_tol, the
-    search's only dedup.  The data of one S candidate share its S cache, and
-    a pass is compared with the kept results of the S candidates within
-    eq_tol of its own, its own included (see the module docstring).
-    Results therefore come out ordered by provenance
+    One serial loop over the S candidates: the T diagonals of one S are
+    screened together by their FS sums (``_fs_screen``), the ones that
+    remain are filtered together by one stacked realizability pass, whose
+    report on each row is the one ``realizability_report`` gives it, and a
+    pass is kept unless it equals an already kept result in both S and T
+    within eq_tol, the search's only dedup.  The data of one S candidate
+    share its S cache, and a pass is compared with the kept results of the S
+    candidates within eq_tol of its own, its own included (see the module
+    docstring).  Results therefore come out ordered by provenance
     (S candidate, twist assignment, cube root).  Pass a dict as
     ``stats_out`` to receive the candidate, skip and prune counters and
     ``fs_screened``, the T candidates the FS screen dropped.  ``max_order``
@@ -509,18 +511,21 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
         near_t = [t for prev, ts in kept if np.max(np.abs(S - prev.S)) <= pol.eq_tol
                   for t in ts]
         own_t: list[np.ndarray] = []
+        rows = np.flatnonzero(fs_ok)
+        reports = (_realizability_pass(s_md, np.array(enum.diagonals)[rows], pol).reports
+                   if len(rows) else [])
         # the three cube-root lifts of an assignment are emitted consecutively
-        for d_idx, (t_diag, a_idx) in enumerate(zip(enum.diagonals, enum.assignments)):
-            if not fs_ok[d_idx]:
+        for d_idx, rep in zip(rows.tolist(), reports):
+            if not rep.passed:
+                continue
+            t_diag = enum.diagonals[d_idx]
+            if near_t and np.any(np.max(np.abs(t_diag - np.array(near_t)), axis=1) <= pol.eq_tol):
                 continue
             md = s_md._with_t(t_diag)
-            rep = realizability_report(md, pol)  # runs the axiom battery first
-            if rep.passed and not (near_t and np.any(
-                    np.max(np.abs(md.T - np.array(near_t)), axis=1) <= pol.eq_tol)):
-                results.append(SearchResult(md=md, report=rep,
-                                            provenance=(s_idx, a_idx, d_idx % 3)))
-                near_t.append(md.T)
-                own_t.append(md.T)
+            results.append(SearchResult(md=md, report=rep,
+                                        provenance=(s_idx, enum.assignments[d_idx], d_idx % 3)))
+            near_t.append(md.T)
+            own_t.append(md.T)
         kept.append((s_md, own_t))
     if stats_out is not None:
         stats_out.update(s_candidates=n_candidates, skipped_assignments=n_skipped,

@@ -19,11 +19,203 @@ from modata import (
     trace_table,
     validate,
 )
-from modata.bantay import TraceTable, _cauchy_diagnostics
-from modata.modular_data import DerivedData, _casimir_det
-from modata.numerics import DEFAULT_POLICY, phase_from_turns
+from modata.axioms import Diagnostic, _s_checks, detect_convention, make_report
+from modata.bantay import TraceTable, _cauchy_diagnostics, _realizability_pass
+from modata.modular_data import DerivedData, InvalidModularData, _casimir_det, _prime_support
+from modata.numerics import DEFAULT_POLICY, phase_from_turns, principal_sqrt, turns_fraction
+from modata.search import candidate_s, enumerate_t
+from test_search import deligne_ring, pointed_ring, ring_of, s_datum, su2_ring
 
 TRIVIAL = ModularData.from_matrices([[1.0]], [1.0])
+
+
+def reference_validate(md, pol=DEFAULT_POLICY):
+    """The per-datum ``validate``: the T checks of one datum, with the S
+    checks from its S cache.  The stacked ``_validate_rows`` must match it."""
+    T, n = md.T, md.rank
+    s = md._s_fact(_s_checks, pol)
+    diags, meas = list(s.ab_diags), dict(s.ab_meas)
+
+    def fail(check_id, indices, dev, message):
+        diags.append(Diagnostic(check_id, "error", tuple(indices), float(dev), message))
+
+    dev_t = np.abs(np.abs(T) - 1.0)
+    meas["t_unimodular"] = float(np.max(dev_t))
+    if meas["t_unimodular"] > pol.eq_tol:
+        i = int(np.argmax(dev_t))
+        fail("t_unimodular", [(i,)], meas["t_unimodular"], f"|T_{i}| = {abs(T[i]):.12g} is not 1")
+    diags.extend(s.d_diags)
+    meas["charge_conjugation"] = s.d_meas
+    dev_e = np.abs(md.ST_cubed - md.S2)
+    meas["st_cubed"] = float(np.max(dev_e))
+    if meas["st_cubed"] > pol.eq_tol:
+        i, j = np.unravel_index(int(np.argmax(dev_e)), dev_e.shape)
+        fail("st_cubed", [(int(i), int(j))], meas["st_cubed"],
+             f"(S T)^3 differs from S^2 by {meas['st_cubed']:.3e} at ({i},{j})")
+    diags.extend(s.fg_diags)
+    meas.update(s.fg_meas)
+    if s.conj is not None:
+        gap_w = np.zeros(n)
+        if abs(T[0]) > pol.eq_tol:
+            w = T / T[0]
+            w[0] = 1.0
+            gap_w = np.abs(w[s.conj] - w)
+        meas["conjugate_symmetry"] = max(float(np.max(gap_w)), s.dims_dev)
+        if meas["conjugate_symmetry"] > pol.eq_tol:
+            fail("conjugate_symmetry",
+                 [(i,) for i in range(n) if gap_w[i] > pol.eq_tol or s.dims_bad[i]],
+                 meas["conjugate_symmetry"], "twists/dims differ between conjugate sectors")
+    note = detect_convention(md, pol) if meas["st_cubed"] > pol.eq_tol else None
+    return make_report(diags, convention_note=note, measurements=meas)
+
+
+def reference_realizability_report(md, pol=DEFAULT_POLICY):
+    """The per-datum realizability pass: ``reference_validate``, then each
+    trace constraint with its own loop over the channels or sectors of one
+    datum.  Returns (report, (nu, m_plus, m_minus) when it passes, else None);
+    each row of the stacked ``_realizability_pass`` must match it."""
+    base = reference_validate(md, pol)
+    diags, meas = list(base.diagnostics), dict(base.measurements)
+    try:
+        dd = derive(md, pol)
+    except InvalidModularData as exc:
+        if base.passed:
+            diags.append(Diagnostic("derivation", "error", (), 0.0, str(exc)))
+        return make_report(diags, base.convention_note, meas), None
+    S, w, N, n = md.S, dd.twists, dd.fusion, md.rank
+
+    # Cauchy: the primes of det K against those of ord T
+    det, cauchy = md._s.casimir_det, []
+    fracs = [turns_fraction(x, pol=pol) for x in w]
+    meas["cauchy"] = 0.0
+    if any(f is None for f in fracs):
+        cauchy = [Diagnostic("cauchy", "warning", tuple((i,) for i, f in enumerate(fracs)
+                                                        if f is None), 0.0, "unknown")]
+    elif det == 0:
+        meas["cauchy"] = 1.0
+        cauchy = [Diagnostic("cauchy", "error", (), 1.0, "det K = 0")]
+    else:
+        primes = set().union(*(_prime_support(f.denominator) for f in fracs))
+        cofactor = abs(det)
+        for p in primes:
+            while cofactor % p == 0:
+                cofactor //= p
+        meas["cauchy"] = float(len([p for p in primes if det % p])
+                               + len(_prime_support(cofactor)))
+        if meas["cauchy"]:
+            cauchy = [Diagnostic("cauchy", "error", (), meas["cauchy"], "primes")]
+    diags.extend(cauchy)
+
+    # the trace table, one column at a time, then the forbidden channels
+    w2 = w * w
+    pref = (1.0 / w2)[:, None] * (S[:, 0] * w2)[None, :]
+    tau = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        tau[:, i] = (np.conj(S).T @ (N[:, :, i] * pref).sum(axis=1)) / w[i]
+    found = []
+    for k in range(n):
+        for i in range(n):
+            if N[i, i, k] == 0:
+                if abs(tau[k, i]) > pol.eq_tol:
+                    found.append(Diagnostic("trace_zero_channel", "error", ((k, i),),
+                                            float(abs(tau[k, i])), "residue"))
+                tau[k, i] = 0.0
+    diags.extend(found)
+    meas["trace_zero_channel"] = max((d.measured for d in found), default=0.0)
+
+    # FS indicators, sector by sector
+    via_sum = [np.sum(N[:, :, i] * np.outer(S[:, 0] * w2, S[:, 0] / w2)) for i in range(n)]
+    nu, found = np.zeros(n, dtype=int), []
+    for i in range(n):
+        val = w[i] * tau[0, i]
+        if abs(val - via_sum[i]) > pol.eq_tol:
+            found.append(Diagnostic("fs_route_agreement", "error", ((i,),),
+                                    float(abs(val - via_sum[i])), "routes"))
+        if dd.conj[i] != i:
+            if abs(val) > pol.eq_tol:
+                found.append(Diagnostic("fs_selfdual_pattern", "error", ((i,),),
+                                        float(abs(val)), "pattern"))
+            continue
+        dev = min(abs(val - 1.0), abs(val + 1.0))
+        if dev > pol.int_tol:
+            found.append(Diagnostic("fs_value", "error", ((i,),), float(dev), "value"))
+            continue
+        nu[i] = 1 if abs(val - 1.0) <= abs(val + 1.0) else -1
+    diags.extend(found)
+    meas["fs_indicator"] = max((d.measured for d in found), default=0.0)
+
+    # multiplicities, channel by channel
+    m_plus, m_minus = np.zeros((n, n), dtype=int), np.zeros((n, n), dtype=int)
+    sqrt_w = [principal_sqrt(wk / abs(wk)) for wk in w]
+    found = []
+    for k in range(n):
+        for i in range(n):
+            m = int(N[i, i, k])
+            if m == 0:
+                continue
+            t = w[i] / sqrt_w[k] * tau[k, i]
+            ti = round(t.real) if abs(t.imag) <= pol.int_tol else None
+            if ti is None:
+                check_id, dev = "mult_real", abs(t.imag)
+            elif abs(t.real - ti) > pol.int_tol:
+                check_id, dev = "mult_integer", abs(t.real - ti)
+            elif abs(ti) > m:
+                check_id, dev = "mult_range", float(abs(ti) - m)
+            elif (ti - m) % 2:
+                check_id, dev = "mult_parity", 1.0
+            else:
+                m_plus[k, i], m_minus[k, i] = (m + ti) // 2, (m - ti) // 2
+                continue
+            found.append(Diagnostic(check_id, "error", ((k, i),), float(dev), "channel"))
+    diags.extend(found)
+    meas["multiplicities"] = max((d.measured for d in found), default=0.0)
+
+    sym_dev = np.abs(tau - tau[np.ix_(dd.conj, dd.conj)])
+    meas["trace_conjugation"] = float(np.max(sym_dev))
+    if meas["trace_conjugation"] > pol.eq_tol:
+        bad = np.argwhere(sym_dev > pol.eq_tol)[:8]
+        diags.append(Diagnostic("trace_conjugation", "error",
+                                tuple(tuple(int(x) for x in t) for t in bad),
+                                meas["trace_conjugation"], "conjugation"))
+    ribbon = np.abs(dd.dims @ tau - dd.dims * w)
+    meas["twist_trace"] = float(np.max(ribbon))
+    if meas["twist_trace"] > pol.eq_tol:
+        diags.append(Diagnostic("twist_trace", "warning",
+                                tuple((int(i),) for i in np.flatnonzero(ribbon > pol.eq_tol)),
+                                meas["twist_trace"], "ribbon"))
+    report = make_report(diags, base.convention_note, meas)
+    return report, ((nu, m_plus, m_minus) if report.passed else None)
+
+
+def assert_rows_match_reference(md, T, pol=DEFAULT_POLICY):
+    """One stacked pass over the rows T with the S of md against the
+    per-datum reference on each row; returns the check_ids the rows fired."""
+    run = _realizability_pass(md, T, pol)
+    assert len(run.bases) == len(run.reports) == len(T)
+    fired = set()
+    for r, t in enumerate(T):
+        row = ModularData.from_matrices(md.S, t)  # a fresh S cache per row
+        want, want_tables = reference_realizability_report(row, pol)
+        got, base = run.reports[r], run.bases[r]
+
+        def listing(report):
+            return [(d.check_id, d.severity, d.indices) for d in report.diagnostics]
+
+        assert listing(base) == listing(reference_validate(row, pol)), r
+        assert got.verdict == want.verdict, r
+        assert listing(got) == listing(want), r
+        assert got.convention_note == want.convention_note, r
+        assert list(got.measurements) == list(want.measurements), r
+        for key, value in want.measurements.items():
+            assert abs(got.measurements[key] - value) <= 1e-12, (r, key)
+        tables = run.tables(r)
+        assert (tables is None) == (want_tables is None), r
+        if tables is not None:
+            _, _, nu, mt = tables
+            for a, b in zip((nu.nu, mt.m_plus, mt.m_minus), want_tables):
+                assert np.array_equal(a, b), r
+        fired.update(d.check_id for d in got.diagnostics)
+    return fired
 
 
 def tables(name):
@@ -210,14 +402,15 @@ class TestEigenMultiplicities:
             assert np.array_equal(a.m_minus, b.m_plus), e.name
 
     def test_non_integral_raises(self, bad_ising_file):
-        from modata.bantay import _trace_diagnostics
+        from modata.bantay import _trace_diagnostics, _trace_rows
         from modata.numerics import DEFAULT_POLICY
 
         md = load_modular_data(bad_ising_file)
         dd = derive(md)
-        tau, _ = _trace_diagnostics(md, dd, DEFAULT_POLICY)
+        tau = _trace_rows(md.S, dd.fusion, dd.twists[None])
+        _trace_diagnostics(tau, dd.fusion, DEFAULT_POLICY)
         with pytest.raises(RealizabilityError, match="realizability violation"):
-            eigen_multiplicities(md, dd, TraceTable(tau=tau))
+            eigen_multiplicities(md, dd, TraceTable(tau=tau[0]))
 
 
 class TestRealizabilityReport:
@@ -329,6 +522,78 @@ class TestCauchyCheck:
         dd = DerivedData(dims=np.ones(2), twists=np.array([1.0, -1.0]),
                          conj=np.arange(2), fusion=np.zeros((2, 2, 2), dtype=int),
                          total_dim=1.0)
-        measured, diags = _cauchy_diagnostics(dd, _casimir_det(dd.fusion), DEFAULT_POLICY)
+        measured, diags = _cauchy_diagnostics([turns_fraction(w) for w in dd.twists],
+                                              _casimir_det(dd.fusion))
         assert measured == 1.0
         assert [(d.check_id, d.severity) for d in diags] == [("cauchy", "error")]
+
+
+# every check_id realizability_report emits
+REPORT_CHECKS = {
+    "s_unitary", "s_symmetric", "t_unimodular", "charge_conjugation", "st_cubed",
+    "verlinde_integrality", "vacuum_fusion", "dims_row", "conjugate_symmetry", "derivation",
+    "cauchy", "trace_zero_channel", "fs_route_agreement", "fs_selfdual_pattern", "fs_value",
+    "mult_real", "mult_integer", "mult_range", "mult_parity", "trace_conjugation", "twist_trace",
+}
+
+
+class TestStackedPass:
+    """One stacked pass over a block of T rows against the per-datum reference."""
+
+    @pytest.mark.parametrize("ring, max_order", [
+        (lambda: ring_of("fibonacci"), 10),
+        (lambda: ring_of("ising"), 32),
+        (lambda: ring_of("toric_code"), 8),
+        *[(lambda k=k: su2_ring(k), 4 * (k + 2)) for k in range(6, 12)],
+        (lambda: deligne_ring(deligne_ring(pointed_ring(2), pointed_ring(2)), pointed_ring(2)), 8),
+        (lambda: deligne_ring(ring_of("ising"), ring_of("ising")), 16),
+    ], ids=["fibonacci", "ising", "toric", *[f"su2_{k}" for k in range(6, 12)], "z2_cubed",
+            "ising_ising"])
+    def test_every_t_candidate(self, ring, max_order):
+        # every T candidate of every S candidate, before the FS screen
+        rows = 0
+        for S in candidate_s(ring()):
+            md = s_datum(S)
+            T = np.array(enumerate_t(md, max_order).diagonals)
+            if len(T):
+                assert_rows_match_reference(md, T)
+                rows += len(T)
+        assert rows
+
+    def test_controls_fire_every_check(self, entries, single_failure_data):
+        fired = set()
+        for md in single_failure_data.values():
+            fired |= assert_rows_match_reference(md, md.T[None])
+        ising, z3 = get_model("ising").modular_data, get_model("z3").modular_data
+        # Ising x Ising has the self-dual sigma x sigma of dimension 2, whose
+        # channel to the vacuum gets t = 2 > N = 1 under trivial twists
+        data = [(e.md.S, e.md.T) for e in entries] + [
+            (np.kron(ising.S, ising.S), np.kron(ising.T, ising.T))]
+        # E is antisymmetric and anticommutes with the Ising S, so (S + E)^2
+        # stays within eq_tol of 1 while (S + E)(S + E)^t, the vacuum row of
+        # the Verlinde sum, does not
+        vals, vecs = np.linalg.eigh(ising.S.real)
+        u, v = vecs[:, vals > 0][:, 0], vecs[:, vals < 0][:, 0]
+        E = 1e-5 * (np.outer(u, v) - np.outer(v, u))
+        flip = np.diag([1.0, -1.0, 1.0])
+        c, s = math.cos(0.3), math.sin(0.3)
+        # S data failing the checks that read S alone
+        data += [(ising.S + E, ising.T),        # s_unitary, s_symmetric, vacuum_fusion
+                 (np.exp(0.1j) * z3.S, z3.T),   # charge_conjugation
+                 (flip @ ising.S @ flip, ising.T),  # dims_row
+                 (np.array([[c, s], [s, -c]]), [1.0, 1.0])]  # verlinde_integrality
+        rng = np.random.default_rng(1806)
+        for S, T in data:
+            n, T = len(S), np.asarray(T, dtype=complex)
+            rows = [np.ones(n), T, np.conj(T), np.exp(2j * math.pi * rng.random((8, n))),
+                    # T_0 = 0, and |T_1| off the unit circle
+                    np.concatenate([[0.0], T[1:]]), np.concatenate([T[:1], 1.5 * T[1:]])]
+            if n <= 3:  # every assignment of eighth roots of unity
+                roots = np.exp(2j * math.pi * np.arange(8) / 8)
+                rows.append([[1.0, *roots[list(a)]]
+                             for a in itertools.product(range(8), repeat=n - 1)])
+            block = np.vstack([np.reshape(r, (-1, n)) for r in rows]).astype(complex)
+            fired |= assert_rows_match_reference(ModularData.from_matrices(S, T), block)
+        # w_i tau[0][i] is clamped to 0 on every sector i with N^0_ii = 0, and
+        # no datum here has a non-self-dual sector with N^0_ii > 0
+        assert fired == REPORT_CHECKS - {"fs_selfdual_pattern"}

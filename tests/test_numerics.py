@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -61,6 +62,30 @@ class TestPrincipalSqrt:
             s = principal_sqrt(w)
             assert abs(s * s - w) <= DEFAULT_POLICY.eq_tol
             assert abs(abs(s) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("w", [complex(-1.0, 0.0), complex(-1.0, -0.0),
+                                   complex(-1.0, -1.1e-16), complex(-1.0, 1.1e-16)],
+                             ids=["plus-zero", "minus-zero", "below", "above"])
+    def test_array_form_on_the_cut(self, w):
+        # Ising's derived w_psi is -1 - 1.1e-16j: its arg rounds to -pi,
+        # which both forms take as +pi, so the root is +i, never -i
+        got = principal_sqrt(np.array([w, w, 1.0]))
+        want = principal_sqrt(w)
+        assert got.shape == (3,)
+        assert got[:2].tobytes() == np.array([want, want]).tobytes()
+        assert abs(want - 1j) < 1e-15
+
+    def test_array_form_equals_scalar_form(self):
+        rng = np.random.default_rng(20261018)
+        w = np.exp(2j * math.pi * rng.random(10_000))
+        got = principal_sqrt(w.reshape(100, 100))
+        assert got.shape == (100, 100)
+        want = np.array([principal_sqrt(z) for z in w.tolist()])
+        assert got.ravel().tobytes() == want.tobytes()
+
+    def test_array_form_rejects_non_phase(self):
+        with pytest.raises(ValueError, match="not a phase"):
+            principal_sqrt(np.array([1.0, 2.0]))
 
 
 class TestPrincipalRoot:
