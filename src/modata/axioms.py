@@ -203,28 +203,27 @@ def _s_checks(md: ModularData, pol: TolerancePolicy) -> _SChecks:
 
 def validate(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> AxiomReport:
     """Run the full axiom battery on md; never raises on bad math."""
-    T = md.T[None]
-    return _validate_rows(md, T, *_twist_rows(T, pol), pol)[0]
+    return _validate_rows(md, md.T[None], pol)[0]
 
 
-def _validate_rows(md: ModularData, T: np.ndarray, W: np.ndarray, ok: np.ndarray,
-                   pol: TolerancePolicy) -> list[AxiomReport]:
+def _validate_rows(md: ModularData, T: np.ndarray, pol: TolerancePolicy) -> list[AxiomReport]:
     """``validate`` on each row of the (R, n) block T of diagonals with the
-    S of ``md``, whose T is not read; W and ok are ``_twist_rows(T, pol)``.
+    S of ``md``, whose T is not read.
 
     Checks c, e and the twist half of h are stacked over the rows, and a row
     reads the same bits as its own one-row block; the S-only checks come
     from the S cache.
     """
     s = md._s_fact(_s_checks, pol)
+    W, ok = _twist_rows(T, pol)
     # c. T unimodular
     dev_t = np.abs(np.abs(T) - 1.0)
-    c_meas, c_at = dev_t.max(axis=1), dev_t.argmax(axis=1)
+    c_meas = dev_t.max(axis=1)
     # e. (S T)^3 = C, compared against S^2 itself so it stays meaningful
     #    even when (d) failed
     M3 = _cube(md.S, T)
     dev_e = np.abs(M3 - md.S2).reshape(len(T), -1)
-    e_meas, e_at = dev_e.max(axis=1), dev_e.argmax(axis=1)
+    e_meas = dev_e.max(axis=1)
     # h. conjugate symmetry of twists and dims; with T_0 vanishing (c failed)
     #    the twists T_i/T_0 are undefined and only the dims are compared
     conj = s.conj
@@ -238,7 +237,7 @@ def _validate_rows(md: ModularData, T: np.ndarray, W: np.ndarray, ok: np.ndarray
         meas: dict[str, float] = dict(s.ab_meas)
         meas["t_unimodular"] = float(c_meas[r])
         if meas["t_unimodular"] > pol.eq_tol:
-            i = int(c_at[r])
+            i = int(dev_t[r].argmax())
             diags.append(Diagnostic("t_unimodular", "error", ((i,),), meas["t_unimodular"],
                                     f"|T_{i}| = {abs(T[r, i]):.12g} is not 1"))
         diags.extend(s.d_diags)
@@ -246,7 +245,7 @@ def _validate_rows(md: ModularData, T: np.ndarray, W: np.ndarray, ok: np.ndarray
         meas["st_cubed"] = float(e_meas[r])
         note = None
         if meas["st_cubed"] > pol.eq_tol:
-            i, j = divmod(int(e_at[r]), md.rank)
+            i, j = divmod(int(dev_e[r].argmax()), md.rank)
             diags.append(Diagnostic("st_cubed", "error", ((i, j),), meas["st_cubed"],
                                     f"(S T)^3 differs from S^2 by {meas['st_cubed']:.3e} "
                                     f"at ({i},{j})"))

@@ -365,27 +365,26 @@ def _cauchy_diagnostics(fracs: list[Fraction | None], det: int):
 class _Pass(NamedTuple):
     """What one stacked realizability pass decided about each row of its block."""
 
-    bases: list[AxiomReport]    # the validate() report
-    reports: list[AxiomReport]  # that report extended with every trace constraint
+    reports: list[AxiomReport]  # the validate() report extended with every trace constraint
     # row -> (dd, tt, nu, mt), the tables its passing report was decided on,
     # or None when the report fails
     tables: Callable[[int], tuple | None]
 
 
-def _realizability_pass(md: ModularData, T: np.ndarray, pol: TolerancePolicy) -> _Pass:
+def _realizability_pass(md: ModularData, T: np.ndarray, bases: list[AxiomReport],
+                        pol: TolerancePolicy) -> _Pass:
     """``realizability_report``, with its tables, on each row of the (R, n)
-    block T of diagonals with the S of ``md``, whose T is not read.
+    block T of diagonals with the S of ``md``, whose T is not read; ``bases``
+    are the ``validate`` reports of the rows (``axioms._validate_rows``).
 
-    The twists W = T/T_0, the axiom checks that read T, the trace tables,
-    the FS sums, the multiplicity integers t_{k,i} with their masks and the
-    trace identities are computed once for the whole block, and a row reads
-    the same bits as its own one-row block.  Python builds a ``Diagnostic``
-    only where a mask fails; per row it assembles the report and finds the
-    twist orders of the Cauchy check.  What S alone decides comes from the
-    S cache of ``md``.
+    The twists W = T/T_0, the trace tables, the FS sums, the multiplicity
+    integers t_{k,i} with their masks and the trace identities are computed
+    once for the whole block, and a row reads the same bits as its own
+    one-row block.  Python builds a ``Diagnostic`` only where a mask fails;
+    per row it extends the base report and finds the twist orders of the
+    Cauchy check.  What S alone decides comes from the S cache of ``md``.
     """
     W, ok = _twist_rows(T, pol)
-    bases = _validate_rows(md, T, W, ok, pol)
     s_half = md._s_fact(_derive_s, pol)
     dims, conj, N, total_dim, _ = s_half
     live = np.flatnonzero(ok) if s_half[4] is None else np.zeros(0, dtype=int)
@@ -449,7 +448,7 @@ def _realizability_pass(md: ModularData, T: np.ndarray, pol: TolerancePolicy) ->
         return (dd, TraceTable(tau=tau[j]), IndicatorVector(nu=nu[j]),
                 MultiplicityTable(m_plus=m_plus[j], m_minus=m_minus[j]))
 
-    return _Pass(bases, reports, tables)
+    return _Pass(reports, tables)
 
 
 def realizability_report(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> AxiomReport:
@@ -467,4 +466,5 @@ def realizability_report(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY)
     conjugation follow from the rest in exact arithmetic, yet under the
     tolerances either can be the only failure.
     """
-    return _realizability_pass(md, md.T[None], pol).reports[0]
+    T = md.T[None]
+    return _realizability_pass(md, T, _validate_rows(md, T, pol), pol).reports[0]

@@ -112,10 +112,11 @@ def _print_failure(report: AxiomReport, why: str, args) -> int:
 
 def cmd_bantay(args, pol) -> int:
     md = load_modular_data(args.file)
-    run = _realizability_pass(md, md.T[None], pol)
-    if not run.bases[0].passed:
+    report = validate(md, pol)
+    if not report.passed:
         return _print_failure(
-            run.bases[0], "data fails the modularity axioms; not computing traces", args)
+            report, "data fails the modularity axioms; not computing traces", args)
+    run = _realizability_pass(md, md.T[None], [report], pol)
     report, tables = run.reports[0], run.tables(0)
     if tables is None:
         first = report.errors()[0].check_id
@@ -148,7 +149,7 @@ def cmd_bantay(args, pol) -> int:
 
 def cmd_rmatrix(args, pol) -> int:
     md = load_modular_data(args.file)
-    run = _realizability_pass(md, md.T[None], pol)
+    run = _realizability_pass(md, md.T[None], [validate(md, pol)], pol)
     tables = run.tables(0)
     if tables is None:
         return _print_failure(run.reports[0], "not realizable; no canonical R-matrices", args)

@@ -66,7 +66,7 @@ from typing import IO, NamedTuple
 
 import numpy as np
 
-from .axioms import AxiomReport, _s_checks
+from .axioms import AxiomReport, _s_checks, _validate_rows
 from .bantay import _fs_sums, _realizability_pass
 from .modular_data import (
     InvalidModularData,
@@ -512,8 +512,10 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
                   for t in ts]
         own_t: list[np.ndarray] = []
         rows = np.flatnonzero(fs_ok)
-        reports = (_realizability_pass(s_md, np.array(enum.diagonals)[rows], pol).reports
-                   if len(rows) else [])
+        reports: list[AxiomReport] = []
+        if len(rows):
+            T = np.array(enum.diagonals)[rows]
+            reports = _realizability_pass(s_md, T, _validate_rows(s_md, T, pol), pol).reports
         # the three cube-root lifts of an assignment are emitted consecutively
         for d_idx, rep in zip(rows.tolist(), reports):
             if not rep.passed:

@@ -19,7 +19,8 @@ from modata import (
     trace_table,
     validate,
 )
-from modata.axioms import Diagnostic, _s_checks, detect_convention, make_report
+from modata.axioms import (Diagnostic, _s_checks, _validate_rows, detect_convention,
+                           make_report)
 from modata.bantay import TraceTable, _cauchy_diagnostics, _realizability_pass
 from modata.modular_data import DerivedData, InvalidModularData, _casimir_det, _prime_support
 from modata.numerics import DEFAULT_POLICY, phase_from_turns, principal_sqrt, turns_fraction
@@ -190,13 +191,14 @@ def reference_realizability_report(md, pol=DEFAULT_POLICY):
 def assert_rows_match_reference(md, T, pol=DEFAULT_POLICY):
     """One stacked pass over the rows T with the S of md against the
     per-datum reference on each row; returns the check_ids the rows fired."""
-    run = _realizability_pass(md, T, pol)
-    assert len(run.bases) == len(run.reports) == len(T)
+    bases = _validate_rows(md, T, pol)
+    run = _realizability_pass(md, T, bases, pol)
+    assert len(bases) == len(run.reports) == len(T)
     fired = set()
     for r, t in enumerate(T):
         row = ModularData.from_matrices(md.S, t)  # a fresh S cache per row
         want, want_tables = reference_realizability_report(row, pol)
-        got, base = run.reports[r], run.bases[r]
+        got, base = run.reports[r], bases[r]
 
         def listing(report):
             return [(d.check_id, d.severity, d.indices) for d in report.diagnostics]

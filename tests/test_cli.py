@@ -289,19 +289,19 @@ class TestRealizabilityCommandsAgree:
                 return fn(*args, **kwargs)
             return wrapper
 
-        # one stacked pass over a block of one row: the axiom checks, the
-        # trace table and each realizability stage run once, and neither the
-        # public validate nor derive runs beside it
+        # one stacked pass over a block of one row: validate, the trace table
+        # and each realizability stage run once, and derive not at all
         for mod, name in [(modata.cli, "validate"), (modata.cli, "derive"),
-                          (modata.bantay, "_validate_rows"), (modata.bantay, "_trace_rows"),
+                          (modata.axioms, "_validate_rows"), (modata.bantay, "_trace_rows"),
                           (modata.bantay, "_trace_diagnostics"),
                           (modata.bantay, "_fs_diagnostics"),
                           (modata.bantay, "_multiplicity_diagnostics")]:
             monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         code, _, _ = run(capsys, cmd, str(ising_file))
         assert code == 0
-        assert calls == {"_validate_rows": 1, "_trace_rows": 1, "_trace_diagnostics": 1,
-                         "_fs_diagnostics": 1, "_multiplicity_diagnostics": 1}
+        assert calls == {"validate": 1, "_validate_rows": 1, "_trace_rows": 1,
+                         "_trace_diagnostics": 1, "_fs_diagnostics": 1,
+                         "_multiplicity_diagnostics": 1}
 
     @pytest.mark.parametrize("flags, factors", [((), [1 - 0.9e-9, 1 + 0.9e-9]),
                                                 (("--tol", "0.01"), [1, 1.001])])
