@@ -210,7 +210,8 @@ def _fs_diagnostics(S0: np.ndarray, N: np.ndarray, conj: np.ndarray, W: np.ndarr
     gap = _modulus(via_trace - via_sum)
     self_dual = conj == np.arange(len(conj))
     # the value nu should take: the nearer of +1 and -1 on a self-dual
-    # sector, 0 on any other; dev is the distance of w_i tau[0][i] from it
+    # sector, 0 on any other; dev is the distance of w_i tau[0][i] from it.
+    # The sign of the real part finds the nearer one wherever dev <= int_tol.
     nearest = np.where(self_dual, np.where(via_trace.real >= 0.0, 1.0, -1.0), 0.0)
     dev = _modulus(via_trace - nearest)
     route_bad = gap > pol.eq_tol
