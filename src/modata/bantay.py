@@ -24,13 +24,16 @@ branch would swap m+ and m- and never change a verdict.
 
 The trace sums are evaluated as written, the sum over s and then the one
 over r for every (k, i); at the ranks this package targets there is nothing
-to gain from factoring them further.  They are stacked instead: ``_realizability_pass`` takes a block of T rows
-that share one S, forms the twists, the trace tables, the FS sums and the
-multiplicity integers t_{k,i} of every row as arrays, checks them with
-masks, and builds a diagnostic only where a mask fails.  A row reads the
-same bits as its own block of one.  ``search_pipeline`` runs it once per S
-candidate; ``realizability_report``, the CLI's ``check``, ``bantay`` and
-``rmatrix`` run it on a block of one row, and ``trace_table``,
+to gain from factoring them further.  They are stacked instead:
+``_realizability_pass`` takes a block of T rows that share one S, forms
+the twists, the trace tables, the FS sums and the multiplicity integers
+t_{k,i} of every row as arrays, checks them with masks, and builds a
+diagnostic only where a mask fails.  A row reads the same bits as its own
+block of one.  ``search_pipeline`` runs it once per S candidate
+(``_reported_rows``), which leaves each row's report on the row's datum
+for its ``realizability_report`` call; ``realizability_report`` on any
+other datum, the CLI's ``check``, ``bantay`` and ``rmatrix`` run it on a
+block of one row, and ``trace_table``,
 ``fs_indicators`` and ``eigen_multiplicities`` build one table each from
 the same stacked functions.  The report also checks the Cauchy theorem: the
 primes dividing det K, K = sum_i N_i N_ibar, are those dividing the order
@@ -41,14 +44,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .axioms import AxiomReport, Diagnostic, _validate_rows, make_report
 from .modular_data import (DerivedData, ModularData, _derive_failure, _derive_s,
                            _prime_support, _readonly, _twist_rows)
-from .numerics import DEFAULT_POLICY, TolerancePolicy, principal_sqrt, turns_fraction
+from .numerics import DEFAULT_POLICY, TolerancePolicy, _modulus, principal_sqrt, turns_fraction
 
 __all__ = [
     "TraceTable",
@@ -122,12 +124,6 @@ def _failing(mask: np.ndarray):
     """The index tuple of every True entry of ``mask``, in row-major order;
     the Python work of a pass is proportional to what fails."""
     return zip(*(a.tolist() for a in mask.nonzero())) if mask.any() else ()
-
-
-def _modulus(z: np.ndarray) -> np.ndarray:
-    """|z| entrywise with the bits of abs() on one complex: np.hypot, not
-    np.abs, whose complex loop may round differently."""
-    return np.hypot(z.real, z.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -363,20 +359,13 @@ def _cauchy_diagnostics(fracs: list[Fraction | None], det: int):
 # aggregate report
 # ---------------------------------------------------------------------------
 
-class _Pass(NamedTuple):
-    """What one stacked realizability pass decided about each row of its block."""
-
-    reports: list[AxiomReport]  # the validate() report extended with every trace constraint
-    # row -> (dd, tt, nu, mt), the tables its passing report was decided on,
-    # or None when the report fails
-    tables: Callable[[int], tuple | None]
-
-
 def _realizability_pass(md: ModularData, T: np.ndarray, bases: list[AxiomReport],
-                        pol: TolerancePolicy) -> _Pass:
-    """``realizability_report``, with its tables, on each row of the (R, n)
-    block T of diagonals with the S of ``md``, whose T is not read; ``bases``
-    are the ``validate`` reports of the rows (``axioms._validate_rows``).
+                        pol: TolerancePolicy) -> tuple[list[AxiomReport], list[tuple | None]]:
+    """(reports, tables): ``realizability_report`` on each row of the (R, n)
+    block T of diagonals with the S of ``md``, whose T is not read, and the
+    tables (dd, tt, nu, mt) its passing report was decided on, or None when
+    it fails; ``bases`` are the ``validate`` reports of the rows
+    (``axioms._validate_rows``).
 
     The twists W = T/T_0, the trace tables, the FS sums, the multiplicity
     integers t_{k,i} with their masks and the trace identities are computed
@@ -390,6 +379,7 @@ def _realizability_pass(md: ModularData, T: np.ndarray, bases: list[AxiomReport]
     dims, conj, N, total_dim, _ = s_half
     live = np.flatnonzero(ok) if s_half[4] is None else np.zeros(0, dtype=int)
     reports: list[AxiomReport] = []
+    tables: list[tuple | None] = []
     at = dict(zip(live.tolist(), range(len(live))))
     if len(live):
         W = W if len(live) == len(W) else W[live]
@@ -416,6 +406,7 @@ def _realizability_pass(md: ModularData, T: np.ndarray, bases: list[AxiomReport]
                 diags.append(Diagnostic("derivation", "error", (), 0.0,
                                         _derive_failure(s_half, ok[r])))
             reports.append(make_report(diags, base.convention_note, meas))
+            tables.append(None)
             continue
         meas["cauchy"], cauchy_diags = _cauchy_diagnostics(fracs[j], det)
         diags.extend(cauchy_diags)
@@ -439,17 +430,35 @@ def _realizability_pass(md: ModularData, T: np.ndarray, bases: list[AxiomReport]
             diags.append(Diagnostic(
                 "twist_trace", "warning", tuple(bad), meas["twist_trace"],
                 "sum_k d_k tau[k][i] != d_i w_i"))
-        reports.append(make_report(diags, base.convention_note, meas))
+        report = make_report(diags, base.convention_note, meas)
+        reports.append(report)
+        tables.append((DerivedData(dims=dims, twists=W[j], conj=conj, fusion=N,
+                                   total_dim=total_dim),
+                       TraceTable(tau=tau[j]), IndicatorVector(nu=nu[j]),
+                       MultiplicityTable(m_plus=m_plus[j], m_minus=m_minus[j]))
+                      if report.passed else None)
+    return reports, tables
 
-    def tables(r: int):
-        if not reports[r].passed:
-            return None
-        j = at[r]
-        dd = DerivedData(dims=dims, twists=W[j], conj=conj, fusion=N, total_dim=total_dim)
-        return (dd, TraceTable(tau=tau[j]), IndicatorVector(nu=nu[j]),
-                MultiplicityTable(m_plus=m_plus[j], m_minus=m_minus[j]))
 
-    return _Pass(reports, tables)
+def _report(md: ModularData, pol: TolerancePolicy) -> AxiomReport:
+    """The report on ``md`` alone: the stacked pass on a block of one row."""
+    T = md.T[None]
+    return _realizability_pass(md, T, _validate_rows(md, T, pol), pol)[0][0]
+
+
+def _reported_rows(md: ModularData, diagonals: list[np.ndarray],
+                   pol: TolerancePolicy) -> list[ModularData]:
+    """The datum (S of ``md``, t) of each T diagonal t, sharing md's S cache,
+    its ``realizability_report`` under ``pol`` already decided by one stacked
+    pass over the whole block."""
+    if not diagonals:
+        return []
+    T = np.array(diagonals)
+    reports, _ = _realizability_pass(md, T, _validate_rows(md, T, pol), pol)
+    rows = [md._with_t(t) for t in diagonals]
+    for row, report in zip(rows, reports):
+        row._memo[(_report, pol)] = report
+    return rows
 
 
 def realizability_report(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> AxiomReport:
@@ -466,6 +475,8 @@ def realizability_report(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY)
     only.  FS route agreement and trace
     conjugation follow from the rest in exact arithmetic, yet under the
     tolerances either can be the only failure.
+
+    The report is computed once per datum and policy; the data a stacked
+    pass made (``_reported_rows``) already hold theirs.
     """
-    T = md.T[None]
-    return _realizability_pass(md, T, _validate_rows(md, T, pol), pol).reports[0]
+    return md._fact(_report, pol)

@@ -116,8 +116,8 @@ def cmd_bantay(args, pol) -> int:
     if not report.passed:
         return _print_failure(
             report, "data fails the modularity axioms; not computing traces", args)
-    run = _realizability_pass(md, md.T[None], [report], pol)
-    report, tables = run.reports[0], run.tables(0)
+    reports, tables = _realizability_pass(md, md.T[None], [report], pol)
+    report, tables = reports[0], tables[0]
     if tables is None:
         first = report.errors()[0].check_id
         return _print_failure(report, f"data fails the {first} check; not realizable", args)
@@ -149,11 +149,10 @@ def cmd_bantay(args, pol) -> int:
 
 def cmd_rmatrix(args, pol) -> int:
     md = load_modular_data(args.file)
-    run = _realizability_pass(md, md.T[None], [validate(md, pol)], pol)
-    tables = run.tables(0)
-    if tables is None:
-        return _print_failure(run.reports[0], "not realizable; no canonical R-matrices", args)
-    dd, _, _, mt = tables
+    reports, tables = _realizability_pass(md, md.T[None], [validate(md, pol)], pol)
+    if tables[0] is None:
+        return _print_failure(reports[0], "not realizable; no canonical R-matrices", args)
+    dd, _, _, mt = tables[0]
     blocks = canonical_r(md, dd, mt)
     mono = monodromy_check(blocks, dd, pol)
     if args.json:

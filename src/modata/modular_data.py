@@ -6,9 +6,10 @@ lives in a private cache that a datum shares with every datum made from it
 by ``_with_t``, so the T candidates of one S compute it once: S^2, the raw
 Verlinde tensor and its rounding, det K, the conjugation, and, per
 TolerancePolicy, ``derive``'s S half and the S-only axiom checks of
-:mod:`modata.axioms`.  (S T)^3 is cached on the datum alone.  The cube
-(S diag(w))^3 (``_cube``), the twists T/T_0 (``_twist_rows``), the
-conjugation and the cube-root lift of T (``_lift_t0``) each have one
+:mod:`modata.axioms`.  (S T)^3 is cached on the datum alone, and so, per
+TolerancePolicy, is its realizability report (``ModularData._fact``).
+The cube (S diag(w))^3 (``_cube``), the twists T/T_0 (``_twist_rows``),
+the conjugation and the cube-root lift of T (``_lift_t0``) each have one
 private helper here; the cube, the twists and the lift take a whole block
 of T or twist rows.
 
@@ -132,6 +133,7 @@ class ModularData:
         object.__setattr__(self, "T", _readonly(T))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_s", _SFacts(S))
+        object.__setattr__(self, "_memo", {})
 
     def _with_t(self, T) -> "ModularData":
         """The datum (S, T) with these labels, sharing this datum's S cache."""
@@ -146,6 +148,13 @@ class ModularData:
         if key not in memo:
             memo[key] = fn(self, pol)
         return memo[key]
+
+    def _fact(self, fn, pol: TolerancePolicy):
+        """fn(self, pol), computed once per datum, fn and pol."""
+        key = (fn, pol)
+        if key not in self._memo:
+            self._memo[key] = fn(self, pol)
+        return self._memo[key]
 
     @classmethod
     def from_matrices(cls, S, T, labels=None) -> "ModularData":

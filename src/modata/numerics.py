@@ -55,6 +55,12 @@ def _principal_arg(w: complex) -> float:
     return phi
 
 
+def _modulus(z):
+    """|z| of one complex or entrywise, as np.hypot: on an array it gives the
+    bits of abs() on each complex, which np.abs's complex loop need not."""
+    return np.hypot(z.real, z.imag)
+
+
 def principal_sqrt(w, pol: TolerancePolicy = DEFAULT_POLICY):
     """Square root e^{i arg(w)/2} of a phase, arg taken in (-pi, pi].
 

@@ -25,7 +25,7 @@ import numpy as np
 from .axioms import AxiomReport, Diagnostic, make_report
 from .bantay import MultiplicityTable
 from .modular_data import DerivedData, ModularData
-from .numerics import DEFAULT_POLICY, TolerancePolicy, principal_sqrt
+from .numerics import DEFAULT_POLICY, TolerancePolicy, _modulus, principal_sqrt
 
 __all__ = ["RBlock", "canonical_r", "monodromy_check"]
 
@@ -33,9 +33,8 @@ __all__ = ["RBlock", "canonical_r", "monodromy_check"]
 def _phase(u):
     """u/|u|, of one complex or entrywise.  Validation lets |w_i| - 1 reach
     about 2 eq_tol, and scaling a ratio of twists by a positive number never
-    moves it across the branch cut of the square root.  On an array |u| is
-    np.hypot, which gives the bits of abs() on one complex."""
-    return u / (np.hypot(u.real, u.imag) if isinstance(u, np.ndarray) else abs(u))
+    moves it across the branch cut of the square root."""
+    return u / _modulus(u)
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,11 @@ def monodromy_check(blocks: list[RBlock], dd: DerivedData,
     by_channel = {b.channel: b for b in blocks}
     diags: list[Diagnostic] = []
     meas = {"monodromy": 0.0, "op_inverse": 0.0}
-    for b in blocks:
+    I, J, K = np.array([b.channel for b in blocks], dtype=int).reshape(-1, 3).T
+    # per block, the double-braiding scalar and the factor of R^op
+    targets = _phase(w[K] / (w[I] * w[J])).tolist()
+    op_factors = _phase(w[J] * w[I] / w[K]).tolist()
+    for b, target, op_factor in zip(blocks, targets, op_factors):
         i, j, k = b.channel
         mirror = by_channel.get((j, i, k))
         if mirror is None:
@@ -150,7 +153,6 @@ def monodromy_check(blocks: list[RBlock], dd: DerivedData,
             continue
         # signed blocks: (E+ - E-)^2 = 1, so the product is a scalar either way
         prod = mirror.value * b.value
-        target = _phase(w[k] / (w[i] * w[j]))
         dev = abs(prod - target)
         meas["monodromy"] = max(meas["monodromy"], dev)
         if dev > pol.eq_tol:
@@ -159,7 +161,7 @@ def monodromy_check(blocks: list[RBlock], dd: DerivedData,
                 f"double braiding on ({i},{j},{k}) gives {prod:.6g}, "
                 f"expected {target:.6g}"))
         # R^op of the mirror is its value times w_j w_i / w_k
-        inv = mirror.value * _phase(w[j] * w[i] / w[k]) * b.value
+        inv = mirror.value * op_factor * b.value
         dev_inv = abs(inv - 1.0)
         meas["op_inverse"] = max(meas["op_inverse"], dev_inv)
         if dev_inv > pol.eq_tol:

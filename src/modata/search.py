@@ -36,14 +36,16 @@ Pipeline:
      self-dual sector, or from 0 on another, would fail the report's fs_*
      checks, so it gets no report and is counted as ``fs_screened``.  The
      other candidates of that S go through one stacked realizability pass
-     (``bantay._realizability_pass``): the axiom checks that read T, the
+     (``bantay._reported_rows``): the axiom checks that read T, the
      trace tables, the FS sums and the multiplicity integers of all of them
-     are computed as arrays at once, and each row gets the report that
-     ``realizability_report`` gives it alone, bit for bit.  The passes are
-     kept in provenance order.  Every T candidate shares the S datum of
-     step 2, so what S alone decides (unitarity, symmetry, conjugation,
-     Verlinde rounding, the dimension row, det K; see
-     :mod:`modata.modular_data`) is computed once per S.  A pass equal to
+     are computed as arrays at once, and each candidate's datum is left
+     holding the report that ``realizability_report`` gives it alone, bit
+     for bit, which the search then reads with one ``realizability_report``
+     call per candidate.  The passes are kept in provenance order.  Every
+     T candidate shares the S datum of step 2, so what S alone decides
+     (unitarity, symmetry, conjugation, Verlinde rounding, the dimension
+     row, det K; see :mod:`modata.modular_data`) is computed once per S.
+     A pass equal to
      an already kept result in both S and T within eq_tol is dropped; that
      (S, T) check is the search's only dedup.  Two S candidates differ by
      at least sqrt(2/rank) in some entry (``candidate_s``), which is 0.408
@@ -66,8 +68,8 @@ from typing import IO, NamedTuple
 
 import numpy as np
 
-from .axioms import AxiomReport, _s_checks, _validate_rows
-from .bantay import _fs_sums, _realizability_pass
+from .axioms import AxiomReport, _s_checks
+from .bantay import _fs_sums, _reported_rows, realizability_report
 from .modular_data import (
     InvalidModularData,
     ModularData,
@@ -480,9 +482,10 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
 
     One serial loop over the S candidates: the T diagonals of one S are
     screened together by their FS sums (``_fs_screen``), the ones that
-    remain are filtered together by one stacked realizability pass, whose
-    report on each row is the one ``realizability_report`` gives it, and a
-    pass is kept unless it equals an already kept result in both S and T
+    remain are filtered together by one stacked realizability pass, which
+    leaves on each candidate's datum the report that
+    ``realizability_report`` gives it alone and then returns from its
+    per-candidate call, and a pass is kept unless it equals an already kept result in both S and T
     within eq_tol, the search's only dedup.  The data of one S candidate
     share its S cache, and a pass is compared with the kept results of the S
     candidates within eq_tol of its own, its own included (see the module
@@ -511,19 +514,15 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
         near_t = [t for prev, ts in kept if np.max(np.abs(S - prev.S)) <= pol.eq_tol
                   for t in ts]
         own_t: list[np.ndarray] = []
-        rows = np.flatnonzero(fs_ok)
-        reports: list[AxiomReport] = []
-        if len(rows):
-            T = np.array(enum.diagonals)[rows]
-            reports = _realizability_pass(s_md, T, _validate_rows(s_md, T, pol), pol).reports
+        rows = np.flatnonzero(fs_ok).tolist()
+        data = _reported_rows(s_md, [enum.diagonals[d_idx] for d_idx in rows], pol)
         # the three cube-root lifts of an assignment are emitted consecutively
-        for d_idx, rep in zip(rows.tolist(), reports):
+        for d_idx, md in zip(rows, data):
+            rep = realizability_report(md, pol)
             if not rep.passed:
                 continue
-            t_diag = enum.diagonals[d_idx]
-            if near_t and np.any(np.max(np.abs(t_diag - np.array(near_t)), axis=1) <= pol.eq_tol):
+            if near_t and np.any(np.max(np.abs(md.T - np.array(near_t)), axis=1) <= pol.eq_tol):
                 continue
-            md = s_md._with_t(t_diag)
             results.append(SearchResult(md=md, report=rep,
                                         provenance=(s_idx, enum.assignments[d_idx], d_idx % 3)))
             near_t.append(md.T)

@@ -192,13 +192,13 @@ def assert_rows_match_reference(md, T, pol=DEFAULT_POLICY):
     """One stacked pass over the rows T with the S of md against the
     per-datum reference on each row; returns the check_ids the rows fired."""
     bases = _validate_rows(md, T, pol)
-    run = _realizability_pass(md, T, bases, pol)
-    assert len(bases) == len(run.reports) == len(T)
+    reports, tables = _realizability_pass(md, T, bases, pol)
+    assert len(bases) == len(reports) == len(tables) == len(T)
     fired = set()
     for r, t in enumerate(T):
         row = ModularData.from_matrices(md.S, t)  # a fresh S cache per row
         want, want_tables = reference_realizability_report(row, pol)
-        got, base = run.reports[r], bases[r]
+        got, base = reports[r], bases[r]
 
         def listing(report):
             return [(d.check_id, d.severity, d.indices) for d in report.diagnostics]
@@ -210,10 +210,9 @@ def assert_rows_match_reference(md, T, pol=DEFAULT_POLICY):
         assert list(got.measurements) == list(want.measurements), r
         for key, value in want.measurements.items():
             assert abs(got.measurements[key] - value) <= 1e-12, (r, key)
-        tables = run.tables(r)
-        assert (tables is None) == (want_tables is None), r
-        if tables is not None:
-            _, _, nu, mt = tables
+        assert (tables[r] is None) == (want_tables is None), r
+        if tables[r] is not None:
+            _, _, nu, mt = tables[r]
             for a, b in zip((nu.nu, mt.m_plus, mt.m_minus), want_tables):
                 assert np.array_equal(a, b), r
         fired.update(d.check_id for d in got.diagnostics)

@@ -611,6 +611,35 @@ class TestSearchPipeline:
         assert stats["s_candidates"] == n_s
         assert counts == {"verlinde_raw": n_s, "casimir_det": n_s, "s_checks": n_s}
 
+    @pytest.mark.parametrize("ring, max_order", [("fibonacci", 10), ("toric_code", 8),
+                                                 ("ising", 32)])
+    def test_one_stacked_pass_per_s_candidate(self, monkeypatch, ring, max_order):
+        # each S candidate's kept T candidates go through one stacked pass,
+        # and each gets one realizability_report call, which returns the
+        # report the pass left on its datum: no one-row pass runs
+        from modata import bantay
+        calls, rows = Counter(), Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                out = fn(*args, **kwargs)
+                if name == "_realizability_pass":
+                    rows[name] += len(out[0])
+                return out
+            return wrapper
+
+        for mod, name in [(bantay, "_realizability_pass"), (bantay, "_report"),
+                          (search, "realizability_report")]:
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        stats = {}
+        res = search_pipeline(make_ring(ring), max_order, stats_out=stats)
+        kept = stats["t_candidates"] - stats["fs_screened"]
+        assert calls == {"_realizability_pass": stats["s_candidates"],
+                         "realizability_report": kept}
+        assert rows["_realizability_pass"] == kept
+        assert all(r.report is realizability_report(r.md) for r in res)
+
     def test_trivial_ring_three_central_charges(self):
         res = search_pipeline(TRIVIAL_RING, max_order=4)
         assert len(res) == 3
