@@ -377,7 +377,10 @@ def _realizability_pass(md: ModularData, T: np.ndarray, bases: list[AxiomReport]
     W, ok = _twist_rows(T, pol)
     s_half = md._s_fact(_derive_s, pol)
     dims, conj, N, total_dim, _ = s_half
-    live = np.flatnonzero(ok) if s_half[4] is None else np.zeros(0, dtype=int)
+    # a row with some |T_i| <= eq_tol fails t_unimodular, and the traces
+    # would divide by its w_i^2; like a row with T_0 = 0 it is left out
+    twisted = np.abs(T).min(axis=1) > pol.eq_tol
+    live = np.flatnonzero(twisted) if s_half[4] is None else np.zeros(0, dtype=int)
     reports: list[AxiomReport] = []
     tables: list[tuple | None] = []
     at = dict(zip(live.tolist(), range(len(live))))

@@ -23,6 +23,8 @@ from .axioms import AxiomReport, validate
 from .bantay import _realizability_pass, realizability_report, trace_table
 from .modular_data import (
     InvalidModularData,
+    _encode_datum,
+    _Spliced,
     _write_json,
     derive,
     load_modular_data,
@@ -188,7 +190,7 @@ def cmd_catalog(args, pol) -> int:
     for e in entries:
         if e.name == args.name:
             if args.json:
-                _write_json(e.md.to_json_dict(exact_t=True), sys.stdout)
+                _write_json(_encode_datum(e.md, exact_t=True), sys.stdout)
             else:
                 dd = derive(e.md, pol)
                 print(f"{e.name}: rank {e.md.rank}, |sigma| = {dd.total_dim:.6f}")
@@ -250,27 +252,28 @@ def cmd_search(args, pol) -> int:
     results = search_pipeline(fr, max_order=args.max_order, pol=pol, stats_out=stats)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = []
+    files, texts = [], []
     for idx, res in enumerate(results):
         path = out_dir / f"result_{idx:03d}.json"
-        save_modular_data(res.md, path)
+        texts.append(save_modular_data(res.md, path))
         files.append(str(path))
     # the results of an earlier search into the same directory go
+    written = set(files)
     for path in out_dir.glob("result_*.json"):
-        if re.fullmatch(r"result_\d{3,}\.json", path.name) and str(path) not in files:
+        if re.fullmatch(r"result_\d{3,}\.json", path.name) and str(path) not in written:
             path.unlink()
     families = sorted({res.provenance[:2] for res in results})
     if args.json:
-        _write_json({
+        # each result's data is the text of its file, placed verbatim
+        _write_json(_Spliced({
             "rank": fr.rank,
             "max_order": args.max_order,
-            "results": [{"provenance": list(res.provenance), "file": f,
-                         "data": res.md.to_json_dict()}
-                        for res, f in zip(results, files)],
+            "results": [_Spliced(provenance=list(res.provenance), file=f, data=text)
+                        for res, f, text in zip(results, files, texts)],
             "result_count": len(results),
             "family_count": len(families),
             "stats": stats,
-        }, sys.stdout)
+        }), sys.stdout)
     else:
         print(f"{len(results)} admissible data in {len(families)} twist families "
               f"-> {out_dir}")

@@ -6,8 +6,10 @@ lives in a private cache that a datum shares with every datum made from it
 by ``_with_t``, so the T candidates of one S compute it once: S^2, the raw
 Verlinde tensor and its rounding, det K, the conjugation, and, per
 TolerancePolicy, ``derive``'s S half and the S-only axiom checks of
-:mod:`modata.axioms`.  (S T)^3 is cached on the datum alone, and so, per
-TolerancePolicy, is its realizability report (``ModularData._fact``).
+:mod:`modata.axioms`, and, per label tuple, the encoded head of the file
+format below, so that only T is encoded per datum (``_encode_datum``).
+(S T)^3 is cached on the datum alone, and so, per TolerancePolicy, is its
+realizability report (``ModularData._fact``).
 The cube (S diag(w))^3 (``_cube``), the twists T/T_0 (``_twist_rows``),
 the conjugation and the cube-root lift of T (``_lift_t0``) each have one
 private helper here; the cube, the twists and the lift take a whole block
@@ -29,6 +31,8 @@ File format (JSON, UTF-8)::
 
 where ``complex`` is either ``[re, im]`` or the exact-phase form
 ``{"abs": number, "arg_turns": "p/q"}`` meaning abs * e^{2 pi i p/q}.
+``_encode_datum`` is its one encoder: data files, ``catalog NAME --json``
+and the ``data`` of each ``search --json`` result are its text.
 """
 from __future__ import annotations
 
@@ -72,7 +76,8 @@ class _SFacts:
     """What S alone decides, shared by every datum made with ``_with_t``.
 
     The cached properties hold under every policy; ``ModularData._s_fact``
-    keeps one result per (function, TolerancePolicy) in ``memo``.
+    keeps one result per (function, TolerancePolicy) in ``memo``, and
+    ``_encode_datum`` one encoded head per label tuple.
     """
 
     def __init__(self, S: np.ndarray):
@@ -507,14 +512,43 @@ def _read_json(source, error_cls: type[Exception]):
         raise error_cls(f"malformed JSON: {exc}") from exc
 
 
+class _Encoded(str):
+    """A JSON text, which ``_write_json`` places verbatim as the value it encodes."""
+
+
+class _Spliced(dict):
+    """A dict that ``_dumps`` encodes value by value, so that its values, and
+    those of the ``_Spliced`` dicts in a list among them, may be ``_Encoded``."""
+
+
+def _dumps(doc) -> str:
+    """``json.dumps(doc)``, with each ``_Encoded`` text placed verbatim.
+
+    A ``_Spliced`` dict, and a list holding one, are encoded value by value
+    around the texts, which are placed by position: the output is never
+    searched, as labels and paths may hold any text.  Any other value is one
+    ``json.dumps`` call.  The keys of a ``_Spliced`` dict are strings.
+    """
+    if isinstance(doc, _Encoded):
+        return doc
+    if isinstance(doc, _Spliced):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dumps(v)}" for k, v in doc.items()) + "}"
+    if isinstance(doc, list) and any(isinstance(v, _Spliced) for v in doc):
+        return "[" + ", ".join(map(_dumps, doc)) + "]"
+    return json.dumps(doc)
+
+
 def _write_json(doc, target) -> None:
     """Write ``doc`` as one line of JSON to a path or an open text stream.
 
     The one writer of every document modata emits: ``--json`` output, data
-    files, fusion rings and search results.  Without ``indent``,
-    ``json.dumps`` runs CPython's C encoder; ``python -m json.tool`` pretty-prints.
+    files, fusion rings and search results.  A document is one ``json.dumps``
+    call, which runs CPython's C encoder without ``indent``, unless it holds
+    encoded texts (``_dumps``): a datum's text from ``_encode_datum``, or
+    the ``search --json`` document, which carries each result's text as its
+    ``data``.  ``python -m json.tool`` pretty-prints.
     """
-    text = json.dumps(doc) + "\n"
+    text = _dumps(doc) + "\n"
     if hasattr(target, "write"):
         target.write(text)
     else:
@@ -526,5 +560,25 @@ def load_modular_data(source: str | Path | IO[str]) -> ModularData:
     return _md_from_dict(_read_json(source, InvalidModularData))
 
 
-def save_modular_data(md: ModularData, target: str | Path | IO[str], exact_t: bool = False) -> None:
-    _write_json(md.to_json_dict(exact_t=exact_t), target)
+def _encode_datum(md: ModularData, exact_t: bool = False) -> _Encoded:
+    """The file-format text of ``md``: ``json.dumps(md.to_json_dict(exact_t))``.
+
+    The head ``{"rank": n, "labels": [...], "S": [...], "T": `` is encoded
+    once per S cache and label tuple and kept in the memo of ``_s_fact``, so
+    the T candidates ``_with_t`` makes share it and only T is encoded per datum.
+    """
+    key = (_encode_datum, md.labels)
+    head = md._s.memo.get(key)
+    if head is None:
+        skeleton = json.dumps({"rank": md.rank, "labels": list(md.labels),
+                               "S": np.stack((md.S.real, md.S.imag), -1).tolist()})
+        head = md._s.memo[key] = skeleton[:-1] + ', "T": '  # skeleton ends in "}"
+    return _Encoded(head + json.dumps([complex_to_json(z, exact=exact_t) for z in md.T]) + "}")
+
+
+def save_modular_data(md: ModularData, target: str | Path | IO[str], exact_t: bool = False) -> str:
+    """Write ``md`` in the file format, T in exact-phase form where it can be
+    with ``exact_t``, and return the text written, without its final newline."""
+    text = _encode_datum(md, exact_t)
+    _write_json(text, target)
+    return text

@@ -22,7 +22,9 @@ from modata import (
     save_modular_data,
 )
 from modata.cli import fmt_complex, main
+from modata.modular_data import _Encoded, verlinde_fusion
 from modata.numerics import phase_from_turns
+from modata.search import FusionRing, save_fusion_ring, search_pipeline
 
 
 def run(capsys, *argv):
@@ -203,6 +205,25 @@ class TestCheckCommand:
 
         doc = json.loads(out, parse_constant=reject)
         assert doc["measurements"]["verlinde_integrality"] == 1.0
+
+    @pytest.mark.parametrize("cmd", ["check", "rmatrix"])
+    def test_vanishing_twist_is_strict_json(self, capsys, tmp_path, cmd):
+        # Fibonacci with T = (1, 0): w_1 = 0, so no trace is defined; the
+        # report fails t_unimodular, with no Infinity or NaN and no warning
+        fib = get_model("fibonacci").modular_data
+        path = tmp_path / "fib_t1_zero.json"
+        save_modular_data(ModularData.from_matrices(fib.S, [1.0, 0.0], fib.labels), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would raise here
+            code, out, _ = run(capsys, "--json", cmd, str(path))
+        assert code == 1
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["verdict"] == "fail"
+        assert [d["check_id"] for d in doc["diagnostics"]] == ["t_unimodular", "st_cubed"]
 
 
 class TestVanishingT0:
@@ -405,7 +426,10 @@ class TestOracleCommand:
 
 
 def plain(doc):
-    """doc with its tuples as lists, as json.loads returns it."""
+    """doc with its tuples as lists and its encoded texts decoded, as
+    json.loads returns it."""
+    if isinstance(doc, _Encoded):
+        return json.loads(doc)
     if isinstance(doc, dict):
         return {k: plain(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):
@@ -443,11 +467,57 @@ class TestJsonOutput:
         assert len(built) == 1
         doc = json.loads(out)
         assert doc == plain(built[0])
+        assert out == json.dumps(plain(built[0])) + "\n"
         if argv[0] == "search":
             assert doc["result_count"] == 24
-            for res in doc["results"]:
-                text = Path(res["file"]).read_text()
-                assert text.count("\n") == 1 and json.loads(text) == res["data"]
+            # each result's data is placed as the text its file holds
+            for res in built[0]["results"]:
+                assert isinstance(res["data"], _Encoded)
+                assert Path(res["file"]).read_text() == res["data"] + "\n"
+
+
+def reference_search_doc(fr, max_order, out_dir):
+    """The ``search --json`` document built as one dict, each result's data
+    as ``to_json_dict``; ``json.dumps`` of it is the expected output."""
+    stats: dict = {}
+    results = search_pipeline(fr, max_order=max_order, stats_out=stats)
+    return {
+        "rank": fr.rank,
+        "max_order": max_order,
+        "results": [{"provenance": list(res.provenance),
+                     "file": str(out_dir / f"result_{idx:03d}.json"),
+                     "data": res.md.to_json_dict()}
+                    for idx, res in enumerate(results)],
+        "result_count": len(results),
+        "family_count": len({res.provenance[:2] for res in results}),
+        "stats": stats,
+    }
+
+
+class TestSearchJsonText:
+    """``search --json`` prints, and writes to each result file, the text
+    json.dumps makes of the document built the plain way."""
+
+    @pytest.mark.parametrize("factors, max_order, s_candidates", [
+        (("toric_code",), 8, 4),
+        (("fibonacci", "z3"), 15, 2),
+    ], ids=["toric_code", "fibonacci_z3"])
+    def test_equal_to_json_dumps_of_the_reference(self, capsys, tmp_path, factors,
+                                                  max_order, s_candidates):
+        Ns = [verlinde_fusion(get_model(name).modular_data) for name in factors]
+        N = Ns[0] if len(Ns) == 1 else np.einsum("ace,bdf->abcdef", *Ns)
+        n = math.prod(len(M) for M in Ns)
+        fr = FusionRing(rank=n, N=N.reshape(n, n, n))
+        ring, out_dir = tmp_path / "ring.json", tmp_path / "results"
+        save_fusion_ring(fr, ring)
+        code, out, _ = run(capsys, "--json", "search", str(ring),
+                           "--max-order", str(max_order), "--out", str(out_dir))
+        assert code == 0
+        ref = reference_search_doc(fr, max_order, out_dir)
+        assert ref["stats"]["s_candidates"] == s_candidates
+        assert out == json.dumps(ref) + "\n"
+        for res in ref["results"]:
+            assert Path(res["file"]).read_text() == json.dumps(res["data"]) + "\n"
 
 
 class TestSearchCommand:

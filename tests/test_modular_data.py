@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modata import (
     InvalidModularData,
@@ -24,7 +26,7 @@ from modata import (
     validate,
     verlinde_fusion,
 )
-from modata.modular_data import _casimir_det, parse_complex
+from modata.modular_data import _casimir_det, _encode_datum, parse_complex
 from modata.numerics import DEFAULT_POLICY, TolerancePolicy, phase_from_turns
 
 TRIVIAL = ModularData.from_matrices([[1.0]], [1.0])
@@ -281,6 +283,14 @@ class TestFileFormat:
                 assert np.array_equal(load_modular_data(io.StringIO(again.getvalue())).T,
                                       back.T), n
 
+    def test_save_returns_the_line_it_writes(self):
+        md = get_model("fibonacci").modular_data
+        for exact_t in (False, True):
+            out = io.StringIO()
+            text = save_modular_data(md, out, exact_t=exact_t)
+            assert out.getvalue() == text + "\n"
+            assert text == json.dumps(md.to_json_dict(exact_t))
+
     def test_bare_number_tolerated(self):
         md = load_modular_data(io.StringIO('{"rank": 1, "S": [[1.0]], "T": [1.0]}'))
         assert md.S[0, 0] == 1.0
@@ -395,3 +405,40 @@ class TestDerivedCache:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr.flat[0] = 0.0
+
+
+# labels that JSON must escape, or that are not ASCII, besides drawn text
+LABELS = st.one_of(st.sampled_from(['', '"', "\\", "\x00", "\u2028", "é", "σ*ψ", 'a"\\b']),
+                   st.text(max_size=3))
+
+
+class TestEncoder:
+    """``_encode_datum`` writes what ``json.dumps`` writes of ``to_json_dict``."""
+
+    @staticmethod
+    def t_row(rng, n):
+        """T entries of three kinds: roots of unity (the exact form), other
+        complex values ([re, im] either way) and zero."""
+        T = np.array([phase_from_turns(Fraction(int(rng.integers(0, 240)), int(q)))
+                      for q in rng.integers(1, 241, size=n)])
+        kind = rng.integers(0, 3, size=n)
+        return np.where(kind == 1, T * rng.uniform(0.1, 3.0, size=n), np.where(kind == 2, 0, T))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           corner=st.floats(allow_nan=False, allow_infinity=False), data=st.data())
+    def test_equals_json_dumps_of_the_dict(self, n, seed, corner, data):
+        labels, other = (data.draw(st.lists(LABELS, min_size=n, max_size=n)) for _ in range(2))
+        rng = np.random.default_rng(seed)
+        S = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        S[0, 0] = complex(corner, -0.0)
+        md = ModularData.from_matrices(S, self.t_row(rng, n), labels)
+        # the T candidates of one S share its cache, and so its encoded head
+        rows = [md] + [md._with_t(self.t_row(rng, n)) for _ in range(2)]
+        # a datum sharing that cache under other labels must get its own head
+        relabeled = ModularData.from_matrices(S, self.t_row(rng, n), other)
+        object.__setattr__(relabeled, "_s", md._s)
+        rows.append(relabeled)
+        for x in rows + rows[::-1]:
+            for exact_t in (False, True):
+                assert _encode_datum(x, exact_t) == json.dumps(x.to_json_dict(exact_t))
