@@ -33,7 +33,8 @@ block of one.  ``search_pipeline`` runs it once per S candidate
 (``_reported_rows``), which leaves each row's report on the row's datum
 for its ``realizability_report`` call; ``realizability_report`` on any
 other datum, the CLI's ``check``, ``bantay`` and ``rmatrix`` run it on a
-block of one row, and ``trace_table``,
+block of one row.  The pass builds the table objects of a passing row only
+for ``bantay`` and ``rmatrix``, which print them; ``trace_table``,
 ``fs_indicators`` and ``eigen_multiplicities`` build one table each from
 the same stacked functions.  The report also checks the Cauchy theorem: the
 primes dividing det K, K = sum_i N_i N_ibar, are those dividing the order
@@ -360,12 +361,14 @@ def _cauchy_diagnostics(fracs: list[Fraction | None], det: int):
 # ---------------------------------------------------------------------------
 
 def _realizability_pass(md: ModularData, T: np.ndarray, bases: list[AxiomReport],
-                        pol: TolerancePolicy) -> tuple[list[AxiomReport], list[tuple | None]]:
+                        pol: TolerancePolicy, tables: bool = False
+                        ) -> tuple[list[AxiomReport], list[tuple | None] | None]:
     """(reports, tables): ``realizability_report`` on each row of the (R, n)
-    block T of diagonals with the S of ``md``, whose T is not read, and the
-    tables (dd, tt, nu, mt) its passing report was decided on, or None when
-    it fails; ``bases`` are the ``validate`` reports of the rows
-    (``axioms._validate_rows``).
+    block T of diagonals with the S of ``md``, whose T is not read, and,
+    when ``tables`` is set, per row the tables (dd, tt, nu, mt) its passing
+    report was decided on, or None when it fails; without ``tables`` no
+    table object is built and the second item is None.  ``bases`` are the
+    ``validate`` reports of the rows (``axioms._validate_rows``).
 
     The twists W = T/T_0, the trace tables, the FS sums, the multiplicity
     integers t_{k,i} with their masks and the trace identities are computed
@@ -382,7 +385,7 @@ def _realizability_pass(md: ModularData, T: np.ndarray, bases: list[AxiomReport]
     twisted = np.abs(T).min(axis=1) > pol.eq_tol
     live = np.flatnonzero(twisted) if s_half[4] is None else np.zeros(0, dtype=int)
     reports: list[AxiomReport] = []
-    tables: list[tuple | None] = []
+    row_tables: list[tuple | None] = []
     at = dict(zip(live.tolist(), range(len(live))))
     if len(live):
         W = W if len(live) == len(W) else W[live]
@@ -409,7 +412,7 @@ def _realizability_pass(md: ModularData, T: np.ndarray, bases: list[AxiomReport]
                 diags.append(Diagnostic("derivation", "error", (), 0.0,
                                         _derive_failure(s_half, ok[r])))
             reports.append(make_report(diags, base.convention_note, meas))
-            tables.append(None)
+            row_tables.append(None)
             continue
         meas["cauchy"], cauchy_diags = _cauchy_diagnostics(fracs[j], det)
         diags.extend(cauchy_diags)
@@ -435,12 +438,13 @@ def _realizability_pass(md: ModularData, T: np.ndarray, bases: list[AxiomReport]
                 "sum_k d_k tau[k][i] != d_i w_i"))
         report = make_report(diags, base.convention_note, meas)
         reports.append(report)
-        tables.append((DerivedData(dims=dims, twists=W[j], conj=conj, fusion=N,
-                                   total_dim=total_dim),
-                       TraceTable(tau=tau[j]), IndicatorVector(nu=nu[j]),
-                       MultiplicityTable(m_plus=m_plus[j], m_minus=m_minus[j]))
-                      if report.passed else None)
-    return reports, tables
+        if tables:
+            row_tables.append((DerivedData(dims=dims, twists=W[j], conj=conj, fusion=N,
+                                           total_dim=total_dim),
+                               TraceTable(tau=tau[j]), IndicatorVector(nu=nu[j]),
+                               MultiplicityTable(m_plus=m_plus[j], m_minus=m_minus[j]))
+                              if report.passed else None)
+    return reports, (row_tables if tables else None)
 
 
 def _report(md: ModularData, pol: TolerancePolicy) -> AxiomReport:

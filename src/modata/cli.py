@@ -118,7 +118,7 @@ def cmd_bantay(args, pol) -> int:
     if not report.passed:
         return _print_failure(
             report, "data fails the modularity axioms; not computing traces", args)
-    reports, tables = _realizability_pass(md, md.T[None], [report], pol)
+    reports, tables = _realizability_pass(md, md.T[None], [report], pol, tables=True)
     report, tables = reports[0], tables[0]
     if tables is None:
         first = report.errors()[0].check_id
@@ -151,7 +151,8 @@ def cmd_bantay(args, pol) -> int:
 
 def cmd_rmatrix(args, pol) -> int:
     md = load_modular_data(args.file)
-    reports, tables = _realizability_pass(md, md.T[None], [validate(md, pol)], pol)
+    reports, tables = _realizability_pass(md, md.T[None], [validate(md, pol)], pol,
+                                          tables=True)
     if tables[0] is None:
         return _print_failure(reports[0], "not realizable; no canonical R-matrices", args)
     dd, _, _, mt = tables[0]
@@ -252,11 +253,10 @@ def cmd_search(args, pol) -> int:
     results = search_pipeline(fr, max_order=args.max_order, pol=pol, stats_out=stats)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    files, texts = [], []
-    for idx, res in enumerate(results):
-        path = out_dir / f"result_{idx:03d}.json"
-        texts.append(save_modular_data(res.md, path))
-        files.append(str(path))
+    # the paths as strings, str(out_dir / name) without a Path per result
+    prefix = os.path.join(str(out_dir), "result_")
+    files = [f"{prefix}{idx:03d}.json" for idx in range(len(results))]
+    texts = [save_modular_data(res.md, path) for res, path in zip(results, files)]
     # the results of an earlier search into the same directory go
     written = set(files)
     for path in out_dir.glob("result_*.json"):

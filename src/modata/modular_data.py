@@ -141,9 +141,19 @@ class ModularData:
         object.__setattr__(self, "_memo", {})
 
     def _with_t(self, T) -> "ModularData":
-        """The datum (S, T) with these labels, sharing this datum's S cache."""
-        md = ModularData(rank=self.rank, labels=self.labels, S=self.S, T=T)
-        object.__setattr__(md, "_s", self._s)
+        """The datum (S, T) with these labels, sharing this datum's S cache.
+
+        Only T is checked, as the constructor checks it: S and the labels
+        are this datum's, already checked and read-only."""
+        T = np.ascontiguousarray(np.asarray(T, dtype=complex))
+        if T.shape != (self.rank,):
+            raise InvalidModularData(f"T must have length {self.rank}, got {T.shape}")
+        if not np.all(np.isfinite(T.view(float))):
+            raise InvalidModularData("T entries must be finite")
+        md = object.__new__(ModularData)
+        for name, value in (("rank", self.rank), ("labels", self.labels), ("S", self.S),
+                            ("T", _readonly(T)), ("_s", self._s), ("_memo", {})):
+            object.__setattr__(md, name, value)
         return md
 
     def _s_fact(self, fn, pol: TolerancePolicy):
@@ -552,7 +562,8 @@ def _write_json(doc, target) -> None:
     if hasattr(target, "write"):
         target.write(text)
     else:
-        Path(target).write_text(text, encoding="utf-8")
+        with open(target, "wb") as f:  # one open and write; no text-layer wrapper
+            f.write(text.encode("utf-8"))
 
 
 def load_modular_data(source: str | Path | IO[str]) -> ModularData:

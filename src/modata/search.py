@@ -18,16 +18,19 @@ Pipeline:
      every prime dividing det K, K = sum_i N_i N_ibar over the ring, are
      used: by the Cauchy theorem the primes of ord T are those of det K,
      and the realizability report rejects any datum with another prime.
-     The orbits but the last are bound depth first, and a prefix survives
-     only if the balancing equations w_i w_j S_ij D = sum_k N^k_{ibar j}
-     d_k w_k that it binds fully hold within a bound derived from the
-     relation's tolerance, so no admissible assignment is lost.  On
-     SU(2)_k at q = 4(k+2), k = 4, 5, the equation for (1, a) pins the
-     twist of a + 1, and of the R^(k-1) prefixes over R admissible roots
-     four reach the last orbit.
-     Each surviving prefix hands all choices for the last orbit, as one
-     block of rows, to ``_lift_t0``, which cubes them in one stacked matmul
-     and decides and lifts every row by the relation at eq_tol.
+     The orbits are bound one level per stacked step: the surviving
+     prefixes times the admissible roots of the next orbit form one child
+     array, cut into blocks of at most ``_BLOCK_ROWS`` rows, and a child
+     survives only if the balancing equations w_i w_j S_ij D =
+     sum_k N^k_{ibar j} d_k w_k that it binds fully hold within a bound
+     derived from the relation's tolerance, so no admissible assignment is
+     lost.  On SU(2)_k at q = 4(k+2), k = 4, 5, the equation for (1, a)
+     pins the twist of a + 1, and of the R^(k-1) prefixes over R
+     admissible roots four reach the last orbit.  The last orbit's
+     equations screen the full assignments as well, and only their
+     survivors go, one call per block, to ``_lift_t0``, which cubes them in
+     one stacked matmul and decides and lifts every row by the relation at
+     eq_tol: on the Ising ring at q = 32 that is 32 rows, not 1,024.
      S^2, the conjugation, the Verlinde tensor and det K come from the
      cache of the S datum, a ``ModularData`` whose T is never read.
   3. ``search_pipeline`` first screens all T candidates of one S by
@@ -52,7 +55,8 @@ Pipeline:
      at rank 12 and does not exceed every eq_tol the policy admits, so once
      per S candidate the earlier S candidates within eq_tol of it are found,
      and a pass is compared with the kept results of those and of its own
-     S, in one array operation over their T.
+     S, in one array operation over their T, held in one array allocated
+     once per S candidate.
 
 The pipeline enumerates admissible modular data; whether two realizations
 of the same data are equivalent categories is out of its scope.
@@ -99,6 +103,7 @@ __all__ = [
 MAX_SEARCH_RANK = 12
 _SPLIT_TOL = 1e-8  # relative eigenvalue gap that splits a joint eigenspace
 _ROUNDING = 1e-12  # float noise allowed for in the balancing bound and the FS screen
+_BLOCK_ROWS = 4096  # rows of one stacked step of the twist walk, which bounds its memory
 
 
 class FusionRingError(ValueError):
@@ -156,6 +161,7 @@ class TEnumeration(NamedTuple):
     assignments: list[int]  # assignment index per diagonal, parallel list
     skipped: int  # assignments in the full root product that were not kept
     pruned: int   # of those, the ones with a root the Cauchy theorem excludes
+    rows_cubed: int  # assignments the walk handed to ``_lift_t0``
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +286,15 @@ def _cauchy_roots(det: int | None, roots: tuple[Fraction, ...]) -> list[int]:
     """
     if det is None:
         return list(range(len(roots)))
-    return [k for k, r in enumerate(roots)
-            if all(det % p == 0 for p in _prime_support(r.denominator))]
+    # each denominator is factored once, not once per root
+    ok = {q: all(det % p == 0 for p in _prime_support(q))
+          for q in {r.denominator for r in roots}}
+    return [k for k, r in enumerate(roots) if ok[r.denominator]]
 
 
 def _balancing_levels(md: ModularData, N: np.ndarray | None, orbits: list[list[int]],
                       tol: float, pol: TolerancePolicy) -> list[tuple[np.ndarray, ...]]:
-    """For each orbit but the last, in binding order, the balancing equations it completes.
+    """For each orbit, in binding order, the balancing equations it completes.
 
     Equation (i, j) is R_ij = w_i w_j S_ij D - sum_k N^k_{ibar j} d_k w_k = 0;
     it involves w_i, w_j and each w_k with N^k_{ibar j} > 0, and w_0 = 1 is
@@ -307,7 +315,7 @@ def _balancing_levels(md: ModularData, N: np.ndarray | None, orbits: list[list[i
     off = max(ab["s_unitary"], ab["s_symmetric"], np.max(np.abs(S[0].imag)), np.max(row_dev))
     if N is None or not conj_ok or off > _ROUNDING:
         none = np.zeros(0, dtype=int)
-        return [(none, none, np.zeros(0), np.zeros((n, 0)), np.zeros(0))] * (len(orbits) - 1)
+        return [(none, none, np.zeros(0), np.zeros((n, 0)), np.zeros(0))] * len(orbits)
     Nb = N[conj]  # Nb[i, j, k] = N^k_{ibar, j}
     absS = np.abs(S)
     D = 1.0 / S[0, 0]
@@ -315,7 +323,7 @@ def _balancing_levels(md: ModularData, N: np.ndarray | None, orbits: list[list[i
     binds = np.maximum(np.maximum.outer(level, level),
                        np.where(Nb > 0, level, -1).max(axis=2))
     return [(I, J, D * S[I, J], (Nb[I, J] * (D * S[0])).T, beta[I, J])
-            for I, J in (np.nonzero(binds == lv) for lv in range(len(orbits) - 1))]
+            for I, J in (np.nonzero(binds == lv) for lv in range(len(orbits)))]
 
 
 def enumerate_t(md: ModularData, max_order: int,
@@ -336,11 +344,12 @@ def enumerate_t(md: ModularData, max_order: int,
     assignment of the full root product that is not kept, the pruned ones
     included.
 
-    The orbits but the last are bound depth first, in their natural order:
-    a prefix is extended by every admissible root at once, one (R, n) array
-    of children, and a child is kept only if each balancing equation
-    (Bakalov-Kirillov, Lectures on tensor categories and modular functors,
-    3.1)
+    The orbits are bound one level per stacked step, in their natural
+    order: the surviving prefixes of a level times every admissible root on
+    the next orbit form one array of children, prefix-major, cut into
+    blocks of at most ``_BLOCK_ROWS`` rows so that memory stays bounded,
+    and a child is kept only if each balancing equation (Bakalov-Kirillov,
+    Lectures on tensor categories and modular functors, 3.1)
 
         R_ij = w_i w_j S_ij D - sum_k N^k_{ibar j} d_k w_k = 0,
         D = 1/S_00,  d_k = S_0k/S_00,
@@ -350,12 +359,14 @@ def enumerate_t(md: ModularData, max_order: int,
         beta_ij = D n (1 + c_ij) eps,  c_ij = sum_m |S_im| |S_jm| / |S_0m|,
         eps = eq_tol + 1e-12.
 
-    Every surviving prefix hands the last orbit, all its admissible roots
-    as one (R, n) block, to ``_lift_t0``: one stacked matmul cubes the
-    rows, and each is kept, and lifted, when it meets the relation within
-    eq_tol.  A slice of the stacked product equals the 2-D product of its
-    row bit for bit, so every emitted bit is that of the plain
-    per-assignment loop.  The walk visits assignments in
+    The survivors of a block are walked further before the next block, so
+    at most one block per level is held.  The last orbit's equations screen
+    the full assignments too, and the survivors of each last-level block go
+    to ``_lift_t0`` in one call: one stacked matmul cubes them
+    (``rows_cubed`` counts those rows), and each is kept, and lifted, when
+    it meets the relation within eq_tol.  A slice of the stacked product
+    equals the 2-D product of its row bit for bit, so every emitted bit is
+    that of the plain per-assignment loop.  The walk visits assignments in
     ``itertools.product`` order, and assignment indices are positions in
     that order over the full root list on every orbit, pruned roots
     included.  Nothing is deduplicated here: ``search_pipeline`` compares
@@ -388,7 +399,8 @@ def enumerate_t(md: ModularData, max_order: int,
          |R_ij| <= D n eps (1 + c_ij) = beta_ij.
 
     So an accepted row satisfies every balancing equation within its bound
-    and is never pruned.  With no ring tensor nothing is pruned.
+    and is never pruned, at any level.  With no ring tensor nothing is
+    pruned.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
@@ -401,39 +413,56 @@ def enumerate_t(md: ModularData, max_order: int,
     keep = _cauchy_roots(None if N is None else md._s.casimir_det, roots)
     phases = np.array([phase_from_turns(roots[k]) for k in keep], dtype=complex)
     cube_roots = [phase_from_turns(Fraction(j, 3)) for j in range(3)]
-    head, last = orbits[:-1], (orbits[-1] if orbits else [])
-    width = len(keep) if orbits else 1  # rank 1: one all-ones row
-    eps = pol.eq_tol + _ROUNDING
-    levels = _balancing_levels(md, N, orbits, eps, pol)
+    levels = _balancing_levels(md, N, orbits, pol.eq_tol + _ROUNDING, pol)
     diagonals: list[np.ndarray] = []
     assignment_ids: list[int] = []
+    rows_cubed = 0
 
-    def walk(depth: int, row: np.ndarray, p_idx: int) -> None:
-        # p_idx: the prefix in mixed radix over the full root list
-        W = np.repeat(row[None], width, axis=0)
-        if depth < len(head):
-            W[:, head[depth]] = phases[:, None]
-            I, J, DS, coef, beta = levels[depth]
-            res = DS * W[:, I] * W[:, J] - W @ coef
-            for r in np.flatnonzero(np.all(np.abs(res) <= beta, axis=1)):
-                walk(depth + 1, W[r], p_idx * len(roots) + keep[r])
-            return
-        if last:
-            W[:, last] = phases[:, None]
+    def lift(W: np.ndarray, picks: np.ndarray) -> None:
+        # picks[r]: row r's root position in ``keep`` on each orbit
+        nonlocal rows_cubed
+        rows_cubed += len(W)
         for r, t0 in enumerate(_lift_t0(md, W, pol)):
             if t0 is None:
                 continue
             base = t0 * W[r]
             diagonals.extend(zeta * base for zeta in cube_roots)
-            a_idx = p_idx * len(roots) + keep[r] if last else p_idx
+            a_idx = 0  # mixed radix over the full root list; may outgrow int64
+            for k in picks[r].tolist():
+                a_idx = a_idx * len(roots) + keep[k]
             assignment_ids.extend([a_idx] * len(cube_roots))
 
-    walk(0, np.ones(md.rank, dtype=complex), 0)
+    def walk(depth: int, prefixes: np.ndarray, picks: np.ndarray) -> None:
+        I, J, DS, coef, beta = levels[depth]
+        n_children = len(prefixes) * len(keep)
+        for start in range(0, n_children, _BLOCK_ROWS):
+            parent, root = np.divmod(np.arange(start, min(start + _BLOCK_ROWS, n_children)),
+                                     len(keep))
+            W = prefixes[parent]
+            W[:, orbits[depth]] = phases[root, None]
+            child = np.column_stack((picks[parent], root))
+            if len(I):
+                res = DS * W[:, I] * W[:, J] - W @ coef
+                ok = np.all(np.abs(res) <= beta, axis=1)
+                W, child = W[ok], child[ok]
+            if not len(W):
+                continue
+            if depth + 1 < len(orbits):
+                walk(depth + 1, W, child)
+            else:
+                lift(W, child)
+
+    unit = np.ones((1, md.rank), dtype=complex)
+    no_picks = np.zeros((1, 0), dtype=int)
+    if orbits:
+        walk(0, unit, no_picks)
+    else:
+        lift(unit, no_picks)  # rank 1: one all-ones row
     full = len(roots) ** len(orbits)
     pruned = full - len(keep) ** len(orbits)
     skipped = full - len(diagonals) // len(cube_roots)
     return TEnumeration(diagonals=diagonals, assignments=assignment_ids, skipped=skipped,
-                        pruned=pruned)
+                        pruned=pruned, rows_cubed=rows_cubed)
 
 
 # ---------------------------------------------------------------------------
@@ -491,50 +520,56 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
     candidates within eq_tol of its own, its own included (see the module
     docstring).  Results therefore come out ordered by provenance
     (S candidate, twist assignment, cube root).  Pass a dict as
-    ``stats_out`` to receive the candidate, skip and prune counters and
-    ``fs_screened``, the T candidates the FS screen dropped.  ``max_order``
-    must be at least 1.
+    ``stats_out`` to receive the candidate, skip and prune counters,
+    ``rows_cubed``, the twist assignments the walk cubed (the work of
+    ``enumerate_t``, where the skip counts are the nominal root product),
+    and ``fs_screened``, the T candidates the FS screen dropped.
+    ``max_order`` must be at least 1.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
     results: list[SearchResult] = []
-    kept: list[tuple[ModularData, list[np.ndarray]]] = []  # (S datum, T of its results)
-    n_candidates = n_skipped = n_pruned = n_diagonals = n_screened = 0
+    kept: list[tuple[ModularData, np.ndarray]] = []  # (S datum, T of its results)
+    n_candidates = n_skipped = n_pruned = n_cubed = n_diagonals = n_screened = 0
     for s_idx, S in enumerate(candidate_s(fr, pol)):
         n_candidates += 1
         s_md = ModularData.from_matrices(S, np.ones(len(S)))
         enum = enumerate_t(s_md, max_order, pol)
         n_skipped += enum.skipped
         n_pruned += enum.pruned
+        n_cubed += enum.rows_cubed
         n_diagonals += len(enum.diagonals)
         fs_ok = _fs_screen(s_md, enum.diagonals, pol)
         n_screened += int(np.count_nonzero(~fs_ok))
-        # the T a pass is compared with: the results of every S candidate
-        # within eq_tol of this one, its own included
-        near_t = [t for prev, ts in kept if np.max(np.abs(S - prev.S)) <= pol.eq_tol
-                  for t in ts]
-        own_t: list[np.ndarray] = []
         rows = np.flatnonzero(fs_ok).tolist()
+        # the T a pass is compared with: the results of every S candidate
+        # within eq_tol of this one, then its own, in room for every row
+        near = [ts for prev, ts in kept if np.max(np.abs(S - prev.S)) <= pol.eq_tol]
+        n_near = sum(len(ts) for ts in near)
+        near_t = np.empty((n_near + len(rows), len(S)), dtype=complex)
+        if near:
+            np.concatenate(near, out=near_t[:n_near])
+        n_t = n_near
         data = _reported_rows(s_md, [enum.diagonals[d_idx] for d_idx in rows], pol)
         # the three cube-root lifts of an assignment are emitted consecutively
         for d_idx, md in zip(rows, data):
             rep = realizability_report(md, pol)
             if not rep.passed:
                 continue
-            if near_t and np.any(np.max(np.abs(md.T - np.array(near_t)), axis=1) <= pol.eq_tol):
+            if n_t and np.any(np.max(np.abs(md.T - near_t[:n_t]), axis=1) <= pol.eq_tol):
                 continue
             results.append(SearchResult(md=md, report=rep,
                                         provenance=(s_idx, enum.assignments[d_idx], d_idx % 3)))
-            near_t.append(md.T)
-            own_t.append(md.T)
-        kept.append((s_md, own_t))
+            near_t[n_t] = md.T
+            n_t += 1
+        kept.append((s_md, near_t[n_near:n_t]))
     if stats_out is not None:
         stats_out.update(s_candidates=n_candidates, skipped_assignments=n_skipped,
-                         pruned_assignments=n_pruned, t_candidates=n_diagonals,
-                         fs_screened=n_screened)
+                         pruned_assignments=n_pruned, rows_cubed=n_cubed,
+                         t_candidates=n_diagonals, fs_screened=n_screened)
     # every winner must reproduce the ring it came from; its S alone decides that
     for s_md, own_t in kept:
-        if own_t and not np.array_equal(verlinde_fusion(s_md, pol), fr.N):
+        if len(own_t) and not np.array_equal(verlinde_fusion(s_md, pol), fr.N):
             raise FusionRingError("internal error: result does not reproduce the fusion ring")
     return results
 

@@ -192,7 +192,7 @@ def assert_rows_match_reference(md, T, pol=DEFAULT_POLICY):
     """One stacked pass over the rows T with the S of md against the
     per-datum reference on each row; returns the check_ids the rows fired."""
     bases = _validate_rows(md, T, pol)
-    reports, tables = _realizability_pass(md, T, bases, pol)
+    reports, tables = _realizability_pass(md, T, bases, pol, tables=True)
     assert len(bases) == len(reports) == len(tables) == len(T)
     fired = set()
     for r, t in enumerate(T):

@@ -397,6 +397,21 @@ class TestDerivedCache:
         for pol in (DEFAULT_POLICY, loose, DEFAULT_POLICY):
             self.assert_fresh_reports(md._with_t(ising.T), pol)
 
+    def test_with_t_checks_only_t(self):
+        # a T candidate keeps the S, labels and S cache of its datum; its own
+        # T is checked as the constructor checks it
+        md = get_model("ising").modular_data
+        row = md._with_t(list(md.T))
+        assert row._s is md._s and row.S is md.S and row.labels == md.labels
+        assert row.rank == 3 and row._memo == {}
+        assert np.array_equal(row.T, md.T) and not row.T.flags.writeable
+        for T, match in (([1, 1], "length 3"), ([1, np.nan, 1], "finite"),
+                         ([1, 1, np.inf], "finite")):
+            with pytest.raises(InvalidModularData, match=match):
+                md._with_t(T)
+            with pytest.raises(InvalidModularData, match=match):
+                ModularData(rank=3, labels=md.labels, S=md.S, T=T)
+
     def test_cached_arrays_are_read_only_and_computed_once(self, entries, bad_ising_file):
         for md in self.instances(entries, bad_ising_file):
             for name in self.CACHED:

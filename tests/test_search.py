@@ -169,7 +169,7 @@ def reference_enumerate_t(S, max_order, pol=DEFAULT_POLICY):
         diagonals.extend(zeta * (t0 * w) for zeta in cube_roots)
         assignment_ids.extend([a_idx] * 3)
     return TEnumeration(diagonals=diagonals, assignments=assignment_ids, skipped=skipped,
-                        pruned=0)
+                        pruned=0, rows_cubed=len(roots) ** len(orbits))
 
 
 def stacked_enumerate_t(S, max_order, pol=DEFAULT_POLICY):
@@ -206,7 +206,8 @@ def stacked_enumerate_t(S, max_order, pol=DEFAULT_POLICY):
     full = len(roots) ** len(orbits)
     return TEnumeration(diagonals=diagonals, assignments=assignment_ids,
                         skipped=full - len(diagonals) // 3,
-                        pruned=full - len(keep) ** len(orbits))
+                        pruned=full - len(keep) ** len(orbits),
+                        rows_cubed=len(keep) ** len(orbits))
 
 
 def primes_of(n):
@@ -535,6 +536,43 @@ class TestEnumerateT:
                 lifted += sum(t is not None for t in got)
         assert lifted > len(entries)
 
+    @pytest.mark.parametrize("ring, max_order, most", [
+        ("ising", 32, 32), ("ising", 16, 16), ("toric_code", 8, 16), ("fib_z3", 15, 4),
+        (su2_ring(4), 24, 8),
+    ], ids=["ising-32", "ising-16", "toric", "fib_z3", "su2_4"])
+    def test_last_orbit_screened_before_the_cube(self, monkeypatch, ring, max_order, most):
+        # the balancing equations the last orbit completes screen the full
+        # assignments, so only their survivors are cubed; cubing every
+        # admissible root of the last orbit of each surviving prefix takes
+        # 1,024, 256, 128, 84 and 352 rows on these searches
+        rows = []
+        lift = search._lift_t0
+
+        def counted(md, W, pol):
+            rows.append(len(W))
+            return lift(md, W, pol)
+
+        monkeypatch.setattr(search, "_lift_t0", counted)
+        stats = {}
+        assert search_pipeline(make_ring(ring), max_order, stats_out=stats)
+        assert sum(rows) == stats["rows_cubed"] <= most
+
+    @pytest.mark.parametrize("ring, max_order", [
+        ("ising", 32), ("toric_code", 8), ("fib_z3", 15), (su2_ring(4), 24),
+    ], ids=["ising", "toric", "fib_z3", "su2_4"])
+    def test_block_rows_change_no_bit(self, monkeypatch, ring, max_order):
+        # the walk's blocks cut the children of a level anywhere, across
+        # prefixes too; the enumeration is the same, bit for bit
+        cands = candidate_s(make_ring(ring))
+        want = [enumerate_t(s_datum(S), max_order) for S in cands]
+        for block in (1, 7):
+            monkeypatch.setattr(search, "_BLOCK_ROWS", block)
+            for S, w in zip(cands, want):
+                got = enumerate_t(s_datum(S), max_order)
+                assert got.assignments == w.assignments
+                assert got[2:] == w[2:]  # skipped, pruned, rows_cubed
+                assert [t.tobytes() for t in got.diagonals] == [t.tobytes() for t in w.diagonals]
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([e.name for e in catalog()]), st.floats(0.0, 0.2),
@@ -565,15 +603,15 @@ def test_balancing_residual_within_bound(name, eps, offsets):
     for I, J, DS, coef, _ in _balancing_levels(s_datum(S), N, orbits, 1.0, DEFAULT_POLICY):
         assert np.allclose(DS * w[I] * w[J] - w @ coef, R[I, J], rtol=0, atol=1e-12)
         pairs.extend(zip(I.tolist(), J.tolist()))
-    # the levels cover the orbits before the last: the equations whose last
-    # unbound twist, among w_i, w_j and the w_k with N^k_{ibar j} > 0, lies there
+    # the levels cover every orbit: the equations whose last unbound twist,
+    # among w_i, w_j and the w_k with N^k_{ibar j} > 0, lies there
     level = np.full(n, -1)
     for lv, orb in enumerate(orbits):
         level[orb] = lv
     binds = [[max(level[i], level[j], *level[np.flatnonzero(N[conj[i], j])]) for j in range(n)]
              for i in range(n)]
     assert sorted(pairs) == [(i, j) for i in range(n) for j in range(n)
-                             if 0 <= binds[i][j] < len(orbits) - 1]
+                             if 0 <= binds[i][j] < len(orbits)]
 
 
 class TestSearchPipeline:
@@ -722,14 +760,15 @@ class TestSearchPipeline:
         assert len(res) == 12
         assert len({r.provenance[:2] for r in res}) == 4
         assert stats == {"s_candidates": 2, "skipped_assignments": 746492,
-                         "pruned_assignments": 727974, "t_candidates": 12, "fs_screened": 0}
+                         "pruned_assignments": 727974, "rows_cubed": 4, "t_candidates": 12,
+                         "fs_screened": 0}
         a, b = get_model("fibonacci").modular_data, get_model("z3").modular_data
         deligne = ModularData.from_matrices(np.kron(a.S, b.S), np.kron(a.T, b.T))
         assert any(r.md.approx_eq(deligne) for r in res)
 
     @pytest.mark.parametrize("k, max_order, n_data, n_families, stats", [
-        (4, 24, 24, 8, (2, 2099519992, 2092023808, 24, 0)),
-        (5, 28, 12, 4, (1, 829997587228, 829895187232, 12, 0)),
+        (4, 24, 24, 8, (2, 2099519992, 2092023808, 8, 24, 0)),
+        (5, 28, 12, 4, (1, 829997587228, 829895187232, 4, 12, 0)),
     ], ids=["su2_4", "su2_5"])
     def test_su2_ring_regression(self, k, max_order, n_data, n_families, stats):
         # four and five self-dual twist orbits: 180^4 and 242^5 assignments
@@ -740,10 +779,22 @@ class TestSearchPipeline:
         assert len(res) == n_data
         assert len({r.provenance[:2] for r in res}) == n_families
         assert got == dict(zip(("s_candidates", "skipped_assignments", "pruned_assignments",
-                                "t_candidates", "fs_screened"), stats))
+                                "rows_cubed", "t_candidates", "fs_screened"), stats))
         # the twists of SU(2)_k itself, w_a = e^{2 pi i a(a+2)/(4(k+2))}
         w = [turn(a * (a + 2), 4 * (k + 2)) for a in range(k + 1)]
         assert any(np.max(np.abs(r.md.T / r.md.T[0] - w)) < 1e-9 for r in res)
+
+    def test_loose_policy_su2_4(self):
+        # at eq_tol = int_tol = 0.05 the balancing bound lets most prefixes
+        # through, and the walk cubes about 4e5 rows in blocks; the data are
+        # those of the default policy, SU(2)_4's own among them
+        res = search_pipeline(su2_ring(4), max_order=24, pol=LOOSE)
+        assert len(res) == 24
+        w = [turn(a * (a + 2), 24) for a in range(5)]
+        assert any(np.max(np.abs(r.md.T / r.md.T[0] - w)) < 1e-9 for r in res)
+        strict = search_pipeline(su2_ring(4), max_order=24)
+        assert [r.provenance for r in res] == [r.provenance for r in strict]
+        assert all(np.array_equal(a.md.T, b.md.T) for a, b in zip(res, strict))
 
     def test_rank12_ring_accepted(self):
         # SU(2)_11, rank 12 = the search bound, at q = 4(k+2) = 52
@@ -762,8 +813,8 @@ class TestSearchPipeline:
         assert len(res) == 384
         assert len({r.provenance[:2] for r in res}) == 128
         assert stats == {"s_candidates": 6, "skipped_assignments": 10066329599999488,
-                         "pruned_assignments": 10066303830196224, "t_candidates": 1536,
-                         "fs_screened": 1152}
+                         "pruned_assignments": 10066303830196224, "rows_cubed": 512,
+                         "t_candidates": 1536, "fs_screened": 1152}
         for a, b in (("ising", "ising"), ("ising", "su2_2"), ("su2_2", "su2_2")):
             A, B = get_model(a).modular_data, get_model(b).modular_data
             deligne = ModularData.from_matrices(np.kron(A.S, B.S), np.kron(A.T, B.T))
