@@ -253,10 +253,11 @@ def cmd_search(args, pol) -> int:
     results = search_pipeline(fr, max_order=args.max_order, pol=pol, stats_out=stats)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # the paths as strings, str(out_dir / name) without a Path per result
-    prefix = os.path.join(str(out_dir), "result_")
-    files = [f"{prefix}{idx:03d}.json" for idx in range(len(results))]
-    texts = [save_modular_data(res.md, path) for res, path in zip(results, files)]
+    files, texts = [], []
+    for idx, res in enumerate(results):
+        path = out_dir / f"result_{idx:03d}.json"
+        texts.append(save_modular_data(res.md, path))
+        files.append(str(path))
     # the results of an earlier search into the same directory go
     written = set(files)
     for path in out_dir.glob("result_*.json"):

@@ -37,7 +37,7 @@ and the ``data`` of each ``search --json`` result are its text.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Any, IO
@@ -70,6 +70,16 @@ class InvalidModularData(ValueError):
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _checked_t(T, rank: int) -> np.ndarray:
+    """T as a contiguous complex vector of length rank, or raise."""
+    T = np.ascontiguousarray(np.asarray(T, dtype=complex))
+    if T.shape != (rank,):
+        raise InvalidModularData(f"T must have length {rank}, got {T.shape}")
+    if not np.all(np.isfinite(T.view(float))):
+        raise InvalidModularData("S and T entries must be finite")
+    return T
 
 
 class _SFacts:
@@ -122,14 +132,12 @@ class ModularData:
 
     def __post_init__(self):
         S = np.ascontiguousarray(np.asarray(self.S, dtype=complex))
-        T = np.ascontiguousarray(np.asarray(self.T, dtype=complex))
         if self.rank < 1:
             raise InvalidModularData(f"rank must be >= 1, got {self.rank}")
         if S.shape != (self.rank, self.rank):
             raise InvalidModularData(f"S must be {self.rank}x{self.rank}, got {S.shape}")
-        if T.shape != (self.rank,):
-            raise InvalidModularData(f"T must have length {self.rank}, got {T.shape}")
-        if not (np.all(np.isfinite(S.view(float))) and np.all(np.isfinite(T.view(float)))):
+        T = _checked_t(self.T, self.rank)
+        if not np.all(np.isfinite(S.view(float))):
             raise InvalidModularData("S and T entries must be finite")
         labels = tuple(str(x) for x in self.labels)
         if len(labels) != self.rank:
@@ -143,17 +151,15 @@ class ModularData:
     def _with_t(self, T) -> "ModularData":
         """The datum (S, T) with these labels, sharing this datum's S cache.
 
-        Only T is checked, as the constructor checks it: S and the labels
+        Only T is checked, by the constructor's own check: S and the labels
         are this datum's, already checked and read-only."""
-        T = np.ascontiguousarray(np.asarray(T, dtype=complex))
-        if T.shape != (self.rank,):
-            raise InvalidModularData(f"T must have length {self.rank}, got {T.shape}")
-        if not np.all(np.isfinite(T.view(float))):
-            raise InvalidModularData("T entries must be finite")
+        T = _readonly(_checked_t(T, self.rank))
         md = object.__new__(ModularData)
-        for name, value in (("rank", self.rank), ("labels", self.labels), ("S", self.S),
-                            ("T", _readonly(T)), ("_s", self._s), ("_memo", {})):
-            object.__setattr__(md, name, value)
+        for f in fields(ModularData):
+            object.__setattr__(md, f.name, T if f.name == "T" else getattr(self, f.name))
+        # and what __post_init__ adds: the S cache, here shared, and a memo
+        object.__setattr__(md, "_s", self._s)
+        object.__setattr__(md, "_memo", {})
         return md
 
     def _s_fact(self, fn, pol: TolerancePolicy):

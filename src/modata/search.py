@@ -55,8 +55,7 @@ Pipeline:
      at rank 12 and does not exceed every eq_tol the policy admits, so once
      per S candidate the earlier S candidates within eq_tol of it are found,
      and a pass is compared with the kept results of those and of its own
-     S, in one array operation over their T, held in one array allocated
-     once per S candidate.
+     S, in one array operation over their T.
 
 The pipeline enumerates admissible modular data; whether two realizations
 of the same data are equivalent categories is out of its scope.
@@ -529,7 +528,7 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
     results: list[SearchResult] = []
-    kept: list[tuple[ModularData, np.ndarray]] = []  # (S datum, T of its results)
+    kept: list[tuple[ModularData, list[np.ndarray]]] = []  # (S datum, T of its results)
     n_candidates = n_skipped = n_pruned = n_cubed = n_diagonals = n_screened = 0
     for s_idx, S in enumerate(candidate_s(fr, pol)):
         n_candidates += 1
@@ -541,35 +540,32 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
         n_diagonals += len(enum.diagonals)
         fs_ok = _fs_screen(s_md, enum.diagonals, pol)
         n_screened += int(np.count_nonzero(~fs_ok))
-        rows = np.flatnonzero(fs_ok).tolist()
         # the T a pass is compared with: the results of every S candidate
-        # within eq_tol of this one, then its own, in room for every row
-        near = [ts for prev, ts in kept if np.max(np.abs(S - prev.S)) <= pol.eq_tol]
-        n_near = sum(len(ts) for ts in near)
-        near_t = np.empty((n_near + len(rows), len(S)), dtype=complex)
-        if near:
-            np.concatenate(near, out=near_t[:n_near])
-        n_t = n_near
+        # within eq_tol of this one, its own included
+        near_t = [t for prev, ts in kept if np.max(np.abs(S - prev.S)) <= pol.eq_tol
+                  for t in ts]
+        own_t: list[np.ndarray] = []
+        rows = np.flatnonzero(fs_ok).tolist()
         data = _reported_rows(s_md, [enum.diagonals[d_idx] for d_idx in rows], pol)
         # the three cube-root lifts of an assignment are emitted consecutively
         for d_idx, md in zip(rows, data):
             rep = realizability_report(md, pol)
             if not rep.passed:
                 continue
-            if n_t and np.any(np.max(np.abs(md.T - near_t[:n_t]), axis=1) <= pol.eq_tol):
+            if near_t and np.any(np.max(np.abs(md.T - np.array(near_t)), axis=1) <= pol.eq_tol):
                 continue
             results.append(SearchResult(md=md, report=rep,
                                         provenance=(s_idx, enum.assignments[d_idx], d_idx % 3)))
-            near_t[n_t] = md.T
-            n_t += 1
-        kept.append((s_md, near_t[n_near:n_t]))
+            near_t.append(md.T)
+            own_t.append(md.T)
+        kept.append((s_md, own_t))
     if stats_out is not None:
         stats_out.update(s_candidates=n_candidates, skipped_assignments=n_skipped,
                          pruned_assignments=n_pruned, rows_cubed=n_cubed,
                          t_candidates=n_diagonals, fs_screened=n_screened)
     # every winner must reproduce the ring it came from; its S alone decides that
     for s_md, own_t in kept:
-        if len(own_t) and not np.array_equal(verlinde_fusion(s_md, pol), fr.N):
+        if own_t and not np.array_equal(verlinde_fusion(s_md, pol), fr.N):
             raise FusionRingError("internal error: result does not reproduce the fusion ring")
     return results
 

@@ -24,7 +24,7 @@ from modata import (
 from modata.cli import fmt_complex, main
 from modata.modular_data import _Encoded, verlinde_fusion
 from modata.numerics import phase_from_turns
-from modata.search import FusionRing, save_fusion_ring, search_pipeline
+from modata.search import FusionRing, load_fusion_ring, save_fusion_ring, search_pipeline
 
 
 def run(capsys, *argv):
@@ -549,6 +549,29 @@ class TestSearchCommand:
         assert all(load_modular_data(out_dir / f"result_{i:03d}.json").rank == 2
                    for i in range(6))
         assert (out_dir / "notes.txt").read_text() == "kept"
+
+    @pytest.mark.parametrize("out", [".", ""], ids=["dot", "empty"])
+    def test_out_in_the_working_directory(self, capsys, tmp_path, monkeypatch, rings_dir,
+                                          out):
+        # the stale-result sweep must keep what this search wrote, and the
+        # printed paths are str(Path(out) / name)
+        monkeypatch.chdir(tmp_path)
+        ring = rings_dir / "fibonacci_ring.json"
+        code, out_json, _ = run(capsys, "--json", "search", str(ring),
+                                "--max-order", "10", "--out", out)
+        assert code == 0
+        ref = reference_search_doc(load_fusion_ring(ring), 10, Path(out))
+        assert out_json == json.dumps(ref) + "\n"
+        assert sorted(p.name for p in tmp_path.glob("result_*.json")) == [
+            f"result_{i:03d}.json" for i in range(6)]
+        for res in ref["results"]:
+            assert res["file"].startswith("result_")
+            assert Path(res["file"]).read_text() == json.dumps(res["data"]) + "\n"
+        code, out_text, _ = run(capsys, "search", str(ring), "--max-order", "10",
+                                "--out", out)
+        assert code == 0
+        assert out_text.splitlines()[2].endswith("-> result_000.json")
+        assert len(list(tmp_path.glob("result_*.json"))) == 6
 
     def test_result_files_validate(self, capsys, tmp_path, rings_dir):
         out_dir = tmp_path / "results"

@@ -405,8 +405,9 @@ class TestDerivedCache:
         assert row._s is md._s and row.S is md.S and row.labels == md.labels
         assert row.rank == 3 and row._memo == {}
         assert np.array_equal(row.T, md.T) and not row.T.flags.writeable
-        for T, match in (([1, 1], "length 3"), ([1, np.nan, 1], "finite"),
-                         ([1, 1, np.inf], "finite")):
+        finite = "S and T entries must be finite"  # one message from both
+        for T, match in (([1, 1], "length 3"), ([1, np.nan, 1], finite),
+                         ([1, 1, np.inf], finite)):
             with pytest.raises(InvalidModularData, match=match):
                 md._with_t(T)
             with pytest.raises(InvalidModularData, match=match):
