@@ -13,12 +13,13 @@
 
 All checks run even after a failure so one report carries the complete
 violation profile; each check records its maximum deviation in
-``report.measurements`` whether it passed or not.  Checks a, b, d, f and g
-and the dims half of h read S alone: they run once per S and policy, and
-data that share an S cache (see :mod:`modata.modular_data`) share them.
-Checks c, e and the twist half of h read T: ``_validate_rows`` runs them on
-a whole block of T rows with one S at once, and ``validate`` is its block
-of one row.
+``report.measurements`` whether it passed or not, the largest float for
+one that overflows.  Checks a, b, d, f and g and the dims half of h read
+S alone: their deviations and failures are part of the S-facts fill
+``modular_data._fill_s_facts``, once per S and policy, and this module
+makes the failures into diagnostics.  Checks c, e and the twist half of h
+read T: ``_validate_rows`` runs them on a whole block of T rows with one S
+at once, and ``validate`` is its block of one row.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .modular_data import ModularData, _cube, _s_conjugation, _twist_rows
+from .modular_data import ModularData, _capped, _cube, _s_facts, _twist_rows
 from .numerics import DEFAULT_POLICY, TolerancePolicy
 
 __all__ = ["Diagnostic", "AxiomReport", "validate", "detect_convention"]
@@ -97,173 +98,83 @@ def make_report(diagnostics: list[Diagnostic], convention_note: str | None = Non
     )
 
 
-class _SChecks(NamedTuple):
-    """Checks a, b, d, f and g and the dims half of h: S alone decides them."""
-
-    ab_diags: list[Diagnostic]
-    ab_meas: dict[str, float]
-    d_diags: list[Diagnostic]
-    d_meas: float
-    fg_diags: list[Diagnostic]
-    fg_meas: dict[str, float]
-    conj: np.ndarray | None  # the conjugation, when check d passes
-    dims_dev: float          # max |d_ibar - d_i|, with d_i = |S_0i|
-    dims_bad: np.ndarray     # per sector, |d_ibar - d_i| > eq_tol
-
-
-def _s_checks(md: ModularData, pol: TolerancePolicy) -> _SChecks:
-    S, n = md.S, md.rank
-    ab_diags: list[Diagnostic] = []
-    d_diags: list[Diagnostic] = []
-    fg_diags: list[Diagnostic] = []
-    ab_meas: dict[str, float] = {}
-    fg_meas: dict[str, float] = {}
-
-    def fail(diags, check_id, indices, dev, message):
-        diags.append(Diagnostic(check_id, "error", tuple(indices), float(dev), message))
-
-    # a. unitarity
-    dev_u = np.abs(S @ S.conj().T - np.eye(n))
-    ab_meas["s_unitary"] = float(np.max(dev_u))
-    if ab_meas["s_unitary"] > pol.eq_tol:
-        i, j = np.unravel_index(int(np.argmax(dev_u)), dev_u.shape)
-        fail(ab_diags, "s_unitary", [(int(i), int(j))], ab_meas["s_unitary"],
-             f"S S* deviates from identity by {ab_meas['s_unitary']:.3e}")
-
-    # b. symmetry
-    dev_s = np.abs(S - S.T)
-    ab_meas["s_symmetric"] = float(np.max(dev_s))
-    if ab_meas["s_symmetric"] > pol.eq_tol:
-        i, j = np.unravel_index(int(np.argmax(dev_s)), dev_s.shape)
-        fail(ab_diags, "s_symmetric", [(int(i), int(j))], ab_meas["s_symmetric"],
-             f"S is not symmetric: entry ({i},{j})")
-
-    # d. S^2 is a conjugation
-    perm, row_dev, ok = md._s_fact(_s_conjugation, pol)
-    conj = perm if ok else None
-    conj_dev = float(np.max(row_dev))
-    if not ok:
-        fail(d_diags, "charge_conjugation", [tuple(int(x) for x in perm)], conj_dev,
-             "S^2 is not a vacuum-fixing involutive permutation")
-
-    # f. Verlinde integrality + vacuum fusion row
-    if np.min(np.abs(S[0, :])) > pol.eq_tol:
-        raw = md.verlinde_raw
-        rounded, dev_v = md._s.verlinde_rounded
-        neg = rounded < 0
-        fg_meas["verlinde_integrality"] = float(np.max(dev_v))
-        if fg_meas["verlinde_integrality"] > pol.int_tol or np.any(neg):
-            bad = np.argwhere((dev_v > pol.int_tol) | neg)
-            fail(fg_diags, "verlinde_integrality",
-                 [tuple(int(x) for x in t) for t in bad[:8]],
-                 fg_meas["verlinde_integrality"],
-                 f"{len(bad)} fusion entries fail integrality/nonnegativity")
-        if conj is not None:
-            expected = np.zeros((n, n), dtype=int)
-            expected[np.arange(n), conj] = 1
-            dev_n0 = np.abs(raw[:, :, 0] - expected)
-            fg_meas["vacuum_fusion"] = float(np.max(dev_n0))
-            if fg_meas["vacuum_fusion"] > pol.int_tol:
-                bad = np.argwhere(dev_n0 > pol.int_tol)
-                fail(fg_diags, "vacuum_fusion", [tuple(int(x) for x in t) for t in bad[:8]],
-                     fg_meas["vacuum_fusion"],
-                     "N^0_{i,j} != delta_{j, ibar}")
-    else:
-        fg_meas["verlinde_integrality"] = 1.0
-        fail(fg_diags, "verlinde_integrality", [], 1.0,
-             "vanishing S_{0,r}: Verlinde sum undefined")
-
-    # g. first row positive, dims >= 1
-    row0 = S[0, :]
-    dev_imag = float(np.max(np.abs(row0.imag)))
-    shortfall = float(np.max(np.maximum(0.0, -row0.real)))
-    fg_meas["dims_row"] = max(dev_imag, shortfall)
-    if dev_imag > pol.eq_tol or np.any(row0.real <= 0):
-        bad = [(int(i),) for i in np.argwhere(
-            (np.abs(row0.imag) > pol.eq_tol) | (row0.real <= 0)).ravel()]
-        fail(fg_diags, "dims_row", bad, max(fg_meas["dims_row"], pol.eq_tol),
-             "S_{0,i} must be real and > 0")
-    else:
-        d = (row0 / row0[0]).real
-        short = 1.0 - float(np.min(d))
-        fg_meas["dims_row"] = max(fg_meas["dims_row"], max(0.0, short))
-        if np.any(d < 1.0 - pol.int_tol):
-            bad = [(int(i),) for i in np.argwhere(d < 1.0 - pol.int_tol).ravel()]
-            fail(fg_diags, "dims_row", bad, fg_meas["dims_row"], "quantum dimension below 1")
-
-    # h, dims half: conjugate sectors have equal dims
-    dims_dev, dims_bad = 0.0, np.zeros(n, dtype=bool)
-    if conj is not None:
-        d_row = np.abs(S[0, :])
-        dims_gap = np.abs(d_row[conj] - d_row)
-        dims_dev, dims_bad = float(np.max(dims_gap)), dims_gap > pol.eq_tol
-    return _SChecks(ab_diags, ab_meas, d_diags, conj_dev, fg_diags, fg_meas, conj,
-                    dims_dev, dims_bad)
-
-
 def validate(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> AxiomReport:
     """Run the full axiom battery on md; never raises on bad math."""
-    return _validate_rows(md, md.T[None], pol)[0]
+    return _validate_rows(md, md.T[None], pol).reports[0]
 
 
-def _validate_rows(md: ModularData, T: np.ndarray, pol: TolerancePolicy) -> list[AxiomReport]:
+class _Rows(NamedTuple):
+    """The reports, ``_twist_rows``' (W, ok), and where every |T_i| > eq_tol."""
+
+    reports: list[AxiomReport]
+    W: np.ndarray
+    ok: np.ndarray
+    twisted: np.ndarray
+
+
+def _validate_rows(md: ModularData, T: np.ndarray, pol: TolerancePolicy) -> _Rows:
     """``validate`` on each row of the (R, n) block T of diagonals with the
     S of ``md``, whose T is not read.
 
     Checks c, e and the twist half of h are stacked over the rows, and a row
     reads the same bits as its own one-row block; the S-only checks come
-    from the S cache.
+    from the S facts of ``md`` (``modular_data._s_facts``).  A deviation that
+    overflows is reported as the largest float.
     """
-    s = md._s_fact(_s_checks, pol)
-    W, ok = _twist_rows(T, pol)
-    # c. T unimodular
-    dev_t = np.abs(np.abs(T) - 1.0)
-    c_meas = dev_t.max(axis=1)
-    # e. (S T)^3 = C, compared against S^2 itself so it stays meaningful
-    #    even when (d) failed
-    M3 = _cube(md.S, T)
-    dev_e = np.abs(M3 - md.S2).reshape(len(T), -1)
-    e_meas = dev_e.max(axis=1)
-    # h. conjugate symmetry of twists and dims; with T_0 vanishing (c failed)
-    #    the twists T_i/T_0 are undefined and only the dims are compared
-    conj = s.conj
-    if conj is not None:
-        gap_w = np.abs(W[:, conj] - W)
-        gap_max = gap_w.max(axis=1)
-
+    s = _s_facts(md, pol)
+    # the failed S-only checks, as (check_id, indices, measured, message)
+    ab, d, fg = ([Diagnostic(c, "error", i, m, msg) for c, i, m, msg in failed]
+                 for failed in (s.ab, s.d, s.fg))
+    eq = pol.eq_tol
     reports = []
-    for r in range(len(T)):
-        diags: list[Diagnostic] = list(s.ab_diags)
-        meas: dict[str, float] = dict(s.ab_meas)
-        meas["t_unimodular"] = float(c_meas[r])
-        if meas["t_unimodular"] > pol.eq_tol:
-            i = int(dev_t[r].argmax())
-            diags.append(Diagnostic("t_unimodular", "error", ((i,),), meas["t_unimodular"],
-                                    f"|T_{i}| = {abs(T[r, i]):.12g} is not 1"))
-        diags.extend(s.d_diags)
-        meas["charge_conjugation"] = s.d_meas
-        meas["st_cubed"] = float(e_meas[r])
-        note = None
-        if meas["st_cubed"] > pol.eq_tol:
-            i, j = divmod(int(dev_e[r].argmax()), md.rank)
-            diags.append(Diagnostic("st_cubed", "error", ((i, j),), meas["st_cubed"],
-                                    f"(S T)^3 differs from S^2 by {meas['st_cubed']:.3e} "
-                                    f"at ({i},{j})"))
-            note = _convention_note(M3[r], md.S2, pol)
-        # f. Verlinde integrality + vacuum fusion row; g. dims row
-        diags.extend(s.fg_diags)
-        meas.update(s.fg_meas)
+    with np.errstate(all="ignore"):
+        W, ok = _twist_rows(T, pol)
+        # c. T unimodular
+        abs_t = np.abs(T)
+        dev_t = np.abs(abs_t - 1.0)
+        c_meas = dev_t.max(axis=1).tolist()
+        # e. (S T)^3 = C, compared against S^2 itself so it stays meaningful
+        #    even when (d) failed
+        M3 = _cube(md.S, T)
+        dev_e = np.abs(M3 - md.S2).reshape(len(T), -1)
+        e_meas = dev_e.max(axis=1).tolist()
+        # h. conjugate symmetry of twists and dims; with T_0 vanishing (c failed)
+        #    the twists T_i/T_0 are undefined and only the dims are compared
+        conj = s.conj
         if conj is not None:
-            w_gap = float(gap_max[r]) if ok[r] else 0.0
-            meas["conjugate_symmetry"] = max(w_gap, s.dims_dev)
-            if meas["conjugate_symmetry"] > pol.eq_tol:
-                bad = np.flatnonzero((ok[r] & (gap_w[r] > pol.eq_tol)) | s.dims_bad)
-                diags.append(Diagnostic("conjugate_symmetry", "error",
-                                        tuple((int(i),) for i in bad),
-                                        meas["conjugate_symmetry"],
-                                        "twists/dims differ between conjugate sectors"))
-        reports.append(make_report(diags, convention_note=note, measurements=meas))
-    return reports
+            gap_w = np.abs(W[:, conj] - W)
+            gap_max = gap_w.max(axis=1).tolist()
+
+        for r in range(len(T)):
+            diags: list[Diagnostic] = ab.copy()
+            meas: dict[str, float] = s.ab_meas.copy()
+            m = meas["t_unimodular"] = _capped(c_meas[r])
+            if m > eq:
+                i = int(dev_t[r].argmax())
+                diags.append(Diagnostic("t_unimodular", "error", ((i,),), m,
+                                        f"|T_{i}| = {abs(T[r, i]):.12g} is not 1"))
+            diags += d
+            meas["charge_conjugation"] = s.d_meas
+            m = meas["st_cubed"] = _capped(e_meas[r])
+            note = None
+            if m > eq:
+                i, j = divmod(int(dev_e[r].argmax()), md.rank)
+                diags.append(Diagnostic("st_cubed", "error", ((i, j),), m,
+                                        f"(S T)^3 differs from S^2 by {m:.3e} at ({i},{j})"))
+                note = _convention_note(M3[r], md.S2, pol)
+            # f. Verlinde integrality + vacuum fusion row; g. dims row
+            diags += fg
+            meas.update(s.fg_meas)
+            if conj is not None:
+                m = meas["conjugate_symmetry"] = max(_capped(gap_max[r]) if ok[r] else 0.0,
+                                                     s.dims_dev)
+                if m > eq:
+                    bad = np.flatnonzero((ok[r] & (gap_w[r] > eq)) | s.dims_bad).tolist()
+                    diags.append(Diagnostic("conjugate_symmetry", "error",
+                                            tuple((i,) for i in bad), m,
+                                            "twists/dims differ between conjugate sectors"))
+            reports.append(make_report(diags, convention_note=note, measurements=meas))
+    return _Rows(reports, W, ok, abs_t.min(axis=1) > eq)
 
 
 def detect_convention(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> str | None:
@@ -277,9 +188,9 @@ def detect_convention(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) ->
 
 def _convention_note(M: np.ndarray, S2: np.ndarray, pol: TolerancePolicy) -> str | None:
     """detect_convention's note for the cube M = (S T)^3."""
-    if np.max(np.abs(M - S2)) <= pol.eq_tol:
+    if np.abs(M - S2).max() <= pol.eq_tol:
         return None
-    if np.max(np.abs(M - np.eye(len(M)))) <= pol.eq_tol:
+    if np.abs(M - np.eye(len(M))).max() <= pol.eq_tol:
         return (
             "data satisfies (S T)^3 = 1, the conjugate presentation; "
             "conjugate S entrywise to obtain the (S T)^3 = C convention"

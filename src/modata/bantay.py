@@ -23,22 +23,19 @@ root branch: w_k^{1/2} is ``numerics.principal_sqrt`` here and in
 branch would swap m+ and m- and never change a verdict.
 
 The trace sums are evaluated as written, the sum over s and then the one
-over r for every (k, i); at the ranks this package targets there is nothing
-to gain from factoring them further.  They are stacked instead:
-``_realizability_pass`` takes a block of T rows that share one S, forms
-the twists, the trace tables, the FS sums and the multiplicity integers
-t_{k,i} of every row as arrays, checks them with masks, and builds a
-diagnostic only where a mask fails.  A row reads the same bits as its own
-block of one.  ``search_pipeline`` runs it once per S candidate
-(``_reported_rows``), which leaves each row's report on the row's datum
-for its ``realizability_report`` call; ``realizability_report`` on any
-other datum, the CLI's ``check``, ``bantay`` and ``rmatrix`` run it on a
-block of one row.  The pass builds the table objects of a passing row only
-for ``bantay`` and ``rmatrix``, which print them; ``trace_table``,
-``fs_indicators`` and ``eigen_multiplicities`` build one table each from
-the same stacked functions.  The report also checks the Cauchy theorem: the
-primes dividing det K, K = sum_i N_i N_ibar, are those dividing the order
-of the twists.
+over r for every (k, i), and stacked: ``_realizability_pass`` takes a
+block of T rows that share one S, forms the trace tables, the FS sums and
+the multiplicity integers t_{k,i} of every row as arrays, checks them with
+masks, and builds a diagnostic only where a mask fails; a row reads the
+same bits as its own block of one.  The dims, the conjugation, N and det K
+come from the S-facts fill of :mod:`modata.modular_data`, and the twists
+from ``axioms._validate_rows``.  ``search_pipeline`` runs the pass once
+per S candidate (``_reported_rows``), which leaves each row's report on
+its datum; ``realizability_report`` on any other datum, and the CLI's
+``check``, ``bantay`` and ``rmatrix``, run it on a block of one row.  Only
+``bantay`` and ``rmatrix`` ask it for the table objects, which they print.
+The report also checks the Cauchy theorem: the primes dividing det K,
+K = sum_i N_i N_ibar, are those dividing the order of the twists.
 """
 from __future__ import annotations
 
@@ -48,9 +45,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .axioms import AxiomReport, Diagnostic, _validate_rows, make_report
-from .modular_data import (DerivedData, ModularData, _derive_failure, _derive_s,
-                           _prime_support, _readonly, _twist_rows)
+from .axioms import AxiomReport, Diagnostic, _Rows, _validate_rows, make_report
+from .modular_data import (DerivedData, ModularData, _capped, _derive_failure, _prime_support,
+                           _readonly, _s_facts)
 from .numerics import DEFAULT_POLICY, TolerancePolicy, _modulus, principal_sqrt, turns_fraction
 
 __all__ = [
@@ -87,7 +84,7 @@ class TraceTable:
         object.__setattr__(self, "tau", _readonly(np.asarray(self.tau, dtype=complex)))
 
     def to_json_dict(self) -> dict:
-        return {"tau": [[[z.real, z.imag] for z in row] for row in self.tau]}
+        return {"tau": np.stack((self.tau.real, self.tau.imag), -1).tolist()}
 
 
 @dataclass(frozen=True)
@@ -100,7 +97,7 @@ class IndicatorVector:
         object.__setattr__(self, "nu", _readonly(np.asarray(self.nu, dtype=int)))
 
     def to_json_dict(self) -> dict:
-        return {"nu": [int(v) for v in self.nu]}
+        return {"nu": self.nu.tolist()}
 
 
 @dataclass(frozen=True)
@@ -115,10 +112,7 @@ class MultiplicityTable:
         object.__setattr__(self, "m_minus", _readonly(np.asarray(self.m_minus, dtype=int)))
 
     def to_json_dict(self) -> dict:
-        return {
-            "m_plus": [[int(v) for v in row] for row in self.m_plus],
-            "m_minus": [[int(v) for v in row] for row in self.m_minus],
-        }
+        return {"m_plus": self.m_plus.tolist(), "m_minus": self.m_minus.tolist()}
 
 
 def _failing(mask: np.ndarray):
@@ -155,12 +149,11 @@ def _trace_diagnostics(tau: np.ndarray, N: np.ndarray, pol: TolerancePolicy):
     residues beyond eq_tol, in (k, i) row-major order."""
     zero = N.diagonal() == 0  # [k, i]
     residue = _modulus(tau[:, zero])
-    K, I = zero.nonzero()
     diags: list[list[Diagnostic]] = [[] for _ in tau]
     for r, c in _failing(residue > pol.eq_tol):
-        k, i = int(K[c]), int(I[c])
+        k, i = map(int, np.argwhere(zero)[c])
         diags[r].append(Diagnostic(
-            "trace_zero_channel", "error", ((k, i),), float(residue[r, c]),
+            "trace_zero_channel", "error", ((k, i),), _capped(residue[r, c]),
             f"internal inconsistency: tau[{k}][{i}] = {tau[r, k, i]:.3e} "
             f"but N^{k}_{{{i},{i}}} = 0"))
     tau[:, zero] = 0.0
@@ -209,7 +202,7 @@ def _fs_diagnostics(S0: np.ndarray, N: np.ndarray, conj: np.ndarray, W: np.ndarr
     # the value nu should take: the nearer of +1 and -1 on a self-dual
     # sector, 0 on any other; dev is the distance of w_i tau[0][i] from it.
     # The sign of the real part finds the nearer one wherever dev <= int_tol.
-    nearest = np.where(self_dual, np.where(via_trace.real >= 0.0, 1.0, -1.0), 0.0)
+    nearest = np.copysign(self_dual, via_trace.real)
     dev = _modulus(via_trace - nearest)
     route_bad = gap > pol.eq_tol
     value_bad = dev > np.where(self_dual, pol.int_tol, pol.eq_tol)
@@ -219,18 +212,18 @@ def _fs_diagnostics(S0: np.ndarray, N: np.ndarray, conj: np.ndarray, W: np.ndarr
         val = via_trace[r, i]
         if route_bad[r, i]:
             diags[r].append(Diagnostic(
-                "fs_route_agreement", "error", ((i,),), float(gap[r, i]),
+                "fs_route_agreement", "error", ((i,),), _capped(gap[r, i]),
                 f"FS indicator violation: w*tau route {val:.6g} differs "
                 f"from the direct sum {via_sum[r, i]:.6g} at sector {i}"))
         if not value_bad[r, i]:
             continue
         if self_dual[i]:
             diags[r].append(Diagnostic(
-                "fs_value", "error", ((i,),), float(dev[r, i]),
+                "fs_value", "error", ((i,),), _capped(dev[r, i]),
                 f"FS indicator violation: nu_{i} = {val:.6g} is not +/-1"))
         else:
             diags[r].append(Diagnostic(
-                "fs_selfdual_pattern", "error", ((i,),), float(dev[r, i]),
+                "fs_selfdual_pattern", "error", ((i,),), _capped(dev[r, i]),
                 f"FS indicator violation: sector {i} is not self-conjugate "
                 f"but nu = {val:.6g}"))
     return nu, diags
@@ -259,37 +252,35 @@ def _multiplicity_diagnostics(N: np.ndarray, W: np.ndarray, tau: np.ndarray,
     (k, i) row-major order; m+/- stay 0 on a failing channel and on the
     forbidden ones.
     """
-    mult = N.diagonal()  # mult[k, i] = N^k_ii
+    it, mult = pol.int_tol, N.diagonal()  # mult[k, i] = N^k_ii
     # the phase of w_k: validate lets |w_k| - 1 reach about 2 eq_tol
     sqrt_w = principal_sqrt(W / _modulus(W))
     # t[., k, i]; 0 on the forbidden channels, whose trace is clamped to 0
     t = W[:, None, :] / sqrt_w[:, :, None] * tau
     ti = np.rint(t.real)
-    # each condition holds only where the ones before it hold
-    real = np.abs(t.imag) <= pol.int_tol
-    integer = real & (np.abs(t.real - ti) <= pol.int_tol)
-    in_range = integer & (np.abs(ti) <= mult)
-    good = in_range & ((ti - mult) % 2 == 0)
-    t_good = np.where(good, ti, 0.0).astype(int)
-    m_good = np.where(good, mult, 0)
-    m_plus, m_minus = (m_good + t_good) // 2, (m_good - t_good) // 2
+    good = ((np.maximum(np.abs(t.imag), np.abs(t.real - ti)) <= it) & (np.abs(ti) <= mult)
+            & (np.fmod(ti - mult, 2) == 0))
+    m_good = mult * good
+    m_plus = (m_good + (ti * good).astype(int)) >> 1  # (N + t)/2, N + t even and >= 0
     diags: list[list[Diagnostic]] = [[] for _ in W]
-    for r, k, i in _failing(~good & (mult > 0)):
-        tc, tr, mc = t[r, k, i], ti[r, k, i], int(mult[k, i])
-        if not real[r, k, i]:
+    # t = 0 passes every condition, so only channels with N^k_ii > 0 fail
+    for r, k, i in _failing(~good):
+        # the first condition that fails, in the order real, integer, range, parity
+        tc, tr, mc = complex(t[r, k, i]), float(ti[r, k, i]), int(mult[k, i])
+        if not abs(tc.imag) <= it:
             cond_id, dev, msg = "mult_real", abs(tc.imag), f"t = {tc:.6g} is not real"
-        elif not integer[r, k, i]:
+        elif not abs(tc.real - tr) <= it:
             cond_id, dev, msg = ("mult_integer", abs(tc.real - tr),
                                  f"t = {tc.real:.6g} is not an integer")
-        elif not in_range[r, k, i]:
+        elif not abs(tr) <= mc:
             cond_id, dev, msg = ("mult_range", abs(tr) - mc,
                                  f"|t| = {abs(int(tr))} exceeds N^k_ii = {mc}")
         else:
             cond_id, dev, msg = ("mult_parity", 1.0,
                                  f"t = {int(tr)} has parity different from N^k_ii = {mc}")
-        diags[r].append(Diagnostic(cond_id, "error", ((k, i),), float(dev),
+        diags[r].append(Diagnostic(cond_id, "error", ((k, i),), _capped(dev),
                                    f"realizability violation at (k,i)=({k},{i}): {msg}"))
-    return m_plus, m_minus, diags
+    return m_plus, m_good - m_plus, diags
 
 
 def eigen_multiplicities(md: ModularData, dd: DerivedData, tt: TraceTable,
@@ -360,87 +351,81 @@ def _cauchy_diagnostics(fracs: list[Fraction | None], det: int):
 # aggregate report
 # ---------------------------------------------------------------------------
 
-def _realizability_pass(md: ModularData, T: np.ndarray, bases: list[AxiomReport],
-                        pol: TolerancePolicy, tables: bool = False
+def _realizability_pass(md: ModularData, base: _Rows, pol: TolerancePolicy, tables: bool = False
                         ) -> tuple[list[AxiomReport], list[tuple | None] | None]:
-    """(reports, tables): ``realizability_report`` on each row of the (R, n)
-    block T of diagonals with the S of ``md``, whose T is not read, and,
-    when ``tables`` is set, per row the tables (dd, tt, nu, mt) its passing
-    report was decided on, or None when it fails; without ``tables`` no
-    table object is built and the second item is None.  ``bases`` are the
-    ``validate`` reports of the rows (``axioms._validate_rows``).
+    """(reports, tables): ``realizability_report`` on each row of a block of
+    T diagonals with the S of ``md``, whose T is not read; ``base`` is
+    ``axioms._validate_rows`` on that block.  With ``tables``, per row the
+    tables (dd, tt, nu, mt) its passing report was decided on, or None when
+    it fails; without, no table object is built and the second item is None.
 
-    The twists W = T/T_0, the trace tables, the FS sums, the multiplicity
-    integers t_{k,i} with their masks and the trace identities are computed
-    once for the whole block, and a row reads the same bits as its own
-    one-row block.  Python builds a ``Diagnostic`` only where a mask fails;
-    per row it extends the base report and finds the twist orders of the
-    Cauchy check.  What S alone decides comes from the S cache of ``md``.
+    The trace tables, the FS sums, the multiplicity integers t_{k,i} with
+    their masks and the trace identities are computed once for the whole
+    block, and a row reads the same bits as its own one-row block; Python
+    builds a ``Diagnostic`` only where a mask fails.  What S alone decides
+    comes from the S facts of ``md``.
     """
-    W, ok = _twist_rows(T, pol)
-    s_half = md._s_fact(_derive_s, pol)
-    dims, conj, N, total_dim, _ = s_half
+    facts = _s_facts(md, pol)
+    dims, conj, N = facts.dims, facts.conj, facts.fusion
     # a row with some |T_i| <= eq_tol fails t_unimodular, and the traces
-    # would divide by its w_i^2; like a row with T_0 = 0 it is left out
-    twisted = np.abs(T).min(axis=1) > pol.eq_tol
-    live = np.flatnonzero(twisted) if s_half[4] is None else np.zeros(0, dtype=int)
+    # would divide by its w_i^2; like a row with T_0 = 0 it is left out, and
+    # so is a row whose traces overflow
+    live = np.flatnonzero(base.twisted) if facts.error is None else np.zeros(0, dtype=int)
+    with np.errstate(all="ignore"):
+        if len(live):
+            W = base.W if len(live) == len(base.W) else base.W[live]
+            tau = _trace_rows(md.S, N, W)
+            if not np.isfinite(tau).all():
+                finite = np.isfinite(tau).all(axis=(1, 2))
+                live, W, tau = live[finite], W[finite], tau[finite]
+        if len(live):
+            trace_diags = _trace_diagnostics(tau, N, pol)
+            nu, fs_diags = _fs_diagnostics(md.S[:, 0], N, conj, W, tau, pol)
+            m_plus, m_minus, mult_diags = _multiplicity_diagnostics(N, W, tau, pol)
+            fracs = _twist_fractions(W, pol)
+            # tau[k][i] = tau[kbar][ibar]
+            sym_dev = np.abs(tau - tau[:, conj[:, None], conj])
+            sym_max = sym_dev.max(axis=(1, 2)).tolist()
+            # ribbon identity, warning only: holds on every known model but is
+            # not enforced as an axiom
+            ribbon = np.abs(dims @ tau - dims * W)
+            ribbon_max = ribbon.max(axis=1).tolist()
+
     reports: list[AxiomReport] = []
     row_tables: list[tuple | None] = []
     at = dict(zip(live.tolist(), range(len(live))))
-    if len(live):
-        W = W if len(live) == len(W) else W[live]
-        tau = _trace_rows(md.S, N, W)
-        trace_diags = _trace_diagnostics(tau, N, pol)
-        nu, fs_diags = _fs_diagnostics(md.S[:, 0], N, conj, W, tau, pol)
-        m_plus, m_minus, mult_diags = _multiplicity_diagnostics(N, W, tau, pol)
-        fracs = _twist_fractions(W, pol)
-        # tau[k][i] = tau[kbar][ibar]
-        sym_dev = np.abs(tau - tau[:, conj[:, None], conj])
-        sym_max = sym_dev.max(axis=(1, 2))
-        # ribbon identity, warning only: holds on every known model but is
-        # not enforced as an axiom
-        ribbon = np.abs(dims @ tau - dims * W)
-        ribbon_max = ribbon.max(axis=1)
-        det = md._s.casimir_det
-
-    for r, base in enumerate(bases):
-        diags = list(base.diagnostics)
-        meas = dict(base.measurements)
+    for r, rep in enumerate(base.reports):
+        diags = list(rep.diagnostics)
+        meas = dict(rep.measurements)
         j = at.get(r)
         if j is None:
-            if base.passed:
+            if rep.passed:
                 diags.append(Diagnostic("derivation", "error", (), 0.0,
-                                        _derive_failure(s_half, ok[r])))
-            reports.append(make_report(diags, base.convention_note, meas))
+                                        _derive_failure(facts, base.ok[r])))
+            reports.append(make_report(diags, rep.convention_note, meas))
             row_tables.append(None)
             continue
-        meas["cauchy"], cauchy_diags = _cauchy_diagnostics(fracs[j], det)
-        diags.extend(cauchy_diags)
-        diags.extend(trace_diags[j])
-        meas["trace_zero_channel"] = max((d.measured for d in trace_diags[j]), default=0.0)
-        diags.extend(fs_diags[j])
-        meas["fs_indicator"] = max((d.measured for d in fs_diags[j]), default=0.0)
-        diags.extend(mult_diags[j])
-        meas["multiplicities"] = max((d.measured for d in mult_diags[j]), default=0.0)
-        meas["trace_conjugation"] = float(sym_max[j])
-        if meas["trace_conjugation"] > pol.eq_tol:
-            bad = np.argwhere(sym_dev[j] > pol.eq_tol)
-            diags.append(Diagnostic(
-                "trace_conjugation", "error",
-                tuple(tuple(int(x) for x in t) for t in bad[:8]),
-                meas["trace_conjugation"],
-                "tau[k][i] != tau[kbar][ibar]"))
-        meas["twist_trace"] = float(ribbon_max[j])
-        if meas["twist_trace"] > pol.eq_tol:
-            bad = [(int(i),) for i in np.flatnonzero(ribbon[j] > pol.eq_tol)]
-            diags.append(Diagnostic(
-                "twist_trace", "warning", tuple(bad), meas["twist_trace"],
-                "sum_k d_k tau[k][i] != d_i w_i"))
-        report = make_report(diags, base.convention_note, meas)
+        meas["cauchy"], cauchy_diags = _cauchy_diagnostics(fracs[j], facts.casimir_det)
+        diags += cauchy_diags
+        for key, found in (("trace_zero_channel", trace_diags[j]), ("fs_indicator", fs_diags[j]),
+                           ("multiplicities", mult_diags[j])):
+            diags += found
+            meas[key] = max((d.measured for d in found), default=0.0)
+        m = meas["trace_conjugation"] = _capped(sym_max[j])
+        if m > pol.eq_tol:
+            bad = np.argwhere(~(sym_dev[j] <= pol.eq_tol))[:8].tolist()
+            diags.append(Diagnostic("trace_conjugation", "error", tuple(map(tuple, bad)), m,
+                                    "tau[k][i] != tau[kbar][ibar]"))
+        m = meas["twist_trace"] = _capped(ribbon_max[j])
+        if m > pol.eq_tol:
+            bad = np.flatnonzero(~(ribbon[j] <= pol.eq_tol)).tolist()
+            diags.append(Diagnostic("twist_trace", "warning", tuple((i,) for i in bad), m,
+                                    "sum_k d_k tau[k][i] != d_i w_i"))
+        report = make_report(diags, rep.convention_note, meas)
         reports.append(report)
         if tables:
             row_tables.append((DerivedData(dims=dims, twists=W[j], conj=conj, fusion=N,
-                                           total_dim=total_dim),
+                                           total_dim=facts.total_dim),
                                TraceTable(tau=tau[j]), IndicatorVector(nu=nu[j]),
                                MultiplicityTable(m_plus=m_plus[j], m_minus=m_minus[j]))
                               if report.passed else None)
@@ -449,8 +434,7 @@ def _realizability_pass(md: ModularData, T: np.ndarray, bases: list[AxiomReport]
 
 def _report(md: ModularData, pol: TolerancePolicy) -> AxiomReport:
     """The report on ``md`` alone: the stacked pass on a block of one row."""
-    T = md.T[None]
-    return _realizability_pass(md, T, _validate_rows(md, T, pol), pol)[0][0]
+    return _realizability_pass(md, _validate_rows(md, md.T[None], pol), pol)[0][0]
 
 
 def _reported_rows(md: ModularData, diagonals: list[np.ndarray],
@@ -460,8 +444,7 @@ def _reported_rows(md: ModularData, diagonals: list[np.ndarray],
     pass over the whole block."""
     if not diagonals:
         return []
-    T = np.array(diagonals)
-    reports, _ = _realizability_pass(md, T, _validate_rows(md, T, pol), pol)
+    reports, _ = _realizability_pass(md, _validate_rows(md, np.array(diagonals), pol), pol)
     rows = [md._with_t(t) for t in diagonals]
     for row, report in zip(rows, reports):
         row._memo[(_report, pol)] = report

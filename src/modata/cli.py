@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .axioms import AxiomReport, validate
+from .axioms import AxiomReport, _validate_rows, validate
 from .bantay import _realizability_pass, realizability_report, trace_table
 from .modular_data import (
     InvalidModularData,
@@ -33,7 +33,7 @@ from .modular_data import (
 )
 from .numerics import DEFAULT_POLICY, TolerancePolicy, turns_fraction
 from .oracle import brute_trace, catalog, catalog_names, get_model
-from .rmatrix import canonical_r, monodromy_check
+from .rmatrix import _canonical_blocks, _monodromy
 from .search import FusionRingError, load_fusion_ring, search_pipeline
 
 EXIT_PASS = 0
@@ -114,11 +114,11 @@ def _print_failure(report: AxiomReport, why: str, args) -> int:
 
 def cmd_bantay(args, pol) -> int:
     md = load_modular_data(args.file)
-    report = validate(md, pol)
-    if not report.passed:
+    base = _validate_rows(md, md.T[None], pol)
+    if not base.reports[0].passed:
         return _print_failure(
-            report, "data fails the modularity axioms; not computing traces", args)
-    reports, tables = _realizability_pass(md, md.T[None], [report], pol, tables=True)
+            base.reports[0], "data fails the modularity axioms; not computing traces", args)
+    reports, tables = _realizability_pass(md, base, pol, tables=True)
     report, tables = reports[0], tables[0]
     if tables is None:
         first = report.errors()[0].check_id
@@ -151,26 +151,24 @@ def cmd_bantay(args, pol) -> int:
 
 def cmd_rmatrix(args, pol) -> int:
     md = load_modular_data(args.file)
-    reports, tables = _realizability_pass(md, md.T[None], [validate(md, pol)], pol,
+    reports, tables = _realizability_pass(md, _validate_rows(md, md.T[None], pol), pol,
                                           tables=True)
     if tables[0] is None:
         return _print_failure(reports[0], "not realizable; no canonical R-matrices", args)
     dd, _, _, mt = tables[0]
-    blocks = canonical_r(md, dd, mt)
-    mono = monodromy_check(blocks, dd, pol)
+    blocks = _canonical_blocks(dd, mt)
+    mono = _monodromy(blocks, dd, pol)
     if args.json:
-        _write_json({"blocks": [b.to_json_dict() for b in blocks],
-                     "monodromy": mono.to_json_dict()}, sys.stdout)
+        _write_json(_Spliced(blocks=blocks.encode(), monodromy=mono.to_json_dict()), sys.stdout)
         return EXIT_PASS if mono.passed else EXIT_FAIL
     labels = list(md.labels)
-    for b in blocks:
-        i, j, k = b.channel
+    for i, j, k, value, size, plus, minus in zip(*(a.tolist() for a in blocks)):
         ch = f"({labels[i]},{labels[j]};{labels[k]})"
-        if b.form == "scalar":
-            print(f"  {ch:>18}  scalar  {fmt_complex(b.value, pol)}  x 1_{b.size}")
+        if i != j:
+            print(f"  {ch:>18}  scalar  {fmt_complex(value, pol)}  x 1_{size}")
         else:
-            print(f"  {ch:>18}  signed  {fmt_complex(b.value, pol)}  "
-                  f"(E+ rank {b.dim_plus}, E- rank {b.dim_minus})")
+            print(f"  {ch:>18}  signed  {fmt_complex(value, pol)}  "
+                  f"(E+ rank {plus}, E- rank {minus})")
     print("monodromy check:", mono.verdict,
           f"(max deviation {mono.max_deviation:.3e})")
     return EXIT_PASS if mono.passed else EXIT_FAIL
@@ -278,11 +276,10 @@ def cmd_search(args, pol) -> int:
     else:
         print(f"{len(results)} admissible data in {len(families)} twist families "
               f"-> {out_dir}")
-        print(f"({stats['s_candidates']} S candidate(s); "
-              f"{stats['skipped_assignments']} twist assignments skipped, "
-              f"{stats['pruned_assignments']} of them pruned by the Cauchy theorem and "
-              f"the rest by the modular relation; {stats['t_candidates']} T candidates "
-              f"filtered)")
+        # the work done; the nominal skip counts, up to 10^32, are in --json
+        print(f"({stats['s_candidates']} S candidate(s); {stats['rows_cubed']} twist "
+              f"assignments cubed, the others pruned by the Cauchy theorem and the "
+              f"balancing equations; {stats['t_candidates']} T candidates filtered)")
         if not args.quiet:
             for res, f in zip(results, files):
                 w = twists(res.md, pol)
@@ -352,6 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def make_policy(args) -> TolerancePolicy:
+    if args.tol is None and args.int_tol is None:
+        return DEFAULT_POLICY
     eq = args.tol if args.tol is not None else DEFAULT_POLICY.eq_tol
     it = args.int_tol if args.int_tol is not None else max(eq, DEFAULT_POLICY.int_tol)
     return TolerancePolicy(eq_tol=eq, int_tol=it)

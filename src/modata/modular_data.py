@@ -1,19 +1,20 @@
 """Modular data {rank, labels, S, T} and everything derived from it.
 
 This module is the single home of every quantity derived from S and T.
-Each is computed on first use and cached read-only.  What S alone decides
-lives in a private cache that a datum shares with every datum made from it
-by ``_with_t``, so the T candidates of one S compute it once: S^2, the raw
-Verlinde tensor and its rounding, det K, the conjugation, and, per
-TolerancePolicy, ``derive``'s S half and the S-only axiom checks of
-:mod:`modata.axioms`, and, per label tuple, the encoded head of the file
-format below, so that only T is encoded per datum (``_encode_datum``).
-(S T)^3 is cached on the datum alone, and so, per TolerancePolicy, is its
-realizability report (``ModularData._fact``).
-The cube (S diag(w))^3 (``_cube``), the twists T/T_0 (``_twist_rows``),
-the conjugation and the cube-root lift of T (``_lift_t0``) each have one
-private helper here; the cube, the twists and the lift take a whole block
-of T or twist rows.
+What S alone decides sits in an S cache (``_SCache``) that a datum shares
+with every datum made from it by ``_with_t``: S^2 and the raw Verlinde
+tensor (one matrix product), and, once per TolerancePolicy, the S-facts
+fill ``_fill_s_facts``, the one owner of the dims, the conjugation, the
+Verlinde rounding, det K, ``derive``'s S steps and the S-only axiom checks
+of :mod:`modata.axioms`.  ``dims``, ``charge_conjugation``,
+``verlinde_fusion``, ``derive``, ``validate``, the realizability pass and
+the search all read it.  Per label tuple the S cache keeps the encoded
+head of the file format below (``_encode_datum``).  (S T)^3 and, per
+TolerancePolicy, the realizability report are cached on the datum alone.
+The cube (S diag(w))^3 (``_cube``), the twists T/T_0 (``_twist_rows``) and
+the cube-root lift of T (``_lift_t0``) each have one helper here, over a
+block of rows.  A deviation that overflows is reported as the largest
+float (``_capped``).
 
 Conventions fixed here and used everywhere else:
   * index 0 is the vacuum; files whose vacuum sits elsewhere are rejected
@@ -40,7 +41,7 @@ import json
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Any, IO
+from typing import Any, IO, NamedTuple
 
 import numpy as np
 
@@ -74,20 +75,18 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 def _checked_t(T, rank: int) -> np.ndarray:
     """T as a contiguous complex vector of length rank, or raise."""
-    T = np.ascontiguousarray(np.asarray(T, dtype=complex))
+    T = np.ascontiguousarray(T, dtype=complex)
     if T.shape != (rank,):
         raise InvalidModularData(f"T must have length {rank}, got {T.shape}")
-    if not np.all(np.isfinite(T.view(float))):
+    if not np.isfinite(T.view(float)).all():
         raise InvalidModularData("S and T entries must be finite")
     return T
 
 
-class _SFacts:
-    """What S alone decides, shared by every datum made with ``_with_t``.
-
-    The cached properties hold under every policy; ``ModularData._s_fact``
-    keeps one result per (function, TolerancePolicy) in ``memo``, and
-    ``_encode_datum`` one encoded head per label tuple.
+class _SCache:
+    """The S cache, shared by every datum made with ``_with_t``: S^2 and the
+    raw Verlinde tensor, and in ``memo`` one ``_s_facts`` fill per
+    TolerancePolicy and, for ``_encode_datum``, one encoded head per label tuple.
     """
 
     def __init__(self, S: np.ndarray):
@@ -100,20 +99,10 @@ class _SFacts:
 
     @cached_property
     def verlinde_raw(self) -> np.ndarray:
-        S = self.S
-        return _readonly(np.einsum("ir,jr,kr->ijk", S, S, np.conj(S) / S[0, :][None, :]))
-
-    @cached_property
-    def verlinde_rounded(self) -> tuple[np.ndarray, np.ndarray]:
-        """(nearest integers, distance from them) of the Verlinde sum."""
-        raw = self.verlinde_raw
-        rounded = np.rint(raw.real).astype(int)
-        return _readonly(rounded), _readonly(np.abs(raw - rounded))
-
-    @cached_property
-    def casimir_det(self) -> int:
-        """det K over the rounded Verlinde tensor; meaningful once it is a ring."""
-        return _casimir_det(self.verlinde_rounded[0])
+        """[i, j, k] = sum_r S_ir S_jr conj(S_kr) / S_0r, one matrix product."""
+        S, n = self.S, len(self.S)
+        pairs = (S[:, None, :] * S).reshape(n * n, n)
+        return _readonly((pairs @ (np.conj(S) / S[0]).T).reshape(n, n, n))
 
 
 @dataclass(frozen=True)
@@ -131,13 +120,13 @@ class ModularData:
     T: np.ndarray  # (rank,) complex, the diagonal
 
     def __post_init__(self):
-        S = np.ascontiguousarray(np.asarray(self.S, dtype=complex))
+        S = np.ascontiguousarray(self.S, dtype=complex)
         if self.rank < 1:
             raise InvalidModularData(f"rank must be >= 1, got {self.rank}")
         if S.shape != (self.rank, self.rank):
             raise InvalidModularData(f"S must be {self.rank}x{self.rank}, got {S.shape}")
         T = _checked_t(self.T, self.rank)
-        if not np.all(np.isfinite(S.view(float))):
+        if not np.isfinite(S.view(float)).all():
             raise InvalidModularData("S and T entries must be finite")
         labels = tuple(str(x) for x in self.labels)
         if len(labels) != self.rank:
@@ -145,7 +134,7 @@ class ModularData:
         object.__setattr__(self, "S", _readonly(S))
         object.__setattr__(self, "T", _readonly(T))
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_s", _SFacts(S))
+        object.__setattr__(self, "_s", _SCache(S))
         object.__setattr__(self, "_memo", {})
 
     def _with_t(self, T) -> "ModularData":
@@ -161,14 +150,6 @@ class ModularData:
         object.__setattr__(md, "_s", self._s)
         object.__setattr__(md, "_memo", {})
         return md
-
-    def _s_fact(self, fn, pol: TolerancePolicy):
-        """fn(self, pol), computed once per S cache, fn and pol; fn reads S only."""
-        memo = self._s.memo
-        key = (fn, pol)
-        if key not in memo:
-            memo[key] = fn(self, pol)
-        return memo[key]
 
     def _fact(self, fn, pol: TolerancePolicy):
         """fn(self, pol), computed once per datum, fn and pol."""
@@ -205,8 +186,8 @@ class ModularData:
         if self.rank != other.rank:
             return False
         return bool(
-            np.max(np.abs(self.S - other.S)) <= pol.eq_tol
-            and np.max(np.abs(self.T - other.T)) <= pol.eq_tol
+            np.abs(self.S - other.S).max() <= pol.eq_tol
+            and np.abs(self.T - other.T).max() <= pol.eq_tol
         )
 
     def to_json_dict(self, exact_t: bool = False) -> dict:
@@ -242,19 +223,162 @@ class DerivedData:
 # derivation operations
 # ---------------------------------------------------------------------------
 
+_HUGE = float(np.finfo(float).max)
+
+
+def _capped(x) -> float:
+    """A deviation as a float, the largest float when it overflowed to inf or nan."""
+    return float(x) if x <= _HUGE else _HUGE
+
+
+class _SFacts(NamedTuple):
+    """What S alone decides under one TolerancePolicy (``_fill_s_facts``).
+
+    ``errors`` are the messages of ``derive``'s S steps (dims, conjugation,
+    Verlinde, S_00 positivity), None for a step that succeeds, and ``dims``,
+    ``conj`` and ``fusion`` are None when their step fails.  The rest are
+    ``validate``'s S-only checks: their failures as (check_id, indices,
+    measured, message) and their measurements."""
+
+    dims: np.ndarray | None       # d_i = S_0i / S_00, real
+    perm: np.ndarray              # per row of S^2, the column of its largest entry
+    conj: np.ndarray | None       # perm, when S^2 is a vacuum-fixing involution
+    fusion: np.ndarray | None     # the rounded Verlinde tensor, integral and >= 0
+    casimir_det: int | None       # det K over fusion
+    total_dim: float | None       # 1/S_00, when derive's S steps all succeed
+    errors: tuple
+    error: str | None             # derive's message on S, the first failing step's
+    ab: list                      # checks a and b, failed
+    ab_meas: dict
+    d: list                       # check d, failed
+    d_meas: float
+    fg: list                      # checks f and g, failed
+    fg_meas: dict
+    dims_dev: float               # max |d_ibar - d_i|, with d_i = |S_0i|
+    dims_bad: np.ndarray          # per sector, |d_ibar - d_i| > eq_tol
+
+
+def _s_facts(md: ModularData, pol: TolerancePolicy) -> _SFacts:
+    """The S facts of ``md`` under ``pol``, filled once per S cache and policy."""
+    facts = md._s.memo.get(pol)
+    if facts is None:
+        facts = md._s.memo[pol] = _fill_s_facts(md, pol)
+    return facts
+
+
+def _fill_s_facts(md: ModularData, pol: TolerancePolicy) -> _SFacts:
+    S, n, eq, it = md.S, md.rank, pol.eq_tol, pol.int_tol
+    row0, s00 = S[0], S[0, 0]
+    ab, d_fail, fg, ab_meas, fg_meas = [], [], [], {}, {}
+    with np.errstate(all="ignore"):  # overflow shows as a capped deviation
+        # a. unitarity, b. symmetry
+        for check_id, dev, message in (
+                ("s_unitary", np.abs(S @ S.conj().T - np.eye(n)),
+                 "S S* deviates from identity by {m:.3e}"),
+                ("s_symmetric", np.abs(S - S.T), "S is not symmetric: entry ({i},{j})")):
+            m = ab_meas[check_id] = _capped(dev.max())
+            if m > eq:
+                i, j = divmod(int(dev.argmax()), n)
+                ab.append((check_id, ((i, j),), m, message.format(m=m, i=i, j=j)))
+
+        # d. S^2 is a conjugation: each row a unit row, an involution fixing 0
+        S2 = md.S2
+        perm = _readonly(np.abs(S2).argmax(axis=1))
+        unit = np.zeros_like(S2)  # the unit rows at perm
+        unit[range(n), perm] = 1.0
+        conj_dev = np.abs(S2 - unit).max(axis=1)
+        d_meas = _capped(conj_dev.max())
+        p = perm.tolist()
+        conj = perm if (d_meas <= eq and p[0] == 0
+                        and all(p[p[i]] == i for i in range(n))) else None
+        conj_error = None
+        if conj is None:
+            d_fail.append(("charge_conjugation", (tuple(p),), d_meas,
+                           "S^2 is not a vacuum-fixing involutive permutation"))
+            bad = np.flatnonzero(~(conj_dev <= eq))
+            conj_error = ("not modular: S^2 is not an involution fixing 0" if not len(bad) else
+                          f"not modular: S^2 is not a conjugation (row {bad[0]} deviates by "
+                          f"{_capped(conj_dev[bad[0]]):.3e})")
+
+        # f. Verlinde integrality and the vacuum fusion row
+        fusion = None
+        d_row = np.abs(row0)
+        if d_row.min() > eq:
+            raw = md.verlinde_raw
+            rounded = np.rint(raw.real).astype(int)
+            dev = np.abs(raw - rounded)
+            m = fg_meas["verlinde_integrality"] = _capped(dev.max())
+            if m > it or (rounded < 0).any():
+                bad = np.argwhere(~(dev <= it) | (rounded < 0))
+                fg.append(("verlinde_integrality", tuple(map(tuple, bad[:8].tolist())), m,
+                           f"{len(bad)} fusion entries fail integrality/nonnegativity"))
+                verlinde_error = (f"Verlinde integrality violation at (i,j,k) in "
+                                  f"{list(map(tuple, bad[:5].tolist()))} (max deviation {m:.3e})")
+            else:
+                fusion, verlinde_error = _readonly(rounded), None
+            if conj is not None:  # N^0 against the unit rows at conj
+                dev = np.abs(raw[:, :, 0] - unit)
+                m = fg_meas["vacuum_fusion"] = _capped(dev.max())
+                if m > it:
+                    bad = np.argwhere(~(dev <= it))[:8].tolist()
+                    fg.append(("vacuum_fusion", tuple(map(tuple, bad)), m,
+                               "N^0_{i,j} != delta_{j, ibar}"))
+        else:
+            fg_meas["verlinde_integrality"] = 1.0
+            fg.append(("verlinde_integrality", (), 1.0,
+                       "vanishing S_{0,r}: Verlinde sum undefined"))
+            verlinde_error = "Verlinde integrality violation: vanishing S_{0,r}"
+
+        # g. the first row real and positive, dims >= 1; and derive's dims
+        ratio = row0 / s00
+        im, re_min = np.abs(row0.imag), float(row0.real.min())
+        dev_imag = float(im.max())
+        m = fg_meas["dims_row"] = max(dev_imag, -re_min, 0.0)
+        if dev_imag > eq or re_min <= 0:
+            bad = np.flatnonzero((im > eq) | (row0.real <= 0)).tolist()
+            fg.append(("dims_row", tuple((i,) for i in bad), max(m, eq),
+                       "S_{0,i} must be real and > 0"))
+        else:
+            d, d_min = ratio.real, float(ratio.real.min())
+            m = fg_meas["dims_row"] = max(m, 1.0 - d_min)
+            if d_min < 1.0 - it:
+                fg.append(("dims_row", tuple((i,) for i in np.flatnonzero(d < 1.0 - it).tolist()),
+                           m, "quantum dimension below 1"))
+        dims = dims_error = None
+        imag = np.abs(ratio.imag)
+        if abs(s00) <= eq:
+            dims_error = "invalid dimension row: S_{0,0} vanishes"
+        elif imag.max() > eq:
+            i = int(imag.argmax())
+            dims_error = f"invalid dimension row: S_0,{i}/S_0,0 = {ratio[i]} is not real"
+        else:
+            dims = _readonly(ratio.real.copy())
+
+        # h, dims half: conjugate sectors have equal dims
+        dims_dev, dims_bad = 0.0, np.zeros(n, dtype=bool)
+        if conj is not None:
+            gap = np.abs(d_row[conj] - d_row)
+            dims_dev, dims_bad = _capped(gap.max()), gap > eq
+    s00_error = (f"S_0,0 = {s00} is not real positive"
+                 if abs(s00.imag) > eq or s00.real <= 0 else None)
+    errors = (dims_error, conj_error, verlinde_error, s00_error)
+    error = next(filter(None, errors), None)
+    return _SFacts(dims, perm, conj, fusion, None if fusion is None else _casimir_det(fusion),
+                   None if error else 1.0 / s00.real, errors, error,
+                   ab, ab_meas, d_fail, d_meas, fg, fg_meas, dims_dev, dims_bad)
+
+
+def _s_step(md: ModularData, pol: TolerancePolicy, step: int, value: str) -> np.ndarray:
+    """A copy of the S facts' ``value``, or derive's error of S step ``step``."""
+    facts = _s_facts(md, pol)
+    if getattr(facts, value) is None:
+        raise InvalidModularData(facts.errors[step])
+    return getattr(facts, value).copy()
+
+
 def dims(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Quantum dimensions d_i = S_{0,i}/S_{0,0}; must come out real."""
-    s00 = md.S[0, 0]
-    if abs(s00) <= pol.eq_tol:
-        raise InvalidModularData("invalid dimension row: S_{0,0} vanishes")
-    d = md.S[0, :] / s00
-    bad = np.abs(d.imag) > pol.eq_tol
-    if np.any(bad):
-        idx = int(np.argmax(np.abs(d.imag)))
-        raise InvalidModularData(
-            f"invalid dimension row: S_0,{idx}/S_0,0 = {d[idx]} is not real"
-        )
-    return d.real.copy()
+    return _s_step(md, pol, 0, "dims")
 
 
 def _twist_rows(T: np.ndarray, pol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
@@ -278,36 +402,13 @@ def twists(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray
     return W[0]
 
 
-def _s_conjugation(md: ModularData, pol: TolerancePolicy):
-    """(perm, deviation of each row of S^2 from the unit row at perm, ok), kept
-    once per S and policy by ``_s_fact``; ok: every row is within eq_tol and
-    perm is an involution fixing 0."""
-    S2, n = md.S2, md.rank
-    perm = np.argmax(np.abs(S2), axis=1)
-    unit = np.zeros_like(S2)
-    unit[np.arange(n), perm] = 1.0
-    dev = np.max(np.abs(S2 - unit), axis=1)
-    ok = bool(np.max(dev) <= pol.eq_tol and perm[0] == 0
-              and np.array_equal(perm[perm], np.arange(n)))
-    return _readonly(perm), _readonly(dev), ok
-
-
 def charge_conjugation(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """The permutation C = S^2 pairing each sector with its dual.
 
     Each row of S^2 must be a 0/1 unit row within eq_tol; C must be an
     involution fixing the vacuum.
     """
-    perm, dev, ok = md._s_fact(_s_conjugation, pol)
-    bad = np.flatnonzero(dev > pol.eq_tol)
-    if len(bad):
-        raise InvalidModularData(
-            f"not modular: S^2 is not a conjugation (row {bad[0]} deviates by "
-            f"{dev[bad[0]]:.3e})"
-        )
-    if not ok:
-        raise InvalidModularData("not modular: S^2 is not an involution fixing 0")
-    return perm.copy()
+    return _s_step(md, pol, 1, "conj")
 
 
 def verlinde_fusion(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -315,17 +416,7 @@ def verlinde_fusion(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> n
 
     Every entry must round to a nonnegative integer within int_tol.
     """
-    if np.any(np.abs(md.S[0, :]) <= pol.eq_tol):
-        raise InvalidModularData("Verlinde integrality violation: vanishing S_{0,r}")
-    rounded, dev = md._s.verlinde_rounded
-    if np.max(dev) > pol.int_tol or np.any(rounded < 0):
-        bad = np.argwhere((dev > pol.int_tol) | (rounded < 0))
-        triples = [tuple(int(x) for x in t) for t in bad[:5]]
-        raise InvalidModularData(
-            f"Verlinde integrality violation at (i,j,k) in {triples} "
-            f"(max deviation {np.max(dev):.3e})"
-        )
-    return rounded.copy()
+    return _s_step(md, pol, 2, "fusion")
 
 
 def _casimir_det(N: np.ndarray) -> int:
@@ -334,17 +425,20 @@ def _casimir_det(N: np.ndarray) -> int:
     K has eigenvalues D^2/d_j^2, so by the Cauchy theorem of Bruillard, Ng,
     Rowell and Wang the primes dividing det K are those dividing ord T.
     Bareiss elimination on Python ints: det K outgrows int64 by rank 16.
+    K is symmetric, and so is every trailing block the elimination leaves,
+    so only the entries on and above the diagonal are updated.
     """
-    K = np.tensordot(N, N, axes=([0, 2], [0, 2])).tolist()
+    rows = N.transpose(1, 0, 2).reshape(len(N), -1)  # [j, (i, k)]
+    K = (rows @ rows.T).tolist()
     n, prev = len(K), 1
     for c in range(n - 1):
-        piv = K[c][c]  # the leading principal minor of order c + 1
+        top = K[c]
+        piv = top[c]  # the leading principal minor of order c + 1
         if piv == 0:
             return 0  # K is positive semidefinite, so det K = 0 (Fischer's inequality)
         for r in range(c + 1, n):
-            row, f = K[r], K[r][c]
-            K[r] = [0] * (c + 1) + [(row[s] * piv - f * K[c][s]) // prev
-                                    for s in range(c + 1, n)]
+            row, f = K[r], top[r]  # K[r][c] = K[c][r]
+            row[r:] = [(row[s] * piv - f * top[s]) // prev for s in range(r, n)]
         prev = piv
     return K[-1][-1]
 
@@ -379,7 +473,7 @@ def _lift_t0(md: ModularData, W: np.ndarray, pol: TolerancePolicy) -> list:
     S2 = md.S2
     M3 = _cube(md.S, W)
     lam = M3[:, 0, 0] / S2[0, 0]
-    dev = np.max(np.abs(M3 - lam[:, None, None] * S2), axis=(1, 2))
+    dev = np.abs(M3 - lam[:, None, None] * S2).max(axis=(1, 2))
     t0 = [None] * len(W)
     for r in np.flatnonzero(dev <= pol.eq_tol):
         if abs(abs(lam[r]) - 1.0) <= pol.eq_tol:
@@ -387,39 +481,22 @@ def _lift_t0(md: ModularData, W: np.ndarray, pol: TolerancePolicy) -> list:
     return t0
 
 
-def _derive_s(md: ModularData, pol: TolerancePolicy):
-    """derive's S half: (dims, conj, fusion, total dimension, None) or, when a
-    step fails, (the dims or None if they failed, None, None, None, its message)."""
-    d = None
-    try:
-        d = dims(md, pol)
-        conj = charge_conjugation(md, pol)
-        fusion = verlinde_fusion(md, pol)
-        s00 = md.S[0, 0]
-        if abs(s00.imag) > pol.eq_tol or s00.real <= 0:
-            raise InvalidModularData(f"S_0,0 = {s00} is not real positive")
-    except InvalidModularData as exc:
-        return d, None, None, None, str(exc)
-    return d, conj, fusion, 1.0 / s00.real, None
-
-
-def _derive_failure(s_half, ok: bool) -> str | None:
-    """derive's message on a datum with S half ``s_half`` (``_derive_s``) and
-    a T_0 that is ``ok`` (``_twist_rows``), None when it derives.  The steps
-    keep their order (dims, twists, the rest) and so their errors."""
-    d, _, _, _, error = s_half
-    return _T0_VANISHES if d is not None and not ok else error
+def _derive_failure(facts: _SFacts, ok: bool) -> str | None:
+    """derive's message on a datum with S facts ``facts`` and a T_0 that is
+    ``ok`` (``_twist_rows``), None when it derives.  The steps keep their
+    order (dims, twists, the rest) and so their errors."""
+    return _T0_VANISHES if facts.dims is not None and not ok else facts.error
 
 
 def derive(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> DerivedData:
     """Bundle dims, twists, conjugation, fusion and the total dimension."""
-    s_half = md._s_fact(_derive_s, pol)
+    facts = _s_facts(md, pol)
     W, ok = _twist_rows(md.T[None], pol)
-    error = _derive_failure(s_half, ok[0])
+    error = _derive_failure(facts, ok[0])
     if error is not None:
         raise InvalidModularData(error)
-    d, conj, fusion, total_dim, _ = s_half
-    return DerivedData(dims=d, twists=W[0], conj=conj, fusion=fusion, total_dim=total_dim)
+    return DerivedData(dims=facts.dims, twists=W[0], conj=facts.conj, fusion=facts.fusion,
+                       total_dim=facts.total_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +596,8 @@ def _read_json(source, error_cls: type[Exception]):
         elif hasattr(source, "read_text"):
             text = source.read_text(encoding="utf-8")
         else:
-            text = Path(source).read_text(encoding="utf-8")
+            with open(source, "rb") as f:  # one read, then one strict decode
+                text = f.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error_cls(f"not UTF-8 text: {exc}") from exc
     try:
@@ -581,7 +659,7 @@ def _encode_datum(md: ModularData, exact_t: bool = False) -> _Encoded:
     """The file-format text of ``md``: ``json.dumps(md.to_json_dict(exact_t))``.
 
     The head ``{"rank": n, "labels": [...], "S": [...], "T": `` is encoded
-    once per S cache and label tuple and kept in the memo of ``_s_fact``, so
+    once per S cache and label tuple and kept in the memo of the S cache, so
     the T candidates ``_with_t`` makes share it and only T is encoded per datum.
     """
     key = (_encode_datum, md.labels)

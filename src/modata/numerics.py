@@ -72,9 +72,9 @@ def principal_sqrt(w, pol: TolerancePolicy = DEFAULT_POLICY):
     negation.
     """
     z = np.asarray(w, dtype=complex)
-    off = np.abs(np.abs(z) - 1.0) > pol.eq_tol
-    if off.any():
-        bad = complex(z[off][0])
+    off = np.abs(np.abs(z) - 1.0)
+    if off.max(initial=0.0) > pol.eq_tol:
+        bad = complex(z[off > pol.eq_tol][0])
         raise ValueError(f"not a phase: |{bad!r}| = {abs(bad)!r}")
     phi = np.arctan2(z.imag, z.real)
     root = np.exp(0.5j * np.where(phi == -math.pi, math.pi, phi))
@@ -95,13 +95,13 @@ def phase_from_turns(turns: Fraction | float) -> complex:
     Fractions are reduced mod 1 first so equivalent representatives (-7/60
     and 53/60, say) produce bit-identical doubles.
     """
-    if isinstance(turns, Fraction):
+    if type(turns) is not float and isinstance(turns, Fraction):
         turns = turns % 1
     return cmath.exp(2j * math.pi * float(turns))
 
 
-def _near_convergent(t: float, max_denominator: int) -> Fraction | None:
-    """The fraction p/q, q <= max_denominator, within 1/(3 max_denominator^2)
+def _near_convergent(t: float, max_denominator: int) -> tuple[int, int] | None:
+    """(p, q) of the fraction p/q, q <= max_denominator, within 1/(3 max_denominator^2)
     of t, reduced mod 1; None when the float continued fraction of t finds none.
 
     Any fraction that close is a convergent of t (Legendre: |t - p/q| <
@@ -118,7 +118,7 @@ def _near_convergent(t: float, max_denominator: int) -> Fraction | None:
         if k1 > max_denominator:
             return None
         if 3.0 * max_denominator * max_denominator * abs(t - h1 / k1) <= 1.0:
-            return Fraction(h1 % k1, k1)
+            return h1 % k1, k1
         x -= a
         if x == 0.0:
             return None
@@ -148,10 +148,12 @@ def turns_fraction(
     if abs(abs(z) - 1.0) > pol.int_tol:
         return None
     turns = _principal_arg(z) / (2.0 * math.pi)
-    frac = _near_convergent(turns, max_denominator)
-    if frac is None:
+    pq = _near_convergent(turns, max_denominator)
+    if pq is None:
         frac = Fraction(turns).limit_denominator(max_denominator) % 1
+        pq = frac.numerator, frac.denominator
+    p, q = pq
     # float(p/q) is correctly rounded, as float(Fraction(p, q)) is
-    if abs(z - phase_from_turns(frac.numerator / frac.denominator)) > pol.int_tol:
+    if abs(z - phase_from_turns(p / q)) > pol.int_tol:
         return None
-    return frac
+    return Fraction(p, q)

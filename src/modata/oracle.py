@@ -94,7 +94,7 @@ class CatalogEntry:
 def _check_model(model: ExplicitModel, pol: TolerancePolicy = DEFAULT_POLICY) -> None:
     n = model.rank
     fusion = model.fusion
-    if fusion.shape != (n, n, n) or np.any((fusion != 0) & (fusion != 1)):
+    if fusion.shape != (n, n, n) or ((fusion != 0) & (fusion != 1)).any():
         raise ValueError(f"model {model.name}: fusion must be a 0/1 tensor")
     support = set(map(tuple, np.argwhere(fusion).tolist()))
     given = set(model.r_scalars)
@@ -117,9 +117,9 @@ def _check_model(model: ExplicitModel, pol: TolerancePolicy = DEFAULT_POLICY) ->
     md = model.modular_data
     if md.rank != n:
         raise ValueError(f"model {model.name}: modular data rank mismatch")
-    if np.max(np.abs(twists(md, pol) - w)) > pol.eq_tol:
+    if np.abs(twists(md, pol) - w).max() > pol.eq_tol:
         raise ValueError(f"model {model.name}: T diagonal does not reproduce the twists")
-    if not np.array_equal(verlinde_fusion(md, pol), fusion):
+    if (verlinde_fusion(md, pol) != fusion).any():
         raise ValueError(f"model {model.name}: Verlinde fusion does not match the r table support")
     # ribbon identity sum_k d_k r(i,i,k) = d_i w_i; the double-braiding
     # check alone cannot see a sign flip of a self-braiding scalar

@@ -71,18 +71,16 @@ from typing import IO, NamedTuple
 
 import numpy as np
 
-from .axioms import AxiomReport, _s_checks
+from .axioms import AxiomReport
 from .bantay import _fs_sums, _reported_rows, realizability_report
 from .modular_data import (
-    InvalidModularData,
     ModularData,
     _is_json_int,
     _lift_t0,
     _prime_support,
     _read_json,
-    _s_conjugation,
+    _s_facts,
     _write_json,
-    derive,
     verlinde_fusion,
 )
 from .numerics import DEFAULT_POLICY, TolerancePolicy, phase_from_turns
@@ -120,23 +118,23 @@ class FusionRing:
         N = np.asarray(self.N, dtype=int)
         if N.shape != (self.rank,) * 3:
             raise FusionRingError(f"N must be rank^3 = {(self.rank,)*3}, got {N.shape}")
-        if np.any(N < 0):
+        if (N < 0).any():
             raise FusionRingError("fusion multiplicities must be nonnegative")
-        if not np.array_equal(N, N.transpose(1, 0, 2)):
+        if (N != N.transpose(1, 0, 2)).any():
             raise FusionRingError("fusion ring is not commutative")
-        if not np.array_equal(N[0], np.eye(self.rank, dtype=int)):
+        if (N[0] != np.eye(self.rank, dtype=int)).any():
             raise FusionRingError("index 0 is not a unit")
         # N^0_{i,j} = delta_{j, ibar} for an involution fixing 0
         vac = N[:, :, 0]
-        if np.any(vac.sum(axis=1) != 1) or np.any(vac.sum(axis=0) != 1):
+        if (vac.sum(axis=1) != 1).any() or (vac.sum(axis=0) != 1).any():
             raise FusionRingError("vacuum row N^0 is not a permutation")
-        conj = np.argmax(vac, axis=1)
-        if conj[0] != 0 or not np.array_equal(conj[conj], np.arange(self.rank)):
+        conj = vac.argmax(axis=1)
+        if conj[0] != 0 or (conj[conj] != np.arange(self.rank)).any():
             raise FusionRingError("duality from N^0 is not an involution fixing 0")
         # associativity: sum_m N^m_{i,j} N^l_{m,k} = sum_m N^m_{j,k} N^l_{i,m}
         left = np.einsum("ijm,mkl->ijkl", N, N)
         right = np.einsum("jkm,iml->ijkl", N, N)
-        if not np.array_equal(left, right):
+        if (left != right).any():
             raise FusionRingError("fusion ring is not associative")
         N.setflags(write=False)
         object.__setattr__(self, "N", N)
@@ -181,7 +179,7 @@ def _joint_eigenvectors(fr: FusionRing) -> list[np.ndarray]:
         B = fr.N[i].T.astype(float)
         gens.append(B + B.T)
         A = B - B.T
-        if np.max(np.abs(A)) > 0:
+        if A.any():
             gens.append(1j * A)
     spaces: list[np.ndarray] = [np.eye(n, dtype=complex)]
     for H in gens:
@@ -231,7 +229,7 @@ def candidate_s(fr: FusionRing, pol: TolerancePolicy = DEFAULT_POLICY) -> list[n
         cols.append(v)
     C = np.column_stack(cols)
     tol, n = pol.eq_tol, len(cols)
-    positive = (np.max(np.abs(C.imag), axis=0) <= tol) & np.all(C.real > tol, axis=0)
+    positive = (np.abs(C.imag).max(axis=0) <= tol) & (C.real > tol).all(axis=0)
     rows = C.tolist()  # the per-node test on Python complex, not numpy scalars
     sigma: list[int] = []
     found: list[np.ndarray] = []
@@ -266,7 +264,7 @@ def _roots_of_unity(max_order: int) -> tuple[Fraction, ...]:
 
 def _twist_orbits(md: ModularData, pol: TolerancePolicy) -> list[list[int]]:
     """Orbits {i, ibar} of the duality read off S^2, vacuum excluded."""
-    perm, _, _ = md._s_fact(_s_conjugation, pol)
+    perm = _s_facts(md, pol).perm
     orbits, seen = [], {0}
     for i in range(1, md.rank):
         if i in seen:
@@ -304,18 +302,18 @@ def _balancing_levels(md: ModularData, N: np.ndarray | None, orbits: list[list[i
     conjugation (the duality of the orbits), there are no equations.
     """
     S, n = md.S, md.rank
-    conj, row_dev, conj_ok = md._s_fact(_s_conjugation, pol)
+    facts = _s_facts(md, pol)
     level = np.full(n, -1)
     for lv, orb in enumerate(orbits):
         level[orb] = lv
     # the premises of the bound: S unitary and symmetric with a real vacuum
     # row, and S^2 a conjugation, all up to rounding
-    ab = md._s_fact(_s_checks, pol).ab_meas
-    off = max(ab["s_unitary"], ab["s_symmetric"], np.max(np.abs(S[0].imag)), np.max(row_dev))
-    if N is None or not conj_ok or off > _ROUNDING:
+    ab = facts.ab_meas
+    off = max(ab["s_unitary"], ab["s_symmetric"], np.abs(S[0].imag).max(), facts.d_meas)
+    if N is None or facts.conj is None or off > _ROUNDING:
         none = np.zeros(0, dtype=int)
         return [(none, none, np.zeros(0), np.zeros((n, 0)), np.zeros(0))] * len(orbits)
-    Nb = N[conj]  # Nb[i, j, k] = N^k_{ibar, j}
+    Nb = N[facts.conj]  # Nb[i, j, k] = N^k_{ibar, j}
     absS = np.abs(S)
     D = 1.0 / S[0, 0]
     beta = abs(D) * n * (1.0 + absS @ (absS / absS[0]).T) * tol
@@ -405,11 +403,9 @@ def enumerate_t(md: ModularData, max_order: int,
         raise ValueError(f"max_order must be at least 1, got {max_order}")
     orbits = _twist_orbits(md, pol)
     roots = _roots_of_unity(max_order)
-    try:
-        N = verlinde_fusion(md, pol)
-    except InvalidModularData:
-        N = None
-    keep = _cauchy_roots(None if N is None else md._s.casimir_det, roots)
+    facts = _s_facts(md, pol)
+    N = facts.fusion
+    keep = _cauchy_roots(facts.casimir_det, roots)
     phases = np.array([phase_from_turns(roots[k]) for k in keep], dtype=complex)
     cube_roots = [phase_from_turns(Fraction(j, 3)) for j in range(3)]
     levels = _balancing_levels(md, N, orbits, pol.eq_tol + _ROUNDING, pol)
@@ -442,7 +438,7 @@ def enumerate_t(md: ModularData, max_order: int,
             child = np.column_stack((picks[parent], root))
             if len(I):
                 res = DS * W[:, I] * W[:, J] - W @ coef
-                ok = np.all(np.abs(res) <= beta, axis=1)
+                ok = (np.abs(res) <= beta).all(axis=1)
                 W, child = W[ok], child[ok]
             if not len(W):
                 continue
@@ -483,24 +479,20 @@ def _fs_screen(s_md: ModularData, diagonals: list[np.ndarray],
     i has min |nu_i -+ 1| > int_tol + eq_tol + 1e-12 or some other i has
     |nu_i| > 2 eq_tol + 1e-12, the 1e-12 covering float noise; the report
     on a dropped row would fail one of the three fs_* checks.  N and the
-    conjugation are ``derive``'s, from the S cache; when ``derive`` fails on
-    S every report fails ``derivation``, and nothing is dropped.
+    conjugation come from the S facts; when ``derive`` fails on S every
+    report fails ``derivation``, and nothing is dropped.
     """
-    keep = np.ones(len(diagonals), dtype=bool)
-    if not diagonals:
-        return keep
-    try:
-        dd = derive(s_md, pol)
-    except InvalidModularData:
+    keep, facts = np.ones(len(diagonals), dtype=bool), _s_facts(s_md, pol)
+    if not diagonals or facts.error is not None:
         return keep
     T = np.array(diagonals)
     W = T / T[:, :1]
     W[:, 0] = 1.0
-    nu = _fs_sums(s_md.S[:, 0], dd.fusion, W)
-    self_dual = dd.conj == np.arange(len(dd.conj))
+    nu = _fs_sums(s_md.S[:, 0], facts.fusion, W)
+    self_dual = facts.conj == np.arange(len(facts.conj))
     dev = np.where(self_dual, np.minimum(np.abs(nu - 1.0), np.abs(nu + 1.0)), np.abs(nu))
     bound = np.where(self_dual, pol.int_tol + pol.eq_tol, 2 * pol.eq_tol) + _ROUNDING
-    return np.all(dev <= bound, axis=1)
+    return (dev <= bound).all(axis=1)
 
 
 def search_pipeline(fr: FusionRing, max_order: int = 16,
@@ -539,10 +531,10 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
         n_cubed += enum.rows_cubed
         n_diagonals += len(enum.diagonals)
         fs_ok = _fs_screen(s_md, enum.diagonals, pol)
-        n_screened += int(np.count_nonzero(~fs_ok))
+        n_screened += int((~fs_ok).sum())
         # the T a pass is compared with: the results of every S candidate
         # within eq_tol of this one, its own included
-        near_t = [t for prev, ts in kept if np.max(np.abs(S - prev.S)) <= pol.eq_tol
+        near_t = [t for prev, ts in kept if np.abs(S - prev.S).max() <= pol.eq_tol
                   for t in ts]
         own_t: list[np.ndarray] = []
         rows = np.flatnonzero(fs_ok).tolist()
@@ -552,7 +544,7 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
             rep = realizability_report(md, pol)
             if not rep.passed:
                 continue
-            if near_t and np.any(np.max(np.abs(md.T - np.array(near_t)), axis=1) <= pol.eq_tol):
+            if near_t and (np.abs(md.T - np.array(near_t)).max(axis=1) <= pol.eq_tol).any():
                 continue
             results.append(SearchResult(md=md, report=rep,
                                         provenance=(s_idx, enum.assignments[d_idx], d_idx % 3)))
@@ -565,7 +557,7 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
                          t_candidates=n_diagonals, fs_screened=n_screened)
     # every winner must reproduce the ring it came from; its S alone decides that
     for s_md, own_t in kept:
-        if own_t and not np.array_equal(verlinde_fusion(s_md, pol), fr.N):
+        if own_t and (verlinde_fusion(s_md, pol) != fr.N).any():
             raise FusionRingError("internal error: result does not reproduce the fusion ring")
     return results
 

@@ -19,10 +19,10 @@ from modata import (
     trace_table,
     validate,
 )
-from modata.axioms import (Diagnostic, _s_checks, _validate_rows, detect_convention,
-                           make_report)
+from modata.axioms import Diagnostic, _validate_rows, detect_convention, make_report
 from modata.bantay import TraceTable, _cauchy_diagnostics, _realizability_pass
-from modata.modular_data import DerivedData, InvalidModularData, _casimir_det, _prime_support
+from modata.modular_data import (DerivedData, InvalidModularData, _casimir_det, _prime_support,
+                                 _s_facts)
 from modata.numerics import DEFAULT_POLICY, phase_from_turns, principal_sqrt, turns_fraction
 from modata.search import candidate_s, enumerate_t
 from test_search import deligne_ring, pointed_ring, ring_of, s_datum, su2_ring
@@ -30,12 +30,17 @@ from test_search import deligne_ring, pointed_ring, ring_of, s_datum, su2_ring
 TRIVIAL = ModularData.from_matrices([[1.0]], [1.0])
 
 
+def s_diagnostics(failed):
+    """The diagnostics of failed S-only checks, (check_id, indices, measured, message)."""
+    return [Diagnostic(c, "error", i, m, msg) for c, i, m, msg in failed]
+
+
 def reference_validate(md, pol=DEFAULT_POLICY):
     """The per-datum ``validate``: the T checks of one datum, with the S
     checks from its S cache.  The stacked ``_validate_rows`` must match it."""
     T, n = md.T, md.rank
-    s = md._s_fact(_s_checks, pol)
-    diags, meas = list(s.ab_diags), dict(s.ab_meas)
+    s = _s_facts(md, pol)
+    diags, meas = s_diagnostics(s.ab), dict(s.ab_meas)
 
     def fail(check_id, indices, dev, message):
         diags.append(Diagnostic(check_id, "error", tuple(indices), float(dev), message))
@@ -45,7 +50,7 @@ def reference_validate(md, pol=DEFAULT_POLICY):
     if meas["t_unimodular"] > pol.eq_tol:
         i = int(np.argmax(dev_t))
         fail("t_unimodular", [(i,)], meas["t_unimodular"], f"|T_{i}| = {abs(T[i]):.12g} is not 1")
-    diags.extend(s.d_diags)
+    diags.extend(s_diagnostics(s.d))
     meas["charge_conjugation"] = s.d_meas
     dev_e = np.abs(md.ST_cubed - md.S2)
     meas["st_cubed"] = float(np.max(dev_e))
@@ -53,7 +58,7 @@ def reference_validate(md, pol=DEFAULT_POLICY):
         i, j = np.unravel_index(int(np.argmax(dev_e)), dev_e.shape)
         fail("st_cubed", [(int(i), int(j))], meas["st_cubed"],
              f"(S T)^3 differs from S^2 by {meas['st_cubed']:.3e} at ({i},{j})")
-    diags.extend(s.fg_diags)
+    diags.extend(s_diagnostics(s.fg))
     meas.update(s.fg_meas)
     if s.conj is not None:
         gap_w = np.zeros(n)
@@ -86,7 +91,7 @@ def reference_realizability_report(md, pol=DEFAULT_POLICY):
     S, w, N, n = md.S, dd.twists, dd.fusion, md.rank
 
     # Cauchy: the primes of det K against those of ord T
-    det, cauchy = md._s.casimir_det, []
+    det, cauchy = _s_facts(md, pol).casimir_det, []
     fracs = [turns_fraction(x, pol=pol) for x in w]
     meas["cauchy"] = 0.0
     if any(f is None for f in fracs):
@@ -191,8 +196,9 @@ def reference_realizability_report(md, pol=DEFAULT_POLICY):
 def assert_rows_match_reference(md, T, pol=DEFAULT_POLICY):
     """One stacked pass over the rows T with the S of md against the
     per-datum reference on each row; returns the check_ids the rows fired."""
-    bases = _validate_rows(md, T, pol)
-    reports, tables = _realizability_pass(md, T, bases, pol, tables=True)
+    base = _validate_rows(md, T, pol)
+    bases = base.reports
+    reports, tables = _realizability_pass(md, base, pol, tables=True)
     assert len(bases) == len(reports) == len(tables) == len(T)
     fired = set()
     for r, t in enumerate(T):

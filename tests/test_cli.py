@@ -14,8 +14,10 @@ import pytest
 
 import modata
 from modata import (
+    InvalidModularData,
     ModularData,
     catalog,
+    derive,
     enumerate_t,
     get_model,
     load_modular_data,
@@ -226,6 +228,204 @@ class TestCheckCommand:
         assert [d["check_id"] for d in doc["diagnostics"]] == ["t_unimodular", "st_cubed"]
 
 
+class TestBrokenS:
+    """Failure paths of the S-only checks and of derive's S steps: the
+    verdict, check_ids, indices and messages of ``check --json`` and the
+    InvalidModularData text of ``derive`` on data with a broken S, frozen
+    from the per-check implementation that the one S-facts fill replaced."""
+
+    @staticmethod
+    def data(name):
+        fib, semion, ising = (get_model(n).modular_data for n in ("fibonacci", "semion", "ising"))
+        cycle = np.roll(np.eye(3), 1, axis=0)
+        perm = np.eye(4)
+        perm[1:, 1:] = cycle @ cycle  # S^2 is the 3-cycle on sectors 1, 2, 3
+        bumped = ising.S.copy()
+        bumped[0, 1] += 1e-3
+        flip, phase = np.diag([1.0, -1.0]), np.diag([1.0, 1j])
+        return {
+            "non_unitary": (1.001 * fib.S, fib.T),
+            "asymmetric": (bumped, ising.T),
+            "column_swapped": (semion.S[:, ::-1], semion.T),
+            "vanishing_s0r": ([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0]),
+            "non_involutive": (perm, [1.0] * 4),
+            "negative_verlinde": (flip @ fib.S @ flip, fib.T),  # N^1_{11} = -1
+            "dims_below_1": ([[0.8, 0.6], [0.6, -0.8]], [1.0, 1.0]),
+            "complex_s00": (1j * semion.S, semion.T),
+            "negative_s00": (-semion.S, semion.T),
+            "complex_dims": (phase @ semion.S @ phase, semion.T),
+            "identity_s": (np.eye(2), [1.0, 1.0]),
+        }[name]
+
+    FROZEN = {
+        'non_unitary': (
+            'not modular: S^2 is not a conjugation (row 0 deviates by 2.001e-03)',
+            [
+                ('s_unitary', [[0, 0]], 'S S* deviates from identity by 2.001e-03'),
+                ('charge_conjugation', [[0, 1]],
+                 'S^2 is not a vacuum-fixing involutive permutation'),
+                ('st_cubed', [[0, 0]], '(S T)^3 differs from S^2 by 1.002e-03 at (0,0)'),
+                ('verlinde_integrality', [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0], [1, 1, 1]],
+                 '5 fusion entries fail integrality/nonnegativity'),
+            ]),
+        'asymmetric': (
+            'not modular: S^2 is not a conjugation (row 0 deviates by 7.071e-04)',
+            [
+                ('s_unitary', [[0, 0]], 'S S* deviates from identity by 1.415e-03'),
+                ('s_symmetric', [[0, 1]], 'S is not symmetric: entry (0,1)'),
+                ('charge_conjugation', [[0, 1, 2]],
+                 'S^2 is not a vacuum-fixing involutive permutation'),
+                ('st_cubed', [[2, 1]], '(S T)^3 differs from S^2 by 9.808e-04 at (2,1)'),
+                ('verlinde_integrality', [[0, 0, 0], [0, 0, 2], [0, 2, 0], [2, 0, 0], [2, 2, 2]],
+                 '5 fusion entries fail integrality/nonnegativity'),
+            ]),
+        'column_swapped': (
+            'not modular: S^2 is not a conjugation (row 1 deviates by 2.000e+00)',
+            [
+                ('s_symmetric', [[0, 1]], 'S is not symmetric: entry (0,1)'),
+                ('charge_conjugation', [[1, 0]],
+                 'S^2 is not a vacuum-fixing involutive permutation'),
+                ('st_cubed', [[1, 1]], '(S T)^3 differs from S^2 by 1.000e+00 at (1,1)'),
+            ]),
+        'vanishing_s0r': (
+            'invalid dimension row: S_{0,0} vanishes',
+            [
+                ('st_cubed', [[0, 0]], '(S T)^3 differs from S^2 by 1.000e+00 at (0,0)'),
+                ('verlinde_integrality', [], 'vanishing S_{0,r}: Verlinde sum undefined'),
+                ('dims_row', [[0]], 'S_{0,i} must be real and > 0'),
+            ]),
+        'non_involutive': (
+            'not modular: S^2 is not an involution fixing 0',
+            [
+                ('s_symmetric', [[1, 2]], 'S is not symmetric: entry (1,2)'),
+                ('charge_conjugation', [[0, 3, 1, 2]],
+                 'S^2 is not a vacuum-fixing involutive permutation'),
+                ('st_cubed', [[1, 1]], '(S T)^3 differs from S^2 by 1.000e+00 at (1,1)'),
+                ('verlinde_integrality', [], 'vanishing S_{0,r}: Verlinde sum undefined'),
+                ('dims_row', [[1], [2], [3]], 'S_{0,i} must be real and > 0'),
+            ]),
+        'negative_verlinde': (
+            'Verlinde integrality violation at (i,j,k) in [(1, 1, 1)] (max deviation 4.441e-16)',
+            [
+                ('verlinde_integrality', [[1, 1, 1]],
+                 '1 fusion entries fail integrality/nonnegativity'),
+                ('dims_row', [[1]], 'S_{0,i} must be real and > 0'),
+            ]),
+        'dims_below_1': (
+            'Verlinde integrality violation at (i,j,k) in [(1, 1, 1)] (max deviation 4.167e-01)',
+            [
+                ('st_cubed', [[1, 1]], '(S T)^3 differs from S^2 by 1.800e+00 at (1,1)'),
+                ('verlinde_integrality', [[1, 1, 1]],
+                 '1 fusion entries fail integrality/nonnegativity'),
+                ('dims_row', [[1]], 'quantum dimension below 1'),
+            ]),
+        'complex_s00': (
+            'not modular: S^2 is not a conjugation (row 0 deviates by 2.000e+00)',
+            [
+                ('charge_conjugation', [[0, 1]],
+                 'S^2 is not a vacuum-fixing involutive permutation'),
+                ('st_cubed', [[0, 0]], '(S T)^3 differs from S^2 by 1.414e+00 at (0,0)'),
+                ('dims_row', [[0], [1]], 'S_{0,i} must be real and > 0'),
+            ]),
+        'negative_s00': (
+            'S_0,0 = (-0.7071067811865475-0j) is not real positive',
+            [
+                ('st_cubed', [[0, 0]], '(S T)^3 differs from S^2 by 2.000e+00 at (0,0)'),
+                ('dims_row', [[0], [1]], 'S_{0,i} must be real and > 0'),
+            ]),
+        'complex_dims': (
+            'invalid dimension row: S_0,1/S_0,0 = 1j is not real',
+            [
+                ('charge_conjugation', [[1, 0]],
+                 'S^2 is not a vacuum-fixing involutive permutation'),
+                ('st_cubed', [[0, 1]], '(S T)^3 differs from S^2 by 1.000e+00 at (0,1)'),
+                ('verlinde_integrality', [[1, 1, 0]],
+                 '1 fusion entries fail integrality/nonnegativity'),
+                ('dims_row', [[1]], 'S_{0,i} must be real and > 0'),
+            ]),
+        'identity_s': (
+            'Verlinde integrality violation: vanishing S_{0,r}',
+            [
+                ('verlinde_integrality', [], 'vanishing S_{0,r}: Verlinde sum undefined'),
+                ('dims_row', [[1]], 'S_{0,i} must be real and > 0'),
+            ]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FROZEN))
+    def test_reports_and_derive_errors_are_frozen(self, capsys, tmp_path, name):
+        derive_error, diagnostics = self.FROZEN[name]
+        md = ModularData.from_matrices(*self.data(name))
+        with pytest.raises(InvalidModularData) as exc:
+            derive(md)
+        assert str(exc.value) == derive_error
+        path = tmp_path / f"{name}.json"
+        save_modular_data(md, path)
+        code, out, _ = run(capsys, "--json", "check", str(path))
+        doc = json.loads(out)
+        assert (code, doc["verdict"]) == (1, "fail")
+        assert [[d["check_id"], d["indices"], d["message"]]
+                for d in doc["diagnostics"]] == [list(d) for d in diagnostics]
+
+
+class TestFloatLimit:
+    """Finite entries whose products leave the float range: S S*, S^2, the
+    Verlinde sum and (S T)^3 overflow.  Each command fails with strict JSON,
+    an overflowed deviation reported as the largest float, and no warning."""
+
+    CASES = {
+        # S S*, S^2 and the Verlinde sum overflow; derive fails on S^2
+        "overflowing_s": (lambda: ([[1e300, 1e300], [1e300, -1e300]], [1.0, 1.0]),
+                          ["s_unitary", "charge_conjugation", "st_cubed",
+                           "verlinde_integrality"]),
+        # the semion S with T_0 = 1e300: (S T)^3 overflows, and w_1 = 1e-300
+        # leaves the traces undefined, so the trace checks are left out
+        "overflowing_t0": (lambda: (get_model("semion").modular_data.S, [1e300, 1.0]),
+                           ["t_unimodular", "st_cubed"]),
+    }
+
+    @pytest.mark.parametrize("cmd", ["validate", "check", "bantay", "rmatrix"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_strict_json_without_warnings(self, capsys, tmp_path, cmd, case):
+        make, check_ids = self.CASES[case]
+        S, T = make()
+        path = tmp_path / f"{case}.json"
+        save_modular_data(ModularData.from_matrices(S, T), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would raise here
+            code, out, _ = run(capsys, "--json", cmd, str(path))
+        assert code == 1
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["verdict"] == "fail"
+        assert [d["check_id"] for d in doc["diagnostics"]] == check_ids
+        assert doc["measurements"]["st_cubed"] == sys.float_info.max
+
+
+class TestSFactsFill:
+    @pytest.mark.parametrize("cmd", ["check", "bantay", "rmatrix"])
+    @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["human", "json"])
+    def test_one_fill_per_call(self, capsys, monkeypatch, ising_file, bad_ising_file,
+                               cmd, flags):
+        # the axiom checks, derive and the realizability pass of one call
+        # read one S-facts fill, on passing and on failing data alike
+        fills = []
+        fill = modata.modular_data._fill_s_facts
+
+        def counted(md, pol):
+            fills.append(pol)
+            return fill(md, pol)
+
+        monkeypatch.setattr(modata.modular_data, "_fill_s_facts", counted)
+        for path, want in ((ising_file, 0), (bad_ising_file, 1)):
+            fills.clear()
+            code, _, _ = run(capsys, *flags, cmd, str(path))
+            assert code == want
+            assert fills == [modata.DEFAULT_POLICY], (path.name, fills)
+
+
 class TestVanishingT0:
     """Fibonacci with T_0 = 0: the twists T_i/T_0 are undefined."""
 
@@ -310,17 +510,18 @@ class TestRealizabilityCommandsAgree:
                 return fn(*args, **kwargs)
             return wrapper
 
-        # one stacked pass over a block of one row: validate, the trace table
-        # and each realizability stage run once, and derive not at all
+        # one stacked pass over a block of one row: the axiom checks, the
+        # trace table and each realizability stage run once, and derive and
+        # the one-datum validate not at all
         for mod, name in [(modata.cli, "validate"), (modata.cli, "derive"),
-                          (modata.axioms, "_validate_rows"), (modata.bantay, "_trace_rows"),
+                          (modata.cli, "_validate_rows"), (modata.bantay, "_trace_rows"),
                           (modata.bantay, "_trace_diagnostics"),
                           (modata.bantay, "_fs_diagnostics"),
                           (modata.bantay, "_multiplicity_diagnostics")]:
             monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         code, _, _ = run(capsys, cmd, str(ising_file))
         assert code == 0
-        assert calls == {"validate": 1, "_validate_rows": 1, "_trace_rows": 1,
+        assert calls == {"_validate_rows": 1, "_trace_rows": 1,
                          "_trace_diagnostics": 1, "_fs_diagnostics": 1,
                          "_multiplicity_diagnostics": 1}
 
@@ -528,10 +729,12 @@ class TestSearchCommand:
         assert code == 0
         files = sorted(out_dir.glob("*.json"))
         assert len(files) == 6
-        # 32 roots of order <= 10; det K = 5 admits the 5 of order 1 or 5
-        assert ("(1 S candidate(s); 30 twist assignments skipped, 27 of them pruned "
-                "by the Cauchy theorem and the rest by the modular relation; "
-                "6 T candidates filtered)") in out
+        # 32 roots of order <= 10; det K = 5 admits the 5 of order 1 or 5, and
+        # the balancing equations leave 2 to cube; the nominal skip counts
+        # stay in --json only
+        assert ("(1 S candidate(s); 2 twist assignments cubed, the others pruned by the "
+                "Cauchy theorem and the balancing equations; 6 T candidates filtered)") in out
+        assert "skipped" not in out
 
     def test_earlier_results_are_deleted(self, capsys, tmp_path, rings_dir):
         out_dir = tmp_path / "results"

@@ -163,6 +163,33 @@ class TestCasimirDet:
         N[1, 1, 1] = 1
         assert _casimir_det(N) == 0
 
+    def test_equals_exact_elimination(self):
+        # the symmetric Bareiss elimination against plain Gaussian
+        # elimination in exact rationals, on random nonnegative tensors
+        from fractions import Fraction
+
+        def reference_det(N):
+            K = [[Fraction(int(x)) for x in row]
+                 for row in np.tensordot(N, N, axes=([0, 2], [0, 2]))]
+            det = Fraction(1)
+            for c in range(len(K)):
+                pivot = next((r for r in range(c, len(K)) if K[r][c]), None)
+                if pivot is None:
+                    return 0
+                if pivot != c:
+                    K[c], K[pivot], det = K[pivot], K[c], -det
+                det *= K[c][c]
+                for r in range(c + 1, len(K)):
+                    f = K[r][c] / K[c][c]
+                    K[r] = [a - f * b for a, b in zip(K[r], K[c])]
+            return int(det)
+
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n = int(rng.integers(1, 8))
+            N = rng.integers(0, 4, size=(n, n, n)) * (rng.random((n, n, n)) < 0.4)
+            assert _casimir_det(N) == reference_det(N), N.tolist()
+
 
 class TestDerive:
     def test_trivial_bundle(self):

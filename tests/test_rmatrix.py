@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -129,6 +130,17 @@ class TestCanonicalR:
             for b in blocks:
                 M = b.as_matrix()
                 assert np.max(np.abs(M @ M.conj().T - np.eye(b.dim))) < 1e-9, e.name
+
+    def test_encoded_blocks_equal_json_dumps_of_the_dicts(self, entries):
+        # rmatrix --json writes the blocks' text straight from the arrays; it
+        # is json.dumps of the RBlock dicts, byte for byte
+        from modata.rmatrix import _canonical_blocks
+
+        for a, b in [(x, y) for x in entries for y in entries][::7]:
+            md = ModularData.from_matrices(np.kron(a.md.S, b.md.S), np.kron(a.md.T, b.md.T))
+            dd, _, mt, blocks = full_pipeline(md)
+            want = json.dumps([blk.to_json_dict() for blk in blocks])
+            assert _canonical_blocks(dd, mt).encode() == want, (a.name, b.name)
 
     def test_serialization_schema(self):
         md = get_model("ising").modular_data

@@ -3,7 +3,6 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
 from itertools import permutations, product
 
 import numpy as np
@@ -24,8 +23,8 @@ from modata import (
     search_pipeline,
     verlinde_fusion,
 )
-from modata import axioms, modular_data, search
-from modata.modular_data import InvalidModularData, ModularData, _SFacts, _casimir_det, _lift_t0
+from modata import modular_data, search
+from modata.modular_data import InvalidModularData, ModularData, _casimir_det, _lift_t0
 from modata.numerics import (DEFAULT_POLICY, TolerancePolicy, phase_from_turns, principal_root,
                              turns_fraction)
 from modata.search import (TEnumeration, _balancing_levels, _cauchy_roots, _fs_screen,
@@ -619,35 +618,20 @@ class TestSearchPipeline:
                                                       ("fibonacci", 10, 1)])
     def test_s_quantities_formed_once_per_s_candidate(self, monkeypatch, ring, max_order, n_s):
         # the enumeration, the FS screen, every report and the ring re-check
-        # of one S candidate share one S datum: its Verlinde tensor, det K and
-        # S-only axiom checks are each formed once
-        counts = Counter()
-        raw, det = _SFacts.verlinde_raw.func, modular_data._casimir_det
-        s_checks = axioms._s_checks
+        # of one S candidate share one S datum, and so one S-facts fill: its
+        # Verlinde tensor, det K and S-only axiom checks are each formed once
+        fills = Counter()
+        fill = modular_data._fill_s_facts
 
-        def counted_raw(facts):
-            counts["verlinde_raw"] += 1
-            return raw(facts)
+        def counted(md, pol):
+            fills[pol] += 1
+            return fill(md, pol)
 
-        def counted_det(N):
-            counts["casimir_det"] += 1
-            return det(N)
-
-        prop = cached_property(counted_raw)
-        prop.__set_name__(_SFacts, "verlinde_raw")
-        monkeypatch.setattr(_SFacts, "verlinde_raw", prop)
-        def counted_s_checks(md, pol):
-            counts["s_checks"] += 1
-            return s_checks(md, pol)
-
-        monkeypatch.setattr(modular_data, "_casimir_det", counted_det)
-        # one wrapper in both bindings, so the S cache keys it as one function
-        monkeypatch.setattr(axioms, "_s_checks", counted_s_checks)
-        monkeypatch.setattr(search, "_s_checks", counted_s_checks)
+        monkeypatch.setattr(modular_data, "_fill_s_facts", counted)
         stats = {}
         assert search_pipeline(make_ring(ring), max_order, stats_out=stats)
         assert stats["s_candidates"] == n_s
-        assert counts == {"verlinde_raw": n_s, "casimir_det": n_s, "s_checks": n_s}
+        assert fills == {DEFAULT_POLICY: n_s}
 
     @pytest.mark.parametrize("ring, max_order", [("fibonacci", 10), ("toric_code", 8),
                                                  ("ising", 32)])
