@@ -620,18 +620,19 @@ class TestSearchPipeline:
         # the enumeration, the FS screen, every report and the ring re-check
         # of one S candidate share one S datum, and so one S-facts fill: its
         # Verlinde tensor, det K and S-only axiom checks are each formed once
-        fills = Counter()
-        fill = modular_data._fill_s_facts
+        fills, dets = Counter(), []
+        fill, det = modular_data._fill_s_facts, modular_data._casimir_det
 
         def counted(md, pol):
             fills[pol] += 1
             return fill(md, pol)
 
         monkeypatch.setattr(modular_data, "_fill_s_facts", counted)
+        monkeypatch.setattr(modular_data, "_casimir_det", lambda N: dets.append(N) or det(N))
         stats = {}
         assert search_pipeline(make_ring(ring), max_order, stats_out=stats)
         assert stats["s_candidates"] == n_s
-        assert fills == {DEFAULT_POLICY: n_s}
+        assert fills == {DEFAULT_POLICY: n_s} and len(dets) == n_s
 
     @pytest.mark.parametrize("ring, max_order", [("fibonacci", 10), ("toric_code", 8),
                                                  ("ising", 32)])
