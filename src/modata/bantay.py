@@ -28,12 +28,12 @@ block of T rows that share one S, forms the trace tables, the FS sums and
 the multiplicity integers t_{k,i} of every row as arrays, checks them with
 masks, and builds a diagnostic only where a mask fails; a row reads the
 same bits as its own block of one.  The dims, the conjugation, N and det K
-come from the S-facts fill of :mod:`modata.modular_data`, and the twists
-from ``axioms._validate_rows``.  ``search_pipeline`` runs the pass once
-per S candidate (``_reported_rows``), which leaves each row's report on
-its datum; ``realizability_report`` on any other datum, and the CLI's
-``check``, ``bantay`` and ``rmatrix``, run it on a block of one row.  Only
-``bantay`` and ``rmatrix`` ask it for the table objects, which they print.
+come from the S-facts fill of :mod:`modata.modular_data`, the axiom checks
+and the twists from ``axioms._validate_rows`` on the block.  The search
+runs the pass once per S candidate (``_reported_rows``), which leaves each
+row's report on its datum; ``realizability_report`` on any other datum,
+and the CLI's ``check``, ``bantay`` and ``rmatrix``, run it on a block of
+one row.  Only ``bantay`` and ``rmatrix`` ask it for the tables they print.
 The report also checks the Cauchy theorem: the primes dividing det K,
 K = sum_i N_i N_ibar, are those dividing the order of the twists.
 """
@@ -45,10 +45,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .axioms import AxiomReport, Diagnostic, _Rows, _validate_rows, make_report
+from .axioms import AxiomReport, Diagnostic, _validate_rows, make_report
 from .modular_data import (DerivedData, ModularData, _capped, _derive_failure, _prime_support,
                            _readonly, _s_facts)
-from .numerics import DEFAULT_POLICY, TolerancePolicy, _modulus, principal_sqrt, turns_fraction
+from .numerics import (DEFAULT_POLICY, TolerancePolicy, _modulus, _phase, principal_sqrt,
+                       turns_fraction)
 
 __all__ = [
     "TraceTable",
@@ -149,9 +150,11 @@ def _trace_diagnostics(tau: np.ndarray, N: np.ndarray, pol: TolerancePolicy):
     residues beyond eq_tol, in (k, i) row-major order."""
     zero = N.diagonal() == 0  # [k, i]
     residue = _modulus(tau[:, zero])
+    bad = residue > pol.eq_tol
     diags: list[list[Diagnostic]] = [[] for _ in tau]
-    for r, c in _failing(residue > pol.eq_tol):
-        k, i = map(int, np.argwhere(zero)[c])
+    channels = np.argwhere(zero).tolist() if bad.any() else []  # (k, i) of each column
+    for r, c in _failing(bad):
+        k, i = channels[c]
         diags[r].append(Diagnostic(
             "trace_zero_channel", "error", ((k, i),), _capped(residue[r, c]),
             f"internal inconsistency: tau[{k}][{i}] = {tau[r, k, i]:.3e} "
@@ -192,9 +195,12 @@ def _fs_sums(S0: np.ndarray, N: np.ndarray, W: np.ndarray) -> np.ndarray:
 def _fs_diagnostics(S0: np.ndarray, N: np.ndarray, conj: np.ndarray, W: np.ndarray,
                     tau: np.ndarray, pol: TolerancePolicy):
     """(indicators, per-row diagnostics) for the (R, n) twists W and their
-    (R, n, n) trace tables: both routes must agree, and nu must be +/-1 on
-    a self-dual sector and 0 on any other.  The diagnostics of a row come in
-    sector order, the route check of a sector before its value check."""
+    clamped (R, n, n) trace tables: both routes must agree, and nu must be
+    +/-1 on a self-dual sector.  The diagnostics of a row come in sector
+    order, the route check of a sector before its value check.  nu = 0 on
+    any other sector i needs no check: where N^0_ii = 0 the clamp makes
+    w_i tau[0][i] exactly 0, and N^0_ii >= 1 means a raw Verlinde N^0_ii
+    >= 0.5 > int_tol, which fails ``vacuum_fusion`` on the same row."""
     via_trace = W * tau[:, 0, :]
     via_sum = _fs_sums(S0, N, W)
     gap = _modulus(via_trace - via_sum)
@@ -205,7 +211,7 @@ def _fs_diagnostics(S0: np.ndarray, N: np.ndarray, conj: np.ndarray, W: np.ndarr
     nearest = np.copysign(self_dual, via_trace.real)
     dev = _modulus(via_trace - nearest)
     route_bad = gap > pol.eq_tol
-    value_bad = dev > np.where(self_dual, pol.int_tol, pol.eq_tol)
+    value_bad = self_dual & (dev > pol.int_tol)
     nu = np.where(value_bad, 0.0, nearest).astype(int)
     diags: list[list[Diagnostic]] = [[] for _ in W]
     for r, i in _failing(route_bad | value_bad):
@@ -215,17 +221,10 @@ def _fs_diagnostics(S0: np.ndarray, N: np.ndarray, conj: np.ndarray, W: np.ndarr
                 "fs_route_agreement", "error", ((i,),), _capped(gap[r, i]),
                 f"FS indicator violation: w*tau route {val:.6g} differs "
                 f"from the direct sum {via_sum[r, i]:.6g} at sector {i}"))
-        if not value_bad[r, i]:
-            continue
-        if self_dual[i]:
+        if value_bad[r, i]:
             diags[r].append(Diagnostic(
                 "fs_value", "error", ((i,),), _capped(dev[r, i]),
                 f"FS indicator violation: nu_{i} = {val:.6g} is not +/-1"))
-        else:
-            diags[r].append(Diagnostic(
-                "fs_selfdual_pattern", "error", ((i,),), _capped(dev[r, i]),
-                f"FS indicator violation: sector {i} is not self-conjugate "
-                f"but nu = {val:.6g}"))
     return nu, diags
 
 
@@ -253,8 +252,7 @@ def _multiplicity_diagnostics(N: np.ndarray, W: np.ndarray, tau: np.ndarray,
     forbidden ones.
     """
     it, mult = pol.int_tol, N.diagonal()  # mult[k, i] = N^k_ii
-    # the phase of w_k: validate lets |w_k| - 1 reach about 2 eq_tol
-    sqrt_w = principal_sqrt(W / _modulus(W))
+    sqrt_w = principal_sqrt(_phase(W))  # |w_k| - 1 may reach about 2 eq_tol
     # t[., k, i]; 0 on the forbidden channels, whose trace is clamped to 0
     t = W[:, None, :] / sqrt_w[:, :, None] * tau
     ti = np.rint(t.real)
@@ -351,20 +349,22 @@ def _cauchy_diagnostics(fracs: list[Fraction | None], det: int):
 # aggregate report
 # ---------------------------------------------------------------------------
 
-def _realizability_pass(md: ModularData, base: _Rows, pol: TolerancePolicy, tables: bool = False
+def _realizability_pass(md: ModularData, T: np.ndarray, pol: TolerancePolicy,
+                        tables: bool = False
                         ) -> tuple[list[AxiomReport], list[tuple | None] | None]:
-    """(reports, tables): ``realizability_report`` on each row of a block of
-    T diagonals with the S of ``md``, whose T is not read; ``base`` is
-    ``axioms._validate_rows`` on that block.  With ``tables``, per row the
-    tables (dd, tt, nu, mt) its passing report was decided on, or None when
-    it fails; without, no table object is built and the second item is None.
+    """(reports, tables): ``realizability_report`` on each row of the
+    (R, n) block T of diagonals with the S of ``md``, whose T is not read.
+    With ``tables``, per row the tables (dd, tt, nu, mt) its passing report
+    was decided on, or None when it fails; without, no table object is
+    built and the second item is None.
 
-    The trace tables, the FS sums, the multiplicity integers t_{k,i} with
-    their masks and the trace identities are computed once for the whole
-    block, and a row reads the same bits as its own one-row block; Python
-    builds a ``Diagnostic`` only where a mask fails.  What S alone decides
-    comes from the S facts of ``md``.
+    The axiom checks (``axioms._validate_rows``), the trace tables, the FS
+    sums, the multiplicity integers t_{k,i} with their masks and the trace
+    identities are computed once for the whole block, and a row reads the
+    same bits as its own one-row block; Python builds a ``Diagnostic`` only
+    where a mask fails.  What S alone decides comes from the S facts.
     """
+    base = _validate_rows(md, T, pol)
     facts = _s_facts(md, pol)
     dims, conj, N = facts.dims, facts.conj, facts.fusion
     # a row with some |T_i| <= eq_tol fails t_unimodular, and the traces
@@ -434,7 +434,7 @@ def _realizability_pass(md: ModularData, base: _Rows, pol: TolerancePolicy, tabl
 
 def _report(md: ModularData, pol: TolerancePolicy) -> AxiomReport:
     """The report on ``md`` alone: the stacked pass on a block of one row."""
-    return _realizability_pass(md, _validate_rows(md, md.T[None], pol), pol)[0][0]
+    return _realizability_pass(md, md.T[None], pol)[0][0]
 
 
 def _reported_rows(md: ModularData, diagonals: list[np.ndarray],
@@ -444,7 +444,7 @@ def _reported_rows(md: ModularData, diagonals: list[np.ndarray],
     pass over the whole block."""
     if not diagonals:
         return []
-    reports, _ = _realizability_pass(md, _validate_rows(md, np.array(diagonals), pol), pol)
+    reports, _ = _realizability_pass(md, np.array(diagonals), pol)
     rows = [md._with_t(t) for t in diagonals]
     for row, report in zip(rows, reports):
         row._memo[(_report, pol)] = report
@@ -458,13 +458,13 @@ def realizability_report(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY)
     the primes of det K, K = sum_i N_i N_ibar, are those of the order of
     the twists, and ``measurements["cauchy"]`` counts the primes on one
     side only; a twist that is no root of unity of order <= 240 makes it a
-    warning); forbidden-channel trace residues; FS route agreement, value
-    set and self-duality pattern; the four multiplicity conditions per
-    channel; trace invariance under charge conjugation.  The twist-trace
-    identity sum_k d_k tau[k][i] = d_i w_i is reported at warning severity
-    only.  FS route agreement and trace
-    conjugation follow from the rest in exact arithmetic, yet under the
-    tolerances either can be the only failure.
+    warning); forbidden-channel trace residues; FS route agreement and the
+    value +/-1 on self-dual sectors (the clamp and ``vacuum_fusion`` decide
+    the others); the four multiplicity conditions per channel; trace
+    invariance under charge conjugation.  Data that fail the axioms get
+    these too.  The twist-trace identity sum_k d_k tau[k][i] = d_i w_i is a
+    warning only.  FS route agreement and trace conjugation follow from the rest in
+    exact arithmetic, yet under the tolerances either can be the only failure.
 
     The report is computed once per datum and policy; the data a stacked
     pass made (``_reported_rows``) already hold theirs.

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Commands: validate, bantay, rmatrix, check, catalog, oracle, search.
-``bantay`` and ``rmatrix`` print tables only for data that ``check`` passes,
-from the same pass; otherwise they print the failing report and exit 1.
+``check``, ``bantay`` and ``rmatrix`` run the same realizability pass.
+``bantay`` and ``rmatrix`` print tables only for data that ``check`` passes;
+otherwise they print the report ``check`` prints, name its first failing
+check on stderr in human mode, and exit 1.
 Exit codes: 0 success/pass, 1 mathematical failure, 2 I/O or parse failure,
 141 (128 + SIGPIPE) when the reader of stdout goes away early, as in
 ``modata catalog | head -3``; nothing is printed to stderr then.
@@ -19,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .axioms import AxiomReport, _validate_rows, validate
+from .axioms import AxiomReport, validate
 from .bantay import _realizability_pass, realizability_report, trace_table
 from .modular_data import (
     InvalidModularData,
@@ -105,24 +107,20 @@ def cmd_check(args, pol) -> int:
     return _emit_report(realizability_report(load_modular_data(args.file), pol), args)
 
 
-def _print_failure(report: AxiomReport, why: str, args) -> int:
-    """Print a failing report, with ``why`` on stderr in human mode; exit 1."""
+def _print_failure(report: AxiomReport, args) -> int:
+    """Print a failing report, naming its first failing check on stderr in
+    human mode; exit 1."""
     if not args.json:
-        print(why, file=sys.stderr)
+        print(f"data fails the {report.errors()[0].check_id} check; not realizable",
+              file=sys.stderr)
     return _emit_report(report, args)
 
 
 def cmd_bantay(args, pol) -> int:
     md = load_modular_data(args.file)
-    base = _validate_rows(md, md.T[None], pol)
-    if not base.reports[0].passed:
-        return _print_failure(
-            base.reports[0], "data fails the modularity axioms; not computing traces", args)
-    reports, tables = _realizability_pass(md, base, pol, tables=True)
-    report, tables = reports[0], tables[0]
+    (report,), (tables,) = _realizability_pass(md, md.T[None], pol, tables=True)
     if tables is None:
-        first = report.errors()[0].check_id
-        return _print_failure(report, f"data fails the {first} check; not realizable", args)
+        return _print_failure(report, args)
     _, tt, nu, mt = tables
     if args.json:
         doc = {**tt.to_json_dict(), **nu.to_json_dict(), **mt.to_json_dict()}
@@ -151,11 +149,10 @@ def cmd_bantay(args, pol) -> int:
 
 def cmd_rmatrix(args, pol) -> int:
     md = load_modular_data(args.file)
-    reports, tables = _realizability_pass(md, _validate_rows(md, md.T[None], pol), pol,
-                                          tables=True)
-    if tables[0] is None:
-        return _print_failure(reports[0], "not realizable; no canonical R-matrices", args)
-    dd, _, _, mt = tables[0]
+    (report,), (tables,) = _realizability_pass(md, md.T[None], pol, tables=True)
+    if tables is None:
+        return _print_failure(report, args)
+    dd, _, _, mt = tables
     blocks = _canonical_blocks(dd, mt)
     mono = _monodromy(blocks, dd, pol)
     if args.json:

@@ -61,6 +61,12 @@ def _modulus(z):
     return np.hypot(z.real, z.imag)
 
 
+def _phase(u):
+    """u/|u|, of one complex or entrywise: validation lets |w_i| - 1 reach
+    about 2 eq_tol, and a positive scale never moves u across a branch cut."""
+    return u / _modulus(u)
+
+
 def principal_sqrt(w, pol: TolerancePolicy = DEFAULT_POLICY):
     """Square root e^{i arg(w)/2} of a phase, arg taken in (-pi, pi].
 

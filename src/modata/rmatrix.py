@@ -32,16 +32,9 @@ import numpy as np
 from .axioms import AxiomReport, Diagnostic, make_report
 from .bantay import MultiplicityTable
 from .modular_data import DerivedData, ModularData, _Encoded
-from .numerics import DEFAULT_POLICY, TolerancePolicy, _modulus, principal_sqrt
+from .numerics import DEFAULT_POLICY, TolerancePolicy, _modulus, _phase, principal_sqrt
 
 __all__ = ["RBlock", "canonical_r", "monodromy_check"]
-
-
-def _phase(u):
-    """u/|u|, of one complex or entrywise.  Validation lets |w_i| - 1 reach
-    about 2 eq_tol, and scaling a ratio of twists by a positive number never
-    moves it across the branch cut of the square root."""
-    return u / _modulus(u)
 
 
 @dataclass(frozen=True)

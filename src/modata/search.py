@@ -36,8 +36,8 @@ Pipeline:
   3. ``search_pipeline`` first screens all T candidates of one S by
      Bantay's FS indicator in one stacked call (``_fs_screen``): a candidate
      whose direct FS sum nu_i = w_i tau[0][i] lies too far from +/-1 on a
-     self-dual sector, or from 0 on another, would fail the report's fs_*
-     checks, so it gets no report and is counted as ``fs_screened``.  The
+     self-dual sector, or from 0 on another, would fail the report, so it
+     gets no report and is counted as ``fs_screened``.  The
      other candidates of that S go through one stacked realizability pass
      (``bantay._reported_rows``): the axiom checks that read T, the
      trace tables, the FS sums and the multiplicity integers of all of them
@@ -80,6 +80,7 @@ from .modular_data import (
     _prime_support,
     _read_json,
     _s_facts,
+    _twist_rows,
     _write_json,
     verlinde_fusion,
 )
@@ -471,23 +472,21 @@ def _fs_screen(s_md: ModularData, diagonals: list[np.ndarray],
 
     The direct FS sums nu_i = sum_{r,s} S[r,0] S[s,0] N^i_{r,s} w_r^2/w_s^2
     of all diagonals are one stacked ``_fs_sums`` call, over the twists
-    w = T/T_0, w_0 = 1, that the report forms.  A passing report has
-    |w_i tau[0][i] - nu_i| <= eq_tol (``fs_route_agreement``), and
+    w = T/T_0, w_0 = 1, that the report forms (``_twist_rows``).  A passing
+    report has |w_i tau[0][i] - nu_i| <= eq_tol (``fs_route_agreement``),
     w_i tau[0][i] within int_tol of +1 or -1 when i is self-dual
-    (``fs_value``) and within eq_tol of 0 otherwise
-    (``fs_selfdual_pattern``).  So a row is dropped only if some self-dual
-    i has min |nu_i -+ 1| > int_tol + eq_tol + 1e-12 or some other i has
-    |nu_i| > 2 eq_tol + 1e-12, the 1e-12 covering float noise; the report
-    on a dropped row would fail one of the three fs_* checks.  N and the
-    conjugation come from the S facts; when ``derive`` fails on S every
-    report fails ``derivation``, and nothing is dropped.
+    (``fs_value``), and exactly 0 otherwise: it passes ``vacuum_fusion``, so
+    N^0_ii = 0 and the channel (0, i) is clamped.  So a row is dropped only
+    if some self-dual i has min |nu_i -+ 1| > int_tol + eq_tol + 1e-12 or
+    some other i has |nu_i| > 2 eq_tol + 1e-12, the 1e-12 covering float
+    noise, and its report would fail.  N and the conjugation come from the
+    S facts; when ``derive`` fails on S every report fails ``derivation``,
+    and nothing is dropped.
     """
     keep, facts = np.ones(len(diagonals), dtype=bool), _s_facts(s_md, pol)
     if not diagonals or facts.error is not None:
         return keep
-    T = np.array(diagonals)
-    W = T / T[:, :1]
-    W[:, 0] = 1.0
+    W, _ = _twist_rows(np.array(diagonals), pol)
     nu = _fs_sums(s_md.S[:, 0], facts.fusion, W)
     self_dual = facts.conj == np.arange(len(facts.conj))
     dev = np.where(self_dual, np.minimum(np.abs(nu - 1.0), np.abs(nu + 1.0)), np.abs(nu))

@@ -78,8 +78,9 @@ def reference_validate(md, pol=DEFAULT_POLICY):
 def reference_realizability_report(md, pol=DEFAULT_POLICY):
     """The per-datum realizability pass: ``reference_validate``, then each
     trace constraint with its own loop over the channels or sectors of one
-    datum.  Returns (report, (nu, m_plus, m_minus) when it passes, else None);
-    each row of the stacked ``_realizability_pass`` must match it."""
+    datum.  Returns (report, (nu, m_plus, m_minus) when it passes, else None,
+    the FS values w_i tau[0][i], or None when derive fails); each row of the
+    stacked ``_realizability_pass`` must match it."""
     base = reference_validate(md, pol)
     diags, meas = list(base.diagnostics), dict(base.measurements)
     try:
@@ -87,7 +88,7 @@ def reference_realizability_report(md, pol=DEFAULT_POLICY):
     except InvalidModularData as exc:
         if base.passed:
             diags.append(Diagnostic("derivation", "error", (), 0.0, str(exc)))
-        return make_report(diags, base.convention_note, meas), None
+        return make_report(diags, base.convention_note, meas), None, None
     S, w, N, n = md.S, dd.twists, dd.fusion, md.rank
 
     # Cauchy: the primes of det K against those of ord T
@@ -131,16 +132,14 @@ def reference_realizability_report(md, pol=DEFAULT_POLICY):
 
     # FS indicators, sector by sector
     via_sum = [np.sum(N[:, :, i] * np.outer(S[:, 0] * w2, S[:, 0] / w2)) for i in range(n)]
+    via_trace = w * tau[0]
     nu, found = np.zeros(n, dtype=int), []
     for i in range(n):
-        val = w[i] * tau[0, i]
+        val = via_trace[i]
         if abs(val - via_sum[i]) > pol.eq_tol:
             found.append(Diagnostic("fs_route_agreement", "error", ((i,),),
                                     float(abs(val - via_sum[i])), "routes"))
         if dd.conj[i] != i:
-            if abs(val) > pol.eq_tol:
-                found.append(Diagnostic("fs_selfdual_pattern", "error", ((i,),),
-                                        float(abs(val)), "pattern"))
             continue
         dev = min(abs(val - 1.0), abs(val + 1.0))
         if dev > pol.int_tol:
@@ -190,21 +189,31 @@ def reference_realizability_report(md, pol=DEFAULT_POLICY):
                                 tuple((int(i),) for i in np.flatnonzero(ribbon > pol.eq_tol)),
                                 meas["twist_trace"], "ribbon"))
     report = make_report(diags, base.convention_note, meas)
-    return report, ((nu, m_plus, m_minus) if report.passed else None)
+    return report, ((nu, m_plus, m_minus) if report.passed else None), via_trace
 
 
 def assert_rows_match_reference(md, T, pol=DEFAULT_POLICY):
     """One stacked pass over the rows T with the S of md against the
-    per-datum reference on each row; returns the check_ids the rows fired."""
-    base = _validate_rows(md, T, pol)
-    bases = base.reports
-    reports, tables = _realizability_pass(md, base, pol, tables=True)
+    per-datum reference on each row; returns the check_ids the rows fired
+    and the number of non-self-dual sectors whose FS value was checked.
+
+    On a row whose report has no ``vacuum_fusion`` error, w_i tau[0][i] is
+    exactly 0 on every non-self-dual sector i: there N^0_ii = 0 and the
+    forbidden-channel clamp decides it, so the report needs no check of it."""
+    bases = _validate_rows(md, T, pol).reports
+    reports, tables = _realizability_pass(md, T, pol, tables=True)
     assert len(bases) == len(reports) == len(tables) == len(T)
-    fired = set()
+    conj = _s_facts(md, pol).conj
+    other = np.flatnonzero(conj != np.arange(len(conj))) if conj is not None else []
+    fired, clamped = set(), 0
     for r, t in enumerate(T):
         row = ModularData.from_matrices(md.S, t)  # a fresh S cache per row
-        want, want_tables = reference_realizability_report(row, pol)
+        want, want_tables, via_trace = reference_realizability_report(row, pol)
         got, base = reports[r], bases[r]
+        if via_trace is not None and len(other) and not any(
+                d.check_id == "vacuum_fusion" for d in got.diagnostics):
+            assert (via_trace[other] == 0).all(), (r, via_trace[other])
+            clamped += len(other)
 
         def listing(report):
             return [(d.check_id, d.severity, d.indices) for d in report.diagnostics]
@@ -218,11 +227,12 @@ def assert_rows_match_reference(md, T, pol=DEFAULT_POLICY):
             assert abs(got.measurements[key] - value) <= 1e-12, (r, key)
         assert (tables[r] is None) == (want_tables is None), r
         if tables[r] is not None:
-            _, _, nu, mt = tables[r]
+            dd, tt, nu, mt = tables[r]
+            assert (dd.twists[other] * tt.tau[0, other] == 0).all(), r
             for a, b in zip((nu.nu, mt.m_plus, mt.m_minus), want_tables):
                 assert np.array_equal(a, b), r
         fired.update(d.check_id for d in got.diagnostics)
-    return fired
+    return fired, clamped
 
 
 def tables(name):
@@ -539,7 +549,7 @@ class TestCauchyCheck:
 REPORT_CHECKS = {
     "s_unitary", "s_symmetric", "t_unimodular", "charge_conjugation", "st_cubed",
     "verlinde_integrality", "vacuum_fusion", "dims_row", "conjugate_symmetry", "derivation",
-    "cauchy", "trace_zero_channel", "fs_route_agreement", "fs_selfdual_pattern", "fs_value",
+    "cauchy", "trace_zero_channel", "fs_route_agreement", "fs_value",
     "mult_real", "mult_integer", "mult_range", "mult_parity", "trace_conjugation", "twist_trace",
 }
 
@@ -568,9 +578,10 @@ class TestStackedPass:
         assert rows
 
     def test_controls_fire_every_check(self, entries, single_failure_data):
-        fired = set()
+        fired, clamped = set(), 0
         for md in single_failure_data.values():
-            fired |= assert_rows_match_reference(md, md.T[None])
+            found, checked = assert_rows_match_reference(md, md.T[None])
+            fired, clamped = fired | found, clamped + checked
         ising, z3 = get_model("ising").modular_data, get_model("z3").modular_data
         # Ising x Ising has the self-dual sigma x sigma of dimension 2, whose
         # channel to the vacuum gets t = 2 > N = 1 under trivial twists
@@ -600,7 +611,8 @@ class TestStackedPass:
                 rows.append([[1.0, *roots[list(a)]]
                              for a in itertools.product(range(8), repeat=n - 1)])
             block = np.vstack([np.reshape(r, (-1, n)) for r in rows]).astype(complex)
-            fired |= assert_rows_match_reference(ModularData.from_matrices(S, T), block)
-        # w_i tau[0][i] is clamped to 0 on every sector i with N^0_ii = 0, and
-        # no datum here has a non-self-dual sector with N^0_ii > 0
-        assert fired == REPORT_CHECKS - {"fs_selfdual_pattern"}
+            found, checked = assert_rows_match_reference(ModularData.from_matrices(S, T), block)
+            fired, clamped = fired | found, clamped + checked
+        assert fired == REPORT_CHECKS
+        # the rows with a z3 S have two non-self-dual sectors
+        assert clamped

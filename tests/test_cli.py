@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -514,7 +515,7 @@ class TestRealizabilityCommandsAgree:
         # trace table and each realizability stage run once, and derive and
         # the one-datum validate not at all
         for mod, name in [(modata.cli, "validate"), (modata.cli, "derive"),
-                          (modata.cli, "_validate_rows"), (modata.bantay, "_trace_rows"),
+                          (modata.bantay, "_validate_rows"), (modata.bantay, "_trace_rows"),
                           (modata.bantay, "_trace_diagnostics"),
                           (modata.bantay, "_fs_diagnostics"),
                           (modata.bantay, "_multiplicity_diagnostics")]:
@@ -544,6 +545,56 @@ class TestRealizabilityCommandsAgree:
         assert outs["rmatrix"]["monodromy"]["verdict"] == "pass"
         for block in outs["rmatrix"]["blocks"]:
             assert abs(abs(complex(*block["value"])) - 1.0) < 1e-12
+
+
+def twisted_controls(seed=1):
+    """The negative controls of the benchmark's check_products workload:
+    Z_3 in the conjugate presentation, and each catalog model of rank > 1
+    with one twist T_i multiplied by a seeded root of unity of order <= 12."""
+    rng = random.Random(seed)
+    z3 = get_model("z3").modular_data
+    controls = {"z3_conjugate_presentation": ModularData.from_matrices(np.conj(z3.S), z3.T,
+                                                                       z3.labels)}
+    for e in catalog():
+        if e.md.rank == 1:
+            continue
+        sector = rng.randrange(1, e.md.rank)
+        q = rng.randint(2, 12)
+        p = rng.choice([p for p in range(1, q) if math.gcd(p, q) == 1])
+        T = e.md.T.copy()
+        T[sector] *= phase_from_turns(Fraction(p, q))
+        controls[f"{e.name}_twisted"] = ModularData.from_matrices(e.md.S, T, e.md.labels)
+    return controls
+
+
+class TestOneFailingPath:
+    """On failing data, bantay and rmatrix print the report check prints,
+    exit 1, and in human mode name its first failing check on stderr."""
+
+    @pytest.fixture()
+    def failing_files(self, tmp_path, bad_ising_file, single_failure_data):
+        data = {**twisted_controls(), **single_failure_data}
+        for case, (make, _) in TestFloatLimit.CASES.items():
+            data[case] = ModularData.from_matrices(*make())
+        files = {"bad_ising": bad_ising_file}
+        for name, md in data.items():
+            files[name] = tmp_path / f"{name}.json"
+            save_modular_data(md, files[name])
+        return files
+
+    def test_same_report_and_first_check(self, capsys, failing_files):
+        # nine controls, the Ising control, two overflows and three single failures
+        assert len(failing_files) == 15
+        for name, path in failing_files.items():
+            code, report, err = run(capsys, "--json", "check", str(path))
+            assert (code, err) == (1, ""), name
+            first = next(d["check_id"] for d in json.loads(report)["diagnostics"]
+                         if d["severity"] == "error")
+            _, human, _ = run(capsys, "check", str(path))
+            for cmd in ("bantay", "rmatrix"):
+                assert run(capsys, "--json", cmd, str(path)) == (1, report, ""), (name, cmd)
+                assert run(capsys, cmd, str(path)) == (
+                    1, human, f"data fails the {first} check; not realizable\n"), (name, cmd)
 
 
 class TestParserReuse:
