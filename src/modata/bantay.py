@@ -463,8 +463,9 @@ def realizability_report(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY)
     the others); the four multiplicity conditions per channel; trace
     invariance under charge conjugation.  Data that fail the axioms get
     these too.  The twist-trace identity sum_k d_k tau[k][i] = d_i w_i is a
-    warning only.  FS route agreement and trace conjugation follow from the rest in
-    exact arithmetic, yet under the tolerances either can be the only failure.
+    warning only.  FS route agreement and trace conjugation follow from the
+    rest in exact arithmetic, yet under the tolerances either can be the
+    only failure.
 
     The report is computed once per datum and policy; the data a stacked
     pass made (``_reported_rows``) already hold theirs.
