@@ -50,7 +50,7 @@ from .oracle import (
     get_model,
     load_model,
 )
-from .rmatrix import RBlock, canonical_r, monodromy_check
+from .rmatrix import RBlocks, canonical_r, monodromy_check
 from .search import (
     FusionRing,
     FusionRingError,
@@ -74,7 +74,7 @@ __all__ = [
     "turns_fraction",
     "CatalogEntry", "ExplicitModel", "brute_trace", "build_pointed_model",
     "catalog", "catalog_models", "catalog_names", "get_model", "load_model",
-    "RBlock", "canonical_r", "monodromy_check",
+    "RBlocks", "canonical_r", "monodromy_check",
     "FusionRing", "FusionRingError", "SearchResult", "candidate_s",
     "enumerate_t", "load_fusion_ring", "save_fusion_ring", "search_pipeline",
 ]

@@ -35,7 +35,7 @@ from .modular_data import (
 )
 from .numerics import DEFAULT_POLICY, TolerancePolicy, turns_fraction
 from .oracle import brute_trace, catalog, catalog_names, get_model
-from .rmatrix import _canonical_blocks, _monodromy
+from .rmatrix import canonical_r, monodromy_check
 from .search import FusionRingError, load_fusion_ring, search_pipeline
 
 EXIT_PASS = 0
@@ -153,13 +153,13 @@ def cmd_rmatrix(args, pol) -> int:
     if tables is None:
         return _print_failure(report, args)
     dd, _, _, mt = tables
-    blocks = _canonical_blocks(dd, mt)
-    mono = _monodromy(blocks, dd, pol)
+    blocks = canonical_r(dd, mt)
+    mono = monodromy_check(blocks, dd, pol)
     if args.json:
         _write_json(_Spliced(blocks=blocks.encode(), monodromy=mono.to_json_dict()), sys.stdout)
         return EXIT_PASS if mono.passed else EXIT_FAIL
     labels = list(md.labels)
-    for i, j, k, value, size, plus, minus in zip(*(a.tolist() for a in blocks)):
+    for i, j, k, value, size, plus, minus in blocks:
         ch = f"({labels[i]},{labels[j]};{labels[k]})"
         if i != j:
             print(f"  {ch:>18}  scalar  {fmt_complex(value, pol)}  x 1_{size}")

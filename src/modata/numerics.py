@@ -106,31 +106,6 @@ def phase_from_turns(turns: Fraction | float) -> complex:
     return cmath.exp(2j * math.pi * float(turns))
 
 
-def _near_convergent(t: float, max_denominator: int) -> tuple[int, int] | None:
-    """(p, q) of the fraction p/q, q <= max_denominator, within 1/(3 max_denominator^2)
-    of t, reduced mod 1; None when the float continued fraction of t finds none.
-
-    Any fraction that close is a convergent of t (Legendre: |t - p/q| <
-    1/(2 q^2) makes p/q a convergent), so walking the convergents in order of
-    their denominators finds it.  Rounding in the walk can only miss it,
-    never accept another: acceptance is the final distance test alone.
-    """
-    h0, h1, k0, k1 = 0, 1, 1, 0
-    x = t
-    while True:
-        a = math.floor(x)
-        h0, h1 = h1, a * h1 + h0
-        k0, k1 = k1, a * k1 + k0
-        if k1 > max_denominator:
-            return None
-        if 3.0 * max_denominator * max_denominator * abs(t - h1 / k1) <= 1.0:
-            return h1 % k1, k1
-        x -= a
-        if x == 0.0:
-            return None
-        x = 1.0 / x
-
-
 def turns_fraction(
     z: complex,
     max_denominator: int = 240,
@@ -141,24 +116,34 @@ def turns_fraction(
     Returns the reduced fraction in [0, 1) when z is unimodular and within
     int_tol of e^{2 pi i p/q}; otherwise None.
 
-    The candidate p/q is ``Fraction(t).limit_denominator(max_denominator)``
-    for t = arg(z)/(2 pi), the nearest fraction to t with q <= D =
-    max_denominator.  A fraction within 1/(3 D^2) of t is found first from
-    the convergents of t (``_near_convergent``), and it is that same nearest
-    fraction: two distinct fractions with denominators <= D differ by at least
-    1/D^2, so every other one lies at least 2/(3 D^2) from t.  Only when no
-    fraction is that close, as under a loose int_tol, does ``limit_denominator``
-    run.  The same int_tol test decides either way.
+    The candidate p/q is the nearest fraction to t = arg(z)/(2 pi) with
+    q <= D = max_denominator, found in integers on t's exact ratio as the
+    standard library's Fraction finds its best approximation: walk the
+    convergents of t while their denominators stay <= D, then keep the last
+    convergent or the last semiconvergent, whichever lies nearer to t (the
+    convergent on a tie).
     """
     z = complex(z)
     if abs(abs(z) - 1.0) > pol.int_tol:
         return None
-    turns = _principal_arg(z) / (2.0 * math.pi)
-    pq = _near_convergent(turns, max_denominator)
-    if pq is None:
-        frac = Fraction(turns).limit_denominator(max_denominator) % 1
-        pq = frac.numerator, frac.denominator
-    p, q = pq
+    if max_denominator < 1:
+        raise ValueError("max_denominator should be at least 1")
+    num, den = (_principal_arg(z) / (2.0 * math.pi)).as_integer_ratio()
+    p, q = num, den
+    if den > max_denominator:
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        n, d = num, den
+        while True:
+            a = n // d
+            if q0 + a * q1 > max_denominator:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+            n, d = d, n - a * d
+        k = (max_denominator - q0) // q1
+        ps, qs = p0 + k * p1, q0 + k * q1  # the semiconvergent on the other side of t
+        p, q = ((p1, q1) if abs(p1 * den - num * q1) * qs <= abs(ps * den - num * qs) * q1
+                else (ps, qs))
+    p %= q
     # float(p/q) is correctly rounded, as float(Fraction(p, q)) is
     if abs(z - phase_from_turns(p / q)) > pol.int_tol:
         return None

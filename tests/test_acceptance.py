@@ -191,15 +191,15 @@ def test_criterion_08_canonical_r_monodromy_and_signed_traces():
         dd = derive(e.md)
         tt = trace_table(e.md, dd)
         mt = eigen_multiplicities(e.md, dd, tt)
-        blocks = canonical_r(e.md, dd, mt)
+        blocks = canonical_r(dd, mt)
         report = monodromy_check(blocks, dd)
         assert report.verdict == "pass", e.name
-        for b in blocks:
-            i, j, k = b.channel
-            if b.form == "signed":
-                dev = abs(b.trace() - tt.tau[k, i])
-                worst = max(worst, dev)
-                assert dev <= 1e-9, (e.name, b.channel)
+        signed = blocks.I == blocks.J
+        K, I = blocks.K[signed], blocks.I[signed]
+        trace = blocks.values[signed] * (blocks.dim_plus[signed] - blocks.dim_minus[signed])
+        dev = float(np.abs(trace - tt.tau[K, I]).max())
+        worst = max(worst, dev)
+        assert dev <= 1e-9, e.name
     note(8, f"monodromy passes and signed-block traces reproduce tau, "
             f"max deviation {worst:.2e}")
 

@@ -499,7 +499,7 @@ class TestRealizabilityCommandsAgree:
             assert set(codes.values()) <= {0, 1}, (name, codes)
             assert len(set(codes.values())) == 1, (name, codes)
 
-    @pytest.mark.parametrize("cmd", ["bantay", "rmatrix"])
+    @pytest.mark.parametrize("cmd", ["check", "bantay", "rmatrix"])
     def test_each_stage_runs_once(self, capsys, monkeypatch, ising_file, cmd):
         import modata.bantay
 
@@ -513,8 +513,10 @@ class TestRealizabilityCommandsAgree:
 
         # one stacked pass over a block of one row: the axiom checks, the
         # trace table and each realizability stage run once, and derive and
-        # the one-datum validate not at all
+        # the one-datum validate not at all; rmatrix then builds and checks
+        # its R-blocks once, through the public functions
         for mod, name in [(modata.cli, "validate"), (modata.cli, "derive"),
+                          (modata.cli, "canonical_r"), (modata.cli, "monodromy_check"),
                           (modata.bantay, "_validate_rows"), (modata.bantay, "_trace_rows"),
                           (modata.bantay, "_trace_diagnostics"),
                           (modata.bantay, "_fs_diagnostics"),
@@ -522,9 +524,10 @@ class TestRealizabilityCommandsAgree:
             monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         code, _, _ = run(capsys, cmd, str(ising_file))
         assert code == 0
+        r_blocks = {"canonical_r": 1, "monodromy_check": 1} if cmd == "rmatrix" else {}
         assert calls == {"_validate_rows": 1, "_trace_rows": 1,
                          "_trace_diagnostics": 1, "_fs_diagnostics": 1,
-                         "_multiplicity_diagnostics": 1}
+                         "_multiplicity_diagnostics": 1, **r_blocks}
 
     @pytest.mark.parametrize("flags, factors", [((), [1 - 0.9e-9, 1 + 0.9e-9]),
                                                 (("--tol", "0.01"), [1, 1.001])])

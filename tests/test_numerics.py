@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from modata.numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
-    _near_convergent,
     _principal_arg,
     phase_from_turns,
     principal_root,
@@ -111,6 +110,10 @@ class TestTurns:
     def test_irrational_phase_is_none(self):
         assert turns_fraction(cmath.exp(1j)) is None
 
+    def test_denominator_bound_below_one_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            turns_fraction(1j, 0)
+
 
 LOOSE = TolerancePolicy(eq_tol=1e-3, int_tol=1e-2)
 
@@ -127,10 +130,10 @@ def reference_turns_fraction(z, max_denominator=240, pol=DEFAULT_POLICY):
 
 
 class TestTurnsFractionFastPath:
-    """The convergent walk returns what limit_denominator returns."""
+    """The integer convergent walk returns what limit_denominator returns."""
 
     def test_every_fraction_up_to_240(self):
-        fallback_hits = 0
+        far_hits = 0
         for q in range(1, 241):
             for p in range(q):
                 if math.gcd(p, q) != 1:
@@ -144,10 +147,13 @@ class TestTurnsFractionFastPath:
                         assert got == reference_turns_fraction(z, pol=pol), (p, q, eps, pol)
                     if eps == 0.0:
                         assert got == Fraction(p, q)
-                    t = _principal_arg(z) / (2.0 * math.pi)
-                    if got is not None and _near_convergent(t, 240) is None:
-                        fallback_hits += 1  # accepted under LOOSE by limit_denominator
-        assert fallback_hits > 10_000
+                    # accepted under LOOSE though farther than 1/(3 D^2) from
+                    # t: no closeness bound alone singles the fraction out
+                    t = Fraction(_principal_arg(z) / (2.0 * math.pi))
+                    if got is not None and abs((t - got + Fraction(1, 2)) % 1 - Fraction(1, 2)) \
+                            > Fraction(1, 3 * 240 ** 2):
+                        far_hits += 1
+        assert far_hits > 10_000
 
     @given(st.floats(min_value=-0.5, max_value=0.5),
            st.sampled_from([1, 2, 7, 60, 240, 1000]),

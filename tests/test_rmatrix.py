@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -16,7 +17,6 @@ from modata import (
     trace_table,
 )
 from modata.numerics import phase_from_turns
-from modata.rmatrix import RBlock
 
 TRIVIAL = ModularData.from_matrices([[1.0]], [1.0])
 
@@ -29,61 +29,47 @@ def full_pipeline(md):
     dd = derive(md)
     tt = trace_table(md, dd)
     mt = eigen_multiplicities(md, dd, tt)
-    return dd, tt, mt, canonical_r(md, dd, mt)
+    return dd, tt, mt, canonical_r(dd, mt)
 
 
-class TestRBlock:
-    def test_scalar_needs_distinct_sectors(self):
-        with pytest.raises(ValueError):
-            RBlock((1, 1, 0), "scalar", 1.0, size=1)
+def by_channel(blocks):
+    """(i, j, k) -> (value, size, dim_plus, dim_minus) of each block."""
+    return {(i, j, k): rest for i, j, k, *rest in blocks}
 
-    def test_signed_needs_equal_sectors(self):
-        with pytest.raises(ValueError):
-            RBlock((0, 1, 1), "signed", 1.0, dim_plus=1)
 
-    def test_value_must_be_unimodular(self):
-        with pytest.raises(ValueError):
-            RBlock((0, 1, 1), "scalar", 2.0, size=1)
-
-    def test_as_matrix_orders_plus_first(self):
-        b = RBlock((1, 1, 0), "signed", 1j, dim_plus=1, dim_minus=2)
-        assert np.allclose(np.diag(b.as_matrix()), [1j, -1j, -1j])
-
-    def test_unitary_as_matrix(self):
-        b = RBlock((0, 1, 1), "scalar", turn(3, 7), size=2)
-        M = b.as_matrix()
-        assert np.allclose(M @ M.conj().T, np.eye(2))
+def signed_traces(blocks):
+    """Channels (K, I) and traces value * (dim_plus - dim_minus) of the signed blocks."""
+    signed = blocks.I == blocks.J
+    trace = blocks.values * (blocks.dim_plus - blocks.dim_minus)
+    return blocks.K[signed], blocks.I[signed], trace[signed]
 
 
 class TestCanonicalR:
     def test_trivial_single_signed_identity(self):
         dd, tt, mt, blocks = full_pipeline(TRIVIAL)
         assert len(blocks) == 1
-        b = blocks[0]
-        assert b.channel == (0, 0, 0) and b.form == "signed"
-        assert abs(b.value - 1.0) < 1e-12
-        assert (b.dim_plus, b.dim_minus) == (1, 0)
+        value, size, plus, minus = by_channel(blocks)[0, 0, 0]
+        assert abs(value - 1.0) < 1e-12
+        assert (size, plus, minus) == (0, 1, 0)
 
     def test_ising_sigma_psi_channel_is_i(self):
         md = get_model("ising").modular_data
         _, _, _, blocks = full_pipeline(md)
-        by = {b.channel: b for b in blocks}
-        b = by[(1, 2, 1)]
+        by = by_channel(blocks)
+        value, size, _, _ = by[1, 2, 1]
         # w_sigma/(w_sigma w_psi) = -1 and principal sqrt(-1) = i
-        assert b.form == "scalar" and b.size == 1
-        assert abs(b.value - 1j) < 1e-12
-        assert abs(by[(2, 1, 1)].value - 1j) < 1e-12
+        assert size == 1
+        assert abs(value - 1j) < 1e-12
+        assert abs(by[2, 1, 1][0] - 1j) < 1e-12
 
     def test_fibonacci_tau_tau_tau_block(self):
         md = get_model("fibonacci").modular_data
         _, tt, _, blocks = full_pipeline(md)
-        by = {b.channel: b for b in blocks}
-        b = by[(1, 1, 1)]
-        assert b.form == "signed"
-        assert abs(b.value - turn(-1, 5)) < 1e-12  # w_tau^{-1} sqrt(w_tau)
-        assert (b.dim_plus, b.dim_minus) == (0, 1)
+        value, size, plus, minus = by_channel(blocks)[1, 1, 1]
+        assert abs(value - turn(-1, 5)) < 1e-12  # w_tau^{-1} sqrt(w_tau)
+        assert (size, plus, minus) == (0, 0, 1)
         # the operator is -e^{-2 pi i/5} = e^{3 pi i/5}, the oracle scalar
-        assert abs(b.trace() - turn(3, 10)) < 1e-12
+        assert abs(value * (plus - minus) - turn(3, 10)) < 1e-12
 
     def test_one_block_per_nonzero_channel(self, entries):
         # in the row-major order of N's support: the JSON block order is output
@@ -92,7 +78,16 @@ class TestCanonicalR:
             n = e.md.rank
             want = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
                     if dd.fusion[i, j, k] > 0]
-            assert [b.channel for b in blocks] == want, e.name
+            assert len(blocks) == len(want), e.name
+            assert [(i, j, k) for i, j, k, *_ in blocks] == want, e.name
+
+    def test_arrays_are_read_only(self):
+        _, _, _, blocks = full_pipeline(get_model("ising").modular_data)
+        for a in (blocks.I, blocks.J, blocks.K, blocks.values, blocks.size,
+                  blocks.dim_plus, blocks.dim_minus):
+            assert len(a) == len(blocks)
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
 
     def test_mismatched_multiplicities_rejected(self):
         md = get_model("ising").modular_data
@@ -102,50 +97,55 @@ class TestCanonicalR:
         other = get_model("fibonacci").modular_data
         dd_f = derive(other)
         with pytest.raises(ValueError, match="not realizable"):
-            canonical_r(other, dd_f, mt)
+            canonical_r(dd_f, mt)
 
     def test_scalar_value_squares_to_monodromy(self, entries):
         for e in entries:
             dd, _, _, blocks = full_pipeline(e.md)
-            w = dd.twists
-            for b in blocks:
-                i, j, k = b.channel
-                if b.form == "scalar":
-                    assert abs(b.value ** 2 - w[k] / (w[i] * w[j])) <= 1e-9, e.name
+            w, scalar = dd.twists, blocks.I != blocks.J
+            I, J, K = blocks.I[scalar], blocks.J[scalar], blocks.K[scalar]
+            dev = np.abs(blocks.values[scalar] ** 2 - w[K] / (w[I] * w[J]))
+            assert dev.max(initial=0.0) <= 1e-9, e.name
 
     def test_signed_value_and_trace(self, entries):
         # value^2 = w_k/w_i^2 and trace ties back to the trace table
         for e in entries:
             dd, tt, _, blocks = full_pipeline(e.md)
-            w = dd.twists
-            for b in blocks:
-                i, j, k = b.channel
-                if b.form == "signed":
-                    assert abs(b.value ** 2 - w[k] / w[i] ** 2) <= 1e-9, e.name
-                    assert abs(b.trace() - tt.tau[k, i]) <= 1e-9, e.name
+            w, signed = dd.twists, blocks.I == blocks.J
+            I, K = blocks.I[signed], blocks.K[signed]
+            assert np.abs(blocks.values[signed] ** 2 - w[K] / w[I] ** 2).max() <= 1e-9, e.name
+            K, I, trace = signed_traces(blocks)
+            assert np.abs(trace - tt.tau[K, I]).max() <= 1e-9, e.name
 
     def test_blocks_are_unitary(self, entries):
+        # each block is its value times a diagonal of signs: unitary exactly
+        # when the value is a phase and the block has a dimension
         for e in entries:
             _, _, _, blocks = full_pipeline(e.md)
-            for b in blocks:
-                M = b.as_matrix()
-                assert np.max(np.abs(M @ M.conj().T - np.eye(b.dim))) < 1e-9, e.name
+            assert np.abs(np.abs(blocks.values) - 1.0).max() < 1e-9, e.name
+            assert (blocks.size + blocks.dim_plus + blocks.dim_minus >= 1).all(), e.name
 
     def test_encoded_blocks_equal_json_dumps_of_the_dicts(self, entries):
         # rmatrix --json writes the blocks' text straight from the arrays; it
-        # is json.dumps of the RBlock dicts, byte for byte
-        from modata.rmatrix import _canonical_blocks
-
+        # is json.dumps of these dicts, byte for byte
         for a, b in [(x, y) for x in entries for y in entries][::7]:
             md = ModularData.from_matrices(np.kron(a.md.S, b.md.S), np.kron(a.md.T, b.md.T))
-            dd, _, mt, blocks = full_pipeline(md)
-            want = json.dumps([blk.to_json_dict() for blk in blocks])
-            assert _canonical_blocks(dd, mt).encode() == want, (a.name, b.name)
+            _, _, _, blocks = full_pipeline(md)
+            rows = zip(*(x.tolist() for x in (blocks.I, blocks.J, blocks.K, blocks.values,
+                                              blocks.size, blocks.dim_plus, blocks.dim_minus)))
+            want = json.dumps([
+                {"channel": [i, j, k], "form": "scalar", "value": [v.real, v.imag], "size": size}
+                if i != j else
+                {"channel": [i, j, k], "form": "signed", "value": [v.real, v.imag],
+                 "dim_plus": plus, "dim_minus": minus}
+                for i, j, k, v, size, plus, minus in rows])
+            assert blocks.encode() == want, (a.name, b.name)
 
     def test_serialization_schema(self):
         md = get_model("ising").modular_data
         _, _, _, blocks = full_pipeline(md)
-        docs = [b.to_json_dict() for b in blocks]
+        docs = json.loads(blocks.encode())
+        assert len(docs) == len(blocks)
         for d in docs:
             assert d["form"] in ("scalar", "signed")
             assert len(d["channel"]) == 3 and len(d["value"]) == 2
@@ -177,14 +177,13 @@ class TestAgainstOracle:
             r = m.r_scalars
             _, _, _, blocks = full_pipeline(m.modular_data)
             assert len(blocks) == len(r), m.name
-            for b in blocks:
-                i, j, k = b.channel
-                if b.form == "signed":
-                    assert b.dim == 1, m.name
-                    sign = 1 if b.dim_plus else -1
-                    assert abs(b.value * sign - r[i, i, k]) <= 1e-9, (m.name, b.channel)
+            for i, j, k, value, _, plus, minus in blocks:
+                if i == j:
+                    assert plus + minus == 1, m.name
+                    sign = 1 if plus else -1
+                    assert abs(value * sign - r[i, i, k]) <= 1e-9, (m.name, (i, j, k))
                 else:
-                    assert abs(b.value ** 2 - r[i, j, k] * r[j, i, k]) <= 1e-9, (m.name, b.channel)
+                    assert abs(value ** 2 - r[i, j, k] * r[j, i, k]) <= 1e-9, (m.name, (i, j, k))
 
 
 class TestMonodromyCheck:
@@ -202,12 +201,9 @@ class TestMonodromyCheck:
     def test_corrupted_scalar_block_caught(self):
         md = get_model("ising").modular_data
         dd, _, _, blocks = full_pipeline(md)
-        bad = []
-        for b in blocks:
-            if b.channel == (1, 2, 1):
-                b = RBlock(b.channel, b.form, -b.value, size=b.size)
-            bad.append(b)
-        report = monodromy_check(bad, dd)
+        values = blocks.values.copy()
+        values[[(i, j, k) for i, j, k, *_ in blocks].index((1, 2, 1))] *= -1
+        report = monodromy_check(dataclasses.replace(blocks, values=values), dd)
         assert report.verdict == "fail"
         flagged = {d.indices[0] for d in report.errors()}
         assert (1, 2, 1) in flagged
@@ -220,9 +216,7 @@ class TestMonodromyCheck:
             tt = trace_table(e.md, dd)
             with other_branch():
                 mt = eigen_multiplicities(e.md, dd, tt)
-                blocks = canonical_r(e.md, dd, mt)
+                blocks = canonical_r(dd, mt)
             assert monodromy_check(blocks, dd).verdict == "pass", e.name
-            for b in blocks:
-                i, j, k = b.channel
-                if b.form == "signed":
-                    assert abs(b.trace() - tt.tau[k, i]) <= 1e-9, e.name
+            K, I, trace = signed_traces(blocks)
+            assert np.abs(trace - tt.tau[K, I]).max() <= 1e-9, e.name
