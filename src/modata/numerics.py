@@ -128,21 +128,23 @@ def turns_fraction(
         return None
     if max_denominator < 1:
         raise ValueError("max_denominator should be at least 1")
-    num, den = (_principal_arg(z) / (2.0 * math.pi)).as_integer_ratio()
-    p, q = num, den
-    if den > max_denominator:
+    p, q = (_principal_arg(z) / (2.0 * math.pi)).as_integer_ratio()
+    if q > max_denominator:
+        n, d, den = p, q, q
         p0, q0, p1, q1 = 0, 1, 1, 0
-        n, d = num, den
         while True:
             a = n // d
-            if q0 + a * q1 > max_denominator:
+            q2 = q0 + a * q1
+            if q2 > max_denominator:
                 break
-            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+            p0, p1 = p1, p0 + a * p1
+            q0, q1 = q1, q2
             n, d = d, n - a * d
+        # t lies d/(q1 den) from the convergent p1/q1, and the semiconvergent
+        # on its other side lies 1/(q1 qs) from p1/q1
         k = (max_denominator - q0) // q1
-        ps, qs = p0 + k * p1, q0 + k * q1  # the semiconvergent on the other side of t
-        p, q = ((p1, q1) if abs(p1 * den - num * q1) * qs <= abs(ps * den - num * qs) * q1
-                else (ps, qs))
+        qs = q0 + k * q1
+        p, q = (p1, q1) if 2 * d * qs <= den else (p0 + k * p1, qs)
     p %= q
     # float(p/q) is correctly rounded, as float(Fraction(p, q)) is
     if abs(z - phase_from_turns(p / q)) > pol.int_tol:

@@ -22,13 +22,13 @@ blocks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .axioms import AxiomReport, Diagnostic, make_report
 from .bantay import MultiplicityTable
-from .modular_data import DerivedData, _Encoded, _readonly
+from .modular_data import DerivedData, _Encoded
 from .numerics import DEFAULT_POLICY, TolerancePolicy, _modulus, _phase, principal_sqrt
 
 __all__ = ["RBlocks", "canonical_r", "monodromy_check"]
@@ -51,14 +51,14 @@ class RBlocks:
     dim_minus: np.ndarray
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, _readonly(np.asarray(getattr(self, f.name))))
+        for a in vars(self).values():
+            a.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.I)
 
     def __iter__(self):
-        return zip(*(getattr(self, f.name).tolist() for f in fields(self)))
+        return zip(*(a.tolist() for a in vars(self).values()))
 
     def encode(self) -> _Encoded:
         """The blocks' JSON text, as ``json.dumps`` writes a list of {"channel",

@@ -112,9 +112,8 @@ class TestCanonicalR:
         for e in entries:
             dd, tt, _, blocks = full_pipeline(e.md)
             w, signed = dd.twists, blocks.I == blocks.J
-            I, K = blocks.I[signed], blocks.K[signed]
-            assert np.abs(blocks.values[signed] ** 2 - w[K] / w[I] ** 2).max() <= 1e-9, e.name
             K, I, trace = signed_traces(blocks)
+            assert np.abs(blocks.values[signed] ** 2 - w[K] / w[I] ** 2).max() <= 1e-9, e.name
             assert np.abs(trace - tt.tau[K, I]).max() <= 1e-9, e.name
 
     def test_blocks_are_unitary(self, entries):
