@@ -11,10 +11,7 @@ __version__ = "0.1.0"
 
 from .axioms import AxiomReport, Diagnostic, detect_convention, validate
 from .bantay import (
-    IndicatorVector,
-    MultiplicityTable,
     RealizabilityError,
-    TraceTable,
     eigen_multiplicities,
     fs_indicators,
     realizability_report,
@@ -65,8 +62,8 @@ from .search import (
 __all__ = [
     "__version__",
     "AxiomReport", "Diagnostic", "detect_convention", "validate",
-    "IndicatorVector", "MultiplicityTable", "RealizabilityError", "TraceTable",
-    "eigen_multiplicities", "fs_indicators", "realizability_report", "trace_table",
+    "RealizabilityError", "eigen_multiplicities", "fs_indicators", "realizability_report",
+    "trace_table",
     "DerivedData", "InvalidModularData", "ModularData", "charge_conjugation",
     "derive", "dims", "load_modular_data", "save_modular_data", "twists",
     "verlinde_fusion",

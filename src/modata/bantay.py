@@ -40,7 +40,6 @@ K = sum_i N_i N_ibar, are those dividing the order of the twists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -52,9 +51,6 @@ from .numerics import (DEFAULT_POLICY, TolerancePolicy, _modulus, _phase, princi
                        turns_fraction)
 
 __all__ = [
-    "TraceTable",
-    "IndicatorVector",
-    "MultiplicityTable",
     "RealizabilityError",
     "trace_table",
     "fs_indicators",
@@ -73,47 +69,6 @@ class RealizabilityError(ValueError):
         self.diagnostics = tuple(diagnostics)
         msg = "; ".join(d.message for d in self.diagnostics[:3])
         super().__init__(f"{len(self.diagnostics)} violation(s): {msg}")
-
-
-@dataclass(frozen=True)
-class TraceTable:
-    """tau[k][i]: trace of the self-braiding of i restricted to channel k."""
-
-    tau: np.ndarray  # (rank, rank) complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "tau", _readonly(np.asarray(self.tau, dtype=complex)))
-
-    def to_json_dict(self) -> dict:
-        return {"tau": np.stack((self.tau.real, self.tau.imag), -1).tolist()}
-
-
-@dataclass(frozen=True)
-class IndicatorVector:
-    """nu[i] in {-1, 0, +1}; 0 exactly for non-self-conjugate sectors."""
-
-    nu: np.ndarray  # (rank,) int
-
-    def __post_init__(self):
-        object.__setattr__(self, "nu", _readonly(np.asarray(self.nu, dtype=int)))
-
-    def to_json_dict(self) -> dict:
-        return {"nu": self.nu.tolist()}
-
-
-@dataclass(frozen=True)
-class MultiplicityTable:
-    """Eigenvalue multiplicities; m_plus + m_minus = N^k_{i,i} entrywise."""
-
-    m_plus: np.ndarray   # (rank, rank) int, indexed [k, i]
-    m_minus: np.ndarray  # (rank, rank) int
-
-    def __post_init__(self):
-        object.__setattr__(self, "m_plus", _readonly(np.asarray(self.m_plus, dtype=int)))
-        object.__setattr__(self, "m_minus", _readonly(np.asarray(self.m_minus, dtype=int)))
-
-    def to_json_dict(self) -> dict:
-        return {"m_plus": self.m_plus.tolist(), "m_minus": self.m_minus.tolist()}
 
 
 def _failing(mask: np.ndarray):
@@ -164,13 +119,14 @@ def _trace_diagnostics(tau: np.ndarray, N: np.ndarray, pol: TolerancePolicy):
 
 
 def trace_table(md: ModularData, dd: DerivedData,
-                pol: TolerancePolicy = DEFAULT_POLICY) -> TraceTable:
-    """Evaluate the double sum for every (k, i); md must already validate."""
+                pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+    """tau[k][i], the double sum for every (k, i), as a read-only (n, n)
+    complex array; md must already validate."""
     tau = _trace_rows(md.S, dd.fusion, dd.twists[None])
     diags = _trace_diagnostics(tau, dd.fusion, pol)[0]
     if diags:
         raise RealizabilityError(diags)
-    return TraceTable(tau=tau[0])
+    return _readonly(tau[0])
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +184,16 @@ def _fs_diagnostics(S0: np.ndarray, N: np.ndarray, conj: np.ndarray, W: np.ndarr
     return nu, diags
 
 
-def fs_indicators(md: ModularData, dd: DerivedData, tt: TraceTable,
-                  pol: TolerancePolicy = DEFAULT_POLICY) -> IndicatorVector:
-    """Indicators by both routes; raises RealizabilityError on any mismatch."""
+def fs_indicators(md: ModularData, dd: DerivedData, tau: np.ndarray,
+                  pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+    """nu[i] in {-1, 0, +1} by both routes from the trace table ``tau``, as a
+    read-only (n,) int array; 0 exactly on the sectors that are not
+    self-dual.  Raises RealizabilityError on any mismatch."""
     nu, diags = _fs_diagnostics(md.S[:, 0], dd.fusion, dd.conj, dd.twists[None],
-                                tt.tau[None], pol)
+                                tau[None], pol)
     if diags[0]:
         raise RealizabilityError(diags[0])
-    return IndicatorVector(nu=nu[0])
+    return _readonly(nu[0])
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +239,21 @@ def _multiplicity_diagnostics(N: np.ndarray, W: np.ndarray, tau: np.ndarray,
     return m_plus, m_good - m_plus, diags
 
 
-def eigen_multiplicities(md: ModularData, dd: DerivedData, tt: TraceTable,
-                         pol: TolerancePolicy = DEFAULT_POLICY) -> MultiplicityTable:
-    """Split each N^k_{i,i} into the two eigenvalue multiplicities.
+def eigen_multiplicities(md: ModularData, dd: DerivedData, tau: np.ndarray,
+                         pol: TolerancePolicy = DEFAULT_POLICY
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Split each N^k_{i,i} into the two eigenvalue multiplicities: (m_plus,
+    m_minus), read-only (n, n) int arrays indexed [k, i], whose sum is
+    N^k_{i,i} entrywise.
 
     w_k^{1/2} is the principal square root.  Raises RealizabilityError when
     any channel fails the reality/integrality/range/parity conditions.
     """
     m_plus, m_minus, diags = _multiplicity_diagnostics(dd.fusion, dd.twists[None],
-                                                       tt.tau[None], pol)
+                                                       tau[None], pol)
     if diags[0]:
         raise RealizabilityError(diags[0])
-    return MultiplicityTable(m_plus=m_plus[0], m_minus=m_minus[0])
+    return _readonly(m_plus[0]), _readonly(m_minus[0])
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +315,9 @@ def _realizability_pass(md: ModularData, T: np.ndarray, pol: TolerancePolicy,
                         ) -> tuple[list[AxiomReport], list[tuple | None] | None]:
     """(reports, tables): ``realizability_report`` on each row of the
     (R, n) block T of diagonals with the S of ``md``, whose T is not read.
-    With ``tables``, per row the tables (dd, tt, nu, mt) its passing report
-    was decided on, or None when it fails; without, no table object is
-    built and the second item is None.
+    With ``tables``, per row the read-only tables (dd, tau, nu, m_plus,
+    m_minus) its passing report was decided on, or None when it fails;
+    without, the second item is None.
 
     The axiom checks (``axioms._validate_rows``), the trace tables, the FS
     sums, the multiplicity integers t_{k,i} with their masks and the trace
@@ -426,8 +387,7 @@ def _realizability_pass(md: ModularData, T: np.ndarray, pol: TolerancePolicy,
         if tables:
             row_tables.append((DerivedData(dims=dims, twists=W[j], conj=conj, fusion=N,
                                            total_dim=facts.total_dim),
-                               TraceTable(tau=tau[j]), IndicatorVector(nu=nu[j]),
-                               MultiplicityTable(m_plus=m_plus[j], m_minus=m_minus[j]))
+                               *map(_readonly, (tau[j], nu[j], m_plus[j], m_minus[j])))
                               if report.passed else None)
     return reports, (row_tables if tables else None)
 

@@ -121,26 +121,27 @@ def cmd_bantay(args, pol) -> int:
     (report,), (tables,) = _realizability_pass(md, md.T[None], pol, tables=True)
     if tables is None:
         return _print_failure(report, args)
-    _, tt, nu, mt = tables
+    _, tau, nu, m_plus, m_minus = tables
     if args.json:
-        doc = {**tt.to_json_dict(), **nu.to_json_dict(), **mt.to_json_dict()}
-        _write_json(doc, sys.stdout)
+        # each tau[k][i] as [re, im]
+        _write_json({"tau": [[[z.real, z.imag] for z in row] for row in tau.tolist()],
+                     "nu": nu.tolist(), "m_plus": m_plus.tolist(), "m_minus": m_minus.tolist()},
+                    sys.stdout)
         return EXIT_PASS
     labels = list(md.labels)
-    _print_matrix("self-braiding traces tau[k][i] (rows k, columns i)",
-                  tt.tau, labels, pol)
+    _print_matrix("self-braiding traces tau[k][i] (rows k, columns i)", tau, labels, pol)
     print("Frobenius-Schur indicators:")
-    for i, v in enumerate(nu.nu):
+    for i, v in enumerate(nu):
         print(f"  {labels[i]:>8} : {v:+d}" if v else f"  {labels[i]:>8} :  0")
     if not args.quiet:
-        _print_int_matrix("m_plus[k][i]", mt.m_plus, labels)
-        _print_int_matrix("m_minus[k][i]", mt.m_minus, labels)
+        _print_int_matrix("m_plus[k][i]", m_plus, labels)
+        _print_int_matrix("m_minus[k][i]", m_minus, labels)
         # |t| and parity let the user re-derive the labels under the other
         # square-root branch (which just swaps m+ and m-)
         print("self-braiding channels (k, i): t = m+ - m-, N = N^k_ii:")
-        n_ch = mt.m_plus + mt.m_minus
+        n_ch = m_plus + m_minus
         for k, i in zip(*n_ch.nonzero()):
-            t = int(mt.m_plus[k, i] - mt.m_minus[k, i])
+            t = int(m_plus[k, i] - m_minus[k, i])
             parity = "even" if n_ch[k, i] % 2 == 0 else "odd"
             print(f"  ({labels[k]},{labels[i]}): t = {t:+d}, |t| = {abs(t)}, "
                   f"N = {n_ch[k, i]} ({parity})")
@@ -152,8 +153,8 @@ def cmd_rmatrix(args, pol) -> int:
     (report,), (tables,) = _realizability_pass(md, md.T[None], pol, tables=True)
     if tables is None:
         return _print_failure(report, args)
-    dd, _, _, mt = tables
-    blocks = canonical_r(dd, mt)
+    dd, _, _, m_plus, m_minus = tables
+    blocks = canonical_r(dd, m_plus, m_minus)
     mono = monodromy_check(blocks, dd, pol)
     if args.json:
         _write_json(_Spliced(blocks=blocks.encode(), monodromy=mono.to_json_dict()), sys.stdout)
@@ -209,13 +210,13 @@ def cmd_oracle(args, pol) -> int:
         return EXIT_PARSE
     md = model.modular_data
     dd = derive(md, pol)
-    tt = trace_table(md, dd, pol)
+    tau = trace_table(md, dd, pol)
     rows = []
     worst = 0.0
     for i in range(md.rank):
         for k in range(md.rank):
             b = brute_trace(model, i, k)
-            f = tt.tau[k, i]
+            f = tau[k, i]
             delta = abs(f - b)
             worst = max(worst, delta)
             rows.append((i, k, b, f, delta))

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .axioms import AxiomReport, Diagnostic, make_report
-from .bantay import MultiplicityTable
 from .modular_data import DerivedData, _Encoded
 from .numerics import DEFAULT_POLICY, TolerancePolicy, _modulus, _phase, principal_sqrt
 
@@ -72,16 +71,16 @@ class RBlocks:
             for i, j, k, v, size, plus, minus in self]) + "]")
 
 
-def canonical_r(dd: DerivedData, mt: MultiplicityTable) -> RBlocks:
+def canonical_r(dd: DerivedData, m_plus: np.ndarray, m_minus: np.ndarray) -> RBlocks:
     """One block per ordered triple (i, j, k) with N^k_{i,j} > 0.
 
-    ``mt`` must come from ``eigen_multiplicities`` on the same data; data
-    that failed realizability has no canonical R-matrices.  Square roots are
-    principal, the branch that labels ``mt``, so each signed block's trace
-    value * (dim_plus - dim_minus) is tau[k][i].
+    ``m_plus`` and ``m_minus`` must come from ``eigen_multiplicities`` on the
+    same data; data that failed realizability has no canonical R-matrices.
+    Square roots are principal, the branch that labels m+/-, so each signed
+    block's trace value * (dim_plus - dim_minus) is tau[k][i].
     """
     w, N = dd.twists, dd.fusion
-    total, diagonal = mt.m_plus + mt.m_minus, N.diagonal()
+    total, diagonal = m_plus + m_minus, N.diagonal()
     if total.shape != diagonal.shape or (total != diagonal).any():
         raise ValueError("not realizable: multiplicity table does not match the fusion tensor")
     I, J, K = N.nonzero()
@@ -89,8 +88,8 @@ def canonical_r(dd: DerivedData, mt: MultiplicityTable) -> RBlocks:
     # (w_k/(w_i w_j))^{1/2}, or w_k^{1/2}/w_i when i = j
     root = principal_sqrt(_phase(np.where(signed, w[K], w[K] / (w[I] * w[J]))))
     values = np.where(signed, root / _phase(w[I]), root)
-    return RBlocks(I, J, K, values, N[I, J, K] * ~signed, mt.m_plus[K, I] * signed,
-                   mt.m_minus[K, I] * signed)
+    return RBlocks(I, J, K, values, N[I, J, K] * ~signed, m_plus[K, I] * signed,
+                   m_minus[K, I] * signed)
 
 
 def monodromy_check(blocks: RBlocks, dd: DerivedData,

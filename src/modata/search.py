@@ -258,9 +258,15 @@ def candidate_s(fr: FusionRing, pol: TolerancePolicy = DEFAULT_POLICY) -> list[n
 
 @lru_cache(maxsize=8)
 def _roots_of_unity(max_order: int) -> tuple[Fraction, ...]:
-    """The turns p/q in [0, 1) with q <= max_order, sorted; built once per max_order."""
-    return tuple(sorted({Fraction(p, q) for q in range(1, max_order + 1)
-                         for p in range(q) if math.gcd(p, q) == 1}))
+    """The turns p/q in [0, 1) with q <= max_order, sorted; built once per max_order.
+
+    Each turn is built once, in lowest terms.  The sort key is the float
+    p/q: distinct turns differ by at least 1/max_order^2, and int / int
+    rounds correctly, so the floats keep the exact order while
+    max_order < 2^26."""
+    return tuple(sorted((Fraction(p, q) for q in range(1, max_order + 1)
+                         for p in range(q) if math.gcd(p, q) == 1),
+                        key=lambda f: f.numerator / f.denominator))
 
 
 def _twist_orbits(md: ModularData, pol: TolerancePolicy) -> list[list[int]]:
@@ -566,7 +572,8 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
 # ---------------------------------------------------------------------------
 
 def load_fusion_ring(source: str | Path | IO[str]) -> FusionRing:
-    """Read {"rank": int, "N": [[[int...]...]...]} with N[i][j][k] = N^k_{i,j}."""
+    """Read {"rank": int, "N": [[[int...]...]...]} with N[i][j][k] = N^k_{i,j};
+    a rank above the search bound is refused before the ring is built."""
     doc = _read_json(source, FusionRingError)
     try:
         rank = doc["rank"]
@@ -575,6 +582,8 @@ def load_fusion_ring(source: str | Path | IO[str]) -> FusionRing:
         raise FusionRingError(f"missing or malformed field: {exc}") from exc
     if not _is_json_int(rank):
         raise FusionRingError(f'"rank" must be an integer, got {rank!r}')
+    if rank > MAX_SEARCH_RANK:  # before the ring checks, whose tensors grow as rank^4
+        raise FusionRingError(f"rank {rank} exceeds the search bound {MAX_SEARCH_RANK}")
     for x in N.flat:
         if not _is_json_int(x):
             raise FusionRingError(f"fusion multiplicities must be integers, got {x!r}")

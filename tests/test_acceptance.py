@@ -77,10 +77,10 @@ def test_criterion_02_oracle_equivalence_every_model_every_channel():
     n_channels = 0
     for m in catalog_models():
         dd = derive(m.modular_data)
-        tt = trace_table(m.modular_data, dd)
+        tau = trace_table(m.modular_data, dd)
         for i in range(m.rank):
             for k in range(m.rank):
-                delta = abs(tt.tau[k, i] - brute_trace(m, i, k))
+                delta = abs(tau[k, i] - brute_trace(m, i, k))
                 worst = max(worst, delta)
                 n_channels += 1
     assert worst <= 1e-9, worst
@@ -99,12 +99,12 @@ def test_criterion_03_fs_indicator_fixtures():
         md = get_model(name).modular_data
         dd = derive(md)
         nu = fs_indicators(md, dd, trace_table(md, dd))
-        assert nu.nu[idx] == expected, (name, nu.nu)
+        assert nu[idx] == expected, (name, nu)
         assert md.labels[idx] == label
     z3 = get_model("z3").modular_data
     dd = derive(z3)
     nu = fs_indicators(z3, dd, trace_table(z3, dd))
-    assert nu.nu.tolist() == [1, 0, 0]
+    assert nu.tolist() == [1, 0, 0]
     note(3, "nu_sigma(ising)=+1, nu_sigma(su2_2)=-1, nu_tau(fibonacci)=+1, "
             "nu(semion)=-1, nu(z3 non-self-dual)=0")
 
@@ -117,9 +117,9 @@ def test_criterion_04_fs_routes_agree_on_catalog_and_search_outputs(
     worst = 0.0
     for md in data:
         dd = derive(md)
-        tt = trace_table(md, dd)
+        tau = trace_table(md, dd)
         via_sum = _fs_sums(md.S[:, 0], dd.fusion, dd.twists)
-        gap = np.max(np.abs(dd.twists * tt.tau[0, :] - via_sum))
+        gap = np.max(np.abs(dd.twists * tau[0, :] - via_sum))
         worst = max(worst, float(gap))
     assert worst <= 1e-9, worst
     note(4, f"both FS routes agree on {len(data)} data sets, max gap {worst:.2e}")
@@ -129,9 +129,9 @@ def test_criterion_05_trace_conjugation_symmetry():
     worst = 0.0
     for e in catalog():
         dd = derive(e.md)
-        tt = trace_table(e.md, dd)
+        tau = trace_table(e.md, dd)
         conj = dd.conj
-        dev = float(np.max(np.abs(tt.tau - tt.tau[np.ix_(conj, conj)])))
+        dev = float(np.max(np.abs(tau - tau[np.ix_(conj, conj)])))
         worst = max(worst, dev)
     assert worst <= 1e-9, worst
     note(5, f"tau[k][i] = tau[kbar][ibar] on all entries, max deviation {worst:.2e}")
@@ -140,12 +140,12 @@ def test_criterion_05_trace_conjugation_symmetry():
 def test_criterion_06_realizability_constraints_and_branch_invariance(other_branch):
     for e in catalog():
         dd = derive(e.md)
-        tt = trace_table(e.md, dd)
+        tau = trace_table(e.md, dd)
         n = e.md.rank
         for k in range(n):
             for i in range(n):
                 m = int(dd.fusion[i, i, k])
-                t = dd.twists[i] / principal_sqrt(dd.twists[k]) * tt.tau[k, i]
+                t = dd.twists[i] / principal_sqrt(dd.twists[k]) * tau[k, i]
                 if m == 0:
                     assert abs(t) <= 1e-9, (e.name, k, i)
                     continue
@@ -153,16 +153,16 @@ def test_criterion_06_realizability_constraints_and_branch_invariance(other_bran
                 ti = round(t.real)
                 assert abs(t.real - ti) <= 1e-9, (e.name, k, i)
                 assert abs(ti) <= m and (ti - m) % 2 == 0, (e.name, k, i)
-        mt = eigen_multiplicities(e.md, dd, tt)
-        assert np.all(mt.m_plus >= 0) and np.all(mt.m_minus >= 0)
+        m_plus, m_minus = eigen_multiplicities(e.md, dd, tau)
+        assert np.all(m_plus >= 0) and np.all(m_minus >= 0)
         diag_n = np.array([[dd.fusion[i, i, k] for i in range(n)] for k in range(n)])
-        assert np.array_equal(mt.m_plus + mt.m_minus, diag_n)
+        assert np.array_equal(m_plus + m_minus, diag_n)
         # verdict invariant under the square-root branch swap
         assert realizability_report(e.md).verdict == "pass"
         with other_branch():
             assert realizability_report(e.md).verdict == "pass"
-            mt_f = eigen_multiplicities(e.md, dd, tt)
-        assert np.array_equal(mt.m_plus, mt_f.m_minus)
+            _, flipped_minus = eigen_multiplicities(e.md, dd, tau)
+        assert np.array_equal(m_plus, flipped_minus)
     note(6, "t real-integral with range and parity, m+/m- >= 0 summing to "
             "N^k_ii, verdict branch-invariant on all entries")
 
@@ -189,15 +189,14 @@ def test_criterion_08_canonical_r_monodromy_and_signed_traces():
     worst = 0.0
     for e in catalog():
         dd = derive(e.md)
-        tt = trace_table(e.md, dd)
-        mt = eigen_multiplicities(e.md, dd, tt)
-        blocks = canonical_r(dd, mt)
+        tau = trace_table(e.md, dd)
+        blocks = canonical_r(dd, *eigen_multiplicities(e.md, dd, tau))
         report = monodromy_check(blocks, dd)
         assert report.verdict == "pass", e.name
         signed = blocks.I == blocks.J
         K, I = blocks.K[signed], blocks.I[signed]
         trace = blocks.values[signed] * (blocks.dim_plus[signed] - blocks.dim_minus[signed])
-        dev = float(np.abs(trace - tt.tau[K, I]).max())
+        dev = float(np.abs(trace - tau[K, I]).max())
         worst = max(worst, dev)
         assert dev <= 1e-9, e.name
     note(8, f"monodromy passes and signed-block traces reproduce tau, "

@@ -20,7 +20,7 @@ from modata import (
     validate,
 )
 from modata.axioms import Diagnostic, _validate_rows, detect_convention, make_report
-from modata.bantay import TraceTable, _cauchy_diagnostics, _realizability_pass
+from modata.bantay import _cauchy_diagnostics, _realizability_pass
 from modata.modular_data import (DerivedData, InvalidModularData, _casimir_det, _prime_support,
                                  _s_facts)
 from modata.numerics import DEFAULT_POLICY, phase_from_turns, principal_sqrt, turns_fraction
@@ -227,9 +227,9 @@ def assert_rows_match_reference(md, T, pol=DEFAULT_POLICY):
             assert abs(got.measurements[key] - value) <= 1e-12, (r, key)
         assert (tables[r] is None) == (want_tables is None), r
         if tables[r] is not None:
-            dd, tt, nu, mt = tables[r]
-            assert (dd.twists[other] * tt.tau[0, other] == 0).all(), r
-            for a, b in zip((nu.nu, mt.m_plus, mt.m_minus), want_tables):
+            dd, tau, nu, m_plus, m_minus = tables[r]
+            assert (dd.twists[other] * tau[0, other] == 0).all(), r
+            for a, b in zip((nu, m_plus, m_minus), want_tables):
                 assert np.array_equal(a, b), r
         fired.update(d.check_id for d in got.diagnostics)
     return fired, clamped
@@ -238,8 +238,7 @@ def assert_rows_match_reference(md, T, pol=DEFAULT_POLICY):
 def tables(name):
     md = get_model(name).modular_data
     dd = derive(md)
-    tt = trace_table(md, dd)
-    return md, dd, tt
+    return md, dd, trace_table(md, dd)
 
 
 def turn(p, q):
@@ -249,63 +248,63 @@ def turn(p, q):
 class TestTraceTable:
     def test_trivial_unit_braiding(self):
         md = TRIVIAL
-        tt = trace_table(md, derive(md))
-        assert abs(tt.tau[0, 0] - 1.0) < 1e-15
+        tau = trace_table(md, derive(md))
+        assert abs(tau[0, 0] - 1.0) < 1e-15
 
     def test_ising_values(self):
-        _, _, tt = tables("ising")
+        _, _, tau = tables("ising")
         # frozen from the explicit Ising model (see the oracle tests); the
         # formula must reproduce e^{-i pi/8}, e^{3 i pi/8}, 0 and -1
-        assert abs(tt.tau[0, 1] - turn(-1, 16)) < 1e-12
-        assert abs(tt.tau[2, 1] - turn(3, 16)) < 1e-12
-        assert tt.tau[1, 1] == 0
-        assert abs(tt.tau[0, 2] + 1.0) < 1e-12
+        assert abs(tau[0, 1] - turn(-1, 16)) < 1e-12
+        assert abs(tau[2, 1] - turn(3, 16)) < 1e-12
+        assert tau[1, 1] == 0
+        assert abs(tau[0, 2] + 1.0) < 1e-12
 
     def test_fibonacci_values(self):
-        _, _, tt = tables("fibonacci")
-        assert abs(tt.tau[0, 1] - turn(-2, 5)) < 1e-12
-        assert abs(tt.tau[1, 1] - turn(3, 10)) < 1e-12
+        _, _, tau = tables("fibonacci")
+        assert abs(tau[0, 1] - turn(-2, 5)) < 1e-12
+        assert abs(tau[1, 1] - turn(3, 10)) < 1e-12
 
     def test_zero_channels_clamped_exactly(self, entries):
         for e in entries:
             dd = derive(e.md)
-            tt = trace_table(e.md, dd)
+            tau = trace_table(e.md, dd)
             for k in range(e.md.rank):
                 for i in range(e.md.rank):
                     if dd.fusion[i, i, k] == 0:
-                        assert tt.tau[k, i] == 0, (e.name, k, i)
+                        assert tau[k, i] == 0, (e.name, k, i)
 
     def test_magnitude_bounded_by_multiplicity(self, entries):
         for e in entries:
             dd = derive(e.md)
-            tt = trace_table(e.md, dd)
+            tau = trace_table(e.md, dd)
             for k in range(e.md.rank):
                 for i in range(e.md.rank):
-                    assert abs(tt.tau[k, i]) <= dd.fusion[i, i, k] + 1e-9
+                    assert abs(tau[k, i]) <= dd.fusion[i, i, k] + 1e-9
 
     def test_conjugation_symmetry(self, entries):
         # tau[k][i] == tau[kbar][ibar], including the entries with
         # nontrivial duality (z3) and toric code
         for e in entries:
             dd = derive(e.md)
-            tt = trace_table(e.md, dd)
+            tau = trace_table(e.md, dd)
             conj = dd.conj
-            assert np.max(np.abs(tt.tau - tt.tau[np.ix_(conj, conj)])) <= 1e-9, e.name
+            assert np.max(np.abs(tau - tau[np.ix_(conj, conj)])) <= 1e-9, e.name
 
     def test_oracle_equivalence(self, models):
         for m in models:
             dd = derive(m.modular_data)
-            tt = trace_table(m.modular_data, dd)
+            tau = trace_table(m.modular_data, dd)
             for i in range(m.rank):
                 for k in range(m.rank):
-                    assert abs(tt.tau[k, i] - brute_trace(m, i, k)) <= 1e-9, (m.name, i, k)
+                    assert abs(tau[k, i] - brute_trace(m, i, k)) <= 1e-9, (m.name, i, k)
 
 
 class TestFsIndicators:
     def test_trivial(self):
         md = TRIVIAL
         dd = derive(md)
-        assert fs_indicators(md, dd, trace_table(md, dd)).nu.tolist() == [1]
+        assert fs_indicators(md, dd, trace_table(md, dd)).tolist() == [1]
 
     @pytest.mark.parametrize("name,expected", [
         ("ising", [1, 1, 1]),
@@ -315,8 +314,8 @@ class TestFsIndicators:
         ("z3", [1, 0, 0]),
     ])
     def test_catalog_fixtures(self, name, expected):
-        md, dd, tt = tables(name)
-        assert fs_indicators(md, dd, tt).nu.tolist() == expected
+        md, dd, tau = tables(name)
+        assert fs_indicators(md, dd, tau).tolist() == expected
 
     def test_hand_summed_ising_family(self):
         # independent route: sum S_{r,0} S_{s,0} N^i_{r,s} w_r^2/w_s^2 over
@@ -338,9 +337,9 @@ class TestFsIndicators:
 
         for e in entries:
             dd = derive(e.md)
-            tt = trace_table(e.md, dd)
+            tau = trace_table(e.md, dd)
             direct = _fs_sums(e.md.S[:, 0], dd.fusion, dd.twists)
-            via_trace = dd.twists * tt.tau[0, :]
+            via_trace = dd.twists * tau[0, :]
             assert np.max(np.abs(direct - via_trace)) <= 1e-9, e.name
 
     def test_stacked_sums_match_one_row_sums(self, entries):
@@ -370,53 +369,52 @@ class TestFsIndicators:
     def test_vacuum_indicator_is_one(self, entries):
         for e in entries:
             dd = derive(e.md)
-            tt = trace_table(e.md, dd)
-            assert fs_indicators(e.md, dd, tt).nu[0] == 1
+            tau = trace_table(e.md, dd)
+            assert fs_indicators(e.md, dd, tau)[0] == 1
 
     def test_violation_raises(self):
-        md, dd, tt = tables("ising")
-        fudged = TraceTable(tau=tt.tau * cmath.exp(0.3j))
+        md, dd, tau = tables("ising")
         with pytest.raises(RealizabilityError):
-            fs_indicators(md, dd, fudged)
+            fs_indicators(md, dd, tau * cmath.exp(0.3j))
 
 
 class TestEigenMultiplicities:
     def test_ising_sigma_vacuum_channel(self):
-        md, dd, tt = tables("ising")
-        mt = eigen_multiplicities(md, dd, tt)
+        md, dd, tau = tables("ising")
+        m_plus, m_minus = eigen_multiplicities(md, dd, tau)
         # t = w_sigma * 1 * e^{-i pi/8} = 1 -> m+ = 1, m- = 0
-        assert mt.m_plus[0, 1] == 1 and mt.m_minus[0, 1] == 0
+        assert m_plus[0, 1] == 1 and m_minus[0, 1] == 0
 
     def test_ising_full_tables(self):
-        md, dd, tt = tables("ising")
-        mt = eigen_multiplicities(md, dd, tt)
-        assert mt.m_plus.tolist() == [[1, 1, 1], [0, 0, 0], [0, 1, 0]]
-        assert mt.m_minus.tolist() == [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+        md, dd, tau = tables("ising")
+        m_plus, m_minus = eigen_multiplicities(md, dd, tau)
+        assert m_plus.tolist() == [[1, 1, 1], [0, 0, 0], [0, 1, 0]]
+        assert m_minus.tolist() == [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
 
     def test_fibonacci_tau_tau_channel(self):
-        md, dd, tt = tables("fibonacci")
-        mt = eigen_multiplicities(md, dd, tt)
+        md, dd, tau = tables("fibonacci")
+        m_plus, m_minus = eigen_multiplicities(md, dd, tau)
         # t = w_tau * w_tau^{-1/2} * e^{3 pi i/5} = -1 -> m+ = 0, m- = 1
-        assert mt.m_plus[1, 1] == 0 and mt.m_minus[1, 1] == 1
+        assert m_plus[1, 1] == 0 and m_minus[1, 1] == 1
 
     def test_zero_channels_stay_zero(self, entries):
         for e in entries:
             dd = derive(e.md)
-            tt = trace_table(e.md, dd)
-            mt = eigen_multiplicities(e.md, dd, tt)
+            tau = trace_table(e.md, dd)
+            m_plus, m_minus = eigen_multiplicities(e.md, dd, tau)
             mask = np.array([[dd.fusion[i, i, k] for i in range(e.md.rank)]
                              for k in range(e.md.rank)])
-            assert np.all((mt.m_plus + mt.m_minus) == mask), e.name
+            assert np.all((m_plus + m_minus) == mask), e.name
 
     def test_branch_swap_swaps_tables(self, entries, other_branch):
         for e in entries:
             dd = derive(e.md)
-            tt = trace_table(e.md, dd)
-            a = eigen_multiplicities(e.md, dd, tt)
+            tau = trace_table(e.md, dd)
+            a_plus, a_minus = eigen_multiplicities(e.md, dd, tau)
             with other_branch():
-                b = eigen_multiplicities(e.md, dd, tt)
-            assert np.array_equal(a.m_plus, b.m_minus), e.name
-            assert np.array_equal(a.m_minus, b.m_plus), e.name
+                b_plus, b_minus = eigen_multiplicities(e.md, dd, tau)
+            assert np.array_equal(a_plus, b_minus), e.name
+            assert np.array_equal(a_minus, b_plus), e.name
 
     def test_non_integral_raises(self, bad_ising_file):
         from modata.bantay import _trace_diagnostics, _trace_rows
@@ -427,7 +425,27 @@ class TestEigenMultiplicities:
         tau = _trace_rows(md.S, dd.fusion, dd.twists[None])
         _trace_diagnostics(tau, dd.fusion, DEFAULT_POLICY)
         with pytest.raises(RealizabilityError, match="realizability violation"):
-            eigen_multiplicities(md, dd, TraceTable(tau=tau[0]))
+            eigen_multiplicities(md, dd, tau[0])
+
+
+class TestBuilderArrays:
+    def test_read_only_arrays_of_the_right_dtype_and_shape(self, entries):
+        # the builders and the rows of the pass give the tables as read-only
+        # ndarrays: tau (n, n) complex, nu (n,) int, m_plus and m_minus (n, n) int
+        for e in entries:
+            n, dd = e.md.rank, derive(e.md)
+            tau = trace_table(e.md, dd)
+            built = (tau, fs_indicators(e.md, dd, tau), *eigen_multiplicities(e.md, dd, tau))
+            (_,), ((_, *row),) = _realizability_pass(e.md, e.md.T[None], DEFAULT_POLICY,
+                                                     tables=True)
+            for arrays in (built, row):
+                for a, dtype, shape in zip(arrays, (complex, int, int, int),
+                                           ((n, n), (n,), (n, n), (n, n))):
+                    assert type(a) is np.ndarray, e.name
+                    assert (a.dtype, a.shape) == (np.dtype(dtype), shape), e.name
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[(0,) * a.ndim] = 0
+            assert all(np.array_equal(a, b) for a, b in zip(built, row)), e.name
 
 
 class TestRealizabilityReport:
@@ -458,8 +476,8 @@ class TestRealizabilityReport:
         # explicit models before being shipped as a warning-level check
         for m in models:
             dd = derive(m.modular_data)
-            tt = trace_table(m.modular_data, dd)
-            lhs = dd.dims @ tt.tau
+            tau = trace_table(m.modular_data, dd)
+            lhs = dd.dims @ tau
             rhs = dd.dims * dd.twists
             assert np.max(np.abs(lhs - rhs)) <= 1e-9, m.name
 

@@ -19,10 +19,13 @@ from modata import (
     ModularData,
     catalog,
     derive,
+    eigen_multiplicities,
     enumerate_t,
+    fs_indicators,
     get_model,
     load_modular_data,
     save_modular_data,
+    trace_table,
 )
 from modata.cli import fmt_complex, main
 from modata.modular_data import _Encoded, verlinde_fusion
@@ -169,6 +172,26 @@ class TestBantayCommand:
         doc = json.loads(out)
         assert doc["verdict"] == "fail"
         assert "fs_value" in {d["check_id"] for d in doc["diagnostics"]}
+
+    def test_json_is_json_dumps_of_the_four_arrays(self, capsys, tmp_path, entries):
+        # tau as [re, im] pairs, then nu, m_plus and m_minus, as json.dumps
+        # writes the lists of the builders' arrays
+        ising = get_model("ising").modular_data
+        data = [(e.name, e.md) for e in entries] + [("ising_ising", ModularData.from_matrices(
+            np.kron(ising.S, ising.S), np.kron(ising.T, ising.T)))]
+        for name, md in data:
+            path = tmp_path / f"{name}.json"
+            save_modular_data(md, path, exact_t=True)
+            md = load_modular_data(path)
+            dd = derive(md)
+            tau = trace_table(md, dd)
+            m_plus, m_minus = eigen_multiplicities(md, dd, tau)
+            want = {"tau": np.stack((tau.real, tau.imag), -1).tolist(),
+                    "nu": fs_indicators(md, dd, tau).tolist(),
+                    "m_plus": m_plus.tolist(), "m_minus": m_minus.tolist()}
+            code, out, _ = run(capsys, "--json", "bantay", str(path))
+            assert code == 0, name
+            assert out == json.dumps(want) + "\n", name
 
 
 class TestCheckCommand:

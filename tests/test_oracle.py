@@ -53,7 +53,7 @@ class TestBruteTrace:
                 val = m.twists[i] * brute_trace(m, i, 0)
                 nearest = min((0, 1, -1), key=lambda t: abs(val - t))
                 assert abs(val - nearest) < 1e-9, (m.name, i)
-                assert nearest == nu.nu[i], (m.name, i)
+                assert nearest == nu[i], (m.name, i)
 
 
 class TestPointedModels:

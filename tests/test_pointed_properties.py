@@ -45,7 +45,7 @@ def test_pointed_model_is_realizable(params):
 def test_pointed_traces_match_brute_force(params):
     model = build_pointed_model(*params)
     md = model.modular_data
-    tau = trace_table(md, derive(md)).tau
+    tau = trace_table(md, derive(md))
     for i in range(md.rank):
         for k in range(md.rank):
             assert abs(tau[k, i] - brute_trace(model, i, k)) <= 1e-9, (params, i, k)

@@ -27,9 +27,8 @@ def turn(p, q):
 
 def full_pipeline(md):
     dd = derive(md)
-    tt = trace_table(md, dd)
-    mt = eigen_multiplicities(md, dd, tt)
-    return dd, tt, mt, canonical_r(dd, mt)
+    tau = trace_table(md, dd)
+    return dd, tau, canonical_r(dd, *eigen_multiplicities(md, dd, tau))
 
 
 def by_channel(blocks):
@@ -46,7 +45,7 @@ def signed_traces(blocks):
 
 class TestCanonicalR:
     def test_trivial_single_signed_identity(self):
-        dd, tt, mt, blocks = full_pipeline(TRIVIAL)
+        _, _, blocks = full_pipeline(TRIVIAL)
         assert len(blocks) == 1
         value, size, plus, minus = by_channel(blocks)[0, 0, 0]
         assert abs(value - 1.0) < 1e-12
@@ -54,7 +53,7 @@ class TestCanonicalR:
 
     def test_ising_sigma_psi_channel_is_i(self):
         md = get_model("ising").modular_data
-        _, _, _, blocks = full_pipeline(md)
+        _, _, blocks = full_pipeline(md)
         by = by_channel(blocks)
         value, size, _, _ = by[1, 2, 1]
         # w_sigma/(w_sigma w_psi) = -1 and principal sqrt(-1) = i
@@ -64,7 +63,7 @@ class TestCanonicalR:
 
     def test_fibonacci_tau_tau_tau_block(self):
         md = get_model("fibonacci").modular_data
-        _, tt, _, blocks = full_pipeline(md)
+        _, _, blocks = full_pipeline(md)
         value, size, plus, minus = by_channel(blocks)[1, 1, 1]
         assert abs(value - turn(-1, 5)) < 1e-12  # w_tau^{-1} sqrt(w_tau)
         assert (size, plus, minus) == (0, 0, 1)
@@ -74,7 +73,7 @@ class TestCanonicalR:
     def test_one_block_per_nonzero_channel(self, entries):
         # in the row-major order of N's support: the JSON block order is output
         for e in entries:
-            dd, tt, mt, blocks = full_pipeline(e.md)
+            dd, _, blocks = full_pipeline(e.md)
             n = e.md.rank
             want = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
                     if dd.fusion[i, j, k] > 0]
@@ -82,7 +81,7 @@ class TestCanonicalR:
             assert [(i, j, k) for i, j, k, *_ in blocks] == want, e.name
 
     def test_arrays_are_read_only(self):
-        _, _, _, blocks = full_pipeline(get_model("ising").modular_data)
+        _, _, blocks = full_pipeline(get_model("ising").modular_data)
         for a in (blocks.I, blocks.J, blocks.K, blocks.values, blocks.size,
                   blocks.dim_plus, blocks.dim_minus):
             assert len(a) == len(blocks)
@@ -92,16 +91,15 @@ class TestCanonicalR:
     def test_mismatched_multiplicities_rejected(self):
         md = get_model("ising").modular_data
         dd = derive(md)
-        tt = trace_table(md, dd)
-        mt = eigen_multiplicities(md, dd, tt)
+        m_plus, m_minus = eigen_multiplicities(md, dd, trace_table(md, dd))
         other = get_model("fibonacci").modular_data
         dd_f = derive(other)
         with pytest.raises(ValueError, match="not realizable"):
-            canonical_r(dd_f, mt)
+            canonical_r(dd_f, m_plus, m_minus)
 
     def test_scalar_value_squares_to_monodromy(self, entries):
         for e in entries:
-            dd, _, _, blocks = full_pipeline(e.md)
+            dd, _, blocks = full_pipeline(e.md)
             w, scalar = dd.twists, blocks.I != blocks.J
             I, J, K = blocks.I[scalar], blocks.J[scalar], blocks.K[scalar]
             dev = np.abs(blocks.values[scalar] ** 2 - w[K] / (w[I] * w[J]))
@@ -110,17 +108,17 @@ class TestCanonicalR:
     def test_signed_value_and_trace(self, entries):
         # value^2 = w_k/w_i^2 and trace ties back to the trace table
         for e in entries:
-            dd, tt, _, blocks = full_pipeline(e.md)
+            dd, tau, blocks = full_pipeline(e.md)
             w, signed = dd.twists, blocks.I == blocks.J
             K, I, trace = signed_traces(blocks)
             assert np.abs(blocks.values[signed] ** 2 - w[K] / w[I] ** 2).max() <= 1e-9, e.name
-            assert np.abs(trace - tt.tau[K, I]).max() <= 1e-9, e.name
+            assert np.abs(trace - tau[K, I]).max() <= 1e-9, e.name
 
     def test_blocks_are_unitary(self, entries):
         # each block is its value times a diagonal of signs: unitary exactly
         # when the value is a phase and the block has a dimension
         for e in entries:
-            _, _, _, blocks = full_pipeline(e.md)
+            _, _, blocks = full_pipeline(e.md)
             assert np.abs(np.abs(blocks.values) - 1.0).max() < 1e-9, e.name
             assert (blocks.size + blocks.dim_plus + blocks.dim_minus >= 1).all(), e.name
 
@@ -129,7 +127,7 @@ class TestCanonicalR:
         # is json.dumps of these dicts, byte for byte
         for a, b in [(x, y) for x in entries for y in entries][::7]:
             md = ModularData.from_matrices(np.kron(a.md.S, b.md.S), np.kron(a.md.T, b.md.T))
-            _, _, _, blocks = full_pipeline(md)
+            _, _, blocks = full_pipeline(md)
             rows = zip(*(x.tolist() for x in (blocks.I, blocks.J, blocks.K, blocks.values,
                                               blocks.size, blocks.dim_plus, blocks.dim_minus)))
             want = json.dumps([
@@ -142,7 +140,7 @@ class TestCanonicalR:
 
     def test_serialization_schema(self):
         md = get_model("ising").modular_data
-        _, _, _, blocks = full_pipeline(md)
+        _, _, blocks = full_pipeline(md)
         docs = json.loads(blocks.encode())
         assert len(docs) == len(blocks)
         for d in docs:
@@ -174,7 +172,7 @@ class TestAgainstOracle:
         assert len(products) == 9 + 45
         for m in products:
             r = m.r_scalars
-            _, _, _, blocks = full_pipeline(m.modular_data)
+            _, _, blocks = full_pipeline(m.modular_data)
             assert len(blocks) == len(r), m.name
             for i, j, k, value, _, plus, minus in blocks:
                 if i == j:
@@ -188,18 +186,18 @@ class TestAgainstOracle:
 class TestMonodromyCheck:
     def test_catalog_passes(self, entries):
         for e in entries:
-            dd, _, _, blocks = full_pipeline(e.md)
+            dd, _, blocks = full_pipeline(e.md)
             report = monodromy_check(blocks, dd)
             assert report.verdict == "pass", e.name
             assert report.max_deviation < 1e-9
 
     def test_trivial_passes(self):
-        dd, _, _, blocks = full_pipeline(TRIVIAL)
+        dd, _, blocks = full_pipeline(TRIVIAL)
         assert monodromy_check(blocks, dd).verdict == "pass"
 
     def test_corrupted_scalar_block_caught(self):
         md = get_model("ising").modular_data
-        dd, _, _, blocks = full_pipeline(md)
+        dd, _, blocks = full_pipeline(md)
         values = blocks.values.copy()
         values[[(i, j, k) for i, j, k, *_ in blocks].index((1, 2, 1))] *= -1
         report = monodromy_check(dataclasses.replace(blocks, values=values), dd)
@@ -212,10 +210,9 @@ class TestMonodromyCheck:
         # products and signed traces are branch independent
         for e in entries:
             dd = derive(e.md)
-            tt = trace_table(e.md, dd)
+            tau = trace_table(e.md, dd)
             with other_branch():
-                mt = eigen_multiplicities(e.md, dd, tt)
-                blocks = canonical_r(dd, mt)
+                blocks = canonical_r(dd, *eigen_multiplicities(e.md, dd, tau))
             assert monodromy_check(blocks, dd).verdict == "pass", e.name
             K, I, trace = signed_traces(blocks)
-            assert np.abs(trace - tt.tau[K, I]).max() <= 1e-9, e.name
+            assert np.abs(trace - tau[K, I]).max() <= 1e-9, e.name

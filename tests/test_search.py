@@ -272,6 +272,18 @@ class TestFusionRing:
         with pytest.raises(FusionRingError, match="unit"):
             FusionRing(rank=2, N=N)
 
+    def test_rank_above_the_bound_refused_before_the_ring_checks(self, monkeypatch):
+        # Z_13 is a genuine ring; its rank is refused as soon as it is read,
+        # before the rank^4 associativity tensors are formed
+        def build(self):
+            raise AssertionError("ring checks ran on a rank above the search bound")
+
+        monkeypatch.setattr(FusionRing, "__post_init__", build)
+        n = 13
+        N = [[[int((a + b) % n == c) for c in range(n)] for b in range(n)] for a in range(n)]
+        with pytest.raises(FusionRingError, match="rank 13 exceeds the search bound 12"):
+            load_fusion_ring(io.StringIO(json.dumps({"rank": n, "N": N})))
+
     def test_file_roundtrip(self, tmp_path):
         fr = ring_of("ising")
         path = tmp_path / "ring.json"
@@ -509,6 +521,19 @@ class TestEnumerateT:
         roots = _roots_of_unity(32)
         assert isinstance(roots, tuple) and _roots_of_unity(32) is roots
         assert roots == tuple(sorted({Fraction(p, q) for q in range(1, 33) for p in range(q)}))
+
+    @pytest.mark.parametrize("max_order", [1, 2, 12, 97, 240])
+    def test_float_key_gives_the_exact_order(self, max_order):
+        exact = sorted({Fraction(p, q) for q in range(1, max_order + 1) for p in range(q)})
+        assert _roots_of_unity(max_order) == tuple(exact)
+
+    @pytest.mark.parametrize("q", [2000, 2 ** 20, 2 ** 26 - 1])
+    def test_float_key_separates_the_closest_turns(self, q):
+        # adjacent turns with denominators <= q differ by 1/(q (q - 1)), the
+        # least gap; the correctly rounded quotients keep them apart
+        for a, b in ((Fraction(1, q), Fraction(1, q - 1)),
+                     (Fraction(q - 2, q - 1), Fraction(q - 1, q))):
+            assert a.numerator / a.denominator < b.numerator / b.denominator
 
     def test_stacked_lift_matches_per_row_lift(self, entries):
         # on every catalog S, on 1.001 S (lambda off the unit circle) and on a
