@@ -204,6 +204,11 @@ def _joint_eigenvectors(fr: FusionRing) -> list[np.ndarray]:
     return [Q[:, 0] for Q in spaces]
 
 
+def _check_search_rank(rank: int) -> None:
+    if rank > MAX_SEARCH_RANK:
+        raise FusionRingError(f"rank {rank} exceeds the search bound {MAX_SEARCH_RANK}")
+
+
 def candidate_s(fr: FusionRing, pol: TolerancePolicy = DEFAULT_POLICY) -> list[np.ndarray]:
     """Unitary symmetric S candidates assembled from the ring characters.
 
@@ -219,8 +224,7 @@ def candidate_s(fr: FusionRing, pol: TolerancePolicy = DEFAULT_POLICY) -> list[n
     12), so the kept matrices are distinct; ``search_pipeline`` does not
     rely on that bound exceeding eq_tol.
     """
-    if fr.rank > MAX_SEARCH_RANK:
-        raise FusionRingError(f"rank {fr.rank} exceeds the search bound {MAX_SEARCH_RANK}")
+    _check_search_rank(fr.rank)
     cols = []
     for v in _joint_eigenvectors(fr):
         v = v / np.linalg.norm(v)
@@ -260,13 +264,9 @@ def candidate_s(fr: FusionRing, pol: TolerancePolicy = DEFAULT_POLICY) -> list[n
 def _roots_of_unity(max_order: int) -> tuple[Fraction, ...]:
     """The turns p/q in [0, 1) with q <= max_order, sorted; built once per max_order.
 
-    Each turn is built once, in lowest terms.  The sort key is the float
-    p/q: distinct turns differ by at least 1/max_order^2, and int / int
-    rounds correctly, so the floats keep the exact order while
-    max_order < 2^26."""
-    return tuple(sorted((Fraction(p, q) for q in range(1, max_order + 1)
-                         for p in range(q) if math.gcd(p, q) == 1),
-                        key=lambda f: f.numerator / f.denominator))
+    Each turn is built once, in lowest terms, so no set is needed."""
+    return tuple(sorted(Fraction(p, q) for q in range(1, max_order + 1)
+                        for p in range(q) if math.gcd(p, q) == 1))
 
 
 def _twist_orbits(md: ModularData, pol: TolerancePolicy) -> list[list[int]]:
@@ -582,8 +582,7 @@ def load_fusion_ring(source: str | Path | IO[str]) -> FusionRing:
         raise FusionRingError(f"missing or malformed field: {exc}") from exc
     if not _is_json_int(rank):
         raise FusionRingError(f'"rank" must be an integer, got {rank!r}')
-    if rank > MAX_SEARCH_RANK:  # before the ring checks, whose tensors grow as rank^4
-        raise FusionRingError(f"rank {rank} exceeds the search bound {MAX_SEARCH_RANK}")
+    _check_search_rank(rank)  # before the ring checks, whose tensors grow as rank^4
     for x in N.flat:
         if not _is_json_int(x):
             raise FusionRingError(f"fusion multiplicities must be integers, got {x!r}")
@@ -591,4 +590,6 @@ def load_fusion_ring(source: str | Path | IO[str]) -> FusionRing:
 
 
 def save_fusion_ring(fr: FusionRing, target: str | Path | IO[str]) -> None:
+    """Write fr in the format load_fusion_ring reads.  A ring of rank above
+    MAX_SEARCH_RANK is written, but load_fusion_ring refuses to read it back."""
     _write_json(fr.to_json_dict(), target)

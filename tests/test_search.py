@@ -518,22 +518,11 @@ class TestEnumerateT:
         assert got.skipped == len(_roots_of_unity(8)) ** 2
 
     def test_root_list_built_once(self):
-        roots = _roots_of_unity(32)
-        assert isinstance(roots, tuple) and _roots_of_unity(32) is roots
-        assert roots == tuple(sorted({Fraction(p, q) for q in range(1, 33) for p in range(q)}))
-
-    @pytest.mark.parametrize("max_order", [1, 2, 12, 97, 240])
-    def test_float_key_gives_the_exact_order(self, max_order):
-        exact = sorted({Fraction(p, q) for q in range(1, max_order + 1) for p in range(q)})
-        assert _roots_of_unity(max_order) == tuple(exact)
-
-    @pytest.mark.parametrize("q", [2000, 2 ** 20, 2 ** 26 - 1])
-    def test_float_key_separates_the_closest_turns(self, q):
-        # adjacent turns with denominators <= q differ by 1/(q (q - 1)), the
-        # least gap; the correctly rounded quotients keep them apart
-        for a, b in ((Fraction(1, q), Fraction(1, q - 1)),
-                     (Fraction(q - 2, q - 1), Fraction(q - 1, q))):
-            assert a.numerator / a.denominator < b.numerator / b.denominator
+        for max_order in (1, 2, 12, 32, 97):
+            roots = _roots_of_unity(max_order)
+            assert isinstance(roots, tuple) and _roots_of_unity(max_order) is roots
+            assert roots == tuple(sorted({Fraction(p, q) for q in range(1, max_order + 1)
+                                          for p in range(q)}))
 
     def test_stacked_lift_matches_per_row_lift(self, entries):
         # on every catalog S, on 1.001 S (lambda off the unit circle) and on a
