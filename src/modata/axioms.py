@@ -1,6 +1,6 @@
 """Modularity axiom checks with machine-readable diagnostics.
 
-``validate`` runs, in order:
+``validate`` runs the checks of stages S and T of the registry ``CHECKS``:
 
   a. s_unitary          S S* = 1
   b. s_symmetric        S = S^t
@@ -14,12 +14,11 @@
 All checks run even after a failure so one report carries the complete
 violation profile; each check records its maximum deviation in
 ``report.measurements`` whether it passed or not, the largest float for
-one that overflows.  Checks a, b, d, f and g and the dims half of h read
-S alone: their deviations and failures are part of the S-facts fill
-``modular_data._fill_s_facts``, once per S and policy, and this module
-makes the failures into diagnostics.  Checks c, e and the twist half of h
-read T: ``_validate_rows`` runs them on a whole block of T rows with one S
-at once, and ``validate`` is its block of one row.
+one that overflows.  The checks of stage S read S alone: they are the
+``checks`` map of the S-facts fill ``modular_data._fill_s_facts``, once per
+S and policy.  Checks c, e and h read T: ``_validate_rows`` runs them on a
+whole block of T rows with one S at once, and merges them with the S map in
+registry order; ``validate`` is its block of one row.
 """
 from __future__ import annotations
 
@@ -31,20 +30,38 @@ import numpy as np
 from .modular_data import ModularData, _capped, _cube, _s_facts, _twist_rows
 from .numerics import DEFAULT_POLICY, TolerancePolicy
 
-__all__ = ["Diagnostic", "AxiomReport", "validate", "detect_convention"]
+__all__ = ["CHECKS", "Diagnostic", "AxiomReport", "validate", "detect_convention"]
+
+# every check id, in report order, and its stage: S reads S alone, T the twists
+# too (both ``validate``), trace the realizability pass, rblock ``monodromy_check``
+CHECKS = {
+    "s_unitary": "S", "s_symmetric": "S", "t_unimodular": "T", "charge_conjugation": "S",
+    "st_cubed": "T", "verlinde_integrality": "S", "vacuum_fusion": "S", "dims_row": "S",
+    "conjugate_symmetry": "T", "derivation": "trace", "cauchy": "trace",
+    "trace_zero_channel": "trace", "fs_route_agreement": "trace", "fs_value": "trace",
+    "mult_real": "trace", "mult_integer": "trace", "mult_range": "trace",
+    "mult_parity": "trace", "trace_conjugation": "trace", "twist_trace": "trace",
+    "monodromy": "rblock", "op_inverse": "rblock",
+}
+# the checks that may carry a warning: an unknown twist order, the ribbon identity
+WARNINGS = ("cauchy", "twist_trace")
+_ROW_CHECKS = tuple(c for c, stage in CHECKS.items() if stage in ("S", "T"))
 
 
 @dataclass(frozen=True)
 class Diagnostic:
     check_id: str
-    severity: str  # "error" | "warning"
+    severity: str  # "error", or "warning" on a check of WARNINGS
     indices: tuple[tuple[int, ...], ...]
     measured: float
     message: str
 
     def __post_init__(self):
-        if self.severity not in ("error", "warning"):
-            raise ValueError(f"bad severity {self.severity!r}")
+        if self.check_id not in CHECKS:
+            raise ValueError(f"unknown check id {self.check_id!r}")
+        if self.severity not in (("error", "warning") if self.check_id in WARNINGS
+                                 else ("error",)):
+            raise ValueError(f"bad severity {self.severity!r} for {self.check_id}")
         if self.measured < 0:
             raise ValueError("measured deviation must be >= 0")
 
@@ -90,12 +107,7 @@ class AxiomReport:
 def make_report(diagnostics: list[Diagnostic], convention_note: str | None = None,
                 measurements: dict[str, float] | None = None) -> AxiomReport:
     verdict = "fail" if any(d.severity == "error" for d in diagnostics) else "pass"
-    return AxiomReport(
-        verdict=verdict,
-        diagnostics=tuple(diagnostics),
-        convention_note=convention_note,
-        measurements=dict(measurements or {}),
-    )
+    return AxiomReport(verdict, tuple(diagnostics), convention_note, dict(measurements or {}))
 
 
 def validate(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> AxiomReport:
@@ -116,63 +128,60 @@ def _validate_rows(md: ModularData, T: np.ndarray, pol: TolerancePolicy) -> _Row
     """``validate`` on each row of the (R, n) block T of diagonals with the
     S of ``md``, whose T is not read.
 
-    Checks c, e and the twist half of h are stacked over the rows, and a row
-    reads the same bits as its own one-row block; the S-only checks come
-    from the S facts of ``md`` (``modular_data._s_facts``).  A deviation that
-    overflows is reported as the largest float.
+    Checks c, e and h are stacked over the rows, and a row reads the same
+    bits as its own one-row block; the S-only checks come from the S facts
+    of ``md`` (``modular_data._s_facts``).  A deviation that overflows is
+    reported as the largest float.
     """
     s = _s_facts(md, pol)
-    # the failed S-only checks, as (check_id, indices, measured, message)
-    ab, d, fg = ([Diagnostic(c, "error", i, m, msg) for c, i, m, msg in failed]
-                 for failed in (s.ab, s.d, s.fg))
+    # per S check, (measurement, its Diagnostic or None), shared by the rows
+    s_checks = {c: (m, None if f is None else Diagnostic(c, "error", *f))
+                for c, (m, f) in s.checks.items()}
     eq = pol.eq_tol
-    reports = []
     with np.errstate(all="ignore"):
         W, ok = _twist_rows(T, pol)
         # c. T unimodular
         abs_t = np.abs(T)
         dev_t = np.abs(abs_t - 1.0)
-        c_meas = dev_t.max(axis=1).tolist()
         # e. (S T)^3 = C, compared against S^2 itself so it stays meaningful
         #    even when (d) failed
         M3 = _cube(md.S, T)
         dev_e = np.abs(M3 - md.S2).reshape(len(T), -1)
-        e_meas = dev_e.max(axis=1).tolist()
+        # per T check, its deviation on each row
+        t_meas = {"t_unimodular": dev_t.max(axis=1).tolist(),
+                  "st_cubed": dev_e.max(axis=1).tolist()}
         # h. conjugate symmetry of twists and dims; with T_0 vanishing (c failed)
         #    the twists T_i/T_0 are undefined and only the dims are compared
-        conj = s.conj
-        if conj is not None:
-            gap_w = np.abs(W[:, conj] - W)
-            gap_max = gap_w.max(axis=1).tolist()
+        if s.conj is not None:
+            gap_w = np.abs(W[:, s.conj] - W)
+            t_meas["conjugate_symmetry"] = np.maximum(np.where(ok[:, None], gap_w, 0.0),
+                                                      s.dims_gap).max(axis=1).tolist()
 
-        for r in range(len(T)):
-            diags: list[Diagnostic] = ab.copy()
-            meas: dict[str, float] = s.ab_meas.copy()
-            m = meas["t_unimodular"] = _capped(c_meas[r])
-            if m > eq:
+        def failure(c: str, r: int, m: float) -> tuple:
+            """(indices, measured, message) of the T check c failing on row r."""
+            if c == "t_unimodular":
                 i = int(dev_t[r].argmax())
-                diags.append(Diagnostic("t_unimodular", "error", ((i,),), m,
-                                        f"|T_{i}| = {abs(T[r, i]):.12g} is not 1"))
-            diags += d
-            meas["charge_conjugation"] = s.d_meas
-            m = meas["st_cubed"] = _capped(e_meas[r])
-            note = None
-            if m > eq:
+                return ((i,),), m, f"|T_{i}| = {abs(T[r, i]):.12g} is not 1"
+            if c == "st_cubed":
                 i, j = divmod(int(dev_e[r].argmax()), md.rank)
-                diags.append(Diagnostic("st_cubed", "error", ((i, j),), m,
-                                        f"(S T)^3 differs from S^2 by {m:.3e} at ({i},{j})"))
-                note = _convention_note(M3[r], md.S2, pol)
-            # f. Verlinde integrality + vacuum fusion row; g. dims row
-            diags += fg
-            meas.update(s.fg_meas)
-            if conj is not None:
-                m = meas["conjugate_symmetry"] = max(_capped(gap_max[r]) if ok[r] else 0.0,
-                                                     s.dims_dev)
-                if m > eq:
-                    bad = np.flatnonzero((ok[r] & (gap_w[r] > eq)) | s.dims_bad).tolist()
-                    diags.append(Diagnostic("conjugate_symmetry", "error",
-                                            tuple((i,) for i in bad), m,
-                                            "twists/dims differ between conjugate sectors"))
+                return ((i, j),), m, f"(S T)^3 differs from S^2 by {m:.3e} at ({i},{j})"
+            bad = np.flatnonzero((ok[r] & (gap_w[r] > eq)) | (s.dims_gap > eq)).tolist()
+            return tuple((i,) for i in bad), m, "twists/dims differ between conjugate sectors"
+
+        # the S and T checks that ran, in registry order
+        ran = [c for c in _ROW_CHECKS if c in s_checks or c in t_meas]
+        reports = []
+        for r in range(len(T)):
+            diags, meas = [], {}
+            for c in ran:
+                if c in s_checks:
+                    meas[c], d = s_checks[c]
+                else:
+                    m = meas[c] = _capped(t_meas[c][r])
+                    d = Diagnostic(c, "error", *failure(c, r, m)) if m > eq else None
+                if d is not None:
+                    diags.append(d)
+            note = _convention_note(M3[r], md.S2, pol) if meas["st_cubed"] > eq else None
             reports.append(make_report(diags, convention_note=note, measurements=meas))
     return _Rows(reports, W, ok, abs_t.min(axis=1) > eq)
 

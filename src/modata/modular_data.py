@@ -41,7 +41,7 @@ import json
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Any, IO, NamedTuple
+from typing import IO, NamedTuple
 
 import numpy as np
 
@@ -191,13 +191,12 @@ class ModularData:
         )
 
     def to_json_dict(self, exact_t: bool = False) -> dict:
-        d: dict[str, Any] = {
+        return {
             "rank": self.rank,
             "labels": list(self.labels),
             "S": np.stack((self.S.real, self.S.imag), -1).tolist(),  # [re, im] pairs
             "T": [complex_to_json(z, exact=exact_t) for z in self.T],
         }
-        return d
 
 
 @dataclass(frozen=True)
@@ -236,9 +235,9 @@ class _SFacts(NamedTuple):
 
     ``errors`` are the messages of ``derive``'s S steps (dims, conjugation,
     Verlinde, S_00 positivity), None for a step that succeeds, and ``dims``,
-    ``conj`` and ``fusion`` are None when their step fails.  The rest are
-    ``validate``'s S-only checks: their failures as (check_id, indices,
-    measured, message) and their measurements."""
+    ``conj`` and ``fusion`` are None when their step fails.  ``checks`` maps
+    each check of stage S in ``axioms.CHECKS`` that ran to (measurement,
+    failure or None), a failure being (indices, measured, message)."""
 
     dims: np.ndarray | None       # d_i = S_0i / S_00, real
     perm: np.ndarray              # per row of S^2, the column of its largest entry
@@ -248,14 +247,8 @@ class _SFacts(NamedTuple):
     total_dim: float | None       # 1/S_00, when derive's S steps all succeed
     errors: tuple
     error: str | None             # derive's message on S, the first failing step's
-    ab: list                      # checks a and b, failed
-    ab_meas: dict
-    d: list                       # check d, failed
-    d_meas: float
-    fg: list                      # checks f and g, failed
-    fg_meas: dict
-    dims_dev: float               # max |d_ibar - d_i|, with d_i = |S_0i|
-    dims_bad: np.ndarray          # per sector, |d_ibar - d_i| > eq_tol
+    checks: dict
+    dims_gap: np.ndarray | None   # per sector |d_ibar - d_i|, d_i = |S_0i|; None without conj
 
 
 def _s_facts(md: ModularData, pol: TolerancePolicy) -> _SFacts:
@@ -269,17 +262,17 @@ def _s_facts(md: ModularData, pol: TolerancePolicy) -> _SFacts:
 def _fill_s_facts(md: ModularData, pol: TolerancePolicy) -> _SFacts:
     S, n, eq, it = md.S, md.rank, pol.eq_tol, pol.int_tol
     row0, s00 = S[0], S[0, 0]
-    ab, d_fail, fg, ab_meas, fg_meas = [], [], [], {}, {}
+    meas, fails = {}, {}  # per S check, its measurement and its failure
     with np.errstate(all="ignore"):  # overflow shows as a capped deviation
         # a. unitarity, b. symmetry
         for check_id, dev, message in (
                 ("s_unitary", np.abs(S @ S.conj().T - np.eye(n)),
                  "S S* deviates from identity by {m:.3e}"),
                 ("s_symmetric", np.abs(S - S.T), "S is not symmetric: entry ({i},{j})")):
-            m = ab_meas[check_id] = _capped(dev.max())
+            m = meas[check_id] = _capped(dev.max())
             if m > eq:
                 i, j = divmod(int(dev.argmax()), n)
-                ab.append((check_id, ((i, j),), m, message.format(m=m, i=i, j=j)))
+                fails[check_id] = ((i, j),), m, message.format(m=m, i=i, j=j)
 
         # d. S^2 is a conjugation: each row a unit row, an involution fixing 0
         S2 = md.S2
@@ -287,14 +280,14 @@ def _fill_s_facts(md: ModularData, pol: TolerancePolicy) -> _SFacts:
         unit = np.zeros_like(S2)  # the unit rows at perm
         unit[range(n), perm] = 1.0
         conj_dev = np.abs(S2 - unit).max(axis=1)
-        d_meas = _capped(conj_dev.max())
+        m = meas["charge_conjugation"] = _capped(conj_dev.max())
         p = perm.tolist()
-        conj = perm if (d_meas <= eq and p[0] == 0
+        conj = perm if (m <= eq and p[0] == 0
                         and all(p[p[i]] == i for i in range(n))) else None
         conj_error = None
         if conj is None:
-            d_fail.append(("charge_conjugation", (tuple(p),), d_meas,
-                           "S^2 is not a vacuum-fixing involutive permutation"))
+            fails["charge_conjugation"] = ((tuple(p),), m,
+                                           "S^2 is not a vacuum-fixing involutive permutation")
             bad = np.flatnonzero(~(conj_dev <= eq))
             conj_error = ("not modular: S^2 is not an involution fixing 0" if not len(bad) else
                           f"not modular: S^2 is not a conjugation (row {bad[0]} deviates by "
@@ -307,43 +300,43 @@ def _fill_s_facts(md: ModularData, pol: TolerancePolicy) -> _SFacts:
             raw = md.verlinde_raw
             rounded = np.rint(raw.real).astype(int)
             dev = np.abs(raw - rounded)
-            m = fg_meas["verlinde_integrality"] = _capped(dev.max())
+            m = meas["verlinde_integrality"] = _capped(dev.max())
             if m > it or (rounded < 0).any():
                 bad = np.argwhere(~(dev <= it) | (rounded < 0))
-                fg.append(("verlinde_integrality", tuple(map(tuple, bad[:8].tolist())), m,
-                           f"{len(bad)} fusion entries fail integrality/nonnegativity"))
+                fails["verlinde_integrality"] = (tuple(map(tuple, bad[:8].tolist())), m,
+                                                 f"{len(bad)} fusion entries fail "
+                                                 "integrality/nonnegativity")
                 verlinde_error = (f"Verlinde integrality violation at (i,j,k) in "
                                   f"{list(map(tuple, bad[:5].tolist()))} (max deviation {m:.3e})")
             else:
                 fusion, verlinde_error = _readonly(rounded), None
             if conj is not None:  # N^0 against the unit rows at conj
                 dev = np.abs(raw[:, :, 0] - unit)
-                m = fg_meas["vacuum_fusion"] = _capped(dev.max())
+                m = meas["vacuum_fusion"] = _capped(dev.max())
                 if m > it:
                     bad = np.argwhere(~(dev <= it))[:8].tolist()
-                    fg.append(("vacuum_fusion", tuple(map(tuple, bad)), m,
-                               "N^0_{i,j} != delta_{j, ibar}"))
+                    fails["vacuum_fusion"] = (tuple(map(tuple, bad)), m,
+                                              "N^0_{i,j} != delta_{j, ibar}")
         else:
-            fg_meas["verlinde_integrality"] = 1.0
-            fg.append(("verlinde_integrality", (), 1.0,
-                       "vanishing S_{0,r}: Verlinde sum undefined"))
+            meas["verlinde_integrality"] = 1.0
+            fails["verlinde_integrality"] = (), 1.0, "vanishing S_{0,r}: Verlinde sum undefined"
             verlinde_error = "Verlinde integrality violation: vanishing S_{0,r}"
 
         # g. the first row real and positive, dims >= 1; and derive's dims
         ratio = row0 / s00
         im, re_min = np.abs(row0.imag), float(row0.real.min())
         dev_imag = float(im.max())
-        m = fg_meas["dims_row"] = max(dev_imag, -re_min, 0.0)
+        m = meas["dims_row"] = max(dev_imag, -re_min, 0.0)
         if dev_imag > eq or re_min <= 0:
             bad = np.flatnonzero((im > eq) | (row0.real <= 0)).tolist()
-            fg.append(("dims_row", tuple((i,) for i in bad), max(m, eq),
-                       "S_{0,i} must be real and > 0"))
+            fails["dims_row"] = (tuple((i,) for i in bad), max(m, eq),
+                                 "S_{0,i} must be real and > 0")
         else:
             d, d_min = ratio.real, float(ratio.real.min())
-            m = fg_meas["dims_row"] = max(m, 1.0 - d_min)
+            m = meas["dims_row"] = max(m, 1.0 - d_min)
             if d_min < 1.0 - it:
-                fg.append(("dims_row", tuple((i,) for i in np.flatnonzero(d < 1.0 - it).tolist()),
-                           m, "quantum dimension below 1"))
+                fails["dims_row"] = (tuple((i,) for i in np.flatnonzero(d < 1.0 - it).tolist()),
+                                     m, "quantum dimension below 1")
         dims = dims_error = None
         imag = np.abs(ratio.imag)
         if abs(s00) <= eq:
@@ -355,17 +348,14 @@ def _fill_s_facts(md: ModularData, pol: TolerancePolicy) -> _SFacts:
             dims = _readonly(ratio.real.copy())
 
         # h, dims half: conjugate sectors have equal dims
-        dims_dev, dims_bad = 0.0, np.zeros(n, dtype=bool)
-        if conj is not None:
-            gap = np.abs(d_row[conj] - d_row)
-            dims_dev, dims_bad = _capped(gap.max()), gap > eq
+        dims_gap = None if conj is None else np.abs(d_row[conj] - d_row)
     s00_error = (f"S_0,0 = {s00} is not real positive"
                  if abs(s00.imag) > eq or s00.real <= 0 else None)
     errors = (dims_error, conj_error, verlinde_error, s00_error)
     error = next(filter(None, errors), None)
     return _SFacts(dims, perm, conj, fusion, None if fusion is None else _casimir_det(fusion),
                    None if error else 1.0 / s00.real, errors, error,
-                   ab, ab_meas, d_fail, d_meas, fg, fg_meas, dims_dev, dims_bad)
+                   {c: (m, fails.get(c)) for c, m in meas.items()}, dims_gap)
 
 
 def _s_step(md: ModularData, pol: TolerancePolicy, step: int, value: str) -> np.ndarray:
@@ -517,32 +507,32 @@ def parse_complex(obj) -> complex:
     """Parse one complex value: [re, im] or {"abs": a, "arg_turns": "p/q"}."""
     if type(obj) is list and len(obj) == 2 and type(obj[0]) is float and type(obj[1]) is float:
         return complex(obj[0], obj[1])  # the form every writer emits
-    if _is_number(obj):
-        # tolerated on input for hand-written files; never emitted
-        return complex(float(obj), 0.0)
-    if isinstance(obj, list):
-        if len(obj) != 2 or not all(_is_number(x) for x in obj):
-            raise InvalidModularData(f"complex value must be [re, im], got {obj!r}")
-        return complex(float(obj[0]), float(obj[1]))
-    if isinstance(obj, dict):
-        try:
-            mag = obj["abs"]
+    try:  # float() of a JSON integer beyond the float range overflows
+        if _is_number(obj):
+            # tolerated on input for hand-written files; never emitted
+            return complex(float(obj), 0.0)
+        if isinstance(obj, list):
+            if len(obj) != 2 or not all(_is_number(x) for x in obj):
+                raise InvalidModularData(f"complex value must be [re, im], got {obj!r}")
+            return complex(float(obj[0]), float(obj[1]))
+        if isinstance(obj, dict):
+            mag = obj.get("abs")
+            if not _is_number(mag) or "arg_turns" not in obj:
+                raise InvalidModularData(f"bad exact-phase form {obj!r}")
             turns_str = obj["arg_turns"]
-        except KeyError as exc:
-            raise InvalidModularData(f"bad exact-phase form {obj!r}") from exc
-        if not _is_number(mag):
-            raise InvalidModularData(f"bad exact-phase form {obj!r}")
-        parts = str(turns_str).split("/")
-        if len(parts) != 2:
-            raise InvalidModularData(f'arg_turns must be "p/q", got {turns_str!r}')
-        try:
-            p, q = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise InvalidModularData(f'arg_turns must be "p/q", got {turns_str!r}') from exc
-        if q <= 0:
-            raise InvalidModularData(f"arg_turns denominator must be > 0, got {q}")
-        # float((p % q) / q) is correctly rounded, as float(Fraction(p, q) % 1) is
-        return float(mag) * phase_from_turns((p % q) / q)
+            parts = str(turns_str).split("/")
+            if len(parts) != 2:
+                raise InvalidModularData(f'arg_turns must be "p/q", got {turns_str!r}')
+            try:
+                p, q = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise InvalidModularData(f'arg_turns must be "p/q", got {turns_str!r}') from exc
+            if q <= 0:
+                raise InvalidModularData(f"arg_turns denominator must be > 0, got {q}")
+            # float((p % q) / q) is correctly rounded, as float(Fraction(p, q) % 1) is
+            return float(mag) * phase_from_turns((p % q) / q)
+    except OverflowError as exc:
+        raise InvalidModularData(f"number beyond the float range: {exc}") from exc
     raise InvalidModularData(f"cannot parse complex value {obj!r}")
 
 
@@ -602,7 +592,7 @@ def _read_json(source, error_cls: type[Exception]):
         raise error_cls(f"not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
+    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
         raise error_cls(f"malformed JSON: {exc}") from exc
 
 

@@ -231,13 +231,9 @@ _NOTES = {
 }
 
 
-def _model_file_name(name: str) -> str:
-    return name.replace("-", "_") + ".json"
-
-
 @lru_cache(maxsize=1)
 def _load_catalog_models() -> tuple[ExplicitModel, ...]:
-    return tuple(load_model(_data_dir() / _model_file_name(n)) for n in _CATALOG_ORDER)
+    return tuple(load_model(_data_dir() / f"{n.replace('-', '_')}.json") for n in _CATALOG_ORDER)
 
 
 def catalog_models() -> list[ExplicitModel]:

@@ -116,7 +116,10 @@ class FusionRing:
     N: np.ndarray
 
     def __post_init__(self):
-        N = np.asarray(self.N, dtype=int)
+        try:
+            N = np.asarray(self.N, dtype=int)
+        except OverflowError as exc:  # a multiplicity beyond int64
+            raise FusionRingError(f"fusion multiplicity out of range: {exc}") from exc
         if N.shape != (self.rank,) * 3:
             raise FusionRingError(f"N must be rank^3 = {(self.rank,)*3}, got {N.shape}")
         if (N < 0).any():
@@ -315,8 +318,8 @@ def _balancing_levels(md: ModularData, N: np.ndarray | None, orbits: list[list[i
         level[orb] = lv
     # the premises of the bound: S unitary and symmetric with a real vacuum
     # row, and S^2 a conjugation, all up to rounding
-    ab = facts.ab_meas
-    off = max(ab["s_unitary"], ab["s_symmetric"], np.abs(S[0].imag).max(), facts.d_meas)
+    m = {c: meas for c, (meas, _) in facts.checks.items()}
+    off = max(m["s_unitary"], m["s_symmetric"], np.abs(S[0].imag).max(), m["charge_conjugation"])
     if N is None or facts.conj is None or off > _ROUNDING:
         none = np.zeros(0, dtype=int)
         return [(none, none, np.zeros(0), np.zeros((n, 0)), np.zeros(0))] * len(orbits)
@@ -586,7 +589,7 @@ def load_fusion_ring(source: str | Path | IO[str]) -> FusionRing:
     for x in N.flat:
         if not _is_json_int(x):
             raise FusionRingError(f"fusion multiplicities must be integers, got {x!r}")
-    return FusionRing(rank=rank, N=N.astype(int))
+    return FusionRing(rank=rank, N=N)
 
 
 def save_fusion_ring(fr: FusionRing, target: str | Path | IO[str]) -> None:

@@ -8,19 +8,57 @@ from modata import (
     load_modular_data,
     validate,
 )
-from modata.axioms import Diagnostic
+from modata.axioms import CHECKS, WARNINGS, Diagnostic
 
 TRIVIAL = ModularData.from_matrices([[1.0]], [1.0])
 
 
 class TestDiagnostic:
     def test_severity_checked(self):
-        with pytest.raises(ValueError):
-            Diagnostic("x", "fatal", (), 0.0, "")
+        with pytest.raises(ValueError, match="bad severity 'fatal'"):
+            Diagnostic("st_cubed", "fatal", (), 0.0, "")
 
     def test_negative_deviation_rejected(self):
-        with pytest.raises(ValueError):
-            Diagnostic("x", "error", (), -1.0, "")
+        with pytest.raises(ValueError, match="measured deviation"):
+            Diagnostic("st_cubed", "error", (), -1.0, "")
+
+    def test_unknown_check_id_rejected(self):
+        with pytest.raises(ValueError, match="unknown check id 'x'"):
+            Diagnostic("x", "error", (), 0.0, "")
+
+    def test_warning_on_an_error_only_check_rejected(self):
+        for check_id in CHECKS:
+            if check_id not in WARNINGS:
+                with pytest.raises(ValueError, match="bad severity 'warning'"):
+                    Diagnostic(check_id, "warning", (), 0.0, "")
+
+    @pytest.mark.parametrize("check_id", WARNINGS)
+    def test_the_two_warning_checks_take_both_severities(self, check_id):
+        for severity in ("error", "warning"):
+            assert Diagnostic(check_id, severity, (), 0.0, "").severity == severity
+
+
+class TestRegistry:
+    def test_stages_and_warnings(self):
+        assert set(CHECKS.values()) == {"S", "T", "trace", "rblock"}
+        assert WARNINGS == ("cauchy", "twist_trace")
+        assert all(CHECKS[c] == "trace" for c in WARNINGS)
+        # the stages come in report order: S and T interleaved, then trace, then rblock
+        stages = list(CHECKS.values())
+        assert stages.index("trace") > max(i for i, s in enumerate(stages) if s in ("S", "T"))
+        assert stages.index("rblock") > max(i for i, s in enumerate(stages) if s == "trace")
+
+    def test_public_in_axioms_only(self):
+        import modata
+        from modata import axioms
+
+        assert "CHECKS" in axioms.__all__
+        assert not hasattr(modata, "CHECKS") and "CHECKS" not in modata.__all__
+
+    def test_validate_measures_the_s_and_t_checks_in_registry_order(self, entries):
+        for e in entries:
+            assert list(validate(e.md).measurements) == [
+                c for c, stage in CHECKS.items() if stage in ("S", "T")], e.name
 
 
 class TestValidate:

@@ -19,7 +19,7 @@ from modata import (
     trace_table,
     validate,
 )
-from modata.axioms import Diagnostic, _validate_rows, detect_convention, make_report
+from modata.axioms import CHECKS, Diagnostic, _validate_rows, detect_convention, make_report
 from modata.bantay import _cauchy_diagnostics, _realizability_pass
 from modata.modular_data import (DerivedData, InvalidModularData, _casimir_det, _prime_support,
                                  _s_facts)
@@ -30,49 +30,56 @@ from test_search import deligne_ring, pointed_ring, ring_of, s_datum, su2_ring
 TRIVIAL = ModularData.from_matrices([[1.0]], [1.0])
 
 
-def s_diagnostics(failed):
-    """The diagnostics of failed S-only checks, (check_id, indices, measured, message)."""
-    return [Diagnostic(c, "error", i, m, msg) for c, i, m, msg in failed]
-
-
 def reference_validate(md, pol=DEFAULT_POLICY):
-    """The per-datum ``validate``: the T checks of one datum, with the S
-    checks from its S cache.  The stacked ``_validate_rows`` must match it."""
+    """The per-datum ``validate``: the T checks of one datum and the S checks
+    from the map of its S cache, placed in ``CHECKS`` order.  The stacked
+    ``_validate_rows`` must match it."""
     T, n = md.T, md.rank
     s = _s_facts(md, pol)
-    diags, meas = s_diagnostics(s.ab), dict(s.ab_meas)
+    found = {c: (m, None if f is None else Diagnostic(c, "error", *f))
+             for c, (m, f) in s.checks.items()}
 
-    def fail(check_id, indices, dev, message):
-        diags.append(Diagnostic(check_id, "error", tuple(indices), float(dev), message))
+    def check(check_id, dev, indices, message):
+        diag = None
+        if dev > pol.eq_tol:
+            diag = Diagnostic(check_id, "error", tuple(indices), dev, message)
+        found[check_id] = dev, diag
 
     dev_t = np.abs(np.abs(T) - 1.0)
-    meas["t_unimodular"] = float(np.max(dev_t))
-    if meas["t_unimodular"] > pol.eq_tol:
-        i = int(np.argmax(dev_t))
-        fail("t_unimodular", [(i,)], meas["t_unimodular"], f"|T_{i}| = {abs(T[i]):.12g} is not 1")
-    diags.extend(s_diagnostics(s.d))
-    meas["charge_conjugation"] = s.d_meas
+    i = int(np.argmax(dev_t))
+    check("t_unimodular", float(np.max(dev_t)), [(i,)], f"|T_{i}| = {abs(T[i]):.12g} is not 1")
     dev_e = np.abs(md.ST_cubed - md.S2)
-    meas["st_cubed"] = float(np.max(dev_e))
-    if meas["st_cubed"] > pol.eq_tol:
-        i, j = np.unravel_index(int(np.argmax(dev_e)), dev_e.shape)
-        fail("st_cubed", [(int(i), int(j))], meas["st_cubed"],
-             f"(S T)^3 differs from S^2 by {meas['st_cubed']:.3e} at ({i},{j})")
-    diags.extend(s_diagnostics(s.fg))
-    meas.update(s.fg_meas)
+    m = float(np.max(dev_e))
+    i, j = np.unravel_index(int(np.argmax(dev_e)), dev_e.shape)
+    check("st_cubed", m, [(int(i), int(j))],
+          f"(S T)^3 differs from S^2 by {m:.3e} at ({i},{j})")
     if s.conj is not None:
         gap_w = np.zeros(n)
         if abs(T[0]) > pol.eq_tol:
             w = T / T[0]
             w[0] = 1.0
             gap_w = np.abs(w[s.conj] - w)
-        meas["conjugate_symmetry"] = max(float(np.max(gap_w)), s.dims_dev)
-        if meas["conjugate_symmetry"] > pol.eq_tol:
-            fail("conjugate_symmetry",
-                 [(i,) for i in range(n) if gap_w[i] > pol.eq_tol or s.dims_bad[i]],
-                 meas["conjugate_symmetry"], "twists/dims differ between conjugate sectors")
-    note = detect_convention(md, pol) if meas["st_cubed"] > pol.eq_tol else None
-    return make_report(diags, convention_note=note, measurements=meas)
+        check("conjugate_symmetry", max(float(np.max(gap_w)), float(np.max(s.dims_gap))),
+              [(i,) for i in range(n) if gap_w[i] > pol.eq_tol or s.dims_gap[i] > pol.eq_tol],
+              "twists/dims differ between conjugate sectors")
+    order = [c for c in CHECKS if c in found]
+    note = detect_convention(md, pol) if m > pol.eq_tol else None
+    return make_report([found[c][1] for c in order if found[c][1] is not None],
+                       convention_note=note, measurements={c: found[c][0] for c in order})
+
+
+def assert_registry_order(report):
+    """The S and T diagnostics come first and in ``CHECKS`` order, and so do
+    the measurements of those checks."""
+    rank = {c: k for k, c in enumerate(CHECKS)}
+    row_stages = ("S", "T")
+    ids = [d.check_id for d in report.diagnostics]
+    head = [c for c in ids if CHECKS[c] in row_stages]
+    assert ids[:len(head)] == head, ids
+    assert [rank[c] for c in head] == sorted(rank[c] for c in head), ids
+    keys = [c for c in report.measurements if c in CHECKS and CHECKS[c] in row_stages]
+    assert list(report.measurements)[:len(keys)] == keys, list(report.measurements)
+    assert [rank[c] for c in keys] == sorted(rank[c] for c in keys), keys
 
 
 def reference_realizability_report(md, pol=DEFAULT_POLICY):
@@ -219,6 +226,9 @@ def assert_rows_match_reference(md, T, pol=DEFAULT_POLICY):
             return [(d.check_id, d.severity, d.indices) for d in report.diagnostics]
 
         assert listing(base) == listing(reference_validate(row, pol)), r
+        assert_registry_order(base)
+        assert_registry_order(got)
+        assert set(base.measurements) <= set(CHECKS), r
         assert got.verdict == want.verdict, r
         assert listing(got) == listing(want), r
         assert got.convention_note == want.convention_note, r
@@ -563,13 +573,9 @@ class TestCauchyCheck:
         assert [(d.check_id, d.severity) for d in diags] == [("cauchy", "error")]
 
 
-# every check_id realizability_report emits
-REPORT_CHECKS = {
-    "s_unitary", "s_symmetric", "t_unimodular", "charge_conjugation", "st_cubed",
-    "verlinde_integrality", "vacuum_fusion", "dims_row", "conjugate_symmetry", "derivation",
-    "cauchy", "trace_zero_channel", "fs_route_agreement", "fs_value",
-    "mult_real", "mult_integer", "mult_range", "mult_parity", "trace_conjugation", "twist_trace",
-}
+# every check_id realizability_report emits: those of the registry but the
+# R-block checks, which ``monodromy_check`` emits (tests/test_rmatrix.py)
+REPORT_CHECKS = {c for c, stage in CHECKS.items() if stage != "rblock"}
 
 
 class TestStackedPass:

@@ -428,6 +428,60 @@ class TestFloatLimit:
         assert doc["measurements"]["st_cubed"] == sys.float_info.max
 
 
+class TestOutOfRangeNumbers:
+    """JSON integers that no float or int64 holds, and one of more digits than
+    Python converts (4,300 from Python 3.11): every command that reads them
+    exits 2 with one ``error:`` line, not a traceback."""
+
+    BIG = "1" + "0" * 400  # beyond the float range
+    DIGITS = "9" * 5000  # beyond int()'s default digit limit from Python 3.11
+    SEMION = '{"rank": 2, "S": [[%s, 0.7], [0.7, -0.7]], "T": [1, %s]}'
+    DATA = {
+        "huge_s": SEMION % (BIG, "[0, 1]"),
+        "huge_t": SEMION % ("0.7", f"[{BIG}, 0]"),
+        "huge_bare_t": SEMION % ("0.7", BIG),
+        "huge_abs": SEMION % ("0.7", f'{{"abs": {BIG}, "arg_turns": "1/4"}}'),
+        "many_digits": SEMION % (DIGITS, "[0, 1]"),
+    }
+    RINGS = {
+        "huge_multiplicity": '{"rank": 1, "N": [[[%s]]]}' % ("1" + "0" * 30),
+        "many_digits": '{"rank": 1, "N": [[[%s]]]}' % DIGITS,
+    }
+
+    @staticmethod
+    def exits_two(capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("cmd", ["validate", "check", "bantay", "rmatrix"])
+    @pytest.mark.parametrize("case", sorted(DATA))
+    def test_datum_exit_two(self, capsys, tmp_path, cmd, case):
+        path = tmp_path / f"{case}.json"
+        path.write_text(self.DATA[case])
+        for flags in ((), ("--json",)):
+            self.exits_two(capsys, *flags, cmd, str(path))
+
+    @pytest.mark.parametrize("case", sorted(RINGS))
+    def test_ring_exit_two(self, capsys, tmp_path, case):
+        path = tmp_path / f"{case}.json"
+        path.write_text(self.RINGS[case])
+        self.exits_two(capsys, "search", str(path), "--out", str(tmp_path / "r"))
+        assert not (tmp_path / "r").exists()
+
+    def test_library_errors(self):
+        from modata import FusionRingError
+        from modata.modular_data import parse_complex
+
+        for value in (10 ** 400, [10 ** 400, 0], [0.0, -10 ** 400],
+                      {"abs": 10 ** 400, "arg_turns": "1/4"}):
+            with pytest.raises(InvalidModularData, match="float range"):
+                parse_complex(value)
+        with pytest.raises(FusionRingError, match="out of range"):
+            FusionRing(rank=1, N=[[[10 ** 30]]])
+
+
 class TestSFactsFill:
     @pytest.mark.parametrize("cmd", ["check", "bantay", "rmatrix"])
     @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["human", "json"])

@@ -233,6 +233,27 @@ class TestModelValidation:
         with pytest.raises(InvalidModularData, match='"r"'):
             load_model(bad)
 
+    @pytest.mark.parametrize("field", ["S", "T", "abs", "r"])
+    def test_number_beyond_the_float_range_is_invalid_data(self, tmp_path, field):
+        import json
+
+        from modata import InvalidModularData
+
+        doc = get_model("semion").to_json_dict()
+        big = 10 ** 400
+        if field == "S":
+            doc["S"][0][0] = [big, 0]
+        elif field == "T":
+            doc["T"][1] = big
+        elif field == "abs":
+            doc["T"][1] = {"abs": big, "arg_turns": "1/4"}
+        else:
+            doc["r"][0][1] = [0, -big]
+        bad = tmp_path / "semion_huge.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(InvalidModularData, match="float range"):
+            load_model(bad)
+
     def test_roundtrip_through_json(self, tmp_path):
         import json
 

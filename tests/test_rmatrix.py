@@ -16,6 +16,7 @@ from modata import (
     monodromy_check,
     trace_table,
 )
+from modata.axioms import CHECKS
 from modata.numerics import phase_from_turns
 
 TRIVIAL = ModularData.from_matrices([[1.0]], [1.0])
@@ -204,6 +205,11 @@ class TestMonodromyCheck:
         assert report.verdict == "fail"
         flagged = {d.indices[0] for d in report.errors()}
         assert (1, 2, 1) in flagged
+        # every R-block check of the registry fires; the measurements follow its order
+        ids = [d.check_id for d in report.diagnostics]
+        rblock = [c for c, stage in CHECKS.items() if stage == "rblock"]
+        assert sorted(set(ids)) == sorted(rblock)
+        assert list(report.measurements) == rblock
 
     def test_branch_covariant(self, entries, other_branch):
         # the opposite square-root branch flips block values but monodromy
