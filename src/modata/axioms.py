@@ -30,7 +30,7 @@ import numpy as np
 from .modular_data import ModularData, _capped, _cube, _s_facts, _twist_rows
 from .numerics import DEFAULT_POLICY, TolerancePolicy
 
-__all__ = ["CHECKS", "Diagnostic", "AxiomReport", "validate", "detect_convention"]
+__all__ = ["CHECKS", "WARNINGS", "Diagnostic", "AxiomReport", "validate", "detect_convention"]
 
 # every check id, in report order, and its stage: S reads S alone, T the twists
 # too (both ``validate``), trace the realizability pass, rblock ``monodromy_check``
