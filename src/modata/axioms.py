@@ -77,14 +77,21 @@ class Diagnostic:
 
 @dataclass(frozen=True)
 class AxiomReport:
-    verdict: str  # "pass" | "fail"
     diagnostics: tuple[Diagnostic, ...]
     convention_note: str | None = None
     measurements: dict[str, float] = field(default_factory=dict)
 
+    def __post_init__(self):
+        object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
+
     @property
     def passed(self) -> bool:
-        return self.verdict == "pass"
+        return not any(d.severity == "error" for d in self.diagnostics)
+
+    @property
+    def verdict(self) -> str:
+        """The verdict: "fail" when any diagnostic is an error, else "pass"."""
+        return "pass" if self.passed else "fail"
 
     @property
     def max_deviation(self) -> float:
@@ -104,29 +111,24 @@ class AxiomReport:
         }
 
 
-def make_report(diagnostics: list[Diagnostic], convention_note: str | None = None,
-                measurements: dict[str, float] | None = None) -> AxiomReport:
-    verdict = "fail" if any(d.severity == "error" for d in diagnostics) else "pass"
-    return AxiomReport(verdict, tuple(diagnostics), convention_note, dict(measurements or {}))
-
-
 def validate(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> AxiomReport:
     """Run the full axiom battery on md; never raises on bad math."""
-    return _validate_rows(md, md.T[None], pol).reports[0]
+    return AxiomReport(*_validate_rows(md, md.T[None], pol).rows[0])
 
 
 class _Rows(NamedTuple):
-    """The reports, ``_twist_rows``' (W, ok), and where every |T_i| > eq_tol."""
+    """Per row its report's (diagnostics, convention note, measurements),
+    ``_twist_rows``' (W, ok), and where every |T_i| > eq_tol."""
 
-    reports: list[AxiomReport]
+    rows: list[tuple[list[Diagnostic], str | None, dict[str, float]]]
     W: np.ndarray
     ok: np.ndarray
     twisted: np.ndarray
 
 
 def _validate_rows(md: ModularData, T: np.ndarray, pol: TolerancePolicy) -> _Rows:
-    """``validate`` on each row of the (R, n) block T of diagonals with the
-    S of ``md``, whose T is not read.
+    """The parts of ``validate``'s report on each row of the (R, n) block T
+    of diagonals with the S of ``md``, whose T is not read.
 
     Checks c, e and h are stacked over the rows, and a row reads the same
     bits as its own one-row block; the S-only checks come from the S facts
@@ -170,7 +172,7 @@ def _validate_rows(md: ModularData, T: np.ndarray, pol: TolerancePolicy) -> _Row
 
         # the S and T checks that ran, in registry order
         ran = [c for c in _ROW_CHECKS if c in s_checks or c in t_meas]
-        reports = []
+        rows = []
         for r in range(len(T)):
             diags, meas = [], {}
             for c in ran:
@@ -182,8 +184,8 @@ def _validate_rows(md: ModularData, T: np.ndarray, pol: TolerancePolicy) -> _Row
                 if d is not None:
                     diags.append(d)
             note = _convention_note(M3[r], md.S2, pol) if meas["st_cubed"] > eq else None
-            reports.append(make_report(diags, convention_note=note, measurements=meas))
-    return _Rows(reports, W, ok, abs_t.min(axis=1) > eq)
+            rows.append((diags, note, meas))
+    return _Rows(rows, W, ok, abs_t.min(axis=1) > eq)
 
 
 def detect_convention(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> str | None:

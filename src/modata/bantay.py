@@ -29,11 +29,12 @@ the multiplicity integers t_{k,i} of every row as arrays, checks them with
 masks, and builds a diagnostic only where a mask fails; a row reads the
 same bits as its own block of one.  The dims, the conjugation, N and det K
 come from the S-facts fill of :mod:`modata.modular_data`, the axiom checks
-and the twists from ``axioms._validate_rows`` on the block.  The search
+and the twists from ``axioms._validate_rows`` on the block, whose
+diagnostics each row's report extends: a report is built once.  The search
 runs the pass once per S candidate (``_reported_rows``), which leaves each
 row's report on its datum; ``realizability_report`` on any other datum,
 and the CLI's ``check``, ``bantay`` and ``rmatrix``, run it on a block of
-one row.  Only ``bantay`` and ``rmatrix`` ask it for the tables they print.
+one row, which also gives the tables of a passing row.
 The report also checks the Cauchy theorem: the primes dividing det K,
 K = sum_i N_i N_ibar, are those dividing the order of the twists.
 """
@@ -44,7 +45,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .axioms import AxiomReport, Diagnostic, _validate_rows, make_report
+from .axioms import AxiomReport, Diagnostic, _validate_rows
 from .modular_data import (DerivedData, ModularData, _capped, _derive_failure, _prime_support,
                            _readonly, _s_facts)
 from .numerics import (DEFAULT_POLICY, TolerancePolicy, _modulus, _phase, principal_sqrt,
@@ -239,8 +240,7 @@ def _multiplicity_diagnostics(N: np.ndarray, W: np.ndarray, tau: np.ndarray,
     return m_plus, m_good - m_plus, diags
 
 
-def eigen_multiplicities(md: ModularData, dd: DerivedData, tau: np.ndarray,
-                         pol: TolerancePolicy = DEFAULT_POLICY
+def eigen_multiplicities(dd: DerivedData, tau: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Split each N^k_{i,i} into the two eigenvalue multiplicities: (m_plus,
     m_minus), read-only (n, n) int arrays indexed [k, i], whose sum is
@@ -310,20 +310,19 @@ def _cauchy_diagnostics(fracs: list[Fraction | None], det: int):
 # aggregate report
 # ---------------------------------------------------------------------------
 
-def _realizability_pass(md: ModularData, T: np.ndarray, pol: TolerancePolicy,
-                        tables: bool = False
-                        ) -> tuple[list[AxiomReport], list[tuple | None] | None]:
+def _realizability_pass(md: ModularData, T: np.ndarray, pol: TolerancePolicy
+                        ) -> tuple[list[AxiomReport], list[tuple | None]]:
     """(reports, tables): ``realizability_report`` on each row of the
-    (R, n) block T of diagonals with the S of ``md``, whose T is not read.
-    With ``tables``, per row the read-only tables (dd, tau, nu, m_plus,
-    m_minus) its passing report was decided on, or None when it fails;
-    without, the second item is None.
+    (R, n) block T of diagonals with the S of ``md``, whose T is not read,
+    and per row the read-only tables (tau, nu, m_plus, m_minus) its passing
+    report was decided on, or None when it fails.
 
     The axiom checks (``axioms._validate_rows``), the trace tables, the FS
     sums, the multiplicity integers t_{k,i} with their masks and the trace
     identities are computed once for the whole block, and a row reads the
     same bits as its own one-row block; Python builds a ``Diagnostic`` only
-    where a mask fails.  What S alone decides comes from the S facts.
+    where a mask fails, and each row's report once, from the lists of its
+    axiom checks.  What S alone decides comes from the S facts.
     """
     base = _validate_rows(md, T, pol)
     facts = _s_facts(md, pol)
@@ -351,50 +350,38 @@ def _realizability_pass(md: ModularData, T: np.ndarray, pol: TolerancePolicy,
             # not enforced as an axiom
             ribbon = np.abs(dims @ tau - dims * W)
             ribbon_max = ribbon.max(axis=1).tolist()
+            # a passing row gets views of these; a skipped row fails
+            tables = tuple(map(_readonly, (tau, nu, m_plus, m_minus)))
 
-    reports: list[AxiomReport] = []
-    row_tables: list[tuple | None] = []
+    reports, row_tables = [], []
     at = dict(zip(live.tolist(), range(len(live))))
-    for r, rep in enumerate(base.reports):
-        diags = list(rep.diagnostics)
-        meas = dict(rep.measurements)
+    for r, (diags, note, meas) in enumerate(base.rows):
         j = at.get(r)
         if j is None:
-            if rep.passed:
+            if not diags:  # every S and T diagnostic is an error
                 diags.append(Diagnostic("derivation", "error", (), 0.0,
                                         _derive_failure(facts, base.ok[r])))
-            reports.append(make_report(diags, rep.convention_note, meas))
-            row_tables.append(None)
-            continue
-        meas["cauchy"], cauchy_diags = _cauchy_diagnostics(fracs[j], facts.casimir_det)
-        diags += cauchy_diags
-        for key, found in (("trace_zero_channel", trace_diags[j]), ("fs_indicator", fs_diags[j]),
-                           ("multiplicities", mult_diags[j])):
-            diags += found
-            meas[key] = max((d.measured for d in found), default=0.0)
-        m = meas["trace_conjugation"] = _capped(sym_max[j])
-        if m > pol.eq_tol:
-            bad = np.argwhere(~(sym_dev[j] <= pol.eq_tol))[:8].tolist()
-            diags.append(Diagnostic("trace_conjugation", "error", tuple(map(tuple, bad)), m,
-                                    "tau[k][i] != tau[kbar][ibar]"))
-        m = meas["twist_trace"] = _capped(ribbon_max[j])
-        if m > pol.eq_tol:
-            bad = np.flatnonzero(~(ribbon[j] <= pol.eq_tol)).tolist()
-            diags.append(Diagnostic("twist_trace", "warning", tuple((i,) for i in bad), m,
-                                    "sum_k d_k tau[k][i] != d_i w_i"))
-        report = make_report(diags, rep.convention_note, meas)
+        else:
+            meas["cauchy"], cauchy_diags = _cauchy_diagnostics(fracs[j], facts.casimir_det)
+            diags += cauchy_diags
+            for key, found in (("trace_zero_channel", trace_diags[j]),
+                               ("fs_indicator", fs_diags[j]), ("multiplicities", mult_diags[j])):
+                diags += found
+                meas[key] = max((d.measured for d in found), default=0.0)
+            m = meas["trace_conjugation"] = _capped(sym_max[j])
+            if m > pol.eq_tol:
+                bad = np.argwhere(~(sym_dev[j] <= pol.eq_tol))[:8].tolist()
+                diags.append(Diagnostic("trace_conjugation", "error", tuple(map(tuple, bad)), m,
+                                        "tau[k][i] != tau[kbar][ibar]"))
+            m = meas["twist_trace"] = _capped(ribbon_max[j])
+            if m > pol.eq_tol:
+                bad = np.flatnonzero(~(ribbon[j] <= pol.eq_tol)).tolist()
+                diags.append(Diagnostic("twist_trace", "warning", tuple((i,) for i in bad), m,
+                                        "sum_k d_k tau[k][i] != d_i w_i"))
+        report = AxiomReport(diags, note, meas)
         reports.append(report)
-        if tables:
-            row_tables.append((DerivedData(dims=dims, twists=W[j], conj=conj, fusion=N,
-                                           total_dim=facts.total_dim),
-                               *map(_readonly, (tau[j], nu[j], m_plus[j], m_minus[j])))
-                              if report.passed else None)
-    return reports, (row_tables if tables else None)
-
-
-def _report(md: ModularData, pol: TolerancePolicy) -> AxiomReport:
-    """The report on ``md`` alone: the stacked pass on a block of one row."""
-    return _realizability_pass(md, md.T[None], pol)[0][0]
+        row_tables.append(tuple(a[j] for a in tables) if report.passed else None)
+    return reports, row_tables
 
 
 def _reported_rows(md: ModularData, diagonals: list[np.ndarray],
@@ -407,7 +394,7 @@ def _reported_rows(md: ModularData, diagonals: list[np.ndarray],
     reports, _ = _realizability_pass(md, np.array(diagonals), pol)
     rows = [md._with_t(t) for t in diagonals]
     for row, report in zip(rows, reports):
-        row._memo[(_report, pol)] = report
+        row._memo[pol] = report
     return rows
 
 
@@ -430,4 +417,7 @@ def realizability_report(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY)
     The report is computed once per datum and policy; the data a stacked
     pass made (``_reported_rows``) already hold theirs.
     """
-    return md._fact(_report, pol)
+    report = md._memo.get(pol)
+    if report is None:
+        report = md._memo[pol] = _realizability_pass(md, md.T[None], pol)[0][0]
+    return report

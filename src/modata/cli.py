@@ -118,10 +118,10 @@ def _print_failure(report: AxiomReport, args) -> int:
 
 def cmd_bantay(args, pol) -> int:
     md = load_modular_data(args.file)
-    (report,), (tables,) = _realizability_pass(md, md.T[None], pol, tables=True)
+    (report,), (tables,) = _realizability_pass(md, md.T[None], pol)
     if tables is None:
         return _print_failure(report, args)
-    _, tau, nu, m_plus, m_minus = tables
+    tau, nu, m_plus, m_minus = tables
     if args.json:
         # each tau[k][i] as [re, im]
         _write_json({"tau": [[[z.real, z.imag] for z in row] for row in tau.tolist()],
@@ -150,11 +150,11 @@ def cmd_bantay(args, pol) -> int:
 
 def cmd_rmatrix(args, pol) -> int:
     md = load_modular_data(args.file)
-    (report,), (tables,) = _realizability_pass(md, md.T[None], pol, tables=True)
+    (report,), (tables,) = _realizability_pass(md, md.T[None], pol)
     if tables is None:
         return _print_failure(report, args)
-    dd, _, _, m_plus, m_minus = tables
-    blocks = canonical_r(dd, m_plus, m_minus)
+    dd = derive(md, pol)
+    blocks = canonical_r(dd, *tables[2:])
     mono = monodromy_check(blocks, dd, pol)
     if args.json:
         _write_json(_Spliced(blocks=blocks.encode(), monodromy=mono.to_json_dict()), sys.stdout)

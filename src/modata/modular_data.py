@@ -135,7 +135,7 @@ class ModularData:
         object.__setattr__(self, "T", _readonly(T))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_s", _SCache(S))
-        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_memo", {})  # per policy, bantay's realizability report
 
     def _with_t(self, T) -> "ModularData":
         """The datum (S, T) with these labels, sharing this datum's S cache.
@@ -150,13 +150,6 @@ class ModularData:
         object.__setattr__(md, "_s", self._s)
         object.__setattr__(md, "_memo", {})
         return md
-
-    def _fact(self, fn, pol: TolerancePolicy):
-        """fn(self, pol), computed once per datum, fn and pol."""
-        key = (fn, pol)
-        if key not in self._memo:
-            self._memo[key] = fn(self, pol)
-        return self._memo[key]
 
     @classmethod
     def from_matrices(cls, S, T, labels=None) -> "ModularData":
@@ -414,11 +407,14 @@ def _casimir_det(N: np.ndarray) -> int:
 
     K has eigenvalues D^2/d_j^2, so by the Cauchy theorem of Bruillard, Ng,
     Rowell and Wang the primes dividing det K are those dividing ord T.
-    Bareiss elimination on Python ints: det K outgrows int64 by rank 16.
-    K is symmetric, and so is every trailing block the elimination leaves,
-    so only the entries on and above the diagonal are updated.
+    Bareiss elimination on Python ints, after K is formed in int64 unless its
+    sums of rank^2 products could wrap: det K outgrows int64 by rank 16.  K is
+    symmetric, and so is every trailing block the elimination leaves, so only
+    the entries on and above the diagonal are updated.
     """
     rows = N.transpose(1, 0, 2).reshape(len(N), -1)  # [j, (i, k)]
+    if len(N) ** 2 * int(N.max()) ** 2 >= 1 << 63:
+        rows = rows.astype(object)
     K = (rows @ rows.T).tolist()
     n, prev = len(K), 1
     for c in range(n - 1):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axioms import AxiomReport, Diagnostic, make_report
+from .axioms import AxiomReport, Diagnostic
 from .modular_data import DerivedData, _Encoded
 from .numerics import DEFAULT_POLICY, TolerancePolicy, _modulus, _phase, principal_sqrt
 
@@ -136,4 +136,4 @@ def monodromy_check(blocks: RBlocks, dd: DerivedData,
         if dev_inv[x] > pol.eq_tol:
             diags.append(Diagnostic("op_inverse", "error", ((i, j, k),), float(dev_inv[x]),
                                     f"R^op R != 1 on ({i},{j},{k})"))
-    return make_report(diags, measurements=meas)
+    return AxiomReport(diags, measurements=meas)

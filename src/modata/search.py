@@ -135,9 +135,11 @@ class FusionRing:
         conj = vac.argmax(axis=1)
         if conj[0] != 0 or (conj[conj] != np.arange(self.rank)).any():
             raise FusionRingError("duality from N^0 is not an involution fixing 0")
-        # associativity: sum_m N^m_{i,j} N^l_{m,k} = sum_m N^m_{j,k} N^l_{i,m}
-        left = np.einsum("ijm,mkl->ijkl", N, N)
-        right = np.einsum("jkm,iml->ijkl", N, N)
+        # associativity: sum_m N^m_{i,j} N^l_{m,k} = sum_m N^m_{j,k} N^l_{i,m},
+        # in Python ints where a sum of rank products could outgrow int64
+        A = N if self.rank * int(N.max()) ** 2 < 1 << 63 else N.astype(object)
+        left = np.einsum("ijm,mkl->ijkl", A, A)
+        right = np.einsum("jkm,iml->ijkl", A, A)
         if (left != right).any():
             raise FusionRingError("fusion ring is not associative")
         N.setflags(write=False)

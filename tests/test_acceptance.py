@@ -153,7 +153,7 @@ def test_criterion_06_realizability_constraints_and_branch_invariance(other_bran
                 ti = round(t.real)
                 assert abs(t.real - ti) <= 1e-9, (e.name, k, i)
                 assert abs(ti) <= m and (ti - m) % 2 == 0, (e.name, k, i)
-        m_plus, m_minus = eigen_multiplicities(e.md, dd, tau)
+        m_plus, m_minus = eigen_multiplicities(dd, tau)
         assert np.all(m_plus >= 0) and np.all(m_minus >= 0)
         diag_n = np.array([[dd.fusion[i, i, k] for i in range(n)] for k in range(n)])
         assert np.array_equal(m_plus + m_minus, diag_n)
@@ -161,7 +161,7 @@ def test_criterion_06_realizability_constraints_and_branch_invariance(other_bran
         assert realizability_report(e.md).verdict == "pass"
         with other_branch():
             assert realizability_report(e.md).verdict == "pass"
-            _, flipped_minus = eigen_multiplicities(e.md, dd, tau)
+            _, flipped_minus = eigen_multiplicities(dd, tau)
         assert np.array_equal(m_plus, flipped_minus)
     note(6, "t real-integral with range and parity, m+/m- >= 0 summing to "
             "N^k_ii, verdict branch-invariant on all entries")
@@ -190,7 +190,7 @@ def test_criterion_08_canonical_r_monodromy_and_signed_traces():
     for e in catalog():
         dd = derive(e.md)
         tau = trace_table(e.md, dd)
-        blocks = canonical_r(dd, *eigen_multiplicities(e.md, dd, tau))
+        blocks = canonical_r(dd, *eigen_multiplicities(dd, tau))
         report = monodromy_check(blocks, dd)
         assert report.verdict == "pass", e.name
         signed = blocks.I == blocks.J

@@ -8,7 +8,7 @@ from modata import (
     load_modular_data,
     validate,
 )
-from modata.axioms import CHECKS, WARNINGS, Diagnostic
+from modata.axioms import CHECKS, WARNINGS, AxiomReport, Diagnostic
 
 TRIVIAL = ModularData.from_matrices([[1.0]], [1.0])
 
@@ -36,6 +36,23 @@ class TestDiagnostic:
     def test_the_two_warning_checks_take_both_severities(self, check_id):
         for severity in ("error", "warning"):
             assert Diagnostic(check_id, severity, (), 0.0, "").severity == severity
+
+
+class TestAxiomReport:
+    ERROR = Diagnostic("st_cubed", "error", ((0, 1),), 1.0, "")
+    WARNING = Diagnostic("twist_trace", "warning", ((1,),), 1e-3, "")
+
+    @pytest.mark.parametrize("diagnostics, verdict", [
+        ([], "pass"), ([WARNING], "pass"), ([ERROR], "fail"), ([WARNING, ERROR], "fail")])
+    def test_verdict_from_the_diagnostics(self, diagnostics, verdict):
+        # "fail" exactly when some diagnostic is an error; a list is stored as a tuple
+        report = AxiomReport(diagnostics)
+        assert (report.verdict, report.passed) == (verdict, verdict == "pass")
+        assert type(report.diagnostics) is tuple and report.diagnostics == tuple(diagnostics)
+        assert (report.convention_note, report.measurements) == (None, {})
+        assert list(report.to_json_dict()) == ["verdict", "diagnostics", "convention_note",
+                                               "measurements"]
+        assert report.to_json_dict()["verdict"] == verdict
 
 
 class TestRegistry:

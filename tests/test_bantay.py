@@ -19,7 +19,7 @@ from modata import (
     trace_table,
     validate,
 )
-from modata.axioms import CHECKS, Diagnostic, _validate_rows, detect_convention, make_report
+from modata.axioms import CHECKS, AxiomReport, Diagnostic, _validate_rows, detect_convention
 from modata.bantay import _cauchy_diagnostics, _realizability_pass
 from modata.modular_data import (DerivedData, InvalidModularData, _casimir_det, _prime_support,
                                  _s_facts)
@@ -64,7 +64,7 @@ def reference_validate(md, pol=DEFAULT_POLICY):
               "twists/dims differ between conjugate sectors")
     order = [c for c in CHECKS if c in found]
     note = detect_convention(md, pol) if m > pol.eq_tol else None
-    return make_report([found[c][1] for c in order if found[c][1] is not None],
+    return AxiomReport([found[c][1] for c in order if found[c][1] is not None],
                        convention_note=note, measurements={c: found[c][0] for c in order})
 
 
@@ -95,7 +95,7 @@ def reference_realizability_report(md, pol=DEFAULT_POLICY):
     except InvalidModularData as exc:
         if base.passed:
             diags.append(Diagnostic("derivation", "error", (), 0.0, str(exc)))
-        return make_report(diags, base.convention_note, meas), None, None
+        return AxiomReport(diags, base.convention_note, meas), None, None
     S, w, N, n = md.S, dd.twists, dd.fusion, md.rank
 
     # Cauchy: the primes of det K against those of ord T
@@ -195,7 +195,7 @@ def reference_realizability_report(md, pol=DEFAULT_POLICY):
         diags.append(Diagnostic("twist_trace", "warning",
                                 tuple((int(i),) for i in np.flatnonzero(ribbon > pol.eq_tol)),
                                 meas["twist_trace"], "ribbon"))
-    report = make_report(diags, base.convention_note, meas)
+    report = AxiomReport(diags, base.convention_note, meas)
     return report, ((nu, m_plus, m_minus) if report.passed else None), via_trace
 
 
@@ -207,8 +207,8 @@ def assert_rows_match_reference(md, T, pol=DEFAULT_POLICY):
     On a row whose report has no ``vacuum_fusion`` error, w_i tau[0][i] is
     exactly 0 on every non-self-dual sector i: there N^0_ii = 0 and the
     forbidden-channel clamp decides it, so the report needs no check of it."""
-    bases = _validate_rows(md, T, pol).reports
-    reports, tables = _realizability_pass(md, T, pol, tables=True)
+    bases = [AxiomReport(*row) for row in _validate_rows(md, T, pol).rows]
+    reports, tables = _realizability_pass(md, T, pol)
     assert len(bases) == len(reports) == len(tables) == len(T)
     conj = _s_facts(md, pol).conj
     other = np.flatnonzero(conj != np.arange(len(conj))) if conj is not None else []
@@ -237,8 +237,8 @@ def assert_rows_match_reference(md, T, pol=DEFAULT_POLICY):
             assert abs(got.measurements[key] - value) <= 1e-12, (r, key)
         assert (tables[r] is None) == (want_tables is None), r
         if tables[r] is not None:
-            dd, tau, nu, m_plus, m_minus = tables[r]
-            assert (dd.twists[other] * tau[0, other] == 0).all(), r
+            tau, nu, m_plus, m_minus = tables[r]
+            assert (derive(row, pol).twists[other] * tau[0, other] == 0).all(), r
             for a, b in zip((nu, m_plus, m_minus), want_tables):
                 assert np.array_equal(a, b), r
         fired.update(d.check_id for d in got.diagnostics)
@@ -391,19 +391,19 @@ class TestFsIndicators:
 class TestEigenMultiplicities:
     def test_ising_sigma_vacuum_channel(self):
         md, dd, tau = tables("ising")
-        m_plus, m_minus = eigen_multiplicities(md, dd, tau)
+        m_plus, m_minus = eigen_multiplicities(dd, tau)
         # t = w_sigma * 1 * e^{-i pi/8} = 1 -> m+ = 1, m- = 0
         assert m_plus[0, 1] == 1 and m_minus[0, 1] == 0
 
     def test_ising_full_tables(self):
         md, dd, tau = tables("ising")
-        m_plus, m_minus = eigen_multiplicities(md, dd, tau)
+        m_plus, m_minus = eigen_multiplicities(dd, tau)
         assert m_plus.tolist() == [[1, 1, 1], [0, 0, 0], [0, 1, 0]]
         assert m_minus.tolist() == [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
 
     def test_fibonacci_tau_tau_channel(self):
         md, dd, tau = tables("fibonacci")
-        m_plus, m_minus = eigen_multiplicities(md, dd, tau)
+        m_plus, m_minus = eigen_multiplicities(dd, tau)
         # t = w_tau * w_tau^{-1/2} * e^{3 pi i/5} = -1 -> m+ = 0, m- = 1
         assert m_plus[1, 1] == 0 and m_minus[1, 1] == 1
 
@@ -411,7 +411,7 @@ class TestEigenMultiplicities:
         for e in entries:
             dd = derive(e.md)
             tau = trace_table(e.md, dd)
-            m_plus, m_minus = eigen_multiplicities(e.md, dd, tau)
+            m_plus, m_minus = eigen_multiplicities(dd, tau)
             mask = np.array([[dd.fusion[i, i, k] for i in range(e.md.rank)]
                              for k in range(e.md.rank)])
             assert np.all((m_plus + m_minus) == mask), e.name
@@ -420,9 +420,9 @@ class TestEigenMultiplicities:
         for e in entries:
             dd = derive(e.md)
             tau = trace_table(e.md, dd)
-            a_plus, a_minus = eigen_multiplicities(e.md, dd, tau)
+            a_plus, a_minus = eigen_multiplicities(dd, tau)
             with other_branch():
-                b_plus, b_minus = eigen_multiplicities(e.md, dd, tau)
+                b_plus, b_minus = eigen_multiplicities(dd, tau)
             assert np.array_equal(a_plus, b_minus), e.name
             assert np.array_equal(a_minus, b_plus), e.name
 
@@ -435,7 +435,7 @@ class TestEigenMultiplicities:
         tau = _trace_rows(md.S, dd.fusion, dd.twists[None])
         _trace_diagnostics(tau, dd.fusion, DEFAULT_POLICY)
         with pytest.raises(RealizabilityError, match="realizability violation"):
-            eigen_multiplicities(md, dd, tau[0])
+            eigen_multiplicities(dd, tau[0])
 
 
 class TestBuilderArrays:
@@ -445,9 +445,8 @@ class TestBuilderArrays:
         for e in entries:
             n, dd = e.md.rank, derive(e.md)
             tau = trace_table(e.md, dd)
-            built = (tau, fs_indicators(e.md, dd, tau), *eigen_multiplicities(e.md, dd, tau))
-            (_,), ((_, *row),) = _realizability_pass(e.md, e.md.T[None], DEFAULT_POLICY,
-                                                     tables=True)
+            built = (tau, fs_indicators(e.md, dd, tau), *eigen_multiplicities(dd, tau))
+            (_,), (row,) = _realizability_pass(e.md, e.md.T[None], DEFAULT_POLICY)
             for arrays in (built, row):
                 for a, dtype, shape in zip(arrays, (complex, int, int, int),
                                            ((n, n), (n,), (n, n), (n, n))):

@@ -185,7 +185,7 @@ class TestBantayCommand:
             md = load_modular_data(path)
             dd = derive(md)
             tau = trace_table(md, dd)
-            m_plus, m_minus = eigen_multiplicities(md, dd, tau)
+            m_plus, m_minus = eigen_multiplicities(dd, tau)
             want = {"tau": np.stack((tau.real, tau.imag), -1).tolist(),
                     "nu": fs_indicators(md, dd, tau).tolist(),
                     "m_plus": m_plus.tolist(), "m_minus": m_minus.tolist()}
@@ -589,19 +589,22 @@ class TestRealizabilityCommandsAgree:
             return wrapper
 
         # one stacked pass over a block of one row: the axiom checks, the
-        # trace table and each realizability stage run once, and derive and
-        # the one-datum validate not at all; rmatrix then builds and checks
-        # its R-blocks once, through the public functions
+        # trace table and each realizability stage run once, the one-datum
+        # validate not at all, and the report is built once; rmatrix then
+        # derives the datum and builds and checks its R-blocks once, through
+        # the public functions, and builds the monodromy report
         for mod, name in [(modata.cli, "validate"), (modata.cli, "derive"),
                           (modata.cli, "canonical_r"), (modata.cli, "monodromy_check"),
                           (modata.bantay, "_validate_rows"), (modata.bantay, "_trace_rows"),
                           (modata.bantay, "_trace_diagnostics"),
                           (modata.bantay, "_fs_diagnostics"),
-                          (modata.bantay, "_multiplicity_diagnostics")]:
+                          (modata.bantay, "_multiplicity_diagnostics"),
+                          (modata.axioms.AxiomReport, "__post_init__")]:
             monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         code, _, _ = run(capsys, cmd, str(ising_file))
         assert code == 0
-        r_blocks = {"canonical_r": 1, "monodromy_check": 1} if cmd == "rmatrix" else {}
+        r_blocks = ({"derive": 1, "canonical_r": 1, "monodromy_check": 1, "__post_init__": 2}
+                    if cmd == "rmatrix" else {"__post_init__": 1})
         assert calls == {"_validate_rows": 1, "_trace_rows": 1,
                          "_trace_diagnostics": 1, "_fs_diagnostics": 1,
                          "_multiplicity_diagnostics": 1, **r_blocks}

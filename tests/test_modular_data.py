@@ -28,6 +28,7 @@ from modata import (
 )
 from modata.modular_data import _casimir_det, _encode_datum, parse_complex
 from modata.numerics import DEFAULT_POLICY, TolerancePolicy, phase_from_turns
+from modata.search import _cauchy_roots, _roots_of_unity
 
 TRIVIAL = ModularData.from_matrices([[1.0]], [1.0])
 
@@ -166,29 +167,40 @@ class TestCasimirDet:
     def test_equals_exact_elimination(self):
         # the symmetric Bareiss elimination against plain Gaussian
         # elimination in exact rationals, on random nonnegative tensors
-        from fractions import Fraction
-
-        def reference_det(N):
-            K = [[Fraction(int(x)) for x in row]
-                 for row in np.tensordot(N, N, axes=([0, 2], [0, 2]))]
-            det = Fraction(1)
-            for c in range(len(K)):
-                pivot = next((r for r in range(c, len(K)) if K[r][c]), None)
-                if pivot is None:
-                    return 0
-                if pivot != c:
-                    K[c], K[pivot], det = K[pivot], K[c], -det
-                det *= K[c][c]
-                for r in range(c + 1, len(K)):
-                    f = K[r][c] / K[c][c]
-                    K[r] = [a - f * b for a, b in zip(K[r], K[c])]
-            return int(det)
-
         rng = np.random.default_rng(7)
         for _ in range(300):
             n = int(rng.integers(1, 8))
             N = rng.integers(0, 4, size=(n, n, n)) * (rng.random((n, n, n)) < 0.4)
             assert _casimir_det(N) == reference_det(N), N.tolist()
+
+    def test_k_beyond_int64(self):
+        # the ring x x = 1 + 2^32 x: K_11 = 1 + 2^64 outgrows int64
+        N = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 2 ** 32]]])
+        det = _casimir_det(N)
+        assert det == reference_det(N) == 2 ** 64 + 4
+        # so the Cauchy filter keeps the roots of order 1, 2, 4, 5, 8 and 10
+        roots = _roots_of_unity(12)
+        keep = _cauchy_roots(det, roots)
+        assert (len(roots), len(keep)) == (46, 16)
+        assert {roots[k].denominator for k in keep} == {1, 2, 4, 5, 8, 10}
+
+
+def reference_det(N):
+    """det K, K = sum_i N_i N_ibar, by Gaussian elimination in exact rationals."""
+    K = [[Fraction(x) for x in row]
+         for row in np.tensordot(N.astype(object), N.astype(object), axes=([0, 2], [0, 2]))]
+    det = Fraction(1)
+    for c in range(len(K)):
+        pivot = next((r for r in range(c, len(K)) if K[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            K[c], K[pivot], det = K[pivot], K[c], -det
+        det *= K[c][c]
+        for r in range(c + 1, len(K)):
+            f = K[r][c] / K[c][c]
+            K[r] = [a - f * b for a, b in zip(K[r], K[c])]
+    return int(det)
 
 
 class TestDerive:

@@ -29,7 +29,7 @@ def turn(p, q):
 def full_pipeline(md):
     dd = derive(md)
     tau = trace_table(md, dd)
-    return dd, tau, canonical_r(dd, *eigen_multiplicities(md, dd, tau))
+    return dd, tau, canonical_r(dd, *eigen_multiplicities(dd, tau))
 
 
 def by_channel(blocks):
@@ -92,7 +92,7 @@ class TestCanonicalR:
     def test_mismatched_multiplicities_rejected(self):
         md = get_model("ising").modular_data
         dd = derive(md)
-        m_plus, m_minus = eigen_multiplicities(md, dd, trace_table(md, dd))
+        m_plus, m_minus = eigen_multiplicities(dd, trace_table(md, dd))
         other = get_model("fibonacci").modular_data
         dd_f = derive(other)
         with pytest.raises(ValueError, match="not realizable"):
@@ -218,7 +218,7 @@ class TestMonodromyCheck:
             dd = derive(e.md)
             tau = trace_table(e.md, dd)
             with other_branch():
-                blocks = canonical_r(dd, *eigen_multiplicities(e.md, dd, tau))
+                blocks = canonical_r(dd, *eigen_multiplicities(dd, tau))
             assert monodromy_check(blocks, dd).verdict == "pass", e.name
             K, I, trace = signed_traces(blocks)
             assert np.abs(trace - tau[K, I]).max() <= 1e-9, e.name

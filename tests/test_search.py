@@ -267,6 +267,19 @@ class TestFusionRing:
         with pytest.raises(FusionRingError, match="associative"):
             FusionRing(rank=3, N=N)
 
+    def test_associativity_beyond_int64(self):
+        # x x = 1 + y, x y = x + 2^32 y, y y = 1 + 2^32 x is not associative,
+        # but its two sides differ by multiples of 2^64 only, which int64 loses
+        a = 2 ** 32
+        N = np.zeros((3, 3, 3), dtype=int)
+        N[0] = N[:, 0] = np.eye(3, dtype=int)
+        N[1, 1], N[2, 2] = [1, 0, 1], [1, a, 0]
+        N[1, 2] = N[2, 1] = [0, 1, a]
+        with pytest.raises(FusionRingError, match="associative"):
+            FusionRing(rank=3, N=N)
+        # x x = 1 + 2^32 x is a ring
+        assert FusionRing(rank=2, N=[[[1, 0], [0, 1]], [[0, 1], [1, a]]]).N[1, 1, 1] == a
+
     def test_rejects_missing_unit(self):
         N = np.zeros((2, 2, 2), dtype=int)
         with pytest.raises(FusionRingError, match="unit"):
@@ -652,9 +665,11 @@ class TestSearchPipeline:
                                                  ("ising", 32)])
     def test_one_stacked_pass_per_s_candidate(self, monkeypatch, ring, max_order):
         # each S candidate's kept T candidates go through one stacked pass,
-        # and each gets one realizability_report call, which returns the
-        # report the pass left on its datum: no one-row pass runs
+        # which builds each one's report once, and each gets one
+        # realizability_report call, which returns the report the pass left
+        # on its datum: no one-row pass runs
         from modata import bantay
+        from modata.axioms import AxiomReport
         calls, rows = Counter(), Counter()
 
         def counted(name, fn):
@@ -666,14 +681,14 @@ class TestSearchPipeline:
                 return out
             return wrapper
 
-        for mod, name in [(bantay, "_realizability_pass"), (bantay, "_report"),
-                          (search, "realizability_report")]:
+        for mod, name in [(bantay, "_realizability_pass"), (search, "realizability_report"),
+                          (AxiomReport, "__post_init__")]:
             monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         stats = {}
         res = search_pipeline(make_ring(ring), max_order, stats_out=stats)
         kept = stats["t_candidates"] - stats["fs_screened"]
         assert calls == {"_realizability_pass": stats["s_candidates"],
-                         "realizability_report": kept}
+                         "realizability_report": kept, "__post_init__": kept}
         assert rows["_realizability_pass"] == kept
         assert all(r.report is realizability_report(r.md) for r in res)
 
