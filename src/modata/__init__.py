@@ -9,7 +9,7 @@ cross-check everything against explicit anyon models.
 
 __version__ = "0.1.0"
 
-from .axioms import AxiomReport, Diagnostic, detect_convention, validate
+from .axioms import AxiomReport, Diagnostic, validate
 from .bantay import (
     RealizabilityError,
     eigen_multiplicities,
@@ -37,11 +37,9 @@ from .numerics import (
     turns_fraction,
 )
 from .oracle import (
-    CatalogEntry,
     ExplicitModel,
     brute_trace,
     build_pointed_model,
-    catalog,
     catalog_models,
     catalog_names,
     get_model,
@@ -61,7 +59,7 @@ from .search import (
 
 __all__ = [
     "__version__",
-    "AxiomReport", "Diagnostic", "detect_convention", "validate",
+    "AxiomReport", "Diagnostic", "validate",
     "RealizabilityError", "eigen_multiplicities", "fs_indicators", "realizability_report",
     "trace_table",
     "DerivedData", "InvalidModularData", "ModularData", "charge_conjugation",
@@ -69,8 +67,8 @@ __all__ = [
     "verlinde_fusion",
     "DEFAULT_POLICY", "TolerancePolicy", "phase_from_turns", "principal_sqrt",
     "turns_fraction",
-    "CatalogEntry", "ExplicitModel", "brute_trace", "build_pointed_model",
-    "catalog", "catalog_models", "catalog_names", "get_model", "load_model",
+    "ExplicitModel", "brute_trace", "build_pointed_model", "catalog_models",
+    "catalog_names", "get_model", "load_model",
     "RBlocks", "canonical_r", "monodromy_check",
     "FusionRing", "FusionRingError", "SearchResult", "candidate_s",
     "enumerate_t", "load_fusion_ring", "save_fusion_ring", "search_pipeline",

@@ -30,7 +30,7 @@ import numpy as np
 from .modular_data import ModularData, _capped, _cube, _s_facts, _twist_rows
 from .numerics import DEFAULT_POLICY, TolerancePolicy
 
-__all__ = ["CHECKS", "WARNINGS", "Diagnostic", "AxiomReport", "validate", "detect_convention"]
+__all__ = ["CHECKS", "WARNINGS", "Diagnostic", "AxiomReport", "validate"]
 
 # every check id, in report order, and its stage: S reads S alone, T the twists
 # too (both ``validate``), trace the realizability pass, rblock ``monodromy_check``
@@ -46,6 +46,8 @@ CHECKS = {
 # the checks that may carry a warning: an unknown twist order, the ribbon identity
 WARNINGS = ("cauchy", "twist_trace")
 _ROW_CHECKS = tuple(c for c, stage in CHECKS.items() if stage in ("S", "T"))
+_CONJUGATE_NOTE = ("data satisfies (S T)^3 = 1, the conjugate presentation; "
+                   "conjugate S entrywise to obtain the (S T)^3 = C convention")
 
 
 @dataclass(frozen=True)
@@ -183,27 +185,9 @@ def _validate_rows(md: ModularData, T: np.ndarray, pol: TolerancePolicy) -> _Row
                     d = Diagnostic(c, "error", *failure(c, r, m)) if m > eq else None
                 if d is not None:
                     diags.append(d)
-            note = _convention_note(M3[r], md.S2, pol) if meas["st_cubed"] > eq else None
+            # data in the conjugate presentation, (S T)^3 = 1, get a note
+            note = (_CONJUGATE_NOTE if meas["st_cubed"] > eq
+                    and np.abs(M3[r] - np.eye(md.rank)).max() <= eq else None)
             rows.append((diags, note, meas))
     return _Rows(rows, W, ok, abs_t.min(axis=1) > eq)
 
-
-def detect_convention(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> str | None:
-    """Hint when data satisfies (S T)^3 = 1 instead of (S T)^3 = S^2.
-
-    The two presentations differ by complex-conjugating S.  The data is
-    never mutated; the caller decides what to do with the note.
-    """
-    return _convention_note(md.ST_cubed, md.S2, pol)
-
-
-def _convention_note(M: np.ndarray, S2: np.ndarray, pol: TolerancePolicy) -> str | None:
-    """detect_convention's note for the cube M = (S T)^3."""
-    if np.abs(M - S2).max() <= pol.eq_tol:
-        return None
-    if np.abs(M - np.eye(len(M))).max() <= pol.eq_tol:
-        return (
-            "data satisfies (S T)^3 = 1, the conjugate presentation; "
-            "conjugate S entrywise to obtain the (S T)^3 = C convention"
-        )
-    return None

@@ -27,8 +27,9 @@ over r for every (k, i), and stacked: ``_realizability_pass`` takes a
 block of T rows that share one S, forms the trace tables, the FS sums and
 the multiplicity integers t_{k,i} of every row as arrays, checks them with
 masks, and builds a diagnostic only where a mask fails; a row reads the
-same bits as its own block of one.  The dims, the conjugation, N and det K
-come from the S-facts fill of :mod:`modata.modular_data`, the axiom checks
+same bits as its own block of one.  The dims, the conjugation and N come
+from the S-facts fill of :mod:`modata.modular_data`, det K from its S cache
+(``_det_k``), the axiom checks
 and the twists from ``axioms._validate_rows`` on the block, whose
 diagnostics each row's report extends: a report is built once.  The search
 runs the pass once per S candidate (``_reported_rows``), which leaves each
@@ -46,8 +47,8 @@ from fractions import Fraction
 import numpy as np
 
 from .axioms import AxiomReport, Diagnostic, _validate_rows
-from .modular_data import (DerivedData, ModularData, _capped, _derive_failure, _prime_support,
-                           _readonly, _s_facts)
+from .modular_data import (DerivedData, ModularData, _capped, _derive_failure, _det_k,
+                           _prime_support, _readonly, _s_facts)
 from .numerics import (DEFAULT_POLICY, TolerancePolicy, _modulus, _phase, principal_sqrt,
                        turns_fraction)
 
@@ -342,7 +343,7 @@ def _realizability_pass(md: ModularData, T: np.ndarray, pol: TolerancePolicy
             trace_diags = _trace_diagnostics(tau, N, pol)
             nu, fs_diags = _fs_diagnostics(md.S[:, 0], N, conj, W, tau, pol)
             m_plus, m_minus, mult_diags = _multiplicity_diagnostics(N, W, tau, pol)
-            fracs = _twist_fractions(W, pol)
+            fracs, det_k = _twist_fractions(W, pol), _det_k(md, pol)
             # tau[k][i] = tau[kbar][ibar]
             sym_dev = np.abs(tau - tau[:, conj[:, None], conj])
             sym_max = sym_dev.max(axis=(1, 2)).tolist()
@@ -362,7 +363,7 @@ def _realizability_pass(md: ModularData, T: np.ndarray, pol: TolerancePolicy
                 diags.append(Diagnostic("derivation", "error", (), 0.0,
                                         _derive_failure(facts, base.ok[r])))
         else:
-            meas["cauchy"], cauchy_diags = _cauchy_diagnostics(fracs[j], facts.casimir_det)
+            meas["cauchy"], cauchy_diags = _cauchy_diagnostics(fracs[j], det_k)
             diags += cauchy_diags
             for key, found in (("trace_zero_channel", trace_diags[j]),
                                ("fs_indicator", fs_diags[j]), ("multiplicities", mult_diags[j])):

@@ -34,7 +34,7 @@ from .modular_data import (
     twists,
 )
 from .numerics import DEFAULT_POLICY, TolerancePolicy, turns_fraction
-from .oracle import brute_trace, catalog, catalog_names, get_model
+from .oracle import _NOTES, brute_trace, catalog_models, catalog_names, get_model
 from .rmatrix import canonical_r, monodromy_check
 from .search import FusionRingError, load_fusion_ring, search_pipeline
 
@@ -173,33 +173,34 @@ def cmd_rmatrix(args, pol) -> int:
 
 
 def cmd_catalog(args, pol) -> int:
-    entries = catalog()
     if args.name is None:
         if args.json:
-            _write_json([{"name": e.name, "rank": e.md.rank, "notes": e.notes}
-                         for e in entries], sys.stdout)
+            _write_json([{"name": m.name, "rank": m.rank, "notes": _NOTES[m.name]}
+                         for m in catalog_models()], sys.stdout)
         else:
-            for e in entries:
-                dd = derive(e.md, pol)
-                print(f"  {e.name:<16} rank {e.md.rank}  |sigma| = "
-                      f"{dd.total_dim:.6f}  {e.notes}")
+            for m in catalog_models():
+                dd = derive(m.modular_data, pol)
+                print(f"  {m.name:<16} rank {m.rank}  |sigma| = "
+                      f"{dd.total_dim:.6f}  {_NOTES[m.name]}")
         return EXIT_PASS
-    for e in entries:
-        if e.name == args.name:
-            if args.json:
-                _write_json(_encode_datum(e.md, exact_t=True), sys.stdout)
-            else:
-                dd = derive(e.md, pol)
-                print(f"{e.name}: rank {e.md.rank}, |sigma| = {dd.total_dim:.6f}")
-                print(f"notes: {e.notes}")
-                _print_matrix("S", e.md.S, list(e.md.labels), pol)
-                print("T diagonal:")
-                for i, z in enumerate(e.md.T):
-                    print(f"  {e.md.labels[i]:>8} : {fmt_complex(z, pol)}")
-            return EXIT_PASS
-    print(f"unknown catalog entry {args.name!r}; known: {', '.join(catalog_names())}",
-          file=sys.stderr)
-    return EXIT_PARSE
+    try:
+        model = get_model(args.name)
+    except KeyError:
+        print(f"unknown catalog entry {args.name!r}; known: {', '.join(catalog_names())}",
+              file=sys.stderr)
+        return EXIT_PARSE
+    md = model.modular_data
+    if args.json:
+        _write_json(_encode_datum(md, exact_t=True), sys.stdout)
+    else:
+        dd = derive(md, pol)
+        print(f"{model.name}: rank {md.rank}, |sigma| = {dd.total_dim:.6f}")
+        print(f"notes: {_NOTES[model.name]}")
+        _print_matrix("S", md.S, list(md.labels), pol)
+        print("T diagonal:")
+        for i, z in enumerate(md.T):
+            print(f"  {md.labels[i]:>8} : {fmt_complex(z, pol)}")
+    return EXIT_PASS
 
 
 def cmd_oracle(args, pol) -> int:

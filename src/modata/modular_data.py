@@ -5,12 +5,15 @@ What S alone decides sits in an S cache (``_SCache``) that a datum shares
 with every datum made from it by ``_with_t``: S^2 and the raw Verlinde
 tensor (one matrix product), and, once per TolerancePolicy, the S-facts
 fill ``_fill_s_facts``, the one owner of the dims, the conjugation, the
-Verlinde rounding, det K, ``derive``'s S steps and the S-only axiom checks
-of :mod:`modata.axioms`.  ``dims``, ``charge_conjugation``,
+Verlinde rounding, ``derive``'s S steps and the S-only axiom checks of
+:mod:`modata.axioms`.  ``dims``, ``charge_conjugation``,
 ``verlinde_fusion``, ``derive``, ``validate``, the realizability pass and
-the search all read it.  Per label tuple the S cache keeps the encoded
-head of the file format below (``_encode_datum``).  (S T)^3 and, per
-TolerancePolicy, the realizability report are cached on the datum alone.
+the search all read it.  det K over the rounded tensor, which only the
+Cauchy check and the search's root prune read, is computed on first read
+(``_det_k``) and kept in the S cache per policy too.  Per label tuple the
+S cache keeps the encoded head of the file format below
+(``_encode_datum``).  Per TolerancePolicy, the realizability report is
+cached on the datum alone.
 The cube (S diag(w))^3 (``_cube``), the twists T/T_0 (``_twist_rows``) and
 the cube-root lift of T (``_lift_t0``) each have one helper here, over a
 block of rows.  A deviation that overflows is reported as the largest
@@ -85,8 +88,9 @@ def _checked_t(T, rank: int) -> np.ndarray:
 
 class _SCache:
     """The S cache, shared by every datum made with ``_with_t``: S^2 and the
-    raw Verlinde tensor, and in ``memo`` one ``_s_facts`` fill per
-    TolerancePolicy and, for ``_encode_datum``, one encoded head per label tuple.
+    raw Verlinde tensor, and in ``memo`` one ``_s_facts`` fill and one det K
+    (``_det_k``) per TolerancePolicy and, for ``_encode_datum``, one encoded
+    head per label tuple.
     """
 
     def __init__(self, S: np.ndarray):
@@ -164,11 +168,6 @@ class ModularData:
         """S @ S, which a modular S makes the charge-conjugation matrix."""
         return self._s.S2
 
-    @cached_property
-    def ST_cubed(self) -> np.ndarray:
-        """(S diag(T))^3, which the modular relation sets equal to S^2."""
-        return _readonly(_cube(self.S, self.T))
-
     @property
     def verlinde_raw(self) -> np.ndarray:
         """Unrounded Verlinde sum [i, j, k]; callers first check no S_{0,r} vanishes."""
@@ -206,10 +205,6 @@ class DerivedData:
         for name in ("dims", "twists", "conj", "fusion"):
             object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name))))
 
-    @property
-    def rank(self) -> int:
-        return len(self.dims)
-
 
 # ---------------------------------------------------------------------------
 # derivation operations
@@ -236,7 +231,6 @@ class _SFacts(NamedTuple):
     perm: np.ndarray              # per row of S^2, the column of its largest entry
     conj: np.ndarray | None       # perm, when S^2 is a vacuum-fixing involution
     fusion: np.ndarray | None     # the rounded Verlinde tensor, integral and >= 0
-    casimir_det: int | None       # det K over fusion
     total_dim: float | None       # 1/S_00, when derive's S steps all succeed
     errors: tuple
     error: str | None             # derive's message on S, the first failing step's
@@ -346,8 +340,7 @@ def _fill_s_facts(md: ModularData, pol: TolerancePolicy) -> _SFacts:
                  if abs(s00.imag) > eq or s00.real <= 0 else None)
     errors = (dims_error, conj_error, verlinde_error, s00_error)
     error = next(filter(None, errors), None)
-    return _SFacts(dims, perm, conj, fusion, None if fusion is None else _casimir_det(fusion),
-                   None if error else 1.0 / s00.real, errors, error,
+    return _SFacts(dims, perm, conj, fusion, None if error else 1.0 / s00.real, errors, error,
                    {c: (m, fails.get(c)) for c, m in meas.items()}, dims_gap)
 
 
@@ -427,6 +420,16 @@ def _casimir_det(N: np.ndarray) -> int:
             row[r:] = [(row[s] * piv - f * top[s]) // prev for s in range(r, n)]
         prev = piv
     return K[-1][-1]
+
+
+def _det_k(md: ModularData, pol: TolerancePolicy) -> int | None:
+    """det K over the S facts' fusion tensor under ``pol``, None without one;
+    computed on first read and kept in the memo of the S cache."""
+    key = (_det_k, pol)
+    if key not in md._s.memo:
+        fusion = _s_facts(md, pol).fusion
+        md._s.memo[key] = None if fusion is None else _casimir_det(fusion)
+    return md._s.memo[key]
 
 
 def _prime_support(n: int) -> set[int]:

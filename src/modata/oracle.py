@@ -46,10 +46,9 @@ from .numerics import DEFAULT_POLICY, TolerancePolicy, phase_from_turns
 
 __all__ = [
     "ExplicitModel",
-    "CatalogEntry",
     "brute_trace",
     "build_pointed_model",
-    "catalog",
+    "catalog_models",
     "catalog_names",
     "get_model",
     "load_model",
@@ -82,13 +81,6 @@ class ExplicitModel:
         d["name"] = self.name
         d["r"] = [[list(ch), complex_to_json(v, exact=True)] for ch, v in sorted(self.r_scalars.items())]
         return d
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    md: ModularData
-    notes: str
 
 
 def _check_model(model: ExplicitModel, pol: TolerancePolicy = DEFAULT_POLICY) -> None:
@@ -239,12 +231,6 @@ def _load_catalog_models() -> tuple[ExplicitModel, ...]:
 def catalog_models() -> list[ExplicitModel]:
     """All shipped explicit models, validated at load."""
     return list(_load_catalog_models())
-
-
-def catalog() -> list[CatalogEntry]:
-    """The known-good modular data shipped with the package."""
-    return [CatalogEntry(name=m.name, md=m.modular_data, notes=_NOTES.get(m.name, ""))
-            for m in _load_catalog_models()]
 
 
 def catalog_names() -> list[str]:

@@ -75,6 +75,7 @@ from .axioms import AxiomReport
 from .bantay import _fs_sums, _reported_rows, realizability_report
 from .modular_data import (
     ModularData,
+    _det_k,
     _is_json_int,
     _lift_t0,
     _prime_support,
@@ -128,13 +129,11 @@ class FusionRing:
             raise FusionRingError("fusion ring is not commutative")
         if (N[0] != np.eye(self.rank, dtype=int)).any():
             raise FusionRingError("index 0 is not a unit")
-        # N^0_{i,j} = delta_{j, ibar} for an involution fixing 0
-        vac = N[:, :, 0]
-        if (vac.sum(axis=1) != 1).any() or (vac.sum(axis=0) != 1).any():
+        # N^0_{i,j} = delta_{j, ibar} for an involution fixing 0: N^0 is
+        # symmetric (commutativity) with N^0_00 = 1 (the unit), so nonnegative
+        # rows of sum 1 make it a permutation matrix, its own inverse
+        if (N[:, :, 0].sum(axis=1) != 1).any():
             raise FusionRingError("vacuum row N^0 is not a permutation")
-        conj = vac.argmax(axis=1)
-        if conj[0] != 0 or (conj[conj] != np.arange(self.rank)).any():
-            raise FusionRingError("duality from N^0 is not an involution fixing 0")
         # associativity: sum_m N^m_{i,j} N^l_{m,k} = sum_m N^m_{j,k} N^l_{i,m},
         # in Python ints where a sum of rank products could outgrow int64
         A = N if self.rank * int(N.max()) ** 2 < 1 << 63 else N.astype(object)
@@ -415,9 +414,8 @@ def enumerate_t(md: ModularData, max_order: int,
         raise ValueError(f"max_order must be at least 1, got {max_order}")
     orbits = _twist_orbits(md, pol)
     roots = _roots_of_unity(max_order)
-    facts = _s_facts(md, pol)
-    N = facts.fusion
-    keep = _cauchy_roots(facts.casimir_det, roots)
+    N = _s_facts(md, pol).fusion
+    keep = _cauchy_roots(_det_k(md, pol), roots)
     phases = np.array([phase_from_turns(roots[k]) for k in keep], dtype=complex)
     cube_roots = [phase_from_turns(Fraction(j, 3)) for j in range(3)]
     levels = _balancing_levels(md, N, orbits, pol.eq_tol + _ROUNDING, pol)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modata import ModularData, bantay, catalog, catalog_models, derive, get_model, rmatrix
+from modata import ModularData, bantay, catalog_models, derive, get_model, rmatrix
 from modata.numerics import DEFAULT_POLICY, principal_sqrt
 
 
@@ -33,7 +33,7 @@ def other_branch():
 
 @pytest.fixture(scope="session")
 def entries():
-    return catalog()
+    return catalog_models()
 
 
 @pytest.fixture(scope="session")
@@ -44,7 +44,7 @@ def models():
 @pytest.fixture(scope="session")
 def derived():
     """name -> (md, DerivedData) for every catalog entry."""
-    return {e.name: (e.md, derive(e.md)) for e in catalog()}
+    return {m.name: (m.modular_data, derive(m.modular_data)) for m in catalog_models()}
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ import pytest
 from modata import (
     brute_trace,
     canonical_r,
-    catalog,
+    catalog_models,
     derive,
     eigen_multiplicities,
     fs_indicators,
@@ -57,12 +57,12 @@ def ising_results():
 
 
 def test_criterion_01_axiom_suite_all_entries_below_1e10():
-    entries = catalog()
+    entries = catalog_models()
     assert len(entries) >= 9
     t0 = time.perf_counter()
     worst = 0.0
     for e in entries:
-        report = validate(e.md)
+        report = validate(e.modular_data)
         assert report.verdict == "pass", e.name
         worst = max(worst, report.max_deviation)
     elapsed = time.perf_counter() - t0
@@ -111,7 +111,7 @@ def test_criterion_03_fs_indicator_fixtures():
 
 def test_criterion_04_fs_routes_agree_on_catalog_and_search_outputs(
         fib_results, ising_results):
-    data = [e.md for e in catalog()]
+    data = [e.modular_data for e in catalog_models()]
     data += [r.md for r in fib_results[0]]
     data += [r.md for r in ising_results[0]]
     worst = 0.0
@@ -127,9 +127,9 @@ def test_criterion_04_fs_routes_agree_on_catalog_and_search_outputs(
 
 def test_criterion_05_trace_conjugation_symmetry():
     worst = 0.0
-    for e in catalog():
-        dd = derive(e.md)
-        tau = trace_table(e.md, dd)
+    for e in catalog_models():
+        dd = derive(e.modular_data)
+        tau = trace_table(e.modular_data, dd)
         conj = dd.conj
         dev = float(np.max(np.abs(tau - tau[np.ix_(conj, conj)])))
         worst = max(worst, dev)
@@ -138,10 +138,10 @@ def test_criterion_05_trace_conjugation_symmetry():
 
 
 def test_criterion_06_realizability_constraints_and_branch_invariance(other_branch):
-    for e in catalog():
-        dd = derive(e.md)
-        tau = trace_table(e.md, dd)
-        n = e.md.rank
+    for e in catalog_models():
+        dd = derive(e.modular_data)
+        tau = trace_table(e.modular_data, dd)
+        n = e.modular_data.rank
         for k in range(n):
             for i in range(n):
                 m = int(dd.fusion[i, i, k])
@@ -158,9 +158,9 @@ def test_criterion_06_realizability_constraints_and_branch_invariance(other_bran
         diag_n = np.array([[dd.fusion[i, i, k] for i in range(n)] for k in range(n)])
         assert np.array_equal(m_plus + m_minus, diag_n)
         # verdict invariant under the square-root branch swap
-        assert realizability_report(e.md).verdict == "pass"
+        assert realizability_report(e.modular_data).verdict == "pass"
         with other_branch():
-            assert realizability_report(e.md).verdict == "pass"
+            assert realizability_report(e.modular_data).verdict == "pass"
             _, flipped_minus = eigen_multiplicities(dd, tau)
         assert np.array_equal(m_plus, flipped_minus)
     note(6, "t real-integral with range and parity, m+/m- >= 0 summing to "
@@ -187,9 +187,9 @@ def test_criterion_07_negative_control_fails_cmd_check(tmp_path, capsys):
 
 def test_criterion_08_canonical_r_monodromy_and_signed_traces():
     worst = 0.0
-    for e in catalog():
-        dd = derive(e.md)
-        tau = trace_table(e.md, dd)
+    for e in catalog_models():
+        dd = derive(e.modular_data)
+        tau = trace_table(e.modular_data, dd)
         blocks = canonical_r(dd, *eigen_multiplicities(dd, tau))
         report = monodromy_check(blocks, dd)
         assert report.verdict == "pass", e.name
@@ -204,7 +204,7 @@ def test_criterion_08_canonical_r_monodromy_and_signed_traces():
 
 
 def test_criterion_09_search_regression(fib_results, ising_results):
-    cat = {e.name: e.md for e in catalog()}
+    cat = {e.name: e.modular_data for e in catalog_models()}
     fib, fib_time = fib_results
     assert any(r.md.approx_eq(cat["fibonacci"]) for r in fib)
     assert any(r.md.approx_eq(cat["conj-fibonacci"]) for r in fib)

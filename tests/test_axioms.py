@@ -3,9 +3,9 @@ import pytest
 
 from modata import (
     ModularData,
-    detect_convention,
     get_model,
     load_modular_data,
+    realizability_report,
     validate,
 )
 from modata.axioms import CHECKS, WARNINGS, AxiomReport, Diagnostic
@@ -74,7 +74,7 @@ class TestRegistry:
 
     def test_validate_measures_the_s_and_t_checks_in_registry_order(self, entries):
         for e in entries:
-            assert list(validate(e.md).measurements) == [
+            assert list(validate(e.modular_data).measurements) == [
                 c for c, stage in CHECKS.items() if stage in ("S", "T")], e.name
 
 
@@ -86,7 +86,7 @@ class TestValidate:
 
     def test_all_catalog_entries_pass(self, entries):
         for e in entries:
-            report = validate(e.md)
+            report = validate(e.modular_data)
             assert report.verdict == "pass", (e.name, [d.message for d in report.diagnostics])
             assert report.max_deviation < 1e-10, e.name
 
@@ -128,32 +128,33 @@ class TestValidate:
 
 
 class TestDetectConvention:
+    """The convention note of ``validate``, which every ``check`` report carries."""
+
     def test_catalog_convention_holds(self):
-        assert detect_convention(get_model("ising").modular_data) is None
+        assert validate(get_model("ising").modular_data).convention_note is None
 
     def test_trivial_conventions_coincide(self):
-        assert detect_convention(TRIVIAL) is None
+        assert validate(TRIVIAL).convention_note is None
 
     def test_conjugated_z3_gets_note(self):
         md = get_model("z3").modular_data
         flipped = ModularData.from_matrices(np.conj(md.S), md.T)
-        note = detect_convention(flipped)
-        assert note is not None and "conjugate" in note
         report = validate(flipped)
         assert report.verdict == "fail"
-        assert report.convention_note == note
+        assert report.convention_note is not None and "conjugate" in report.convention_note
+        assert realizability_report(flipped).convention_note == report.convention_note
 
     def test_real_s_conjugation_is_identity(self):
         # the Ising S is real and its C is the identity, so conjugating S
         # changes nothing and both conventions coincide: still a pass
         md = get_model("ising").modular_data
         flipped = ModularData.from_matrices(np.conj(md.S), md.T)
-        assert validate(flipped).verdict == "pass"
-        assert detect_convention(flipped) is None
+        report = validate(flipped)
+        assert report.verdict == "pass" and report.convention_note is None
 
     def test_data_never_mutated(self):
         md = get_model("z3").modular_data
         flipped = ModularData.from_matrices(np.conj(md.S), md.T)
         before = flipped.S.copy()
-        detect_convention(flipped)
+        assert validate(flipped).convention_note is not None
         assert np.array_equal(before, flipped.S)

@@ -19,7 +19,7 @@ from modata import (
     trace_table,
     validate,
 )
-from modata.axioms import CHECKS, AxiomReport, Diagnostic, _validate_rows, detect_convention
+from modata.axioms import _CONJUGATE_NOTE, CHECKS, AxiomReport, Diagnostic, _validate_rows
 from modata.bantay import _cauchy_diagnostics, _realizability_pass
 from modata.modular_data import (DerivedData, InvalidModularData, _casimir_det, _prime_support,
                                  _s_facts)
@@ -48,7 +48,9 @@ def reference_validate(md, pol=DEFAULT_POLICY):
     dev_t = np.abs(np.abs(T) - 1.0)
     i = int(np.argmax(dev_t))
     check("t_unimodular", float(np.max(dev_t)), [(i,)], f"|T_{i}| = {abs(T[i]):.12g} is not 1")
-    dev_e = np.abs(md.ST_cubed - md.S2)
+    M = md.S * md.T
+    M3 = M @ M @ M
+    dev_e = np.abs(M3 - md.S2)
     m = float(np.max(dev_e))
     i, j = np.unravel_index(int(np.argmax(dev_e)), dev_e.shape)
     check("st_cubed", m, [(int(i), int(j))],
@@ -63,7 +65,10 @@ def reference_validate(md, pol=DEFAULT_POLICY):
               [(i,) for i in range(n) if gap_w[i] > pol.eq_tol or s.dims_gap[i] > pol.eq_tol],
               "twists/dims differ between conjugate sectors")
     order = [c for c in CHECKS if c in found]
-    note = detect_convention(md, pol) if m > pol.eq_tol else None
+    # the note of data in the conjugate presentation, (S T)^3 = 1
+    note = None
+    if m > pol.eq_tol and np.abs(M3 - np.eye(n)).max() <= pol.eq_tol:
+        note = _CONJUGATE_NOTE
     return AxiomReport([found[c][1] for c in order if found[c][1] is not None],
                        convention_note=note, measurements={c: found[c][0] for c in order})
 
@@ -99,7 +104,7 @@ def reference_realizability_report(md, pol=DEFAULT_POLICY):
     S, w, N, n = md.S, dd.twists, dd.fusion, md.rank
 
     # Cauchy: the primes of det K against those of ord T
-    det, cauchy = _s_facts(md, pol).casimir_det, []
+    det, cauchy = _casimir_det(N), []
     fracs = [turns_fraction(x, pol=pol) for x in w]
     meas["cauchy"] = 0.0
     if any(f is None for f in fracs):
@@ -277,27 +282,27 @@ class TestTraceTable:
 
     def test_zero_channels_clamped_exactly(self, entries):
         for e in entries:
-            dd = derive(e.md)
-            tau = trace_table(e.md, dd)
-            for k in range(e.md.rank):
-                for i in range(e.md.rank):
+            dd = derive(e.modular_data)
+            tau = trace_table(e.modular_data, dd)
+            for k in range(e.modular_data.rank):
+                for i in range(e.modular_data.rank):
                     if dd.fusion[i, i, k] == 0:
                         assert tau[k, i] == 0, (e.name, k, i)
 
     def test_magnitude_bounded_by_multiplicity(self, entries):
         for e in entries:
-            dd = derive(e.md)
-            tau = trace_table(e.md, dd)
-            for k in range(e.md.rank):
-                for i in range(e.md.rank):
+            dd = derive(e.modular_data)
+            tau = trace_table(e.modular_data, dd)
+            for k in range(e.modular_data.rank):
+                for i in range(e.modular_data.rank):
                     assert abs(tau[k, i]) <= dd.fusion[i, i, k] + 1e-9
 
     def test_conjugation_symmetry(self, entries):
         # tau[k][i] == tau[kbar][ibar], including the entries with
         # nontrivial duality (z3) and toric code
         for e in entries:
-            dd = derive(e.md)
-            tau = trace_table(e.md, dd)
+            dd = derive(e.modular_data)
+            tau = trace_table(e.modular_data, dd)
             conj = dd.conj
             assert np.max(np.abs(tau - tau[np.ix_(conj, conj)])) <= 1e-9, e.name
 
@@ -346,9 +351,9 @@ class TestFsIndicators:
         from modata.bantay import _fs_sums
 
         for e in entries:
-            dd = derive(e.md)
-            tau = trace_table(e.md, dd)
-            direct = _fs_sums(e.md.S[:, 0], dd.fusion, dd.twists)
+            dd = derive(e.modular_data)
+            tau = trace_table(e.modular_data, dd)
+            direct = _fs_sums(e.modular_data.S[:, 0], dd.fusion, dd.twists)
             via_trace = dd.twists * tau[0, :]
             assert np.max(np.abs(direct - via_trace)) <= 1e-9, e.name
 
@@ -357,8 +362,8 @@ class TestFsIndicators:
         # call of the report and the literal sum over each (r, s) plane
         from modata.bantay import _fs_sums
 
-        data = [e.md for e in entries] + [
-            ModularData.from_matrices(np.kron(a.md.S, b.md.S), np.kron(a.md.T, b.md.T))
+        data = [e.modular_data for e in entries] + [
+            ModularData.from_matrices(np.kron(a.modular_data.S, b.modular_data.S), np.kron(a.modular_data.T, b.modular_data.T))
             for a, b in itertools.combinations_with_replacement(entries, 2)]
         assert len(data) == 9 + 45
         rng = np.random.default_rng(1606)
@@ -378,9 +383,9 @@ class TestFsIndicators:
 
     def test_vacuum_indicator_is_one(self, entries):
         for e in entries:
-            dd = derive(e.md)
-            tau = trace_table(e.md, dd)
-            assert fs_indicators(e.md, dd, tau)[0] == 1
+            dd = derive(e.modular_data)
+            tau = trace_table(e.modular_data, dd)
+            assert fs_indicators(e.modular_data, dd, tau)[0] == 1
 
     def test_violation_raises(self):
         md, dd, tau = tables("ising")
@@ -409,17 +414,17 @@ class TestEigenMultiplicities:
 
     def test_zero_channels_stay_zero(self, entries):
         for e in entries:
-            dd = derive(e.md)
-            tau = trace_table(e.md, dd)
+            dd = derive(e.modular_data)
+            tau = trace_table(e.modular_data, dd)
             m_plus, m_minus = eigen_multiplicities(dd, tau)
-            mask = np.array([[dd.fusion[i, i, k] for i in range(e.md.rank)]
-                             for k in range(e.md.rank)])
+            mask = np.array([[dd.fusion[i, i, k] for i in range(e.modular_data.rank)]
+                             for k in range(e.modular_data.rank)])
             assert np.all((m_plus + m_minus) == mask), e.name
 
     def test_branch_swap_swaps_tables(self, entries, other_branch):
         for e in entries:
-            dd = derive(e.md)
-            tau = trace_table(e.md, dd)
+            dd = derive(e.modular_data)
+            tau = trace_table(e.modular_data, dd)
             a_plus, a_minus = eigen_multiplicities(dd, tau)
             with other_branch():
                 b_plus, b_minus = eigen_multiplicities(dd, tau)
@@ -443,10 +448,10 @@ class TestBuilderArrays:
         # the builders and the rows of the pass give the tables as read-only
         # ndarrays: tau (n, n) complex, nu (n,) int, m_plus and m_minus (n, n) int
         for e in entries:
-            n, dd = e.md.rank, derive(e.md)
-            tau = trace_table(e.md, dd)
-            built = (tau, fs_indicators(e.md, dd, tau), *eigen_multiplicities(dd, tau))
-            (_,), (row,) = _realizability_pass(e.md, e.md.T[None], DEFAULT_POLICY)
+            n, dd = e.modular_data.rank, derive(e.modular_data)
+            tau = trace_table(e.modular_data, dd)
+            built = (tau, fs_indicators(e.modular_data, dd, tau), *eigen_multiplicities(dd, tau))
+            (_,), (row,) = _realizability_pass(e.modular_data, e.modular_data.T[None], DEFAULT_POLICY)
             for arrays in (built, row):
                 for a, dtype, shape in zip(arrays, (complex, int, int, int),
                                            ((n, n), (n,), (n, n), (n, n))):
@@ -460,7 +465,7 @@ class TestBuilderArrays:
 class TestRealizabilityReport:
     def test_catalog_passes(self, entries):
         for e in entries:
-            report = realizability_report(e.md)
+            report = realizability_report(e.modular_data)
             assert report.verdict == "pass", (e.name, [d.message for d in report.errors()])
 
     def test_trivial_passes(self):
@@ -477,7 +482,7 @@ class TestRealizabilityReport:
         bad = load_modular_data(bad_ising_file)
         with other_branch():
             for e in entries:
-                assert realizability_report(e.md).verdict == "pass", e.name
+                assert realizability_report(e.modular_data).verdict == "pass", e.name
             assert realizability_report(bad).verdict == "fail"
 
     def test_twist_trace_identity_on_oracle_models(self, models):
@@ -492,7 +497,7 @@ class TestRealizabilityReport:
 
     def test_twist_trace_never_fails_verdict(self, entries):
         for e in entries:
-            report = realizability_report(e.md)
+            report = realizability_report(e.modular_data)
             warnings = [d for d in report.diagnostics if d.severity == "warning"]
             assert all(d.check_id == "twist_trace" for d in warnings)
             assert report.verdict == "pass"
@@ -531,8 +536,8 @@ class TestCauchyCheck:
         return [(d.severity, d.measured) for d in report.diagnostics if d.check_id == "cauchy"]
 
     def test_holds_on_catalog_and_products(self, entries):
-        data = [e.md for e in entries] + [
-            ModularData.from_matrices(np.kron(a.md.S, b.md.S), np.kron(a.md.T, b.md.T))
+        data = [e.modular_data for e in entries] + [
+            ModularData.from_matrices(np.kron(a.modular_data.S, b.modular_data.S), np.kron(a.modular_data.T, b.modular_data.T))
             for a, b in itertools.combinations_with_replacement(entries, 2)]
         assert len(data) == 9 + 45
         for md in data:
@@ -608,7 +613,7 @@ class TestStackedPass:
         ising, z3 = get_model("ising").modular_data, get_model("z3").modular_data
         # Ising x Ising has the self-dual sigma x sigma of dimension 2, whose
         # channel to the vacuum gets t = 2 > N = 1 under trivial twists
-        data = [(e.md.S, e.md.T) for e in entries] + [
+        data = [(e.modular_data.S, e.modular_data.T) for e in entries] + [
             (np.kron(ising.S, ising.S), np.kron(ising.T, ising.T))]
         # E is antisymmetric and anticommutes with the Ising S, so (S + E)^2
         # stays within eq_tol of 1 while (S + E)(S + E)^t, the vacuum row of

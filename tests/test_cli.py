@@ -1,4 +1,5 @@
 import cmath
+import functools
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import modata
 from modata import (
     InvalidModularData,
     ModularData,
-    catalog,
+    catalog_models,
     derive,
     eigen_multiplicities,
     enumerate_t,
@@ -118,6 +119,31 @@ class TestValidateCommand:
         code, _, _ = run(capsys, "validate", str(ising_file), "--tol", "1e-2")
         assert code == 0
 
+    @pytest.mark.parametrize("flags", [("--tol", "0.7"), ("--int-tol", "1e-12"), ("--tol", "nan")],
+                             ids=["eq_tol-above-half", "int_tol-below-eq_tol", "nan"])
+    def test_bad_tolerance_exit_two(self, capsys, ising_file, flags):
+        # each breaks 0 < eq_tol <= int_tol < 0.5; --int-tol 1e-12 lies below
+        # the default eq_tol of 1e-9
+        code, out, err = run(capsys, *flags, "check", str(ising_file))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("bad tolerance: "), err
+
+    @pytest.mark.parametrize("cmd", ["validate", "check", "bantay", "rmatrix"])
+    @pytest.mark.parametrize("text, msg", [
+        ('{"rank": 0, "S": [[]], "T": []}', "rank must be >= 1, got 0"),
+        ('{"rank": 2, "labels": ["a"], "S": [[1, 1], [1, -1]], "T": [1, 1]}',
+         "need 2 labels, got 1"),
+        ('{"rank": 1, "S": [[1]], "T": [{"abs": 1, "arg_turns": "1/x"}]}',
+         'arg_turns must be "p/q"'),
+        ("[1, 2]", "top-level JSON value must be an object"),
+    ], ids=["rank-0", "labels-length", "arg_turns", "top-level-array"])
+    def test_malformed_datum_exit_two(self, capsys, tmp_path, cmd, text, msg):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, out, err = run(capsys, cmd, str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {msg}"), err
+
 
 class TestBantayCommand:
     def test_ising_table(self, capsys, ising_file):
@@ -177,7 +203,7 @@ class TestBantayCommand:
         # tau as [re, im] pairs, then nu, m_plus and m_minus, as json.dumps
         # writes the lists of the builders' arrays
         ising = get_model("ising").modular_data
-        data = [(e.name, e.md) for e in entries] + [("ising_ising", ModularData.from_matrices(
+        data = [(e.name, e.modular_data) for e in entries] + [("ising_ising", ModularData.from_matrices(
             np.kron(ising.S, ising.S), np.kron(ising.T, ising.T)))]
         for name, md in data:
             path = tmp_path / f"{name}.json"
@@ -504,6 +530,31 @@ class TestSFactsFill:
             assert fills == [modata.DEFAULT_POLICY], (path.name, fills)
 
 
+    def test_det_k_on_first_read(self, capsys, monkeypatch, ising_file, bad_ising_file):
+        # det K is read only by the Cauchy check and the search's root
+        # prune: validate, derive and the catalog load never form it, and
+        # each check, bantay or rmatrix call forms it once, on passing and
+        # on failing data alike
+        dets = []
+        det = modata.modular_data._casimir_det
+        monkeypatch.setattr(modata.modular_data, "_casimir_det",
+                            lambda N: dets.append(N) or det(N))
+        load = modata.oracle._load_catalog_models  # a fresh catalog load
+        monkeypatch.setattr(modata.oracle, "_load_catalog_models",
+                            functools.lru_cache(maxsize=1)(load.__wrapped__))
+        for m in catalog_models():
+            modata.validate(m.modular_data)
+            derive(m.modular_data)
+        for path, want in ((ising_file, 0), (bad_ising_file, 1)):
+            assert run(capsys, "validate", str(path))[0] == want
+        assert dets == []
+        for cmd in ("check", "bantay", "rmatrix"):
+            for path, want in ((ising_file, 0), (bad_ising_file, 1)):
+                dets.clear()
+                assert run(capsys, cmd, str(path))[0] == want
+                assert len(dets) == 1, (cmd, path.name)
+
+
 class TestVanishingT0:
     """Fibonacci with T_0 = 0: the twists T_i/T_0 are undefined."""
 
@@ -559,7 +610,7 @@ class TestRealizabilityCommandsAgree:
     @pytest.fixture()
     def data_files(self, tmp_path, bad_ising_file, fs_fail_file, single_failure_data):
         files = {"bad_ising": bad_ising_file, "fs_fail": fs_fail_file}
-        data = {e.name: e.md for e in catalog()}
+        data = {e.name: e.modular_data for e in catalog_models()}
         for a, b in self.PRODUCTS:
             A, B = data[a], data[b]
             data[f"{a}*{b}"] = ModularData.from_matrices(np.kron(A.S, B.S), np.kron(A.T, B.T))
@@ -638,15 +689,15 @@ def twisted_controls(seed=1):
     z3 = get_model("z3").modular_data
     controls = {"z3_conjugate_presentation": ModularData.from_matrices(np.conj(z3.S), z3.T,
                                                                        z3.labels)}
-    for e in catalog():
-        if e.md.rank == 1:
+    for e in catalog_models():
+        if e.modular_data.rank == 1:
             continue
-        sector = rng.randrange(1, e.md.rank)
+        sector = rng.randrange(1, e.modular_data.rank)
         q = rng.randint(2, 12)
         p = rng.choice([p for p in range(1, q) if math.gcd(p, q) == 1])
-        T = e.md.T.copy()
+        T = e.modular_data.T.copy()
         T[sector] *= phase_from_turns(Fraction(p, q))
-        controls[f"{e.name}_twisted"] = ModularData.from_matrices(e.md.S, T, e.md.labels)
+        controls[f"{e.name}_twisted"] = ModularData.from_matrices(e.modular_data.S, T, e.modular_data.labels)
     return controls
 
 
@@ -958,6 +1009,18 @@ class TestSearchCommand:
         assert out == ""
         assert "exceeds the search bound 12" in err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("N, msg", [
+        ([[[1, 0], [0, 1]]], "N must be rank^3 = (2, 2, 2), got (1, 2, 2)"),
+        ([[[1, 0], [0, 1]], [[0, 1], [1, -1]]], "fusion multiplicities must be nonnegative"),
+        ([[[1, 0], [0, 1]], [[0, 1], [0, 1]]], "vacuum row N^0 is not a permutation"),
+    ], ids=["shape", "negative", "vacuum-row"])
+    def test_malformed_ring_exit_two(self, capsys, tmp_path, N, msg):
+        ring = tmp_path / "ring.json"
+        ring.write_text(json.dumps({"rank": 2, "N": N}))
+        code, out, err = run(capsys, "search", str(ring), "--out", str(tmp_path / "r"))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: {msg}"]
 
     def test_non_integer_multiplicity_exit_two(self, capsys, tmp_path):
         ring = tmp_path / "ring.json"

@@ -151,8 +151,8 @@ class TestCasimirDet:
     def test_catalog_equals_product_of_eigenvalues(self, entries):
         # K = sum_i N_i N_ibar has eigenvalues D^2/d_j^2 = 1/S_0j^2
         for e in entries:
-            want = round(float(np.prod(1.0 / np.abs(e.md.S[0]) ** 2)))
-            assert _casimir_det(verlinde_fusion(e.md)) == want, e.name
+            want = round(float(np.prod(1.0 / np.abs(e.modular_data.S[0]) ** 2)))
+            assert _casimir_det(verlinde_fusion(e.modular_data)) == want, e.name
 
     def test_exact_beyond_int64(self):
         toric = get_model("toric_code").modular_data
@@ -219,12 +219,12 @@ class TestDerive:
 
     def test_catalog_invariants(self, entries, pol):
         for e in entries:
-            dd = derive(e.md)
+            dd = derive(e.modular_data)
             # sum of squared dims equals |sigma|^2
             assert abs(np.sum(dd.dims ** 2) - dd.total_dim ** 2) < 1e-9, e.name
             assert np.all(dd.dims >= 1.0 - pol.int_tol), e.name
             conj = dd.conj
-            assert np.array_equal(conj[conj], np.arange(e.md.rank)), e.name
+            assert np.array_equal(conj[conj], np.arange(e.modular_data.rank)), e.name
             assert np.max(np.abs(dd.dims[conj] - dd.dims)) < 1e-9, e.name
             assert np.max(np.abs(dd.twists[conj] - dd.twists)) < 1e-9, e.name
 
@@ -240,9 +240,9 @@ class TestDerive:
 
     def test_fusion_symmetries(self, entries):
         for e in entries:
-            dd = derive(e.md)
+            dd = derive(e.modular_data)
             N, conj = dd.fusion, dd.conj
-            n = e.md.rank
+            n = e.modular_data.rank
             assert np.array_equal(N, N.transpose(1, 0, 2)), e.name
             # N^k_{i,j} = N^kbar_{ibar,jbar}
             assert np.array_equal(N, N[np.ix_(conj, conj, conj)]), e.name
@@ -294,8 +294,8 @@ class TestFileFormat:
         assert z == 1.0 and type(z) is complex
 
     def test_roundtrip_is_bit_exact(self, entries, rings_dir):
-        data = [e.md for e in entries]
-        data += [ModularData.from_matrices(np.kron(a.md.S, b.md.S), np.kron(a.md.T, b.md.T))
+        data = [e.modular_data for e in entries]
+        data += [ModularData.from_matrices(np.kron(a.modular_data.S, b.modular_data.S), np.kron(a.modular_data.T, b.modular_data.T))
                  for a, b in itertools.combinations_with_replacement(entries, 2)]
         data.append(search_pipeline(load_fusion_ring(rings_dir / "ising_ring.json"), 16)[0].md)
         assert len(data) == 9 + 45 + 1
@@ -373,15 +373,15 @@ class TestFileFormat:
 
 
 class TestDerivedCache:
-    """S^2, (S T)^3 and the Verlinde tensor are cached on the instance, the
-    first and last in the S cache that ``_with_t`` shares; what the S cache
-    holds per policy must be keyed by it, and nothing that reads T may be in it."""
+    """S^2 and the Verlinde tensor are cached in the S cache that ``_with_t``
+    shares; what the S cache holds per policy must be keyed by it, and
+    nothing that reads T may be in it."""
 
-    CACHED = ("S2", "ST_cubed", "verlinde_raw")
+    CACHED = ("S2", "verlinde_raw")
 
     @staticmethod
     def instances(entries, bad_file):
-        by_name = {e.name: e.md for e in entries}
+        by_name = {e.name: e.modular_data for e in entries}
         mds = list(by_name.values())
         for a, b in [("ising", "fibonacci"), ("z3", "toric_code"), ("semion", "su2_2")]:
             A, B = by_name[a], by_name[b]
@@ -413,14 +413,14 @@ class TestDerivedCache:
         # the control shares the catalog datum's S cache and must fail
         # st_cubed, so (S T)^3 and every other T quantity is its own
         for e in entries:
-            if e.md.rank == 1:
+            if e.modular_data.rank == 1:
                 continue
-            T = e.md.T.copy()
+            T = e.modular_data.T.copy()
             T[-1] *= phase_from_turns(Fraction(1, 12))
-            realizability_report(e.md)  # fill the S cache
-            control = e.md._with_t(T)
-            assert control._s is e.md._s
-            self.assert_fresh_reports(e.md)
+            realizability_report(e.modular_data)  # fill the S cache
+            control = e.modular_data._with_t(T)
+            assert control._s is e.modular_data._s
+            self.assert_fresh_reports(e.modular_data)
             self.assert_fresh_reports(control)
             assert "st_cubed" in {d.check_id for d in validate(control).errors()}, e.name
 

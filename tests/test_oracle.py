@@ -7,7 +7,6 @@ import pytest
 from modata import (
     brute_trace,
     build_pointed_model,
-    catalog,
     catalog_names,
     derive,
     get_model,
@@ -122,24 +121,24 @@ class TestCatalog:
 
     def test_every_entry_validates_and_realizes(self, entries):
         for e in entries:
-            assert validate(e.md).verdict == "pass", e.name
-            assert realizability_report(e.md).verdict == "pass", e.name
+            assert validate(e.modular_data).verdict == "pass", e.name
+            assert realizability_report(e.modular_data).verdict == "pass", e.name
 
     def test_ising_lookup(self):
-        e = next(e for e in catalog() if e.name == "ising")
-        assert e.md.rank == 3
-        assert abs(derive(e.md).total_dim - 2.0) < 1e-12
+        e = get_model("ising")
+        assert e.modular_data.rank == 3
+        assert abs(derive(e.modular_data).total_dim - 2.0) < 1e-12
 
     def test_fibonacci_lookup(self):
-        e = next(e for e in catalog() if e.name == "fibonacci")
+        e = get_model("fibonacci")
         phi = (1 + math.sqrt(5)) / 2
-        assert e.md.rank == 2
-        d = derive(e.md).dims
+        assert e.modular_data.rank == 2
+        d = derive(e.modular_data).dims
         assert np.max(np.abs(d - [1.0, phi])) < 1e-12
 
     def test_trivial_lookup(self):
-        e = next(e for e in catalog() if e.name == "trivial")
-        assert e.md.rank == 1
+        e = get_model("trivial")
+        assert e.modular_data.rank == 1
 
     def test_unknown_model_raises(self):
         with pytest.raises(KeyError):

@@ -74,8 +74,8 @@ class TestCanonicalR:
     def test_one_block_per_nonzero_channel(self, entries):
         # in the row-major order of N's support: the JSON block order is output
         for e in entries:
-            dd, _, blocks = full_pipeline(e.md)
-            n = e.md.rank
+            dd, _, blocks = full_pipeline(e.modular_data)
+            n = e.modular_data.rank
             want = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
                     if dd.fusion[i, j, k] > 0]
             assert len(blocks) == len(want), e.name
@@ -100,7 +100,7 @@ class TestCanonicalR:
 
     def test_scalar_value_squares_to_monodromy(self, entries):
         for e in entries:
-            dd, _, blocks = full_pipeline(e.md)
+            dd, _, blocks = full_pipeline(e.modular_data)
             w, scalar = dd.twists, blocks.I != blocks.J
             I, J, K = blocks.I[scalar], blocks.J[scalar], blocks.K[scalar]
             dev = np.abs(blocks.values[scalar] ** 2 - w[K] / (w[I] * w[J]))
@@ -109,7 +109,7 @@ class TestCanonicalR:
     def test_signed_value_and_trace(self, entries):
         # value^2 = w_k/w_i^2 and trace ties back to the trace table
         for e in entries:
-            dd, tau, blocks = full_pipeline(e.md)
+            dd, tau, blocks = full_pipeline(e.modular_data)
             w, signed = dd.twists, blocks.I == blocks.J
             K, I, trace = signed_traces(blocks)
             assert np.abs(blocks.values[signed] ** 2 - w[K] / w[I] ** 2).max() <= 1e-9, e.name
@@ -119,7 +119,7 @@ class TestCanonicalR:
         # each block is its value times a diagonal of signs: unitary exactly
         # when the value is a phase and the block has a dimension
         for e in entries:
-            _, _, blocks = full_pipeline(e.md)
+            _, _, blocks = full_pipeline(e.modular_data)
             assert np.abs(np.abs(blocks.values) - 1.0).max() < 1e-9, e.name
             assert (blocks.size + blocks.dim_plus + blocks.dim_minus >= 1).all(), e.name
 
@@ -127,7 +127,7 @@ class TestCanonicalR:
         # rmatrix --json writes the blocks' text straight from the arrays; it
         # is json.dumps of these dicts, byte for byte
         for a, b in [(x, y) for x in entries for y in entries][::7]:
-            md = ModularData.from_matrices(np.kron(a.md.S, b.md.S), np.kron(a.md.T, b.md.T))
+            md = ModularData.from_matrices(np.kron(a.modular_data.S, b.modular_data.S), np.kron(a.modular_data.T, b.modular_data.T))
             _, _, blocks = full_pipeline(md)
             rows = zip(*(x.tolist() for x in (blocks.I, blocks.J, blocks.K, blocks.values,
                                               blocks.size, blocks.dim_plus, blocks.dim_minus)))
@@ -187,7 +187,7 @@ class TestAgainstOracle:
 class TestMonodromyCheck:
     def test_catalog_passes(self, entries):
         for e in entries:
-            dd, _, blocks = full_pipeline(e.md)
+            dd, _, blocks = full_pipeline(e.modular_data)
             report = monodromy_check(blocks, dd)
             assert report.verdict == "pass", e.name
             assert report.max_deviation < 1e-9
@@ -211,12 +211,33 @@ class TestMonodromyCheck:
         assert sorted(set(ids)) == sorted(rblock)
         assert list(report.measurements) == rblock
 
+    def test_missing_mirror_block_caught(self):
+        # with the block (0, 1, 1) dropped, its mirror (1, 0, 1) has none
+        dd, _, blocks = full_pipeline(get_model("ising").modular_data)
+        keep = ~((blocks.I == 0) & (blocks.J == 1) & (blocks.K == 1))
+        arrays = {name: a[keep] for name, a in vars(blocks).items()}
+        report = monodromy_check(dataclasses.replace(blocks, **arrays), dd)
+        assert [(d.check_id, d.indices, d.message) for d in report.errors()] == [
+            ("monodromy", ((1, 0, 1),), "missing mirror block for channel (1,0,1)")]
+
+    def test_mismatched_signed_projections_caught(self):
+        # the signed channel (1, 1, 0) listed twice, the copy with E+ and E-
+        # swapped: each copy is the other's mirror, and the first differs
+        dd, _, blocks = full_pipeline(get_model("ising").modular_data)
+        x = np.flatnonzero((blocks.I == 1) & (blocks.J == 1) & (blocks.K == 0))[0]
+        arrays = {name: np.append(a, a[x]) for name, a in vars(blocks).items()}
+        arrays["dim_plus"][-1], arrays["dim_minus"][-1] = blocks.dim_minus[x], blocks.dim_plus[x]
+        assert arrays["dim_plus"][-1] != arrays["dim_plus"][x]
+        report = monodromy_check(dataclasses.replace(blocks, **arrays), dd)
+        assert [(d.check_id, d.indices, d.message) for d in report.errors()] == [
+            ("monodromy", ((1, 1, 0),), "mirror block has mismatched projections")]
+
     def test_branch_covariant(self, entries, other_branch):
         # the opposite square-root branch flips block values but monodromy
         # products and signed traces are branch independent
         for e in entries:
-            dd = derive(e.md)
-            tau = trace_table(e.md, dd)
+            dd = derive(e.modular_data)
+            tau = trace_table(e.modular_data, dd)
             with other_branch():
                 blocks = canonical_r(dd, *eigen_multiplicities(dd, tau))
             assert monodromy_check(blocks, dd).verdict == "pass", e.name

@@ -14,7 +14,7 @@ from modata import (
     FusionRing,
     FusionRingError,
     candidate_s,
-    catalog,
+    catalog_models,
     enumerate_t,
     get_model,
     load_fusion_ring,
@@ -246,7 +246,7 @@ def reference_search(fr, max_order, pol=DEFAULT_POLICY, enumerate_fn=reference_e
 class TestFusionRing:
     def test_catalog_fusions_are_rings(self, entries):
         for e in entries:
-            FusionRing(rank=e.md.rank, N=verlinde_fusion(e.md))
+            FusionRing(rank=e.modular_data.rank, N=verlinde_fusion(e.modular_data))
 
     def test_rejects_noncommutative(self):
         N = np.zeros((2, 2, 2), dtype=int)
@@ -549,8 +549,8 @@ class TestEnumerateT:
         phases = np.array([phase_from_turns(r) for r in _roots_of_unity(16)])
         lifted = 0
         for e in entries:
-            w_cat = e.md.T / e.md.T[0]
-            for S in (e.md.S, 1.001 * e.md.S, e.md.S * turn(1, 7)):
+            w_cat = e.modular_data.T / e.modular_data.T[0]
+            for S in (e.modular_data.S, 1.001 * e.modular_data.S, e.modular_data.S * turn(1, 7)):
                 md = s_datum(S)
                 W = np.ones((64, md.rank), dtype=complex)
                 W[0] = w_cat
@@ -601,7 +601,7 @@ class TestEnumerateT:
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([e.name for e in catalog()]), st.floats(0.0, 0.2),
+@given(st.sampled_from([e.name for e in catalog_models()]), st.floats(0.0, 0.2),
        st.lists(st.floats(-1.0, 1.0), min_size=15, max_size=15))
 def test_balancing_residual_within_bound(name, eps, offsets):
     # twists moved off a modular datum by up to eps radians per orbit: every
@@ -646,7 +646,8 @@ class TestSearchPipeline:
     def test_s_quantities_formed_once_per_s_candidate(self, monkeypatch, ring, max_order, n_s):
         # the enumeration, the FS screen, every report and the ring re-check
         # of one S candidate share one S datum, and so one S-facts fill: its
-        # Verlinde tensor, det K and S-only axiom checks are each formed once
+        # Verlinde tensor and S-only axiom checks are each formed once, and
+        # det K, first read by enumerate_t and then by the stacked pass, too
         fills, dets = Counter(), []
         fill, det = modular_data._fill_s_facts, modular_data._casimir_det
 
@@ -702,7 +703,7 @@ class TestSearchPipeline:
         fr = ring_of("fibonacci")
         res = search_pipeline(fr, max_order=10)
         assert len(res) == 6
-        cat = {e.name: e.md for e in catalog()}
+        cat = {e.name: e.modular_data for e in catalog_models()}
         assert any(r.md.approx_eq(cat["fibonacci"]) for r in res)
         assert any(r.md.approx_eq(cat["conj-fibonacci"]) for r in res)
         fams = {r.provenance[:2] for r in res}
@@ -728,7 +729,7 @@ class TestSearchPipeline:
             round(float(np.angle(r.md.T[1] / r.md.T[0]) / (2 * math.pi)) % 1.0, 9)
             for r in res})
         assert sigma_twists == [round(k / 16, 9) for k in (1, 3, 5, 7, 9, 11, 13, 15)]
-        cat = {e.name: e.md for e in catalog()}
+        cat = {e.name: e.modular_data for e in catalog_models()}
         assert any(r.md.approx_eq(cat["ising"]) for r in res)
         assert any(r.md.approx_eq(cat["su2_2"]) for r in res)
 
