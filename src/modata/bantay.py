@@ -28,10 +28,10 @@ block of T rows that share one S, forms the trace tables, the FS sums and
 the multiplicity integers t_{k,i} of every row as arrays, checks them with
 masks, and builds a diagnostic only where a mask fails; a row reads the
 same bits as its own block of one.  The dims, the conjugation and N come
-from the S-facts fill of :mod:`modata.modular_data`, det K from its S cache
-(``_det_k``), the axiom checks
-and the twists from ``axioms._validate_rows`` on the block, whose
-diagnostics each row's report extends: a report is built once.  The search
+from the S-facts fill of :mod:`modata.modular_data`, det K from its S
+cache (``_det_k``), the axiom checks and the twists from
+``axioms._validate_rows`` on the block, whose diagnostics each row's report
+extends: a report is built once.  The search
 runs the pass once per S candidate (``_reported_rows``), which leaves each
 row's report on its datum; ``realizability_report`` on any other datum,
 and the CLI's ``check``, ``bantay`` and ``rmatrix``, run it on a block of
