@@ -362,9 +362,9 @@ class TestFsIndicators:
         # call of the report and the literal sum over each (r, s) plane
         from modata.bantay import _fs_sums
 
-        data = [e.modular_data for e in entries] + [
-            ModularData.from_matrices(np.kron(a.modular_data.S, b.modular_data.S), np.kron(a.modular_data.T, b.modular_data.T))
-            for a, b in itertools.combinations_with_replacement(entries, 2)]
+        mds = [e.modular_data for e in entries]
+        data = mds + [ModularData.from_matrices(np.kron(a.S, b.S), np.kron(a.T, b.T))
+                      for a, b in itertools.combinations_with_replacement(mds, 2)]
         assert len(data) == 9 + 45
         rng = np.random.default_rng(1606)
         for md in data:
@@ -448,10 +448,11 @@ class TestBuilderArrays:
         # the builders and the rows of the pass give the tables as read-only
         # ndarrays: tau (n, n) complex, nu (n,) int, m_plus and m_minus (n, n) int
         for e in entries:
-            n, dd = e.modular_data.rank, derive(e.modular_data)
-            tau = trace_table(e.modular_data, dd)
-            built = (tau, fs_indicators(e.modular_data, dd, tau), *eigen_multiplicities(dd, tau))
-            (_,), (row,) = _realizability_pass(e.modular_data, e.modular_data.T[None], DEFAULT_POLICY)
+            md = e.modular_data
+            n, dd = md.rank, derive(md)
+            tau = trace_table(md, dd)
+            built = (tau, fs_indicators(md, dd, tau), *eigen_multiplicities(dd, tau))
+            (_,), (row,) = _realizability_pass(md, md.T[None], DEFAULT_POLICY)
             for arrays in (built, row):
                 for a, dtype, shape in zip(arrays, (complex, int, int, int),
                                            ((n, n), (n,), (n, n), (n, n))):
@@ -536,9 +537,9 @@ class TestCauchyCheck:
         return [(d.severity, d.measured) for d in report.diagnostics if d.check_id == "cauchy"]
 
     def test_holds_on_catalog_and_products(self, entries):
-        data = [e.modular_data for e in entries] + [
-            ModularData.from_matrices(np.kron(a.modular_data.S, b.modular_data.S), np.kron(a.modular_data.T, b.modular_data.T))
-            for a, b in itertools.combinations_with_replacement(entries, 2)]
+        mds = [e.modular_data for e in entries]
+        data = mds + [ModularData.from_matrices(np.kron(a.S, b.S), np.kron(a.T, b.T))
+                      for a, b in itertools.combinations_with_replacement(mds, 2)]
         assert len(data) == 9 + 45
         for md in data:
             report = realizability_report(md)

@@ -203,8 +203,9 @@ class TestBantayCommand:
         # tau as [re, im] pairs, then nu, m_plus and m_minus, as json.dumps
         # writes the lists of the builders' arrays
         ising = get_model("ising").modular_data
-        data = [(e.name, e.modular_data) for e in entries] + [("ising_ising", ModularData.from_matrices(
-            np.kron(ising.S, ising.S), np.kron(ising.T, ising.T)))]
+        data = [(e.name, e.modular_data) for e in entries] + [
+            ("ising_ising", ModularData.from_matrices(np.kron(ising.S, ising.S),
+                                                      np.kron(ising.T, ising.T)))]
         for name, md in data:
             path = tmp_path / f"{name}.json"
             save_modular_data(md, path, exact_t=True)
@@ -690,14 +691,15 @@ def twisted_controls(seed=1):
     controls = {"z3_conjugate_presentation": ModularData.from_matrices(np.conj(z3.S), z3.T,
                                                                        z3.labels)}
     for e in catalog_models():
-        if e.modular_data.rank == 1:
+        md = e.modular_data
+        if md.rank == 1:
             continue
-        sector = rng.randrange(1, e.modular_data.rank)
+        sector = rng.randrange(1, md.rank)
         q = rng.randint(2, 12)
         p = rng.choice([p for p in range(1, q) if math.gcd(p, q) == 1])
-        T = e.modular_data.T.copy()
+        T = md.T.copy()
         T[sector] *= phase_from_turns(Fraction(p, q))
-        controls[f"{e.name}_twisted"] = ModularData.from_matrices(e.modular_data.S, T, e.modular_data.labels)
+        controls[f"{e.name}_twisted"] = ModularData.from_matrices(md.S, T, md.labels)
     return controls
 
 

@@ -294,9 +294,9 @@ class TestFileFormat:
         assert z == 1.0 and type(z) is complex
 
     def test_roundtrip_is_bit_exact(self, entries, rings_dir):
-        data = [e.modular_data for e in entries]
-        data += [ModularData.from_matrices(np.kron(a.modular_data.S, b.modular_data.S), np.kron(a.modular_data.T, b.modular_data.T))
-                 for a, b in itertools.combinations_with_replacement(entries, 2)]
+        mds = [e.modular_data for e in entries]
+        data = mds + [ModularData.from_matrices(np.kron(a.S, b.S), np.kron(a.T, b.T))
+                      for a, b in itertools.combinations_with_replacement(mds, 2)]
         data.append(search_pipeline(load_fusion_ring(rings_dir / "ising_ring.json"), 16)[0].md)
         assert len(data) == 9 + 45 + 1
         for n, md in enumerate(data):

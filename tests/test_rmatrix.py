@@ -126,8 +126,9 @@ class TestCanonicalR:
     def test_encoded_blocks_equal_json_dumps_of_the_dicts(self, entries):
         # rmatrix --json writes the blocks' text straight from the arrays; it
         # is json.dumps of these dicts, byte for byte
-        for a, b in [(x, y) for x in entries for y in entries][::7]:
-            md = ModularData.from_matrices(np.kron(a.modular_data.S, b.modular_data.S), np.kron(a.modular_data.T, b.modular_data.T))
+        mds = [e.modular_data for e in entries]
+        for a, b in [(x, y) for x in mds for y in mds][::7]:
+            md = ModularData.from_matrices(np.kron(a.S, b.S), np.kron(a.T, b.T))
             _, _, blocks = full_pipeline(md)
             rows = zip(*(x.tolist() for x in (blocks.I, blocks.J, blocks.K, blocks.values,
                                               blocks.size, blocks.dim_plus, blocks.dim_minus)))
