@@ -21,9 +21,7 @@ from .modular_data import (
     DerivedData,
     InvalidModularData,
     ModularData,
-    charge_conjugation,
     derive,
-    dims,
     load_modular_data,
     save_modular_data,
     twists,
@@ -62,9 +60,8 @@ __all__ = [
     "AxiomReport", "Diagnostic", "validate",
     "RealizabilityError", "eigen_multiplicities", "fs_indicators", "realizability_report",
     "trace_table",
-    "DerivedData", "InvalidModularData", "ModularData", "charge_conjugation",
-    "derive", "dims", "load_modular_data", "save_modular_data", "twists",
-    "verlinde_fusion",
+    "DerivedData", "InvalidModularData", "ModularData", "derive",
+    "load_modular_data", "save_modular_data", "twists", "verlinde_fusion",
     "DEFAULT_POLICY", "TolerancePolicy", "phase_from_turns", "principal_sqrt",
     "turns_fraction",
     "ExplicitModel", "brute_trace", "build_pointed_model", "catalog_models",

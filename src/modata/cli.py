@@ -34,7 +34,7 @@ from .modular_data import (
     twists,
 )
 from .numerics import DEFAULT_POLICY, TolerancePolicy, turns_fraction
-from .oracle import _NOTES, brute_trace, catalog_models, catalog_names, get_model
+from .oracle import _NOTES, brute_trace, catalog_models, get_model
 from .rmatrix import canonical_r, monodromy_check
 from .search import FusionRingError, load_fusion_ring, search_pipeline
 
@@ -172,6 +172,15 @@ def cmd_rmatrix(args, pol) -> int:
     return EXIT_PASS if mono.passed else EXIT_FAIL
 
 
+def _lookup(name: str):
+    """The catalog model ``name``, or None after one error line on stderr."""
+    try:
+        return get_model(name)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return None
+
+
 def cmd_catalog(args, pol) -> int:
     if args.name is None:
         if args.json:
@@ -183,11 +192,8 @@ def cmd_catalog(args, pol) -> int:
                 print(f"  {m.name:<16} rank {m.rank}  |sigma| = "
                       f"{dd.total_dim:.6f}  {_NOTES[m.name]}")
         return EXIT_PASS
-    try:
-        model = get_model(args.name)
-    except KeyError:
-        print(f"unknown catalog entry {args.name!r}; known: {', '.join(catalog_names())}",
-              file=sys.stderr)
+    model = _lookup(args.name)
+    if model is None:
         return EXIT_PARSE
     md = model.modular_data
     if args.json:
@@ -204,10 +210,8 @@ def cmd_catalog(args, pol) -> int:
 
 
 def cmd_oracle(args, pol) -> int:
-    try:
-        model = get_model(args.model)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
+    model = _lookup(args.model)
+    if model is None:
         return EXIT_PARSE
     md = model.modular_data
     dd = derive(md, pol)

@@ -6,9 +6,9 @@ with every datum made from it by ``_with_t``: S^2 and the raw Verlinde
 tensor (one matrix product), and, once per TolerancePolicy, the S-facts
 fill ``_fill_s_facts``, the one owner of the dims, the conjugation, the
 Verlinde rounding, ``derive``'s S steps and the S-only axiom checks of
-:mod:`modata.axioms`.  ``dims``, ``charge_conjugation``,
-``verlinde_fusion``, ``derive``, ``validate``, the realizability pass and
-the search all read it.  det K over the rounded tensor, which only the
+:mod:`modata.axioms`.  ``derive`` is its public reader; ``verlinde_fusion``
+hands out the fusion tensor alone, and ``validate``, the realizability pass
+and the search read it too.  det K over the rounded tensor, which only the
 Cauchy check and the search's root prune read, is computed on first read
 (``_det_k``) and kept in the S cache per policy too.  Per label tuple the
 S cache keeps the encoded head of the file format below
@@ -55,9 +55,7 @@ __all__ = [
     "InvalidModularData",
     "ModularData",
     "DerivedData",
-    "dims",
     "twists",
-    "charge_conjugation",
     "verlinde_fusion",
     "derive",
     "parse_complex",
@@ -221,19 +219,20 @@ def _capped(x) -> float:
 class _SFacts(NamedTuple):
     """What S alone decides under one TolerancePolicy (``_fill_s_facts``).
 
-    ``errors`` are the messages of ``derive``'s S steps (dims, conjugation,
-    Verlinde, S_00 positivity), None for a step that succeeds, and ``dims``,
-    ``conj`` and ``fusion`` are None when their step fails.  ``checks`` maps
-    each check of stage S in ``axioms.CHECKS`` that ran to (measurement,
-    failure or None), a failure being (indices, measured, message)."""
+    ``dims``, ``conj`` and ``fusion`` are None when their step of ``derive``
+    fails; ``error`` is derive's message on S, that of the first failing
+    step (dims, conjugation, Verlinde, S_00 positivity), and
+    ``fusion_error`` the Verlinde step's, which ``verlinde_fusion`` raises.
+    ``checks`` maps each check of stage S in ``axioms.CHECKS`` that ran to
+    (measurement, failure or None), a failure being (indices, measured,
+    message)."""
 
     dims: np.ndarray | None       # d_i = S_0i / S_00, real
     perm: np.ndarray              # per row of S^2, the column of its largest entry
     conj: np.ndarray | None       # perm, when S^2 is a vacuum-fixing involution
     fusion: np.ndarray | None     # the rounded Verlinde tensor, integral and >= 0
-    total_dim: float | None       # 1/S_00, when derive's S steps all succeed
-    errors: tuple
-    error: str | None             # derive's message on S, the first failing step's
+    fusion_error: str | None
+    error: str | None
     checks: dict
     dims_gap: np.ndarray | None   # per sector |d_ibar - d_i|, d_i = |S_0i|; None without conj
 
@@ -338,23 +337,9 @@ def _fill_s_facts(md: ModularData, pol: TolerancePolicy) -> _SFacts:
         dims_gap = None if conj is None else np.abs(d_row[conj] - d_row)
     s00_error = (f"S_0,0 = {s00} is not real positive"
                  if abs(s00.imag) > eq or s00.real <= 0 else None)
-    errors = (dims_error, conj_error, verlinde_error, s00_error)
-    error = next(filter(None, errors), None)
-    return _SFacts(dims, perm, conj, fusion, None if error else 1.0 / s00.real, errors, error,
+    error = dims_error or conj_error or verlinde_error or s00_error
+    return _SFacts(dims, perm, conj, fusion, verlinde_error, error,
                    {c: (m, fails.get(c)) for c, m in meas.items()}, dims_gap)
-
-
-def _s_step(md: ModularData, pol: TolerancePolicy, step: int, value: str) -> np.ndarray:
-    """A copy of the S facts' ``value``, or derive's error of S step ``step``."""
-    facts = _s_facts(md, pol)
-    if getattr(facts, value) is None:
-        raise InvalidModularData(facts.errors[step])
-    return getattr(facts, value).copy()
-
-
-def dims(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Quantum dimensions d_i = S_{0,i}/S_{0,0}; must come out real."""
-    return _s_step(md, pol, 0, "dims")
 
 
 def _twist_rows(T: np.ndarray, pol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
@@ -378,21 +363,15 @@ def twists(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray
     return W[0]
 
 
-def charge_conjugation(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """The permutation C = S^2 pairing each sector with its dual.
-
-    Each row of S^2 must be a 0/1 unit row within eq_tol; C must be an
-    involution fixing the vacuum.
-    """
-    return _s_step(md, pol, 1, "conj")
-
-
 def verlinde_fusion(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Fusion tensor N^k_{i,j} = sum_r S_{i,r} S_{j,r} conj(S_{k,r}) / S_{0,r}.
 
     Every entry must round to a nonnegative integer within int_tol.
     """
-    return _s_step(md, pol, 2, "fusion")
+    facts = _s_facts(md, pol)
+    if facts.fusion is None:
+        raise InvalidModularData(facts.fusion_error)
+    return facts.fusion.copy()
 
 
 def _casimir_det(N: np.ndarray) -> int:
@@ -478,14 +457,15 @@ def _derive_failure(facts: _SFacts, ok: bool) -> str | None:
 
 
 def derive(md: ModularData, pol: TolerancePolicy = DEFAULT_POLICY) -> DerivedData:
-    """Bundle dims, twists, conjugation, fusion and the total dimension."""
+    """Bundle dims, twists, conjugation, fusion and the total dimension; or
+    raise InvalidModularData with the first failing step's message."""
     facts = _s_facts(md, pol)
     W, ok = _twist_rows(md.T[None], pol)
     error = _derive_failure(facts, ok[0])
     if error is not None:
         raise InvalidModularData(error)
     return DerivedData(dims=facts.dims, twists=W[0], conj=facts.conj, fusion=facts.fusion,
-                       total_dim=facts.total_dim)
+                       total_dim=1.0 / md.S[0, 0].real)
 
 
 # ---------------------------------------------------------------------------
@@ -654,9 +634,9 @@ def _encode_datum(md: ModularData, exact_t: bool = False) -> _Encoded:
     key = (_encode_datum, md.labels)
     head = md._s.memo.get(key)
     if head is None:
-        skeleton = json.dumps({"rank": md.rank, "labels": list(md.labels),
-                               "S": np.stack((md.S.real, md.S.imag), -1).tolist()})
-        head = md._s.memo[key] = skeleton[:-1] + ', "T": '  # skeleton ends in "}"
+        skeleton = md.to_json_dict()
+        del skeleton["T"]  # the last key
+        head = md._s.memo[key] = json.dumps(skeleton)[:-1] + ', "T": '  # ends in "}"
     return _Encoded(head + json.dumps([complex_to_json(z, exact=exact_t) for z in md.T]) + "}")
 
 

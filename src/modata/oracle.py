@@ -8,9 +8,10 @@ is used to check.
 
 Every model is validated on construction: the r table must cover exactly
 the fusion channels, satisfy |r| = 1 and the double-braiding identity
-r(j,i,k) r(i,j,k) = w_k/(w_i w_j), and its modular data must reproduce the
-model's fusion tensor through the Verlinde sum.  A typo in any shipped
-number fails loudly at load time.
+r(j,i,k) r(i,j,k) = w_k/(w_i w_j), and its modular data must derive
+(``modular_data.derive``), carry the model's labels and reproduce its
+twists and, through the Verlinde sum, its fusion tensor.  A typo in any
+shipped number fails loudly at load time.
 
 The shipped catalog (trivial, semion, conj-semion, z3, fibonacci,
 conj-fibonacci, ising, su2_2, toric_code) stores phases as exact turn
@@ -37,10 +38,8 @@ from .modular_data import (
     _read_json,
     _readonly,
     complex_to_json,
-    dims,
+    derive,
     parse_complex,
-    twists,
-    verlinde_fusion,
 )
 from .numerics import DEFAULT_POLICY, TolerancePolicy, phase_from_turns
 
@@ -109,13 +108,17 @@ def _check_model(model: ExplicitModel, pol: TolerancePolicy = DEFAULT_POLICY) ->
     md = model.modular_data
     if md.rank != n:
         raise ValueError(f"model {model.name}: modular data rank mismatch")
-    if np.abs(twists(md, pol) - w).max() > pol.eq_tol:
+    if model.labels != md.labels:
+        raise ValueError(f"model {model.name}: labels {model.labels} are not those of "
+                         f"its modular data, {md.labels}")
+    dd = derive(md, pol)
+    if np.abs(dd.twists - w).max() > pol.eq_tol:
         raise ValueError(f"model {model.name}: T diagonal does not reproduce the twists")
-    if (verlinde_fusion(md, pol) != fusion).any():
+    if (dd.fusion != fusion).any():
         raise ValueError(f"model {model.name}: Verlinde fusion does not match the r table support")
     # ribbon identity sum_k d_k r(i,i,k) = d_i w_i; the double-braiding
     # check alone cannot see a sign flip of a self-braiding scalar
-    d = dims(md, pol)
+    d = dd.dims
     for i in range(n):
         lhs = sum(d[k] * model.r_scalars.get((i, i, k), 0.0) for k in range(n))
         if abs(lhs - d[i] * w[i]) > pol.eq_tol:
@@ -196,13 +199,14 @@ def _r_from_json(block) -> dict[tuple[int, int, int], complex]:
 
 
 def load_model(source: str | Path) -> ExplicitModel:
-    """Read a model file: modular-data format plus the "r" scalar block."""
+    """Read a model file: modular-data format plus the "r" scalar block; its
+    datum must derive."""
     doc = _read_json(source, InvalidModularData)
     md = _md_from_dict(doc)
     r = _r_from_json(doc.get("r", []))
+    dd = derive(md)
     return ExplicitModel(name=doc.get("name", "unnamed"), labels=md.labels,
-                         fusion=verlinde_fusion(md), twists=twists(md), r_scalars=r,
-                         modular_data=md)
+                         fusion=dd.fusion, twists=dd.twists, r_scalars=r, modular_data=md)
 
 
 _CATALOG_ORDER = [

@@ -34,6 +34,10 @@ from modata.numerics import phase_from_turns
 from modata.search import FusionRing, load_fusion_ring, save_fusion_ring, search_pipeline
 
 
+KNOWN_MODELS = ("trivial, semion, conj-semion, z3, fibonacci, conj-fibonacci, ising, su2_2, "
+                "toric_code")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -771,6 +775,7 @@ class TestCatalogCommand:
     def test_unknown_name(self, capsys):
         code, _, err = run(capsys, "catalog", "nope")
         assert code == 2
+        assert err == f"error: no model named 'nope'; known: {KNOWN_MODELS}\n"
 
     def test_json_roundtrips_through_validate(self, capsys, tmp_path):
         code, out, _ = run(capsys, "--json", "catalog", "fibonacci")
@@ -806,6 +811,7 @@ class TestOracleCommand:
     def test_unknown_model(self, capsys):
         code, _, err = run(capsys, "oracle", "unobtainium")
         assert code == 2
+        assert err == f"error: no model named 'unobtainium'; known: {KNOWN_MODELS}\n"
 
     def test_json_max_delta(self, capsys):
         code, out, _ = run(capsys, "--json", "oracle", "fibonacci")

@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 from modata import (
     InvalidModularData,
     ModularData,
-    charge_conjugation,
     derive,
-    dims,
     get_model,
     load_fusion_ring,
     load_modular_data,
@@ -58,24 +56,24 @@ class TestConstruction:
 
 class TestDims:
     def test_trivial(self):
-        assert np.allclose(dims(TRIVIAL), [1.0])
+        assert np.allclose(derive(TRIVIAL).dims, [1.0])
 
     def test_fibonacci_golden_ratio(self):
         # independent oracle: the positive eigenvalue of the fusion matrix
         # [[0,1],[1,1]] solves x^2 = x + 1
         golden = max(np.linalg.eigvalsh(np.array([[0.0, 1.0], [1.0, 1.0]])))
-        d = dims(get_model("fibonacci").modular_data)
+        d = derive(get_model("fibonacci").modular_data).dims
         assert abs(d[1] - golden) < 1e-12
         assert abs(d[0] - 1.0) < 1e-15
 
     def test_ising_from_catalog_s(self):
-        d = dims(get_model("ising").modular_data)
+        d = derive(get_model("ising").modular_data).dims
         assert np.max(np.abs(d - [1.0, math.sqrt(2), 1.0])) < 1e-12
 
     def test_rejects_complex_ratio(self):
         md = ModularData.from_matrices([[0.5, 0.5j], [0.5j, 0.5]], [1.0, 1.0])
         with pytest.raises(InvalidModularData, match="invalid dimension row"):
-            dims(md)
+            derive(md)
 
 
 class TestTwists:
@@ -113,18 +111,18 @@ class TestTwists:
 
 class TestChargeConjugation:
     def test_trivial_identity(self):
-        assert charge_conjugation(TRIVIAL).tolist() == [0]
+        assert derive(TRIVIAL).conj.tolist() == [0]
 
     def test_ising_all_selfdual(self):
-        assert charge_conjugation(get_model("ising").modular_data).tolist() == [0, 1, 2]
+        assert derive(get_model("ising").modular_data).conj.tolist() == [0, 1, 2]
 
     def test_z3_swaps_duals(self):
-        assert charge_conjugation(get_model("z3").modular_data).tolist() == [0, 2, 1]
+        assert derive(get_model("z3").modular_data).conj.tolist() == [0, 2, 1]
 
     def test_rejects_non_permutation(self):
         md = ModularData.from_matrices(np.eye(2) * (1 / math.sqrt(2)), [1.0, 1.0])
         with pytest.raises(InvalidModularData, match="not modular"):
-            charge_conjugation(md)
+            derive(md)
 
 
 class TestVerlinde:

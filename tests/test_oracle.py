@@ -253,6 +253,30 @@ class TestModelValidation:
         with pytest.raises(InvalidModularData, match="float range"):
             load_model(bad)
 
+    def test_negated_s_does_not_derive(self, tmp_path):
+        import json
+
+        from modata import InvalidModularData, load_modular_data
+
+        doc = get_model("ising").to_json_dict()
+        doc["S"] = [[[-re, -im] for re, im in row] for row in doc["S"]]
+        bad = tmp_path / "ising_neg_s.json"
+        bad.write_text(json.dumps(doc))
+        # fusion, twists and dims all survive the sign, and the r table fits
+        # them; the datum is still not modular
+        failed = {d.check_id for d in realizability_report(load_modular_data(bad)).errors()}
+        assert {"st_cubed", "dims_row"} <= failed
+        with pytest.raises(InvalidModularData, match="S_0,0 = .* is not real positive"):
+            load_model(bad)
+
+    @pytest.mark.parametrize("labels", [("a",), ("p", "q", "r")])
+    def test_labels_must_be_those_of_the_modular_data(self, labels):
+        import dataclasses
+
+        ising = get_model("ising")
+        with pytest.raises(ValueError, match="labels"):
+            dataclasses.replace(ising, labels=labels)
+
     def test_roundtrip_through_json(self, tmp_path):
         import json
 
