@@ -40,6 +40,7 @@ from .oracle import (
     build_pointed_model,
     catalog_models,
     catalog_names,
+    deligne,
     get_model,
     load_model,
 )
@@ -65,7 +66,7 @@ __all__ = [
     "DEFAULT_POLICY", "TolerancePolicy", "phase_from_turns", "principal_sqrt",
     "turns_fraction",
     "ExplicitModel", "brute_trace", "build_pointed_model", "catalog_models",
-    "catalog_names", "get_model", "load_model",
+    "catalog_names", "deligne", "get_model", "load_model",
     "RBlocks", "canonical_r", "monodromy_check",
     "FusionRing", "FusionRingError", "SearchResult", "candidate_s",
     "enumerate_t", "load_fusion_ring", "save_fusion_ring", "search_pipeline",

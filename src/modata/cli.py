@@ -36,7 +36,7 @@ from .modular_data import (
 from .numerics import DEFAULT_POLICY, TolerancePolicy, turns_fraction
 from .oracle import _NOTES, brute_trace, catalog_models, get_model
 from .rmatrix import canonical_r, monodromy_check
-from .search import FusionRingError, load_fusion_ring, search_pipeline
+from .search import MAX_SEARCH_ORDER, FusionRingError, load_fusion_ring, search_pipeline
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -245,9 +245,9 @@ def cmd_oracle(args, pol) -> int:
 
 
 def cmd_search(args, pol) -> int:
-    if args.max_order < 1:
-        print(f"error: --max-order must be at least 1, got {args.max_order}",
-              file=sys.stderr)
+    if not 1 <= args.max_order <= MAX_SEARCH_ORDER:
+        print(f"error: --max-order must be between 1 and {MAX_SEARCH_ORDER}, "
+              f"got {args.max_order}", file=sys.stderr)
         return EXIT_PARSE
     fr = load_fusion_ring(args.file)
     stats: dict = {}
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("search", "search a fusion ring for admissible data", cmd_search)
     p.add_argument("--max-order", type=int, default=16, metavar="Q",
-                   help="largest twist denominator, at least 1 (default 16)")
+                   help=f"largest twist denominator, 1 to {MAX_SEARCH_ORDER} (default 16)")
     p.add_argument("--out", default="search-results", metavar="DIR",
                    help="directory for result files; result_NNN.json files of an "
                         "earlier search there are deleted (default ./search-results)")

@@ -11,7 +11,8 @@ the fusion channels, satisfy |r| = 1 and the double-braiding identity
 r(j,i,k) r(i,j,k) = w_k/(w_i w_j), and its modular data must derive
 (``modular_data.derive``), carry the model's labels and reproduce its
 twists and, through the Verlinde sum, its fusion tensor.  A typo in any
-shipped number fails loudly at load time.
+shipped number fails loudly at load time.  ``deligne`` builds the product
+A ⊠ B of two models, of their modular data or of their fusion rings.
 
 The shipped catalog (trivial, semion, conj-semion, z3, fibonacci,
 conj-fibonacci, ising, su2_2, toric_code) stores phases as exact turn
@@ -42,6 +43,7 @@ from .modular_data import (
     parse_complex,
 )
 from .numerics import DEFAULT_POLICY, TolerancePolicy, phase_from_turns
+from .search import FusionRing
 
 __all__ = [
     "ExplicitModel",
@@ -49,6 +51,7 @@ __all__ = [
     "build_pointed_model",
     "catalog_models",
     "catalog_names",
+    "deligne",
     "get_model",
     "load_model",
 ]
@@ -175,6 +178,40 @@ def build_pointed_model(n: int, p: int) -> ExplicitModel:
     md = md._with_t(t0 * w)
     return ExplicitModel(name=f"pointed_z{n}_p{p}", labels=md.labels, fusion=fusion,
                          twists=w, r_scalars=r, modular_data=md)
+
+
+def deligne(a, b):
+    """The Deligne product a ⊠ b of two ``ModularData``, ``FusionRing``s or
+    ``ExplicitModel``s.
+
+    Sector (i, j) sits at index i·|b| + j and is labelled "x*y" from the
+    labels x of i and y of j.  S and T are Kronecker products, so T_0
+    multiplies and (S T)^3 = S^2 carries over; the fusion tensor is
+    N[(i,j), (i',j'), (k,k')] = N_a[i, i', k] N_b[j, j', k']; a model's
+    braiding scalars multiply, r(i⊠j, i'⊠j', k⊠k') = r_a(i,i',k) r_b(j,j',k'),
+    and its constructor validates the product.
+    """
+    if isinstance(a, ModularData) and isinstance(b, ModularData):
+        return ModularData.from_matrices(np.kron(a.S, b.S), np.kron(a.T, b.T),
+                                         [f"{x}*{y}" for x in a.labels for y in b.labels])
+    if isinstance(a, FusionRing) and isinstance(b, FusionRing):
+        N = _tensor_product(a.N, b.N)
+        return FusionRing(rank=len(N), N=N)
+    if isinstance(a, ExplicitModel) and isinstance(b, ExplicitModel):
+        md, nb = deligne(a.modular_data, b.modular_data), b.rank
+        r = {(i * nb + i2, j * nb + j2, k * nb + k2): va * vb
+             for (i, j, k), va in a.r_scalars.items()
+             for (i2, j2, k2), vb in b.r_scalars.items()}
+        return ExplicitModel(name=f"{a.name}*{b.name}", labels=md.labels,
+                             fusion=_tensor_product(a.fusion, b.fusion),
+                             twists=np.kron(a.twists, b.twists), r_scalars=r, modular_data=md)
+    raise TypeError(f"no Deligne product of {type(a).__name__} and {type(b).__name__}")
+
+
+def _tensor_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The rank-3 tensor A ⊗ B on the index pairs of ``deligne``."""
+    n = len(A) * len(B)
+    return np.einsum("ace,bdf->abcdef", A, B).reshape(n, n, n)
 
 
 # ---------------------------------------------------------------------------

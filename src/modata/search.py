@@ -100,6 +100,7 @@ __all__ = [
 ]
 
 MAX_SEARCH_RANK = 12
+MAX_SEARCH_ORDER = 1000  # the root table grows as max_order^2: 304,192 roots at 1,000
 _SPLIT_TOL = 1e-8  # relative eigenvalue gap that splits a joint eigenspace
 _ROUNDING = 1e-12  # float noise allowed for in the balancing bound and the FS screen
 _BLOCK_ROWS = 4096  # rows of one stacked step of the twist walk, which bounds its memory
@@ -211,6 +212,11 @@ def _joint_eigenvectors(fr: FusionRing) -> list[np.ndarray]:
 def _check_search_rank(rank: int) -> None:
     if rank > MAX_SEARCH_RANK:
         raise FusionRingError(f"rank {rank} exceeds the search bound {MAX_SEARCH_RANK}")
+
+
+def _check_max_order(max_order: int) -> None:
+    if not 1 <= max_order <= MAX_SEARCH_ORDER:
+        raise ValueError(f"max_order must be between 1 and {MAX_SEARCH_ORDER}, got {max_order}")
 
 
 def candidate_s(fr: FusionRing, pol: TolerancePolicy = DEFAULT_POLICY) -> list[np.ndarray]:
@@ -410,8 +416,7 @@ def enumerate_t(md: ModularData, max_order: int,
     and is never pruned, at any level.  With no ring tensor nothing is
     pruned.
     """
-    if max_order < 1:
-        raise ValueError(f"max_order must be at least 1, got {max_order}")
+    _check_max_order(max_order)
     orbits = _twist_orbits(md, pol)
     roots = _roots_of_unity(max_order)
     N = _s_facts(md, pol).fusion
@@ -523,10 +528,9 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
     ``rows_cubed``, the twist assignments the walk cubed (the work of
     ``enumerate_t``, where the skip counts are the nominal root product),
     and ``fs_screened``, the T candidates the FS screen dropped.
-    ``max_order`` must be at least 1.
+    ``max_order`` must be between 1 and ``MAX_SEARCH_ORDER``.
     """
-    if max_order < 1:
-        raise ValueError(f"max_order must be at least 1, got {max_order}")
+    _check_max_order(max_order)
     results: list[SearchResult] = []
     kept: list[tuple[ModularData, list[np.ndarray]]] = []  # (S datum, T of its results)
     n_candidates = n_skipped = n_pruned = n_cubed = n_diagonals = n_screened = 0

@@ -10,6 +10,7 @@ from modata import (
     ModularData,
     RealizabilityError,
     brute_trace,
+    deligne,
     derive,
     eigen_multiplicities,
     fs_indicators,
@@ -25,7 +26,7 @@ from modata.modular_data import (DerivedData, InvalidModularData, _casimir_det, 
                                  _s_facts)
 from modata.numerics import DEFAULT_POLICY, phase_from_turns, principal_sqrt, turns_fraction
 from modata.search import candidate_s, enumerate_t
-from test_search import deligne_ring, pointed_ring, ring_of, s_datum, su2_ring
+from test_search import pointed_ring, ring_of, s_datum, su2_ring
 
 TRIVIAL = ModularData.from_matrices([[1.0]], [1.0])
 
@@ -363,8 +364,7 @@ class TestFsIndicators:
         from modata.bantay import _fs_sums
 
         mds = [e.modular_data for e in entries]
-        data = mds + [ModularData.from_matrices(np.kron(a.S, b.S), np.kron(a.T, b.T))
-                      for a, b in itertools.combinations_with_replacement(mds, 2)]
+        data = mds + [deligne(a, b) for a, b in itertools.combinations_with_replacement(mds, 2)]
         assert len(data) == 9 + 45
         rng = np.random.default_rng(1606)
         for md in data:
@@ -538,8 +538,7 @@ class TestCauchyCheck:
 
     def test_holds_on_catalog_and_products(self, entries):
         mds = [e.modular_data for e in entries]
-        data = mds + [ModularData.from_matrices(np.kron(a.S, b.S), np.kron(a.T, b.T))
-                      for a, b in itertools.combinations_with_replacement(mds, 2)]
+        data = mds + [deligne(a, b) for a, b in itertools.combinations_with_replacement(mds, 2)]
         assert len(data) == 9 + 45
         for md in data:
             report = realizability_report(md)
@@ -591,8 +590,8 @@ class TestStackedPass:
         (lambda: ring_of("ising"), 32),
         (lambda: ring_of("toric_code"), 8),
         *[(lambda k=k: su2_ring(k), 4 * (k + 2)) for k in range(6, 12)],
-        (lambda: deligne_ring(deligne_ring(pointed_ring(2), pointed_ring(2)), pointed_ring(2)), 8),
-        (lambda: deligne_ring(ring_of("ising"), ring_of("ising")), 16),
+        (lambda: deligne(deligne(pointed_ring(2), pointed_ring(2)), pointed_ring(2)), 8),
+        (lambda: deligne(ring_of("ising"), ring_of("ising")), 16),
     ], ids=["fibonacci", "ising", "toric", *[f"su2_{k}" for k in range(6, 12)], "z2_cubed",
             "ising_ising"])
     def test_every_t_candidate(self, ring, max_order):
@@ -614,8 +613,7 @@ class TestStackedPass:
         ising, z3 = get_model("ising").modular_data, get_model("z3").modular_data
         # Ising x Ising has the self-dual sigma x sigma of dimension 2, whose
         # channel to the vacuum gets t = 2 > N = 1 under trivial twists
-        data = [(e.modular_data.S, e.modular_data.T) for e in entries] + [
-            (np.kron(ising.S, ising.S), np.kron(ising.T, ising.T))]
+        data = [(md.S, md.T) for md in [e.modular_data for e in entries] + [deligne(ising, ising)]]
         # E is antisymmetric and anticommutes with the Ising S, so (S + E)^2
         # stays within eq_tol of 1 while (S + E)(S + E)^t, the vacuum row of
         # the Verlinde sum, does not

@@ -19,6 +19,7 @@ from modata import (
     InvalidModularData,
     ModularData,
     catalog_models,
+    deligne,
     derive,
     eigen_multiplicities,
     enumerate_t,
@@ -31,7 +32,8 @@ from modata import (
 from modata.cli import fmt_complex, main
 from modata.modular_data import _Encoded, verlinde_fusion
 from modata.numerics import phase_from_turns
-from modata.search import FusionRing, load_fusion_ring, save_fusion_ring, search_pipeline
+from modata.search import (MAX_SEARCH_ORDER, FusionRing, load_fusion_ring, save_fusion_ring,
+                           search_pipeline)
 
 
 KNOWN_MODELS = ("trivial, semion, conj-semion, z3, fibonacci, conj-fibonacci, ising, su2_2, "
@@ -208,8 +210,7 @@ class TestBantayCommand:
         # writes the lists of the builders' arrays
         ising = get_model("ising").modular_data
         data = [(e.name, e.modular_data) for e in entries] + [
-            ("ising_ising", ModularData.from_matrices(np.kron(ising.S, ising.S),
-                                                      np.kron(ising.T, ising.T)))]
+            ("ising_ising", deligne(ising, ising))]
         for name, md in data:
             path = tmp_path / f"{name}.json"
             save_modular_data(md, path, exact_t=True)
@@ -617,8 +618,7 @@ class TestRealizabilityCommandsAgree:
         files = {"bad_ising": bad_ising_file, "fs_fail": fs_fail_file}
         data = {e.name: e.modular_data for e in catalog_models()}
         for a, b in self.PRODUCTS:
-            A, B = data[a], data[b]
-            data[f"{a}*{b}"] = ModularData.from_matrices(np.kron(A.S, B.S), np.kron(A.T, B.T))
+            data[f"{a}*{b}"] = deligne(data[a], data[b])
         data.update(single_failure_data)
         for name, md in data.items():
             files[name] = tmp_path / f"{name.replace('*', '__')}.json"
@@ -898,10 +898,9 @@ class TestSearchJsonText:
     ], ids=["toric_code", "fibonacci_z3"])
     def test_equal_to_json_dumps_of_the_reference(self, capsys, tmp_path, factors,
                                                   max_order, s_candidates):
-        Ns = [verlinde_fusion(get_model(name).modular_data) for name in factors]
-        N = Ns[0] if len(Ns) == 1 else np.einsum("ace,bdf->abcdef", *Ns)
-        n = math.prod(len(M) for M in Ns)
-        fr = FusionRing(rank=n, N=N.reshape(n, n, n))
+        rings = [FusionRing(rank=md.rank, N=verlinde_fusion(md))
+                 for md in (get_model(name).modular_data for name in factors)]
+        fr = functools.reduce(deligne, rings)
         ring, out_dir = tmp_path / "ring.json", tmp_path / "results"
         save_fusion_ring(fr, ring)
         code, out, _ = run(capsys, "--json", "search", str(ring),
@@ -1063,4 +1062,13 @@ class TestSearchCommand:
         assert code == 2
         assert out == ""
         assert "--max-order" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_max_order_above_bound_exit_two(self, capsys, tmp_path, rings_dir):
+        # the root table would grow as q^2; refused before the ring is read
+        q = MAX_SEARCH_ORDER + 1
+        code, out, err = run(capsys, "search", str(rings_dir / "fibonacci_ring.json"),
+                             "--max-order", str(q), "--out", str(tmp_path / "r"))
+        assert (code, out) == (2, "")
+        assert err == f"error: --max-order must be between 1 and {MAX_SEARCH_ORDER}, got {q}\n"
         assert not (tmp_path / "r").exists()

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from modata import (
     InvalidModularData,
     ModularData,
+    deligne,
     derive,
     get_model,
     load_fusion_ring,
@@ -154,8 +155,7 @@ class TestCasimirDet:
 
     def test_exact_beyond_int64(self):
         toric = get_model("toric_code").modular_data
-        md = ModularData.from_matrices(np.kron(toric.S, toric.S), np.kron(toric.T, toric.T))
-        assert _casimir_det(verlinde_fusion(md)) == 2 ** 64
+        assert _casimir_det(verlinde_fusion(deligne(toric, toric))) == 2 ** 64
 
     def test_singular(self):
         N = np.zeros((2, 2, 2), dtype=int)
@@ -293,8 +293,7 @@ class TestFileFormat:
 
     def test_roundtrip_is_bit_exact(self, entries, rings_dir):
         mds = [e.modular_data for e in entries]
-        data = mds + [ModularData.from_matrices(np.kron(a.S, b.S), np.kron(a.T, b.T))
-                      for a, b in itertools.combinations_with_replacement(mds, 2)]
+        data = mds + [deligne(a, b) for a, b in itertools.combinations_with_replacement(mds, 2)]
         data.append(search_pipeline(load_fusion_ring(rings_dir / "ising_ring.json"), 16)[0].md)
         assert len(data) == 9 + 45 + 1
         for n, md in enumerate(data):
@@ -382,8 +381,7 @@ class TestDerivedCache:
         by_name = {e.name: e.modular_data for e in entries}
         mds = list(by_name.values())
         for a, b in [("ising", "fibonacci"), ("z3", "toric_code"), ("semion", "su2_2")]:
-            A, B = by_name[a], by_name[b]
-            mds.append(ModularData.from_matrices(np.kron(A.S, B.S), np.kron(A.T, B.T)))
+            mds.append(deligne(by_name[a], by_name[b]))
         mds.append(load_modular_data(bad_file))
         return mds
 

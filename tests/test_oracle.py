@@ -1,20 +1,31 @@
+import importlib.util
+import itertools
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modata
 from modata import (
+    FusionRing,
     brute_trace,
     build_pointed_model,
     catalog_names,
+    deligne,
     derive,
     get_model,
     load_model,
     realizability_report,
     validate,
+    verlinde_fusion,
 )
 from modata.numerics import phase_from_turns
+
+# the 45 products of the check_products benchmark workload
+PAIRS = list(itertools.combinations_with_replacement(catalog_names(), 2))
 
 
 def turn(p, q):
@@ -287,3 +298,51 @@ class TestModelValidation:
         assert back.name == m.name
         assert np.max(np.abs(back.modular_data.S - m.modular_data.S)) < 1e-15
         assert set(back.r_scalars) == set(m.r_scalars)
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench's workload module, loaded without writing a bytecode cache;
+    only its pure product builders are called, none that writes input files."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "dont_write_bytecode", True)
+        mp.setitem(sys.modules, spec.name, module)  # read by its dataclass
+        spec.loader.exec_module(module)
+    return module
+
+
+class TestDeligne:
+    """``deligne`` against perfbench's own product builders, the inputs and
+    the trace oracle of the check_products workload."""
+
+    def test_modular_data_bit_for_bit(self, workloads):
+        assert len(PAIRS) == 45
+        for a, b in PAIRS:
+            A, B = get_model(a).modular_data, get_model(b).modular_data
+            got, want = deligne(A, B), workloads.product_data(modata, A, B)
+            assert got.labels == want.labels, (a, b)
+            assert got.S.tobytes() == want.S.tobytes(), (a, b)
+            assert got.T.tobytes() == want.T.tobytes(), (a, b)
+
+    def test_explicit_models(self, workloads):
+        for a, b in PAIRS:
+            A, B = get_model(a), get_model(b)
+            got, want = deligne(A, B), workloads.explicit_product(modata, A, B)
+            assert (got.name, got.labels) == (want.name, want.labels)
+            assert np.array_equal(got.fusion, want.fusion), got.name
+            assert got.twists.tobytes() == want.twists.tobytes(), got.name
+            assert got.r_scalars == want.r_scalars, got.name
+
+    def test_ring_is_the_fusion_of_the_product(self):
+        for a, b in PAIRS:
+            A, B = get_model(a).modular_data, get_model(b).modular_data
+            ring = deligne(*(FusionRing(rank=md.rank, N=verlinde_fusion(md)) for md in (A, B)))
+            assert np.array_equal(ring.N, verlinde_fusion(deligne(A, B))), (a, b)
+
+    def test_mixed_kinds_rejected(self):
+        fib = get_model("fibonacci")
+        with pytest.raises(TypeError, match="ExplicitModel and ModularData"):
+            deligne(fib, fib.modular_data)

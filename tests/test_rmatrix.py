@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from modata import (
-    ExplicitModel,
     ModularData,
     canonical_r,
+    deligne,
     derive,
     eigen_multiplicities,
     get_model,
@@ -126,10 +126,8 @@ class TestCanonicalR:
     def test_encoded_blocks_equal_json_dumps_of_the_dicts(self, entries):
         # rmatrix --json writes the blocks' text straight from the arrays; it
         # is json.dumps of these dicts, byte for byte
-        mds = [e.modular_data for e in entries]
-        for a, b in [(x, y) for x in mds for y in mds][::7]:
-            md = ModularData.from_matrices(np.kron(a.S, b.S), np.kron(a.T, b.T))
-            _, _, blocks = full_pipeline(md)
+        for a, b in [(x, y) for x in entries for y in entries][::7]:
+            _, _, blocks = full_pipeline(deligne(a.modular_data, b.modular_data))
             rows = zip(*(x.tolist() for x in (blocks.I, blocks.J, blocks.K, blocks.values,
                                               blocks.size, blocks.dim_plus, blocks.dim_minus)))
             want = json.dumps([
@@ -151,25 +149,11 @@ class TestCanonicalR:
             assert ("size" in d) == (d["form"] == "scalar")
 
 
-def explicit_product(a, b):
-    """The Deligne product of two explicit models: r = r_a r_b on kron indices."""
-    nb = b.rank
-    r = {(i * nb + i2, j * nb + j2, k * nb + k2): va * vb
-         for (i, j, k), va in a.r_scalars.items()
-         for (i2, j2, k2), vb in b.r_scalars.items()}
-    md = ModularData.from_matrices(np.kron(a.modular_data.S, b.modular_data.S),
-                                   np.kron(a.modular_data.T, b.modular_data.T),
-                                   [f"{x}*{y}" for x in a.labels for y in b.labels])
-    fusion = np.einsum("ace,bdf->abcdef", a.fusion, b.fusion).reshape((a.rank * nb,) * 3)
-    return ExplicitModel(name=f"{a.name}*{b.name}", labels=md.labels, fusion=fusion,
-                         twists=np.kron(a.twists, b.twists), r_scalars=r, modular_data=md)
-
-
 class TestAgainstOracle:
     def test_blocks_match_r_scalars_at_product_ranks(self, models):
         # not true by construction: the blocks come from S and T alone, the
         # r scalars from the explicit models
-        products = list(models) + [explicit_product(a, b) for a, b in
+        products = list(models) + [deligne(a, b) for a, b in
                                    itertools.combinations_with_replacement(models, 2)]
         assert len(products) == 9 + 45
         for m in products:

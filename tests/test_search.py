@@ -15,6 +15,7 @@ from modata import (
     FusionRingError,
     candidate_s,
     catalog_models,
+    deligne,
     enumerate_t,
     get_model,
     load_fusion_ring,
@@ -27,8 +28,8 @@ from modata import modular_data, search
 from modata.modular_data import InvalidModularData, ModularData, _casimir_det, _lift_t0
 from modata.numerics import (DEFAULT_POLICY, TolerancePolicy, phase_from_turns, principal_root,
                              turns_fraction)
-from modata.search import (TEnumeration, _balancing_levels, _cauchy_roots, _fs_screen,
-                           _joint_eigenvectors, _roots_of_unity, _twist_orbits)
+from modata.search import (MAX_SEARCH_ORDER, TEnumeration, _balancing_levels, _cauchy_roots,
+                           _fs_screen, _joint_eigenvectors, _roots_of_unity, _twist_orbits)
 
 
 def turn(p, q):
@@ -65,14 +66,8 @@ def su2_ring(k):
     return FusionRing(rank=n, N=N)
 
 
-def deligne_ring(a, b):
-    """The product ring of a and b, label (i, j) at position i * b.rank + j."""
-    n = a.rank * b.rank
-    return FusionRing(rank=n, N=np.einsum("ace,bdf->abcdef", a.N, b.N).reshape(n, n, n))
-
-
 def fib_z3_ring():
-    return deligne_ring(ring_of("fibonacci"), ring_of("z3"))
+    return deligne(ring_of("fibonacci"), ring_of("z3"))
 
 
 # rings with three twist orbits and 10^4-10^6 assignments
@@ -373,7 +368,7 @@ class TestCandidateS:
         z2 = pointed_ring(2)
         rings = ([TRIVIAL_RING, fib_z3_ring()] + [ring_of(e.name) for e in entries]
                  + [pointed_ring(n) for n in range(2, 7)] + [su2_ring(k) for k in (3, 4, 5, 6)]
-                 + [deligne_ring(deligne_ring(z2, z2), z2)])
+                 + [deligne(deligne(z2, z2), z2)])
         for fr in rings:
             got, want = candidate_s(fr, pol), reference_candidate_s(fr, pol)
             assert len(got) == len(want) and got
@@ -521,6 +516,10 @@ class TestEnumerateT:
     def test_max_order_below_one_rejected(self, q):
         with pytest.raises(ValueError, match="max_order"):
             enumerate_t(s_datum(np.array([[1.0 + 0j]])), q)
+
+    def test_max_order_above_bound_rejected(self):
+        with pytest.raises(ValueError, match=f"between 1 and {MAX_SEARCH_ORDER}"):
+            enumerate_t(s_datum(np.array([[1.0 + 0j]])), MAX_SEARCH_ORDER + 1)
 
     def test_scalar_off_the_unit_circle_gives_no_diagonal(self):
         # (c S W)^3 = c lambda (c S)^2 holds whenever (S W)^3 = lambda S^2,
@@ -767,6 +766,10 @@ class TestSearchPipeline:
         with pytest.raises(ValueError, match="max_order"):
             search_pipeline(TRIVIAL_RING, max_order=q)
 
+    def test_max_order_above_bound_rejected(self):
+        with pytest.raises(ValueError, match=f"between 1 and {MAX_SEARCH_ORDER}"):
+            search_pipeline(TRIVIAL_RING, max_order=MAX_SEARCH_ORDER + 1)
+
     def test_rank6_fibonacci_z3_regression(self):
         # Fibonacci x Z_3 at q=15: 3 twist orbits, 72^3 assignments for each
         # of the 2 S candidates; frozen by an exhaustive run
@@ -777,9 +780,8 @@ class TestSearchPipeline:
         assert stats == {"s_candidates": 2, "skipped_assignments": 746492,
                          "pruned_assignments": 727974, "rows_cubed": 4, "t_candidates": 12,
                          "fs_screened": 0}
-        a, b = get_model("fibonacci").modular_data, get_model("z3").modular_data
-        deligne = ModularData.from_matrices(np.kron(a.S, b.S), np.kron(a.T, b.T))
-        assert any(r.md.approx_eq(deligne) for r in res)
+        product = deligne(get_model("fibonacci").modular_data, get_model("z3").modular_data)
+        assert any(r.md.approx_eq(product) for r in res)
 
     @pytest.mark.parametrize("k, max_order, n_data, n_families, stats", [
         (4, 24, 24, 8, (2, 2099519992, 2092023808, 8, 24, 0)),
@@ -823,7 +825,7 @@ class TestSearchPipeline:
         # Ising x Ising at q=16: 8 self-dual twist orbits, 80^8 assignments
         # for each of the 6 S candidates; frozen from a run of the search
         stats = {}
-        res = search_pipeline(deligne_ring(ring_of("ising"), ring_of("ising")), max_order=16,
+        res = search_pipeline(deligne(ring_of("ising"), ring_of("ising")), max_order=16,
                               stats_out=stats)
         assert len(res) == 384
         assert len({r.provenance[:2] for r in res}) == 128
@@ -831,9 +833,8 @@ class TestSearchPipeline:
                          "pruned_assignments": 10066303830196224, "rows_cubed": 512,
                          "t_candidates": 1536, "fs_screened": 1152}
         for a, b in (("ising", "ising"), ("ising", "su2_2"), ("su2_2", "su2_2")):
-            A, B = get_model(a).modular_data, get_model(b).modular_data
-            deligne = ModularData.from_matrices(np.kron(A.S, B.S), np.kron(A.T, B.T))
-            assert any(r.md.approx_eq(deligne) for r in res), (a, b)
+            product = deligne(get_model(a).modular_data, get_model(b).modular_data)
+            assert any(r.md.approx_eq(product) for r in res), (a, b)
 
     @pytest.mark.parametrize("shift", [0.0, 1e-12], ids=["twice", "shifted"])
     def test_dedup_across_s_candidates_within_tolerance(self, monkeypatch, shift):
