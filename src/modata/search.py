@@ -33,6 +33,12 @@ Pipeline:
      eq_tol: on the Ising ring at q = 32 that is 32 rows, not 1,024.
      S^2, the conjugation, the Verlinde tensor and det K come from the
      cache of the S datum, a ``ModularData`` whose T is never read.
+     The search runs this step at ``DEFAULT_POLICY`` whatever its own
+     policy: the ring is integral, S comes from its characters and the
+     twists are exact roots of unity, so float noise alone decides the
+     relation.  A looser eq_tol would only widen the balancing bound, so
+     that the walk barely prunes, and admit near misses of the relation;
+     the caller's policy governs steps 1 and 3.
   3. ``search_pipeline`` first screens all T candidates of one S by
      Bantay's FS indicator in one stacked call (``_fs_screen``): a candidate
      whose direct FS sum nu_i = w_i tau[0][i] lies too far from +/-1 on a
@@ -386,6 +392,11 @@ def enumerate_t(md: ModularData, max_order: int,
     included.  Nothing is deduplicated here: ``search_pipeline`` compares
     the data that pass its filter.
 
+    ``pol`` sets eq_tol, and with it the balancing bound and the relation
+    test, and the S facts read here.  A library caller keeps its own
+    policy; ``search_pipeline`` passes none, so the search enumerates at
+    ``DEFAULT_POLICY`` (see the module docstring, step 2).
+
     Why the prune loses no row that ``_lift_t0`` accepts.  S is unitary
     and symmetric with a real vacuum row, as ``candidate_s`` builds it, and
     W = diag(w) has unimodular entries and commutes with C = S^2
@@ -443,6 +454,9 @@ def enumerate_t(md: ModularData, max_order: int,
             assignment_ids.extend([a_idx] * len(cube_roots))
 
     def walk(depth: int, prefixes: np.ndarray, picks: np.ndarray) -> None:
+        if depth == len(orbits):  # every orbit bound: rank 1 starts here with one all-ones row
+            lift(prefixes, picks)
+            return
         I, J, DS, coef, beta = levels[depth]
         n_children = len(prefixes) * len(keep)
         for start in range(0, n_children, _BLOCK_ROWS):
@@ -455,19 +469,10 @@ def enumerate_t(md: ModularData, max_order: int,
                 res = DS * W[:, I] * W[:, J] - W @ coef
                 ok = (np.abs(res) <= beta).all(axis=1)
                 W, child = W[ok], child[ok]
-            if not len(W):
-                continue
-            if depth + 1 < len(orbits):
+            if len(W):
                 walk(depth + 1, W, child)
-            else:
-                lift(W, child)
 
-    unit = np.ones((1, md.rank), dtype=complex)
-    no_picks = np.zeros((1, 0), dtype=int)
-    if orbits:
-        walk(0, unit, no_picks)
-    else:
-        lift(unit, no_picks)  # rank 1: one all-ones row
+    walk(0, np.ones((1, md.rank), dtype=complex), np.zeros((1, 0), dtype=int))
     full = len(roots) ** len(orbits)
     pruned = full - len(keep) ** len(orbits)
     skipped = full - len(diagonals) // len(cube_roots)
@@ -523,7 +528,10 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
     share its S cache, and a pass is compared with the kept results of the S
     candidates within eq_tol of its own, its own included (see the module
     docstring).  Results therefore come out ordered by provenance
-    (S candidate, twist assignment, cube root).  Pass a dict as
+    (S candidate, twist assignment, cube root).  The T diagonals are
+    enumerated at ``DEFAULT_POLICY`` (module docstring, step 2): ``pol``
+    decides ``candidate_s``, the FS screen, the reports, the dedup and the
+    ring re-check, not which T candidates are formed.  Pass a dict as
     ``stats_out`` to receive the candidate, skip and prune counters,
     ``rows_cubed``, the twist assignments the walk cubed (the work of
     ``enumerate_t``, where the skip counts are the nominal root product),
@@ -537,7 +545,7 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
     for s_idx, S in enumerate(candidate_s(fr, pol)):
         n_candidates += 1
         s_md = ModularData.from_matrices(S, np.ones(len(S)))
-        enum = enumerate_t(s_md, max_order, pol)
+        enum = enumerate_t(s_md, max_order)  # exact inputs: the default policy decides
         n_skipped += enum.skipped
         n_pruned += enum.pruned
         n_cubed += enum.rows_cubed

@@ -267,6 +267,16 @@ class TestTraceTable:
         tau = trace_table(md, derive(md))
         assert abs(tau[0, 0] - 1.0) < 1e-15
 
+    def test_forbidden_channel_residue_raises(self):
+        # the semion S with w_s rotated off i: tau[s][s] is far from 0 on the
+        # channel s x s -> s, which N^s_{s,s} = 0 forbids
+        semion = get_model("semion").modular_data
+        md = ModularData.from_matrices(semion.S, [1.0, 1j * cmath.exp(0.3j)])
+        with pytest.raises(RealizabilityError, match=r"internal inconsistency: tau\[1\]\[1\]"
+                           r" = .* but N\^1_\{1,1\} = 0") as exc:
+            trace_table(md, derive(md))
+        assert [d.check_id for d in exc.value.diagnostics] == ["trace_zero_channel"]
+
     def test_ising_values(self):
         _, _, tau = tables("ising")
         # frozen from the explicit Ising model (see the oracle tests); the

@@ -34,6 +34,7 @@ from modata.modular_data import _Encoded, verlinde_fusion
 from modata.numerics import phase_from_turns
 from modata.search import (MAX_SEARCH_ORDER, FusionRing, load_fusion_ring, save_fusion_ring,
                            search_pipeline)
+from test_search import su2_ring
 
 
 KNOWN_MODELS = ("trivial, semion, conj-semion, z3, fibonacci, conj-fibonacci, ising, su2_2, "
@@ -1046,7 +1047,8 @@ class TestSearchCommand:
         assert doc["family_count"] == 8
 
     def test_loose_tolerance_high_order_fibonacci(self, capsys, tmp_path, rings_dir):
-        # the cube-root lift must take its phase test from --tol, not the default
+        # the relation test and the cube-root lift run at one policy, the
+        # default, so a loose --tol neither breaks the lift nor loses the data
         code, out, err = run(capsys, "--json", "--tol", "0.01", "search",
                              str(rings_dir / "fibonacci_ring.json"), "--max-order", "40",
                              "--out", str(tmp_path / "r"))
@@ -1054,6 +1056,18 @@ class TestSearchCommand:
         fib = get_model("fibonacci").modular_data
         assert any(load_modular_data(r["file"]).approx_eq(fib)
                    for r in json.loads(out)["results"])
+
+    def test_loose_policy_su2_5(self, capsys, tmp_path):
+        # the twist walk runs at the default tolerances under any --tol, so a
+        # loose policy cubes the default's 4 rows on the SU(2)_5 ring and
+        # finds its 12 data
+        ring = tmp_path / "su2_5_ring.json"
+        save_fusion_ring(su2_ring(5), ring)
+        code, out, err = run(capsys, "--tol", "0.05", "--int-tol", "0.05", "--json", "search",
+                             str(ring), "--max-order", "28", "--out", str(tmp_path / "r"))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["result_count"], doc["stats"]["rows_cubed"]) == (12, 4)
 
     @pytest.mark.parametrize("q", ["0", "-3"])
     def test_max_order_below_one_exit_two(self, capsys, tmp_path, rings_dir, q):

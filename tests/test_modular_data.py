@@ -54,6 +54,11 @@ class TestConstruction:
         md = ModularData.from_matrices(np.eye(2), [1.0, 1.0])
         assert md.labels == ("0", "1")
 
+    def test_approx_eq_across_ranks_is_false(self):
+        # compared entrywise, S and T of different shapes would broadcast or raise
+        assert not TRIVIAL.approx_eq(get_model("semion").modular_data)
+        assert not get_model("semion").modular_data.approx_eq(TRIVIAL)
+
 
 class TestDims:
     def test_trivial(self):

@@ -94,6 +94,10 @@ class TestPrincipalRoot:
         assert abs(r ** 3 - lam) < 1e-12
         assert abs(r - cmath.exp(2j * math.pi * 0.25 / 3)) < 1e-12
 
+    def test_rejects_non_phase(self):
+        with pytest.raises(ValueError, match=r"not a phase: \|\(2\+0j\)\| = 2.0"):
+            principal_root(2.0, 3)
+
 
 class TestTurns:
     def test_phase_from_turns_exact(self):

@@ -91,6 +91,10 @@ class TestPointedModels:
         with pytest.raises(ValueError, match="not modular"):
             build_pointed_model(n, p)
 
+    def test_empty_group_rejected(self):
+        with pytest.raises(ValueError, match="need n >= 1, got 0"):
+            build_pointed_model(0, 1)
+
     @pytest.mark.parametrize("n,p", [(1, 0), (2, 1), (3, 1), (3, 2), (4, 1),
                                      (4, 3), (5, 1), (5, 2), (7, 3)])
     def test_family_is_modular_and_realizable(self, n, p):
@@ -279,6 +283,31 @@ class TestModelValidation:
         assert {"st_cubed", "dims_row"} <= failed
         with pytest.raises(InvalidModularData, match="S_0,0 = .* is not real positive"):
             load_model(bad)
+
+    @pytest.mark.parametrize("base, change, msg", [
+        ("semion", lambda m: {"fusion": 2 * m.fusion}, "fusion must be a 0/1 tensor"),
+        ("semion", lambda m: {"twists": [-1.0, 1j]}, "twist of the vacuum must be 1"),
+        ("semion", lambda m: {"r_scalars": {**m.r_scalars, (0, 0, 0): 2.0}},
+         r"\|r\(0,0,0\)\| != 1"),
+        ("trivial", lambda m: {"modular_data": get_model("semion").modular_data},
+         "modular data rank mismatch"),
+        # conj-semion's T gives w_s = -i against the r table's i
+        ("semion", lambda m: {"modular_data": get_model("conj-semion").modular_data},
+         "T diagonal does not reproduce the twists"),
+        # s x s = 1 + s with r scalars that fit the semion twists; the
+        # semion's S gives s x s = 1
+        ("semion", lambda m: {
+            "fusion": np.array([[[1, 0], [0, 1]], [[0, 1], [1, 1]]]),
+            "r_scalars": {**m.r_scalars, (1, 1, 1): turn(-1, 8)}},
+         "Verlinde fusion does not match the r table support"),
+    ], ids=["fusion-not-0-1", "vacuum-twist", "r-off-unit-circle", "rank", "twists",
+            "verlinde"])
+    def test_inconsistent_model_rejected(self, base, change, msg):
+        import dataclasses
+
+        model = get_model(base)
+        with pytest.raises(ValueError, match=msg):
+            dataclasses.replace(model, **change(model))
 
     @pytest.mark.parametrize("labels", [("a",), ("p", "q", "r")])
     def test_labels_must_be_those_of_the_modular_data(self, labels):

@@ -111,6 +111,49 @@ REFERENCE_IDS = ["trivial", "fibonacci", "ising", "ising-loose", "toric", "z3", 
                  "z2", "z3-pointed", "z4", "z5", *THREE_ORBIT_IDS]
 
 
+def rank2_ring(m):
+    """x^2 = 1 + m x: an S candidate, and for m = 2, 3 no T candidate."""
+    N = np.zeros((2, 2, 2), dtype=int)
+    N[0] = np.eye(2, dtype=int)
+    N[1, 0, 1] = 1
+    N[1, 1] = (1, m)
+    return FusionRing(rank=2, N=N)
+
+
+# the census rings of the policy tests: name -> (ring factory, max_order)
+CENSUS = {
+    "fibonacci": (lambda: ring_of("fibonacci"), 10),
+    "ising": (lambda: ring_of("ising"), 16),
+    "ising-q32": (lambda: ring_of("ising"), 32),
+    "toric": (lambda: ring_of("toric_code"), 8),
+    "z3": (lambda: ring_of("z3"), 12),
+    "fib_z3": (fib_z3_ring, 15),
+    "fib_fib": (lambda: deligne(ring_of("fibonacci"), ring_of("fibonacci")), 10),
+    "ising_ising": (lambda: deligne(ring_of("ising"), ring_of("ising")), 16),
+    "z2_cubed": (lambda: deligne(deligne(pointed_ring(2), pointed_ring(2)), pointed_ring(2)), 8),
+    **{f"su2_{k}": (lambda k=k: su2_ring(k), 4 * (k + 2)) for k in range(3, 12)},
+    **{f"z{n}": (lambda n=n: pointed_ring(n), 2 * n) for n in (*range(4, 11), 12)},
+    "x2_1_2x": (lambda: rank2_ring(2), 24),
+    "x2_1_3x": (lambda: rank2_ring(3), 24),
+}
+# the stats of the twist enumeration, which the policy does not reach
+ENUMERATION_STATS = ("skipped_assignments", "pruned_assignments", "rows_cubed", "t_candidates")
+
+
+def searched(name, pol=DEFAULT_POLICY):
+    """search_pipeline on a census ring: (results, stats)."""
+    make, max_order = CENSUS[name]
+    stats = {}
+    return search_pipeline(make(), max_order, pol, stats_out=stats), stats
+
+
+def assert_same_results(got, want):
+    """Equal provenance, and S and T equal bit for bit."""
+    assert [r.provenance for r in got] == [r.provenance for r in want]
+    for a, b in zip(got, want):
+        assert a.md.S.tobytes() == b.md.S.tobytes() and a.md.T.tobytes() == b.md.T.tobytes()
+
+
 def reference_candidate_s(fr, pol=DEFAULT_POLICY):
     """``candidate_s`` as one column_stack and test per permutation."""
     cols = []
@@ -802,16 +845,43 @@ class TestSearchPipeline:
         assert any(np.max(np.abs(r.md.T / r.md.T[0] - w)) < 1e-9 for r in res)
 
     def test_loose_policy_su2_4(self):
-        # at eq_tol = int_tol = 0.05 the balancing bound lets most prefixes
-        # through, and the walk cubes about 4e5 rows in blocks; the data are
-        # those of the default policy, SU(2)_4's own among them
-        res = search_pipeline(su2_ring(4), max_order=24, pol=LOOSE)
+        # at eq_tol = int_tol = 0.05 the twist walk still runs at the default
+        # policy, so it cubes the default's 8 rows, not about 4e5; the data
+        # are those of the default policy, SU(2)_4's own among them
+        stats, strict_stats = {}, {}
+        res = search_pipeline(su2_ring(4), max_order=24, pol=LOOSE, stats_out=stats)
         assert len(res) == 24
         w = [turn(a * (a + 2), 24) for a in range(5)]
         assert any(np.max(np.abs(r.md.T / r.md.T[0] - w)) < 1e-9 for r in res)
-        strict = search_pipeline(su2_ring(4), max_order=24)
+        strict = search_pipeline(su2_ring(4), max_order=24, stats_out=strict_stats)
         assert [r.provenance for r in res] == [r.provenance for r in strict]
         assert all(np.array_equal(a.md.T, b.md.T) for a, b in zip(res, strict))
+        assert ({key: stats[key] for key in ENUMERATION_STATS}
+                == {key: strict_stats[key] for key in ENUMERATION_STATS})
+
+    @pytest.mark.parametrize("tol", [1e-3, 0.05])
+    @pytest.mark.parametrize("name", CENSUS)
+    def test_loose_policy_census(self, name, tol):
+        # the twists are enumerated at the default policy whatever the
+        # search's own, so a loose policy forms the same T candidates and,
+        # on every census ring, keeps the same data
+        got, stats = searched(name, TolerancePolicy(eq_tol=tol, int_tol=tol))
+        want, want_stats = searched(name)
+        assert_same_results(got, want)
+        assert ({key: stats[key] for key in ENUMERATION_STATS}
+                == {key: want_stats[key] for key in ENUMERATION_STATS})
+
+    @pytest.mark.parametrize("pol", [TolerancePolicy(eq_tol=1e-12, int_tol=1e-12),
+                                     TolerancePolicy(eq_tol=1e-9, int_tol=0.05)],
+                             ids=["strict", "mixed"])
+    @pytest.mark.parametrize("name", ["ising-q32", "toric", "fib_z3", "su2_4", "su2_11", "z7"])
+    def test_tight_and_mixed_policies_pinned(self, name, pol):
+        # a policy no looser than the default in eq_tol changes no result
+        # and no stat
+        got, stats = searched(name, pol)
+        want, want_stats = searched(name)
+        assert_same_results(got, want)
+        assert stats == want_stats
 
     def test_rank12_ring_accepted(self):
         # SU(2)_11, rank 12 = the search bound, at q = 4(k+2) = 52
