@@ -10,6 +10,10 @@ Exit codes: 0 success/pass, 1 mathematical failure, 2 I/O or parse failure,
 ``modata catalog | head -3``; nothing is printed to stderr then.
 Human tables print phases both as decimals and, when they are roots of
 unity, as turn fractions p/q (q <= 240).
+``--tol`` and ``--int-tol`` set the policy every check judges with.  In
+``search`` they only judge candidate data (the FS screen, the reports, the
+dedup and the ring re-check) and never generate it: the S candidates and
+the twist walk run at the default tolerances.
 """
 from __future__ import annotations
 

@@ -107,13 +107,15 @@ class _SCache:
         return _readonly((pairs @ (np.conj(S) / S[0]).T).reshape(n, n, n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModularData:
     """The S and T matrices of a candidate modular category.
 
     Construction enforces structural well-formedness only (shapes, finite
     entries); the mathematical axioms live in :mod:`modata.axioms` so that
-    bad candidates can be diagnosed instead of rejected opaquely.
+    bad candidates can be diagnosed instead of rejected opaquely.  Like
+    every record of the package that holds arrays, a datum compares and
+    hashes by identity; ``approx_eq`` compares two data.
     """
 
     rank: int
@@ -189,7 +191,7 @@ class ModularData:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivedData:
     """Quantities read off S and T: dims, twists, conjugation, fusion, |sigma|."""
 
@@ -433,19 +435,21 @@ def _cube(S: np.ndarray, W: np.ndarray) -> np.ndarray:
     return M @ M @ M
 
 
-def _lift_t0(md: ModularData, W: np.ndarray, pol: TolerancePolicy) -> list:
+def _lift_t0(md: ModularData, W: np.ndarray) -> list:
     """Per row w of the (R, n) block W, the principal T_0 = lambda^{-1/3} with
-    (S diag(w))^3 = lambda S^2 and ||lambda| - 1| each within eq_tol, lambda =
-    (S diag(w))^3_00 / (S^2)_00; None for a row with no such lambda.  S and
-    S^2 come from the S cache of ``md``."""
+    (S diag(w))^3 = lambda S^2 and ||lambda| - 1| each within the default
+    eq_tol, lambda = (S diag(w))^3_00 / (S^2)_00; None for a row with no such
+    lambda.  S and S^2 come from the S cache of ``md``.  Its callers build S
+    and w exactly (from ring characters or a closed formula, and roots of
+    unity), so float noise alone decides the relation, and no policy does."""
     S2 = md.S2
     M3 = _cube(md.S, W)
     lam = M3[:, 0, 0] / S2[0, 0]
     dev = np.abs(M3 - lam[:, None, None] * S2).max(axis=(1, 2))
     t0 = [None] * len(W)
-    for r in np.flatnonzero(dev <= pol.eq_tol):
-        if abs(abs(lam[r]) - 1.0) <= pol.eq_tol:
-            t0[r] = 1.0 / principal_root(lam[r], 3, pol)
+    for r in np.flatnonzero(dev <= DEFAULT_POLICY.eq_tol):
+        if abs(abs(lam[r]) - 1.0) <= DEFAULT_POLICY.eq_tol:
+            t0[r] = 1.0 / principal_root(lam[r], 3)
     return t0
 
 

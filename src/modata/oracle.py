@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExplicitModel:
     """A multiplicity-free anyon model with literal braiding scalars."""
 
@@ -172,7 +172,7 @@ def build_pointed_model(n: int, p: int) -> ExplicitModel:
         for b in range(n):
             fusion[a, b, (a + b) % n] = 1
     md = ModularData.from_matrices(S, w, labels=[str(a) for a in range(n)])
-    t0, = _lift_t0(md, w[None], DEFAULT_POLICY)
+    t0, = _lift_t0(md, w[None])
     if t0 is None:
         raise InvalidModularData("no global phase makes (S T)^3 = S^2 hold")
     md = md._with_t(t0 * w)

@@ -33,7 +33,7 @@ from .numerics import DEFAULT_POLICY, TolerancePolicy, _modulus, _phase, princip
 __all__ = ["RBlocks", "canonical_r", "monodromy_check"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RBlocks:
     """The R-blocks as read-only parallel arrays in the row-major order of
     their channels (I, J, K): the unimodular values, and the sizes N^k_{i,j}

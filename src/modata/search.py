@@ -6,9 +6,9 @@ Pipeline:
      (standard character theory of a commutative fusion ring); columns are
      the common eigenvectors, phase-fixed to a positive first entry, and
      every column ordering that yields a symmetric matrix with a positive
-     vacuum column is kept.  Orderings are built label by label, and one
-     that already breaks symmetry is not extended, so the n! orderings are
-     never all formed.
+     vacuum column, both within the default eq_tol, is kept.  Orderings
+     are built label by label, and one that already breaks symmetry is not
+     extended, so the n! orderings are never all formed.
   2. ``enumerate_t`` assigns roots of unity (bounded order) to the twists,
      respecting w_0 = 1 and w_ibar = w_i, keeps assignments for which
      (S diag(w))^3 is a scalar multiple of S^2, and emits all three cube
@@ -30,15 +30,9 @@ Pipeline:
      equations screen the full assignments as well, and only their
      survivors go, one call per block, to ``_lift_t0``, which cubes them in
      one stacked matmul and decides and lifts every row by the relation at
-     eq_tol: on the Ising ring at q = 32 that is 32 rows, not 1,024.
-     S^2, the conjugation, the Verlinde tensor and det K come from the
-     cache of the S datum, a ``ModularData`` whose T is never read.
-     The search runs this step at ``DEFAULT_POLICY`` whatever its own
-     policy: the ring is integral, S comes from its characters and the
-     twists are exact roots of unity, so float noise alone decides the
-     relation.  A looser eq_tol would only widen the balancing bound, so
-     that the walk barely prunes, and admit near misses of the relation;
-     the caller's policy governs steps 1 and 3.
+     the default eq_tol: on the Ising ring at q = 32 that is 32 rows, not
+     1,024.  S^2, the conjugation, the Verlinde tensor and det K come from
+     the cache of the S datum, a ``ModularData`` whose T is never read.
   3. ``search_pipeline`` first screens all T candidates of one S by
      Bantay's FS indicator in one stacked call (``_fs_screen``): a candidate
      whose direct FS sum nu_i = w_i tau[0][i] lies too far from +/-1 on a
@@ -62,6 +56,17 @@ Pipeline:
      per S candidate the earlier S candidates within eq_tol of it are found,
      and a pass is compared with the kept results of those and of its own
      S, in one array operation over their T.
+
+Steps 1 and 2 generate the candidates, and they take no policy: both
+decide at ``DEFAULT_POLICY``.  The ring is integral, S comes from its
+characters and the twists are exact roots of unity, so float noise alone
+decides the symmetry of S and the modular relation.  A looser eq_tol would
+list non-symmetric orderings as S candidates (on SU(2)_5 at 0.2, one with
+max |S - S^t| = 0.103, which the walk cannot prune), widen the balancing
+bound so that the walk barely prunes, and admit near misses of the
+relation; one below float noise would find no S at all.  The caller's
+policy (``--tol``, ``--int-tol``) only judges the candidates, in step 3:
+the FS screen, the reports, the dedup and the ring re-check.
 
 The pipeline enumerates admissible modular data; whether two realizations
 of the same data are equivalent categories is out of its scope.
@@ -116,7 +121,7 @@ class FusionRingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusionRing:
     """A commutative associative fusion ring; N[i, j, k] = N^k_{i,j}."""
 
@@ -156,7 +161,7 @@ class FusionRing:
                                          for plane in self.N]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchResult:
     """One admissible modular datum with its passing report and provenance."""
 
@@ -225,31 +230,35 @@ def _check_max_order(max_order: int) -> None:
         raise ValueError(f"max_order must be between 1 and {MAX_SEARCH_ORDER}, got {max_order}")
 
 
-def candidate_s(fr: FusionRing, pol: TolerancePolicy = DEFAULT_POLICY) -> list[np.ndarray]:
+def candidate_s(fr: FusionRing) -> list[np.ndarray]:
     """Unitary symmetric S candidates assembled from the ring characters.
 
     Columns are phase-fixed so the first entry is real positive; an ordering
-    sigma, S = C[:, sigma], is kept when S is symmetric within eq_tol and
-    its vacuum column (position 0) is entrywise positive.  The orderings are
-    built label by label, depth first: label 0 takes only a real positive
-    column, and label j takes an unused column c only if
-    |C[i, c] - C[j, sigma(i)]| <= eq_tol for every label i < j already
-    placed.  Columns are tried in ascending order, so the kept matrices come
-    in ``itertools.permutations`` order.  Two orderings of orthonormal
-    columns differ by at least sqrt(2/rank) in some entry (0.408 at rank
-    12), so the kept matrices are distinct; ``search_pipeline`` does not
-    rely on that bound exceeding eq_tol.
+    sigma, S = C[:, sigma], is kept when S is symmetric within eq_tol, that
+    of ``DEFAULT_POLICY``, and its vacuum column (position 0) is entrywise
+    positive.  The orderings are built label by label, depth first: label 0
+    takes only a real positive column, and label j takes an unused column c
+    only if |C[i, c] - C[j, sigma(i)]| <= eq_tol for every label i < j
+    already placed.  Columns are tried in ascending order, so the kept
+    matrices come in ``itertools.permutations`` order.  Two orderings of
+    orthonormal columns differ by at least sqrt(2/rank) in some entry
+    (0.408 at rank 12), so the kept matrices are distinct;
+    ``search_pipeline`` does not rely on that bound exceeding the eq_tol it
+    judges with.  No policy
+    reaches this step: the characters of an integral ring are exact up to
+    float noise, and a search's policy only judges the candidates (module
+    docstring).
     """
     _check_search_rank(fr.rank)
     cols = []
     for v in _joint_eigenvectors(fr):
         v = v / np.linalg.norm(v)
-        if abs(v[0]) <= pol.eq_tol:
+        if abs(v[0]) <= DEFAULT_POLICY.eq_tol:
             return []  # a character vanishing on the vacuum admits no S
         v = v * (np.conj(v[0]) / abs(v[0]))
         cols.append(v)
     C = np.column_stack(cols)
-    tol, n = pol.eq_tol, len(cols)
+    tol, n = DEFAULT_POLICY.eq_tol, len(cols)
     positive = (np.abs(C.imag).max(axis=0) <= tol) & (C.real > tol).all(axis=0)
     rows = C.tolist()  # the per-node test on Python complex, not numpy scalars
     sigma: list[int] = []
@@ -285,9 +294,9 @@ def _roots_of_unity(max_order: int) -> tuple[Fraction, ...]:
                         for p in range(q) if math.gcd(p, q) == 1))
 
 
-def _twist_orbits(md: ModularData, pol: TolerancePolicy) -> list[list[int]]:
+def _twist_orbits(md: ModularData) -> list[list[int]]:
     """Orbits {i, ibar} of the duality read off S^2, vacuum excluded."""
-    perm = _s_facts(md, pol).perm
+    perm = _s_facts(md, DEFAULT_POLICY).perm
     orbits, seen = [], {0}
     for i in range(1, md.rank):
         if i in seen:
@@ -313,7 +322,7 @@ def _cauchy_roots(det: int | None, roots: tuple[Fraction, ...]) -> list[int]:
 
 
 def _balancing_levels(md: ModularData, N: np.ndarray | None, orbits: list[list[int]],
-                      tol: float, pol: TolerancePolicy) -> list[tuple[np.ndarray, ...]]:
+                      tol: float) -> list[tuple[np.ndarray, ...]]:
     """For each orbit, in binding order, the balancing equations it completes.
 
     Equation (i, j) is R_ij = w_i w_j S_ij D - sum_k N^k_{ibar j} d_k w_k = 0;
@@ -323,9 +332,11 @@ def _balancing_levels(md: ModularData, N: np.ndarray | None, orbits: list[list[i
     whose last unbound twist lies on it.  Without a tensor, or when S is not
     a unitary symmetric matrix with a real vacuum row whose square is a
     conjugation (the duality of the orbits), there are no equations.
+    ``tol`` is the eps of the bound (``enumerate_t``), which passes the
+    default eq_tol plus the rounding allowance.
     """
     S, n = md.S, md.rank
-    facts = _s_facts(md, pol)
+    facts = _s_facts(md, DEFAULT_POLICY)
     level = np.full(n, -1)
     for lv, orb in enumerate(orbits):
         level[orb] = lv
@@ -346,8 +357,7 @@ def _balancing_levels(md: ModularData, N: np.ndarray | None, orbits: list[list[i
             for I, J in (np.nonzero(binds == lv) for lv in range(len(orbits)))]
 
 
-def enumerate_t(md: ModularData, max_order: int,
-                pol: TolerancePolicy = DEFAULT_POLICY) -> TEnumeration:
+def enumerate_t(md: ModularData, max_order: int) -> TEnumeration:
     """All T diagonals with (S T)^3 = S^2 and admissible twists of order <= max_order.
 
     ``md`` is the S datum, whose T is never read; every S-only quantity
@@ -377,7 +387,7 @@ def enumerate_t(md: ModularData, max_order: int,
     that this level is the first to bind fully has |R_ij| <= beta_ij,
 
         beta_ij = D n (1 + c_ij) eps,  c_ij = sum_m |S_im| |S_jm| / |S_0m|,
-        eps = eq_tol + 1e-12.
+        eps = eq_tol + 1e-12,  eq_tol that of DEFAULT_POLICY.
 
     The survivors of a block are walked further before the next block, so
     at most one block per level is held.  The last orbit's equations screen
@@ -392,10 +402,10 @@ def enumerate_t(md: ModularData, max_order: int,
     included.  Nothing is deduplicated here: ``search_pipeline`` compares
     the data that pass its filter.
 
-    ``pol`` sets eq_tol, and with it the balancing bound and the relation
-    test, and the S facts read here.  A library caller keeps its own
-    policy; ``search_pipeline`` passes none, so the search enumerates at
-    ``DEFAULT_POLICY`` (see the module docstring, step 2).
+    No policy reaches this step: the S facts, the balancing bound and the
+    relation test are those of ``DEFAULT_POLICY``, since S and the twists
+    are exact up to float noise; a search's policy only judges the
+    diagonals (module docstring).
 
     Why the prune loses no row that ``_lift_t0`` accepts.  S is unitary
     and symmetric with a real vacuum row, as ``candidate_s`` builds it, and
@@ -428,13 +438,13 @@ def enumerate_t(md: ModularData, max_order: int,
     pruned.
     """
     _check_max_order(max_order)
-    orbits = _twist_orbits(md, pol)
+    orbits = _twist_orbits(md)
     roots = _roots_of_unity(max_order)
-    N = _s_facts(md, pol).fusion
-    keep = _cauchy_roots(_det_k(md, pol), roots)
+    N = _s_facts(md, DEFAULT_POLICY).fusion
+    keep = _cauchy_roots(_det_k(md, DEFAULT_POLICY), roots)
     phases = np.array([phase_from_turns(roots[k]) for k in keep], dtype=complex)
     cube_roots = [phase_from_turns(Fraction(j, 3)) for j in range(3)]
-    levels = _balancing_levels(md, N, orbits, pol.eq_tol + _ROUNDING, pol)
+    levels = _balancing_levels(md, N, orbits, DEFAULT_POLICY.eq_tol + _ROUNDING)
     diagonals: list[np.ndarray] = []
     assignment_ids: list[int] = []
     rows_cubed = 0
@@ -443,7 +453,7 @@ def enumerate_t(md: ModularData, max_order: int,
         # picks[r]: row r's root position in ``keep`` on each orbit
         nonlocal rows_cubed
         rows_cubed += len(W)
-        for r, t0 in enumerate(_lift_t0(md, W, pol)):
+        for r, t0 in enumerate(_lift_t0(md, W)):
             if t0 is None:
                 continue
             base = t0 * W[r]
@@ -528,24 +538,24 @@ def search_pipeline(fr: FusionRing, max_order: int = 16,
     share its S cache, and a pass is compared with the kept results of the S
     candidates within eq_tol of its own, its own included (see the module
     docstring).  Results therefore come out ordered by provenance
-    (S candidate, twist assignment, cube root).  The T diagonals are
-    enumerated at ``DEFAULT_POLICY`` (module docstring, step 2): ``pol``
-    decides ``candidate_s``, the FS screen, the reports, the dedup and the
-    ring re-check, not which T candidates are formed.  Pass a dict as
-    ``stats_out`` to receive the candidate, skip and prune counters,
-    ``rows_cubed``, the twist assignments the walk cubed (the work of
-    ``enumerate_t``, where the skip counts are the nominal root product),
-    and ``fs_screened``, the T candidates the FS screen dropped.
+    (S candidate, twist assignment, cube root).  The S candidates and the
+    T diagonals are generated at ``DEFAULT_POLICY`` (module docstring):
+    ``pol`` only judges them, in the FS screen, the reports, the dedup and
+    the ring re-check, and never decides which candidates are formed.
+    Pass a dict as ``stats_out`` to receive the candidate, skip and prune
+    counters, ``rows_cubed``, the twist assignments the walk cubed (the
+    work of ``enumerate_t``, where the skip counts are the nominal root
+    product), and ``fs_screened``, the T candidates the FS screen dropped.
     ``max_order`` must be between 1 and ``MAX_SEARCH_ORDER``.
     """
     _check_max_order(max_order)
     results: list[SearchResult] = []
     kept: list[tuple[ModularData, list[np.ndarray]]] = []  # (S datum, T of its results)
     n_candidates = n_skipped = n_pruned = n_cubed = n_diagonals = n_screened = 0
-    for s_idx, S in enumerate(candidate_s(fr, pol)):
+    for s_idx, S in enumerate(candidate_s(fr)):
         n_candidates += 1
         s_md = ModularData.from_matrices(S, np.ones(len(S)))
-        enum = enumerate_t(s_md, max_order)  # exact inputs: the default policy decides
+        enum = enumerate_t(s_md, max_order)
         n_skipped += enum.skipped
         n_pruned += enum.pruned
         n_cubed += enum.rows_cubed

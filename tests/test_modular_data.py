@@ -11,16 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modata import (
+    FusionRing,
     InvalidModularData,
     ModularData,
+    canonical_r,
     deligne,
     derive,
+    eigen_multiplicities,
     get_model,
     load_fusion_ring,
     load_modular_data,
     realizability_report,
     save_modular_data,
     search_pipeline,
+    trace_table,
     twists,
     validate,
     verlinde_fusion,
@@ -58,6 +62,23 @@ class TestConstruction:
         # compared entrywise, S and T of different shapes would broadcast or raise
         assert not TRIVIAL.approx_eq(get_model("semion").modular_data)
         assert not get_model("semion").modular_data.approx_eq(TRIVIAL)
+
+    def test_records_compare_and_hash_by_identity(self):
+        # the records hold arrays, whose truth value a field-wise == would ask
+        # for, and which a field-wise hash cannot hash: each compares and
+        # hashes by identity, so two same-rank data are unequal, not an error
+        def records(name):
+            model = get_model(name)
+            md = model.modular_data
+            dd = derive(md)
+            ring = FusionRing(rank=md.rank, N=dd.fusion)
+            blocks = canonical_r(dd, *eigen_multiplicities(dd, trace_table(md, dd)))
+            return model, md, dd, ring, blocks, search_pipeline(ring, max_order=4)[0]
+
+        for x, y in zip(records("semion"), records("conj-semion")):
+            assert type(x) is type(y)
+            assert (x == y) is False and x != y and x == x
+            assert x not in [y] and hash(x) == hash(x) and x in {x}
 
 
 class TestDims:

@@ -87,8 +87,8 @@ def make_ring(ring):
 
 TRIVIAL_RING = FusionRing(rank=1, N=np.ones((1, 1, 1), dtype=int))
 LOOSE = TolerancePolicy(eq_tol=0.05, int_tol=0.05)
-THREE_ORBIT_CASES = [(ring, q, pol) for ring, q in (("fib_z3", 15), ("z6", 12), ("su2_3", 20))
-                     for pol in (DEFAULT_POLICY, LOOSE)]
+THREE_ORBIT = [("fib_z3", 15), ("z6", 12), ("su2_3", 20)]
+THREE_ORBIT_CASES = [(ring, q, pol) for ring, q in THREE_ORBIT for pol in (DEFAULT_POLICY, LOOSE)]
 THREE_ORBIT_IDS = ["fib_z3", "fib_z3-loose", "z6", "z6-loose", "su2_3", "su2_3-loose"]
 
 
@@ -154,44 +154,46 @@ def assert_same_results(got, want):
         assert a.md.S.tobytes() == b.md.S.tobytes() and a.md.T.tobytes() == b.md.T.tobytes()
 
 
-def reference_candidate_s(fr, pol=DEFAULT_POLICY):
+def reference_candidate_s(fr):
     """``candidate_s`` as one column_stack and test per permutation."""
+    tol = DEFAULT_POLICY.eq_tol
     cols = []
     for v in _joint_eigenvectors(fr):
         v = v / np.linalg.norm(v)
-        if abs(v[0]) <= pol.eq_tol:
+        if abs(v[0]) <= tol:
             return []
         cols.append(v * (np.conj(v[0]) / abs(v[0])))
     out = []
     for perm in permutations(range(len(cols))):
         S = np.column_stack([cols[p] for p in perm])
-        if np.max(np.abs(S - S.T)) > pol.eq_tol:
+        if np.max(np.abs(S - S.T)) > tol:
             continue
         c0 = S[:, 0]
-        if np.max(np.abs(c0.imag)) > pol.eq_tol or np.any(c0.real <= pol.eq_tol):
+        if np.max(np.abs(c0.imag)) > tol or np.any(c0.real <= tol):
             continue
         out.append(S)
     return out
 
 
-def reference_lift_t0(S, S2, w, pol=DEFAULT_POLICY):
+def reference_lift_t0(S, S2, w):
     """The per-row lift: T_0 with (S T_0 diag(w))^3 = S^2, the principal cube
     root, from a 2-D cube of one row; None if none exists.  The stacked
     ``_lift_t0`` must equal it row by row."""
     M = S * w[None, :]
     M3 = M @ M @ M
     lam = M3[0, 0] / S2[0, 0]
-    if np.max(np.abs(M3 - lam * S2)) > pol.eq_tol or abs(abs(lam) - 1.0) > pol.eq_tol:
+    tol = DEFAULT_POLICY.eq_tol
+    if np.max(np.abs(M3 - lam * S2)) > tol or abs(abs(lam) - 1.0) > tol:
         return None  # a lambda off the unit circle has no unimodular cube root
-    return 1.0 / principal_root(lam, 3, pol)
+    return 1.0 / principal_root(lam, 3)
 
 
-def reference_enumerate_t(S, max_order, pol=DEFAULT_POLICY):
+def reference_enumerate_t(S, max_order):
     """The plain per-assignment loop over ``product``, without the Cauchy filter;
     ``enumerate_t`` must match it on the Cauchy-admissible assignments."""
     S = np.asarray(S, dtype=complex)
     S2 = S @ S
-    orbits = _twist_orbits(s_datum(S), pol)
+    orbits = _twist_orbits(s_datum(S))
     roots = _roots_of_unity(max_order)
     cube_roots = [phase_from_turns(Fraction(j, 3)) for j in range(3)]
     diagonals, assignment_ids, skipped = [], [], 0
@@ -199,7 +201,7 @@ def reference_enumerate_t(S, max_order, pol=DEFAULT_POLICY):
         w = np.ones(S.shape[0], dtype=complex)
         for orb, ri in zip(orbits, assign):
             w[orb] = phase_from_turns(roots[ri])
-        t0 = reference_lift_t0(S, S2, w, pol)
+        t0 = reference_lift_t0(S, S2, w)
         if t0 is None:
             skipped += 1
             continue
@@ -209,16 +211,16 @@ def reference_enumerate_t(S, max_order, pol=DEFAULT_POLICY):
                         pruned=0, rows_cubed=len(roots) ** len(orbits))
 
 
-def stacked_enumerate_t(S, max_order, pol=DEFAULT_POLICY):
+def stacked_enumerate_t(S, max_order):
     """The full prefix product with the last orbit lifted as one stacked
     block per prefix, under the Cauchy filter; affordable on three-orbit
     rings, and ``enumerate_t`` must equal it bit for bit."""
     md = s_datum(S)
     n = md.rank
-    orbits = _twist_orbits(md, pol)
+    orbits = _twist_orbits(md)
     roots = _roots_of_unity(max_order)
     try:
-        N = verlinde_fusion(md, pol)
+        N = verlinde_fusion(md)
     except InvalidModularData:
         N = None
     keep = _cauchy_roots(None if N is None else _casimir_det(N), roots)
@@ -235,7 +237,7 @@ def stacked_enumerate_t(S, max_order, pol=DEFAULT_POLICY):
             p_idx = p_idx * len(roots) + keep[ri]
         if last:
             W[:, last] = phases[:, None]
-        for r, t0 in enumerate(_lift_t0(md, W, pol)):
+        for r, t0 in enumerate(_lift_t0(md, W)):
             if t0 is None:
                 continue
             diagonals.extend(zeta * (t0 * W[r]) for zeta in cube_roots)
@@ -269,10 +271,11 @@ def admissible(a_idx, n_orbits, roots, P):
 def reference_search(fr, max_order, pol=DEFAULT_POLICY, enumerate_fn=reference_enumerate_t):
     """``search_pipeline``'s loop over a reference enumeration, by default the
     unfiltered per-assignment loop, with a fresh datum per candidate and the
-    dedup against every kept result: [(md, report, provenance)]."""
+    dedup against every kept result: [(md, report, provenance)].  As in the
+    search, ``pol`` judges the candidates and does not generate them."""
     results = []
-    for s_idx, S in enumerate(candidate_s(fr, pol)):
-        enum = enumerate_fn(S, max_order, pol)
+    for s_idx, S in enumerate(candidate_s(fr)):
+        enum = enumerate_fn(S, max_order)
         for d_idx, (t, a_idx) in enumerate(zip(enum.diagonals, enum.assignments)):
             md = ModularData.from_matrices(S, t)
             report = realizability_report(md, pol)
@@ -404,8 +407,7 @@ class TestCandidateS:
         with pytest.raises(FusionRingError, match="cannot diagonalize uniquely"):
             candidate_s(Stub())
 
-    @pytest.mark.parametrize("pol", [DEFAULT_POLICY, LOOSE], ids=["default", "loose"])
-    def test_matches_per_permutation_loop(self, entries, pol):
+    def test_matches_per_permutation_loop(self, entries):
         # every ring a search test runs on up to rank 6, catalog and
         # generated, and SU(2)_6 (rank 7) and Z_2^3 (rank 8, 28 orderings kept)
         z2 = pointed_ring(2)
@@ -413,7 +415,7 @@ class TestCandidateS:
                  + [pointed_ring(n) for n in range(2, 7)] + [su2_ring(k) for k in (3, 4, 5, 6)]
                  + [deligne(deligne(z2, z2), z2)])
         for fr in rings:
-            got, want = candidate_s(fr, pol), reference_candidate_s(fr, pol)
+            got, want = candidate_s(fr), reference_candidate_s(fr)
             assert len(got) == len(want) and got
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -476,30 +478,23 @@ class TestEnumerateT:
             assert abs(t[1] - t[2]) < 1e-12  # w_1 = w_2 enforced
 
 
-    @pytest.mark.parametrize("ring, max_order, pol", [
-        (TRIVIAL_RING, 4, DEFAULT_POLICY),
-        ("fibonacci", 10, DEFAULT_POLICY),
-        ("ising", 32, DEFAULT_POLICY),
-        ("ising", 32, LOOSE),
-        ("z3", 6, DEFAULT_POLICY),
-        ("toric_code", 8, DEFAULT_POLICY),
-        (4, 16, DEFAULT_POLICY),
-        (5, 16, DEFAULT_POLICY),
-        *THREE_ORBIT_CASES,
-    ], ids=["trivial", "fibonacci", "ising", "ising-loose", "z3", "toric", "z4", "z5",
-            *THREE_ORBIT_IDS])
-    def test_matches_per_assignment_loop(self, ring, max_order, pol):
+    @pytest.mark.parametrize("ring, max_order", [
+        (TRIVIAL_RING, 4), ("fibonacci", 10), ("ising", 32), ("z3", 6), ("toric_code", 8),
+        (4, 16), (5, 16), *THREE_ORBIT,
+    ], ids=["trivial", "fibonacci", "ising", "z3", "toric", "z4", "z5",
+            *(ring for ring, _ in THREE_ORBIT)])
+    def test_matches_per_assignment_loop(self, ring, max_order):
         # equal, bit for bit, to the stacked screen over the full prefix
         # product; outside the three-orbit cases, whose ~10^5-10^6
         # assignments make the per-assignment loop take tens of seconds, both
         # also equal that loop on the Cauchy-admissible assignments, and every
         # loop entry dropped fails the report
-        cands = candidate_s(make_ring(ring), pol)
+        cands = candidate_s(make_ring(ring))
         assert cands
         roots = _roots_of_unity(max_order)
         for S in cands:
-            got = enumerate_t(s_datum(S), max_order, pol)
-            stacked = stacked_enumerate_t(S, max_order, pol)
+            got = enumerate_t(s_datum(S), max_order)
+            stacked = stacked_enumerate_t(S, max_order)
             assert got.assignments == stacked.assignments
             assert (got.skipped, got.pruned) == (stacked.skipped, stacked.pruned)
             assert len(got.diagonals) == len(stacked.diagonals)
@@ -507,8 +502,8 @@ class TestEnumerateT:
                 assert np.array_equal(a, b)  # bit for bit
             if isinstance(ring, str) and ring in THREE_ORBIT_RINGS:
                 continue
-            n_orbits = len(_twist_orbits(s_datum(S), pol))
-            want = reference_enumerate_t(S, max_order, pol)
+            n_orbits = len(_twist_orbits(s_datum(S)))
+            want = reference_enumerate_t(S, max_order)
             P = cauchy_primes(S)
             ok = [admissible(a, n_orbits, roots, P) for a in want.assignments]
             assert got.assignments == [a for a, k in zip(want.assignments, ok) if k]
@@ -522,21 +517,20 @@ class TestEnumerateT:
             assert got.pruned == len(roots) ** n_orbits - n_admissible ** n_orbits
             for t, k in zip(want.diagonals, ok):
                 if not k:
-                    assert not realizability_report(ModularData.from_matrices(S, t), pol).passed
+                    assert not realizability_report(ModularData.from_matrices(S, t)).passed
 
     def test_unrounded_verlinde_prunes_nothing(self):
         # the Ising S is the reflection taking e_0 to its vacuum column u;
-        # with u moved by 1e-3 the relation holds within 4e-3 for w_psi = -1
-        # but the Verlinde sum misses integers by 5.7e-3, so there is no ring
-        # tensor, and neither the Cauchy filter nor the balancing walk over
-        # the two orbits may drop an assignment
+        # with u moved by 1e-3 the Verlinde sum misses integers by 5.7e-3, so
+        # there is no ring tensor, and neither the Cauchy filter nor the
+        # balancing walk over the two orbits may drop an assignment: every
+        # one of the 80^2 is cubed, and the lift decides alone
         u = np.array([0.5 + 1e-3, 2 ** -0.5, 0.5 - 1e-3])
         v = np.array([1.0, 0.0, 0.0]) - u / np.linalg.norm(u)
         S = (np.eye(3) - 2 * np.outer(v, v) / (v @ v)).astype(complex)
-        pol = TolerancePolicy(eq_tol=4e-3, int_tol=4e-3)
-        got = enumerate_t(s_datum(S), 16, pol)
-        want = reference_enumerate_t(S, 16, pol)
-        assert got.diagonals and got.pruned == 0
+        got = enumerate_t(s_datum(S), 16)
+        want = reference_enumerate_t(S, 16)
+        assert got.pruned == 0 and got.rows_cubed == len(_roots_of_unity(16)) ** 2
         assert (got.assignments, got.skipped) == (want.assignments, want.skipped)
         assert all(np.array_equal(a, b) for a, b in zip(got.diagonals, want.diagonals))
 
@@ -545,15 +539,13 @@ class TestEnumerateT:
         # the bound is proved for a unitary symmetric S with a real vacuum
         # row; an S off any of these by more than rounding gets no equations
         md = get_model("ising").modular_data
-        orbits = _twist_orbits(s_datum(md.S), DEFAULT_POLICY)
+        orbits = _twist_orbits(s_datum(md.S))
         N = verlinde_fusion(md)
-        assert any(len(lv[0]) for lv in _balancing_levels(s_datum(md.S), N, orbits, 1e-9,
-                                                          DEFAULT_POLICY))
+        assert any(len(lv[0]) for lv in _balancing_levels(s_datum(md.S), N, orbits, 1e-9))
         S = {"unitary": md.S * (1 + 1e-9),
              "symmetric": md.S + 1e-9 * np.triu(np.ones((3, 3)), 1),
              "vacuum_row": md.S * np.exp(1e-9j)}[change]
-        assert not any(len(lv[0]) for lv in _balancing_levels(s_datum(S), N, orbits, 1e-9,
-                                                              DEFAULT_POLICY))
+        assert not any(len(lv[0]) for lv in _balancing_levels(s_datum(S), N, orbits, 1e-9))
 
     @pytest.mark.parametrize("q", [0, -5])
     def test_max_order_below_one_rejected(self, q):
@@ -596,9 +588,9 @@ class TestEnumerateT:
                 md = s_datum(S)
                 W = np.ones((64, md.rank), dtype=complex)
                 W[0] = w_cat
-                for orb in _twist_orbits(md, DEFAULT_POLICY):
+                for orb in _twist_orbits(md):
                     W[1:, orb] = rng.choice(phases, size=63)[:, None]
-                got = _lift_t0(md, W, DEFAULT_POLICY)
+                got = _lift_t0(md, W)
                 want = [reference_lift_t0(md.S, md.S2, w) for w in W]
                 assert [bits(t) for t in got] == [bits(t) for t in want]
                 lifted += sum(t is not None for t in got)
@@ -616,9 +608,9 @@ class TestEnumerateT:
         rows = []
         lift = search._lift_t0
 
-        def counted(md, W, pol):
+        def counted(md, W):
             rows.append(len(W))
-            return lift(md, W, pol)
+            return lift(md, W)
 
         monkeypatch.setattr(search, "_lift_t0", counted)
         stats = {}
@@ -652,7 +644,7 @@ def test_balancing_residual_within_bound(name, eps, offsets):
     # rounding, and the prune's levels evaluate the same residuals
     md = get_model(name).modular_data
     S, n = md.S, md.rank
-    orbits = _twist_orbits(s_datum(S), DEFAULT_POLICY)
+    orbits = _twist_orbits(s_datum(S))
     w = md.T / md.T[0]
     w[0] = 1.0
     conj = np.arange(n)
@@ -668,7 +660,7 @@ def test_balancing_residual_within_bound(name, eps, offsets):
     c = np.abs(S) @ (np.abs(S) / np.abs(S[0])).T
     assert np.all(np.abs(R) <= abs(D) * n * (1 + c) * (eps_m + 1e-12))
     pairs = []
-    for I, J, DS, coef, _ in _balancing_levels(s_datum(S), N, orbits, 1.0, DEFAULT_POLICY):
+    for I, J, DS, coef, _ in _balancing_levels(s_datum(S), N, orbits, 1.0):
         assert np.allclose(DS * w[I] * w[J] - w @ coef, R[I, J], rtol=0, atol=1e-12)
         pairs.extend(zip(I.tolist(), J.tolist()))
     # the levels cover every orbit: the equations whose last unbound twist,
@@ -908,14 +900,15 @@ class TestSearchPipeline:
 
     @pytest.mark.parametrize("shift", [0.0, 1e-12], ids=["twice", "shifted"])
     def test_dedup_across_s_candidates_within_tolerance(self, monkeypatch, shift):
-        # two S candidates within eq_tol of each other: candidate_s never
-        # lists such a pair up to rank 12 at the default policy, but the
-        # sqrt(2/rank) gap between orderings does not exceed every eq_tol
-        # the policy admits, so the dedup must compare across S candidates
+        # two S candidates within eq_tol of each other: candidate_s, which
+        # decides at the default policy, never lists such a pair up to rank
+        # 12, but the sqrt(2/rank) gap between orderings does not exceed
+        # every eq_tol the policy admits, so the dedup must compare across
+        # S candidates
         fr = ring_of("fibonacci")
         want = search_pipeline(fr, max_order=10)
         S = candidate_s(fr)[0]
-        monkeypatch.setattr(search, "candidate_s", lambda fr, pol: [S, S + shift])
+        monkeypatch.setattr(search, "candidate_s", lambda fr: [S, S + shift])
         stats = {}
         got = search_pipeline(fr, max_order=10, stats_out=stats)
         assert stats["s_candidates"] == 2
@@ -945,9 +938,9 @@ class TestSearchPipeline:
         # include those of enumerate_t bit for bit
         enumerate_fn = (stacked_enumerate_t if isinstance(ring, str) and ring in THREE_ORBIT_RINGS
                         else reference_enumerate_t)
-        for S in candidate_s(make_ring(ring), pol):
+        for S in candidate_s(make_ring(ring)):
             s_md = ModularData.from_matrices(S, np.ones(len(S)))
-            diagonals = enumerate_fn(S, max_order, pol).diagonals
+            diagonals = enumerate_fn(S, max_order).diagonals
             keep = _fs_screen(s_md, diagonals, pol)
             assert keep.shape == (len(diagonals),)
             for t in (t for t, k in zip(diagonals, keep) if not k):
@@ -963,6 +956,50 @@ class TestSearchPipeline:
         res = search_pipeline(ring_of("ising"), max_order=32, stats_out=stats)
         assert len(res) == 24
         assert (stats["t_candidates"], stats["fs_screened"]) == (96, 72)
+
+    def test_reports_reject_what_the_fs_screen_drops(self, monkeypatch):
+        # with the FS screen keeping every row, the 72 Ising T candidates at
+        # q=32 that it drops reach the reports, and each fails both
+        # fs_value and mult_integer; the 24 results are the screened
+        # search's, bit for bit
+        want = search_pipeline(ring_of("ising"), max_order=32)
+        screen, report = search._fs_screen, search.realizability_report
+        dropped, failed = [], []
+
+        def keep_all(s_md, diagonals, pol):
+            keep = screen(s_md, diagonals, pol)
+            dropped.extend(diagonals[d].tobytes() for d in np.flatnonzero(~keep))
+            return np.ones_like(keep)
+
+        def recorded(md, pol):
+            rep = report(md, pol)
+            if not rep.passed:
+                failed.append((md.T.tobytes(), {d.check_id for d in rep.errors()}))
+            return rep
+
+        monkeypatch.setattr(search, "_fs_screen", keep_all)
+        monkeypatch.setattr(search, "realizability_report", recorded)
+        stats = {}
+        got = search_pipeline(ring_of("ising"), max_order=32, stats_out=stats)
+        assert (stats["t_candidates"], stats["fs_screened"]) == (96, 0)
+        assert len(dropped) == 72 and sorted(t for t, _ in failed) == sorted(dropped)
+        assert all({"fs_value", "mult_integer"} <= ids for _, ids in failed)
+        assert_same_results(got, want)
+
+    @pytest.mark.parametrize("tol", [0.2, 1e-16], ids=["loose", "strict"])
+    @pytest.mark.parametrize("name", ["ising", "z3", "fib_z3", "ising_ising", "su2_5"])
+    def test_s_candidates_do_not_depend_on_the_policy(self, name, tol):
+        # candidate_s decides at the default policy: an eq_tol of 0.2 once
+        # listed a non-symmetric S on SU(2)_5 (max |S - S^t| = 0.103) that the
+        # walk could not prune, and one of 1e-16 found no S on any of these;
+        # at 0.2 the reports keep the default's data too
+        got, stats = searched(name, TolerancePolicy(eq_tol=tol, int_tol=tol))
+        want, want_stats = searched(name)
+        assert stats["s_candidates"] == want_stats["s_candidates"]
+        assert ({key: stats[key] for key in ENUMERATION_STATS}
+                == {key: want_stats[key] for key in ENUMERATION_STATS})
+        if tol == 0.2:
+            assert_same_results(got, want)
 
     def test_deterministic_ordering(self):
         fr = ring_of("fibonacci")
